@@ -10,8 +10,10 @@ Subcommands:
   validate <schedule> <K>  certify a named step-parameter schedule prefix
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
-configuration error. Runs are deterministic for a fixed config and seed;
-rerunning a config reproduces its trace CSV byte for byte.
+configuration error, 3 numerical abort (a non-finite iterate; the partial
+trace and a report with ``aborted_at_row`` are still written). Runs are
+deterministic for a fixed config and seed; rerunning a config reproduces
+its trace CSV byte for byte.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .diagnostics import ScalarSeq, verdict
 from .families import FAMILIES, build_problem, feasibility_problem
 from .scalar_transform import SCENARIO_NAMES, divergence_witness, get_scenario
 from .schedule import Schedule, check_tk_bounds, validate_schedule
-from .solver import fista_run, nesterov_run, pgm_run
+from .solver import NonFiniteIterateError, fista_run, nesterov_run, pgm_run
 
 __all__ = ["main", "run_config", "repro_fig1", "bcch_demo", "validate_command", "ConfigError"]
 
@@ -112,6 +114,7 @@ def _load_config(path: Path) -> dict:
 def run_config(config_path, output_dir=None, seed=None) -> int:
     """Execute one experiment config; returns the process exit code."""
     path = Path(config_path)
+    aborted = None
     try:
         cfg = _load_config(path)
         problem = build_problem(cfg["problem"]["family"], cfg["problem"].get("params"))
@@ -139,6 +142,8 @@ def run_config(config_path, output_dir=None, seed=None) -> int:
 
         rng = np.random.default_rng(use_seed)
         results = run_analyses(trace, problem, cfg.get("analyses", []), rng)
+    except NonFiniteIterateError as exc:
+        trace, aborted, results = exc.trace, exc, []
     except (ConfigError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -157,11 +162,16 @@ def run_config(config_path, output_dir=None, seed=None) -> int:
         "iterations": len(trace) - 1,
         "seed": use_seed,
         "checks": [r.to_json() for r in results],
-        "all_pass": not failing,
+        "all_pass": not failing and aborted is None,
         "failing": failing,
     }
+    if aborted is not None:
+        report["aborted_at_row"] = aborted.row
     report_path = out / "report.json"
     report_path.write_text(json.dumps(report, sort_keys=True, indent=1))
+    if aborted is not None:
+        print(f"error: {aborted}; partial trace saved to {out}", file=sys.stderr)
+        return 3
 
     for r in results:
         status = "PASS" if r.passed else "FAIL"

@@ -1,4 +1,8 @@
-"""Built-in problem families addressable by name from experiment configs."""
+"""Built-in problem families addressable by name from experiment configs.
+
+Every ``value`` callable works on any rank, ``(..., dim) -> (...)``, so the
+solver evaluates the objective over a whole trace in one call.
+"""
 
 from __future__ import annotations
 
@@ -27,7 +31,10 @@ __all__ = [
 
 def zero_part() -> NonsmoothPart:
     """The zero nonsmooth term: value 0 everywhere, prox = identity."""
-    return NonsmoothPart(value=lambda x: 0.0, prox=lambda v, step: np.asarray(v, dtype=float))
+    return NonsmoothPart(
+        value=lambda x: np.zeros(np.shape(x)[:-1]),
+        prox=lambda v, step: np.asarray(v, dtype=float),
+    )
 
 
 def _project_segment(a: Vector, b: Vector, x: Vector) -> Vector:
@@ -55,15 +62,16 @@ def feasibility_problem(offset: float = 1.0, membership_tol: float = 1e-9) -> Co
     plane = AffineHyperplane(normal=np.ones(2), offset=float(offset))
 
     f = SmoothPart(
-        value=lambda x: 0.5 * float(np.sum(np.minimum(x, 0.0) ** 2)),
+        value=lambda x: 0.5 * np.sum(np.minimum(x, 0.0) ** 2, axis=-1),
         gradient=lambda x: half_sq_dist_grad(orthant, x),
         beta=1.0,
     )
 
-    def line_indicator(x: Vector) -> float:
-        scale = max(1.0, abs(offset), float(np.abs(x).sum()))
-        gap = abs(float(x[0] + x[1]) - offset)
-        return 0.0 if gap <= membership_tol * scale else math.inf
+    def line_indicator(x: Vector) -> np.ndarray:
+        scale = np.maximum(max(1.0, abs(offset)), np.abs(x).sum(axis=-1))
+        gap = np.abs(x[..., 0] + x[..., 1] - offset)
+        # an overflowed gap is inf and so is the scale; that point is off the line
+        return np.where((gap <= membership_tol * scale) & (gap < math.inf), 0.0, math.inf)
 
     g = NonsmoothPart(value=line_indicator, prox=lambda v, step: project_hyperplane(plane, v))
 
@@ -95,7 +103,8 @@ def random_quadratic(dim: int = 8, seed: int = 0, cond: float = 10.0) -> Composi
     center = rng.normal(size=dim)
 
     f = SmoothPart(
-        value=lambda x: 0.5 * float((x - center) @ (a @ (x - center))),
+        # a is symmetric, so d @ a holds the rows of a @ d
+        value=lambda x: 0.5 * np.sum((x - center) * ((x - center) @ a), axis=-1),
         gradient=lambda x: a @ (x - center),
         beta=1.0,
     )
@@ -124,12 +133,12 @@ def l1_quadratic(dim: int = 6, lam: float = 0.3, seed: int = 0) -> CompositeProb
     mu = 0.5 * float(np.sum((xstar - c) ** 2)) + lam * float(np.abs(xstar).sum())
 
     f = SmoothPart(
-        value=lambda x: 0.5 * float(np.sum((x - c) ** 2)),
+        value=lambda x: 0.5 * np.sum((x - c) ** 2, axis=-1),
         gradient=lambda x: x - c,
         beta=1.0,
     )
     g = NonsmoothPart(
-        value=lambda x: lam * float(np.abs(x).sum()),
+        value=lambda x: lam * np.abs(x).sum(axis=-1),
         prox=lambda v, step: soft_threshold(v, lam * step),
     )
     sol = SolutionInfo(s_ref=xstar, mu=mu, project=lambda x: xstar.copy())

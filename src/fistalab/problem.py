@@ -4,6 +4,19 @@ The smooth part carries its gradient and a declared Lipschitz constant for
 the gradient; the nonsmooth part carries its proximal map. Indicator
 functions are supported through extended-real values (``math.inf``), so
 ``eval_F`` may return ``+inf`` but never NaN.
+
+Value protocol: ``SmoothPart.value`` and ``NonsmoothPart.value`` map an
+array of shape ``(..., dim)`` to an array of shape ``(...)``, one value per
+row, so a whole trace is evaluated in one call (reduce with ``axis=-1``,
+index with ``x[..., i]``, compare with ``np.maximum``). A scalar result is
+taken as the same value for every row. Gradients and prox maps take one
+1-D vector.
+
+Inputs are validated once, at the boundary: ``as_vector`` checks shape and
+finiteness in the public entry points (``eval_F``, the solver runs,
+``t_operator``, ``check_lipschitz``). The solver checks each iterate for
+finiteness once and does not revalidate inside its loop, so the value,
+gradient and prox callables receive finite arrays without checking them.
 """
 
 from __future__ import annotations
@@ -51,11 +64,13 @@ def as_vector(x, dim: int | None = None) -> Vector:
 class SmoothPart:
     """Convex differentiable term with a ``beta``-Lipschitz gradient.
 
-    ``beta`` is declared by the constructor of the problem family and is
-    certified empirically (see :func:`check_lipschitz`), never estimated.
+    ``value`` maps an array of shape ``(..., dim)`` to shape ``(...)``;
+    ``gradient`` maps one finite vector to a vector. ``beta`` is declared
+    by the constructor of the problem family and is certified empirically
+    (see :func:`check_lipschitz`), never estimated.
     """
 
-    value: Callable[[Vector], float]
+    value: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[Vector], Vector]
     beta: float
 
@@ -68,11 +83,12 @@ class SmoothPart:
 class NonsmoothPart:
     """Convex lower-semicontinuous term given by its value and prox map.
 
-    ``value`` may return ``+inf`` (indicator functions); ``prox(v, step)``
-    must return the minimizer of ``g(u) + ||u - v||^2 / (2 step)``.
+    ``value`` maps an array of shape ``(..., dim)`` to shape ``(...)`` and
+    may give ``+inf`` (indicator functions); ``prox(v, step)`` must return
+    the minimizer of ``g(u) + ||u - v||^2 / (2 step)`` for one vector ``v``.
     """
 
-    value: Callable[[Vector], float]
+    value: Callable[[np.ndarray], np.ndarray]
     prox: Callable[[Vector, float], Vector]
 
 
@@ -122,6 +138,48 @@ class CompositeProblem:
             raise DimensionMismatchError("solution reference point has the wrong dimension")
 
 
+def _part_values(value, xs: np.ndarray, part: str) -> np.ndarray:
+    """One value of ``part`` per row of ``xs``, shape ``(n,)``."""
+    n = xs.shape[0]
+    try:
+        vals = np.asarray(value(xs), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(
+            f"{part} value failed on a {xs.shape} array ({exc}); "
+            "value callables map (..., dim) to (...)"
+        ) from exc
+    if vals.ndim == 0:
+        # a constant; a value that sums over every row also gives a scalar,
+        # so it must agree with the first row evaluated alone
+        if n > 1:
+            first = np.asarray(value(xs[:1]), dtype=float).reshape(())
+            if not np.array_equal(first, vals, equal_nan=True):
+                raise ValueError(f"{part} value gave one scalar for {n} rows")
+        return np.full(n, float(vals))
+    if vals.shape != (n,):
+        raise ValueError(f"{part} value has shape {vals.shape}, expected ({n},)")
+    return vals
+
+
+def _objective_rows(problem: CompositeProblem, xs: np.ndarray) -> np.ndarray:
+    """F = f + g on every row of the finite ``(n, dim)`` array ``xs``.
+
+    Rows where g = +inf give +inf without evaluating f there, so no inf
+    arithmetic is ever performed. NaN from either part is a hard error.
+    """
+    gv = _part_values(problem.g.value, xs, "nonsmooth part")
+    if np.isnan(gv).any():
+        raise ValueError("nonsmooth part evaluated to NaN")
+    out = np.full(xs.shape[0], math.inf)
+    dom = gv != math.inf
+    if dom.any():
+        inside = xs if dom.all() else xs[dom]
+        out[dom] = _part_values(problem.f.value, inside, "smooth part") + gv[dom]
+        if np.isnan(out).any():
+            raise ValueError("objective evaluated to NaN")
+    return out
+
+
 def eval_F(problem: CompositeProblem, x) -> float:
     """Evaluate F(x) = f(x) + g(x); returns +inf when g(x) = +inf.
 
@@ -129,16 +187,7 @@ def eval_F(problem: CompositeProblem, x) -> float:
     is ever performed. NaN from either part is a hard error.
     """
     v = as_vector(x, problem.dim)
-    gv = float(problem.g.value(v))
-    if math.isnan(gv):
-        raise ValueError("nonsmooth part evaluated to NaN")
-    if gv == math.inf:
-        return math.inf
-    fv = float(problem.f.value(v))
-    total = fv + gv
-    if math.isnan(total):
-        raise ValueError("objective evaluated to NaN")
-    return total
+    return float(_objective_rows(problem, v[None, :])[0])
 
 
 @dataclass(frozen=True)

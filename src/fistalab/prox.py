@@ -1,8 +1,13 @@
-"""Closed-form projections and proximal maps used by the problem families."""
+"""Closed-form projections and proximal maps used by the problem families.
+
+The maps the solver calls every iteration (``project_hyperplane``,
+``soft_threshold``, ``half_sq_dist_grad``) convert their input with
+``np.asarray`` and do not check it: the solver checks each iterate once.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,12 +30,14 @@ class AffineHyperplane:
 
     normal: Vector
     offset: float
+    normal_sq: float = field(init=False, repr=False)
 
     def __post_init__(self):
         n = as_vector(self.normal)
         if float(np.linalg.norm(n)) == 0.0:
             raise ValueError("hyperplane normal must be nonzero")
         object.__setattr__(self, "normal", n)
+        object.__setattr__(self, "normal_sq", float(n @ n))
 
 
 @dataclass(frozen=True)
@@ -51,9 +58,9 @@ def project_orthant(x) -> Vector:
 
 def project_hyperplane(plane: AffineHyperplane, x) -> Vector:
     """Nearest point of the hyperplane: shift along the normal direction."""
-    v = as_vector(x, plane.normal.size)
+    v = np.asarray(x, dtype=float)
     n = plane.normal
-    shift = (float(n @ v) - plane.offset) / float(n @ n)
+    shift = (float(n @ v) - plane.offset) / plane.normal_sq
     return v - shift * n
 
 
@@ -72,7 +79,7 @@ def soft_threshold(v, lambda_step: float) -> Vector:
     """Coordinatewise shrink-toward-zero: sign(v) * max(|v| - lambda_step, 0)."""
     if lambda_step < 0:
         raise ValueError("threshold must be nonnegative")
-    w = as_vector(v)
+    w = np.asarray(v, dtype=float)
     return np.sign(w) * np.maximum(np.abs(w) - lambda_step, 0.0)
 
 
@@ -81,5 +88,5 @@ def half_sq_dist_grad(orthant: NonnegativeOrthant, x) -> Vector:
 
     Valid everywhere, including boundary points, and 1-Lipschitz.
     """
-    v = as_vector(x, orthant.dim)
+    v = np.asarray(x, dtype=float)
     return v - np.maximum(v, 0.0)

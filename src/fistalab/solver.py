@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .problem import CompositeProblem, Vector, as_vector, eval_F
+from .problem import CompositeProblem, Vector, _objective_rows, as_vector
 from .schedule import Schedule
 
 __all__ = [
@@ -40,6 +40,9 @@ __all__ = [
     "fista_run",
     "nesterov_run",
 ]
+
+
+_CSV_CHUNK = 4096
 
 
 class NonFiniteIterateError(RuntimeError):
@@ -157,20 +160,32 @@ class Trace:
         return cols
 
     def to_csv(self, path) -> Path:
-        """Write the scalar columns with fixed 17-significant-digit formatting."""
+        """Write the scalar columns with fixed 17-significant-digit formatting.
+
+        Rows are written ``_CSV_CHUNK`` at a time straight into the open
+        file. Converged columns repeat their values, so within a chunk each
+        distinct float (by bit pattern, which keeps -0.0 apart from 0.0) is
+        formatted once, and one ``%s`` pass places the texts into rows.
+        """
         path = Path(path)
-        columns = [self.ts, self.F_x]
+        columns = [np.arange(len(self)), self.ts, self.F_x]
         if self.delta is not None:
             columns.append(self.delta)
         if self.xi is not None:
-            columns.extend(self.xi[:, j] for j in range(self.xi.shape[1]))
+            columns.append(self.xi)
         columns.extend(
             [self.res_zdef, self.res_convex, self.res_suffdec, self.gap_xy, self.norm_x, self.norm_z]
         )
-        lines = [",".join(self._csv_header())]
-        for k in range(len(self)):
-            lines.append(str(k) + "," + ",".join(f"{col[k]:.17g}" for col in columns))
-        path.write_text("\n".join(lines) + "\n")
+        table = np.column_stack(columns)  # k as a float: %.17g prints it as %d does
+        row_format = ",".join(["%s"] * table.shape[1]) + "\n"
+        with path.open("w") as out:
+            out.write(",".join(self._csv_header()) + "\n")
+            for start in range(0, len(table), _CSV_CHUNK):
+                chunk = table[start : start + _CSV_CHUNK]
+                bits, where = np.unique(chunk.view(np.int64), return_inverse=True)
+                text = ("%.17g\n" * len(bits)) % tuple(bits.view(float).tolist())
+                cells = np.array(text.split("\n")[:-1], dtype=object)[where.ravel()]
+                out.write((row_format * len(chunk)) % tuple(cells.tolist()))
         return path
 
     def snapshot_payload(self) -> dict:
@@ -215,9 +230,10 @@ class Trace:
         """
         outdir = Path(outdir)
         meta = json.loads((outdir / "snapshots.json").read_text())
-        lines = (outdir / "trace.csv").read_text().strip().split("\n")
-        header = lines[0].split(",")
-        data = np.array([[float(tok) for tok in line.split(",")] for line in lines[1:]])
+        csv_path = outdir / "trace.csv"
+        with csv_path.open() as fh:
+            header = fh.readline().rstrip("\n").split(",")
+        data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
         col = {name: data[:, i] for i, name in enumerate(header)}
         rows = int(meta["rows"])
 
@@ -275,13 +291,14 @@ def _iterate(problem: CompositeProblem, x0: Vector, ts: np.ndarray):
     step = 1.0 / problem.f.beta
     grad = problem.f.gradient
     prox = problem.g.prox
+    momentum = ((ts[:-1] - 1.0) / ts[1:]).tolist()
     for k in range(steps):
         x_next = np.asarray(prox(y - step * grad(y), step), dtype=float)
-        if not np.all(np.isfinite(x_next)):
+        if not np.isfinite(x_next).all():
             xs[k + 1] = x_next
             ys[k + 1] = x_next
             return xs[: k + 2], ys[: k + 2], k + 1
-        y = x_next + ((ts[k] - 1.0) / ts[k + 1]) * (x_next - x)
+        y = x_next + momentum[k] * (x_next - x)
         x = x_next
         xs[k + 1] = x
         ys[k + 1] = y
@@ -294,8 +311,7 @@ def _validate_s_refs(problem: CompositeProblem, s_refs) -> Optional[np.ndarray]:
     refs = np.array([as_vector(s, problem.dim) for s in s_refs])
     sol = problem.solution
     if sol is not None:
-        for s in refs:
-            excess = eval_F(problem, s) - sol.mu
+        for s, excess in zip(refs, _objective_rows(problem, refs) - sol.mu):
             if not excess <= 1e-6 * max(1.0, abs(sol.mu)):
                 raise ValueError(
                     f"reference point {s.tolist()} is not a minimizer "
@@ -319,12 +335,9 @@ def _build_trace(
     beta = problem.f.beta
     zs = (1.0 - ts)[:, None] * xs + ts[:, None] * ys
 
-    F_x = np.empty(rows)
-    for k in range(rows):
-        if np.all(np.isfinite(xs[k])):
-            F_x[k] = eval_F(problem, xs[k])
-        else:
-            F_x[k] = np.nan  # aborted row
+    F_x = np.full(rows, np.nan)  # an aborted row stays NaN
+    finite = np.isfinite(xs).all(axis=1)
+    F_x[finite] = _objective_rows(problem, xs[finite])
 
     sol = problem.solution
     mu = None if sol is None else sol.mu

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -5,6 +6,9 @@ import numpy as np
 import pytest
 
 from fistalab.cli import main, repro_fig1, run_config
+
+REPO = Path(__file__).resolve().parent.parent
+FIG1_PGM_SHA256 = "ee8c3f07556698000130219a4bbb8ac051ea11f02ee6dc69cb66b495f816aa41"
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -133,6 +137,46 @@ class TestRun:
         assert code == 0
         assert (tmp_path / "multi" / "config" / "trace.csv").exists()
         assert (tmp_path / "multi" / "second" / "trace.csv").exists()
+
+
+class TestNumericalAbort:
+    def overflowing_config(self, tmp_path):
+        # the line projection of x0 overflows to -inf at row 1
+        return write_config(
+            tmp_path, x0=[1.7e308, 1.7e308], iterations=10, analyses=["structural"]
+        )
+
+    def test_abort_saves_partial_trace_and_exits_three(self, tmp_path, capsys):
+        cfg = self.overflowing_config(tmp_path)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_config(cfg, output_dir=tmp_path / "out")
+        assert code == 3
+        err_lines = capsys.readouterr().err.splitlines()
+        assert [line for line in err_lines if line.startswith("error:")] == [
+            f"error: non-finite iterate at row 1; partial trace saved to {tmp_path / 'out'}"
+        ]
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["aborted_at_row"] == 1
+        assert report["all_pass"] is False
+        assert report["checks"] == []
+        rows = (tmp_path / "out" / "trace.csv").read_text().strip().split("\n")
+        assert len(rows) == 3  # header, row 0, offending row 1
+        assert (tmp_path / "out" / "snapshots.json").exists()
+
+    def test_main_returns_three(self, tmp_path):
+        cfg = self.overflowing_config(tmp_path)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 3
+
+
+class TestBundledTraceHash:
+    def test_fig1_pgm_trace_is_byte_identical(self, tmp_path):
+        committed = REPO / "out" / "fig1-pgm" / "trace.csv"
+        assert hashlib.sha256(committed.read_bytes()).hexdigest() == FIG1_PGM_SHA256
+        code = run_config(REPO / "configs" / "fig1-pgm.json", output_dir=tmp_path)
+        assert code == 0
+        rerun = (tmp_path / "trace.csv").read_bytes()
+        assert hashlib.sha256(rerun).hexdigest() == FIG1_PGM_SHA256
 
 
 class TestReproFig1:

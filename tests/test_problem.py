@@ -6,18 +6,26 @@ import pytest
 from fistalab import (
     CompositeProblem,
     DimensionMismatchError,
+    NonsmoothPart,
     SmoothPart,
     as_vector,
     check_lipschitz,
     eval_F,
+    feasibility_problem,
     finite_difference_gradient,
+    fista_run,
+    l1_quadratic,
+    random_quadratic,
     zero_part,
 )
+from fistalab.problem import _objective_rows
 
 
 def identity_quadratic(beta=1.0):
     """f = beta/2 ||x||^2 with gradient beta*x."""
-    f = SmoothPart(value=lambda x: 0.5 * beta * float(x @ x), gradient=lambda x: beta * x, beta=beta)
+    f = SmoothPart(
+        value=lambda x: 0.5 * beta * np.sum(x * x, axis=-1), gradient=lambda x: beta * x, beta=beta
+    )
     return CompositeProblem(f=f, g=zero_part(), dim=2, problem_id="halfsq")
 
 
@@ -32,6 +40,11 @@ class TestEvalF:
     def test_off_orthant_on_line(self, feas):
         # hand evaluation: nearest orthant point of (2,-1) is (2,0), distance 1
         assert eval_F(feas, [2.0, -1.0]) == pytest.approx(0.5, abs=1e-15)
+
+    def test_overflowing_point_is_off_the_line(self, feas):
+        # x1 + x2 overflows to inf; the scaled tolerance must not admit it
+        with np.errstate(over="ignore"):
+            assert eval_F(feas, [1.7e308, 1.7e308]) == math.inf
 
     def test_dimension_mismatch_is_hard_error(self, feas):
         with pytest.raises(DimensionMismatchError):
@@ -49,6 +62,89 @@ class TestEvalF:
         for _ in range(100):
             x = 2.0 * rng.standard_normal(any_problem.dim)
             assert eval_F(any_problem, x) >= mu - 1e-12 * max(1.0, abs(mu))
+
+
+def scalar_F(problem, x) -> float:
+    """Reference: the one-vector rule F followed before rows were evaluated at once."""
+    gv = float(problem.g.value(x))
+    if gv == math.inf:
+        return math.inf
+    return float(problem.f.value(x)) + gv
+
+
+def sample_rows(problem, rng) -> np.ndarray:
+    """Trace rows, random points and (for indicator-type g) infeasible rows."""
+    trace = fista_run(problem, 3.0 * rng.standard_normal(problem.dim), "bt", 300)
+    return np.vstack([trace.xs, 4.0 * rng.standard_normal((50, problem.dim))])
+
+
+class TestRowEvaluator:
+    @pytest.mark.parametrize("problem", [feasibility_problem(), l1_quadratic(dim=6, seed=1)])
+    def test_bit_equal_to_per_row_evaluation(self, problem, rng):
+        rows = sample_rows(problem, rng)
+        got = _objective_rows(problem, rows)
+        assert np.array_equal(got, [scalar_F(problem, x) for x in rows])
+        assert np.array_equal(got, [eval_F(problem, x) for x in rows])
+
+    def test_feasibility_sample_has_infinite_and_finite_rows(self, rng):
+        got = _objective_rows(feasibility_problem(), sample_rows(feasibility_problem(), rng))
+        assert np.isinf(got).sum() >= 50 and np.isfinite(got).sum() >= 300
+
+    def test_quadratic_matrix_product_within_tolerance(self, rng):
+        problem = random_quadratic(dim=7, seed=5)
+        rows = sample_rows(problem, rng)
+        want = np.array([scalar_F(problem, x) for x in rows])
+        got = _objective_rows(problem, rows)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_nan_from_either_part_is_an_error(self):
+        nan_g = CompositeProblem(
+            f=identity_quadratic().f,
+            g=NonsmoothPart(value=lambda x: np.full(x.shape[:-1], np.nan), prox=lambda v, s: v),
+            dim=2,
+        )
+        with pytest.raises(ValueError, match="nonsmooth part evaluated to NaN"):
+            _objective_rows(nan_g, np.ones((3, 2)))
+        nan_f = CompositeProblem(
+            f=SmoothPart(value=lambda x: x[..., 0] * np.nan, gradient=lambda x: x, beta=1.0),
+            g=zero_part(),
+            dim=2,
+        )
+        with pytest.raises(ValueError, match="objective evaluated to NaN"):
+            eval_F(nan_f, [1.0, 2.0])
+
+    def test_constant_value_is_broadcast(self):
+        problem = CompositeProblem(
+            f=identity_quadratic().f,
+            g=NonsmoothPart(value=lambda x: 0.0, prox=lambda v, s: v),
+            dim=2,
+        )
+        rows = np.arange(8.0).reshape(4, 2)
+        assert np.array_equal(_objective_rows(problem, rows), 0.5 * np.sum(rows**2, axis=1))
+
+    @pytest.mark.parametrize(
+        "value, part",
+        [
+            (lambda x: np.zeros(x.shape), "smooth part"),  # one value per coordinate
+            (lambda x: 0.5 * float(np.sum(x * x)), "smooth part"),  # sums over all rows
+            (lambda x: 0.5 * float(x @ x), "smooth part"),  # one-vector only
+        ],
+    )
+    def test_wrong_shape_is_an_error_naming_the_part(self, value, part):
+        problem = CompositeProblem(
+            f=SmoothPart(value=value, gradient=lambda x: x, beta=1.0), g=zero_part(), dim=2
+        )
+        with pytest.raises(ValueError, match=part):
+            _objective_rows(problem, np.arange(6.0).reshape(3, 2))
+
+    def test_wrong_shape_from_nonsmooth_part(self):
+        problem = CompositeProblem(
+            f=identity_quadratic().f,
+            g=NonsmoothPart(value=lambda x: np.zeros((1, 1)), prox=lambda v, s: v),
+            dim=2,
+        )
+        with pytest.raises(ValueError, match="nonsmooth part"):
+            eval_F(problem, [1.0, 1.0])
 
 
 class TestVectors:
@@ -84,7 +180,9 @@ class TestLipschitz:
 
     def test_misdeclared_beta_fails(self):
         problem = CompositeProblem(
-            f=SmoothPart(value=lambda x: 0.5 * float(x @ x), gradient=lambda x: x, beta=0.5),
+            f=SmoothPart(
+                value=lambda x: 0.5 * np.sum(x * x, axis=-1), gradient=lambda x: x, beta=0.5
+            ),
             g=zero_part(),
             dim=2,
         )

@@ -16,9 +16,11 @@ from fistalab import (
     nesterov_run,
     pgm_run,
     random_quadratic,
+    soft_threshold,
     t_operator,
     zero_part,
 )
+from fistalab.solver import _CSV_CHUNK
 
 S_REFS = [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]]
 
@@ -37,7 +39,9 @@ class TestOperator:
         assert np.allclose(t_operator(feas, [3.0, -2.0]), [2.0, -1.0], atol=1e-14)
 
     def test_exact_gradient_step_minimizes(self):
-        f = SmoothPart(value=lambda x: 0.5 * float(x @ x), gradient=lambda x: x, beta=1.0)
+        f = SmoothPart(
+            value=lambda x: 0.5 * np.sum(x * x, axis=-1), gradient=lambda x: x, beta=1.0
+        )
         problem = CompositeProblem(f=f, g=zero_part(), dim=3)
         assert np.array_equal(t_operator(problem, [4.0, -1.0, 7.0]), [0.0, 0.0, 0.0])
 
@@ -194,7 +198,9 @@ class TestL1Family:
 
 class TestNesterov:
     def test_exact_minimization_in_one_step(self):
-        f = SmoothPart(value=lambda x: 0.5 * float(x @ x), gradient=lambda x: x, beta=1.0)
+        f = SmoothPart(
+            value=lambda x: 0.5 * np.sum(x * x, axis=-1), gradient=lambda x: x, beta=1.0
+        )
         problem = CompositeProblem(f=f, g=zero_part(), dim=1)
         trace = nesterov_run(problem, [1.0], "bt", 10)
         assert np.all(trace.xs[1:] == 0.0)
@@ -202,7 +208,7 @@ class TestNesterov:
     def test_anisotropic_quadratic_obeys_rate_bound(self):
         a = np.diag([1.0, 0.1])
         f = SmoothPart(
-            value=lambda x: 0.5 * float(x @ (a @ x)), gradient=lambda x: a @ x, beta=1.0
+            value=lambda x: 0.5 * np.sum(x * (x @ a), axis=-1), gradient=lambda x: a @ x, beta=1.0
         )
         from fistalab import SolutionInfo
 
@@ -230,7 +236,9 @@ class TestNesterov:
 
 class TestAbortOnNonFinite:
     def test_partial_trace_retained(self):
-        f = SmoothPart(value=lambda x: 0.5 * float(x @ x), gradient=lambda x: x, beta=1.0)
+        f = SmoothPart(
+            value=lambda x: 0.5 * np.sum(x * x, axis=-1), gradient=lambda x: x, beta=1.0
+        )
         hits = {"n": 0}
 
         def poisoned_prox(v, step):
@@ -248,6 +256,28 @@ class TestAbortOnNonFinite:
         assert np.all(np.isnan(partial.xs[3]))
         assert np.all(np.isfinite(partial.xs[:3]))
 
+    def test_divergence_through_soft_threshold(self):
+        # f = 2 ||x||^2 has a 4-Lipschitz gradient; declaring beta = 1 makes the
+        # step four times too long and the iterates blow up
+        f = SmoothPart(
+            value=lambda x: 2.0 * np.sum(x * x, axis=-1), gradient=lambda x: 4.0 * x, beta=1.0
+        )
+        g = NonsmoothPart(
+            value=lambda x: 0.1 * np.abs(x).sum(axis=-1),
+            prox=lambda v, step: soft_threshold(v, 0.1 * step),
+        )
+        problem = CompositeProblem(f=f, g=g, dim=2)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NonFiniteIterateError
+        ) as info:
+            fista_run(problem, [1.0, -2.0], "bt", 2000)
+        partial = info.value.trace
+        assert 1 < info.value.row < 2000
+        assert len(partial) == info.value.row + 1
+        assert not np.all(np.isfinite(partial.xs[-1]))
+        assert np.all(np.isfinite(partial.xs[:-1]))
+        assert np.isnan(partial.F_x[-1])
+
 
 class TestTraceContainer:
     def test_records_are_contiguous_views(self, feas_trace):
@@ -263,6 +293,62 @@ class TestTraceContainer:
             fista_run(feas, [5.0, 0.0], "bt", 0)
         with pytest.raises(ValueError):
             pgm_run(feas, [5.0, 0.0], 5, snapshot_every=0)
+
+
+SCALAR_COLUMNS = (
+    "ts", "F_x", "delta", "xi", "res_zdef", "res_convex", "res_suffdec", "gap_xy", "norm_x",
+    "norm_z",
+)
+
+
+def special_values_trace(rows: int) -> Trace:
+    """A trace whose scalar columns mix random floats with nan, +-inf and -0.0."""
+    rng = np.random.default_rng(5)
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, 1e-300, -5e300])
+
+    def column(shape=(rows,)):
+        col = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+        pick = rng.random(shape) < 0.2
+        col[pick] = rng.choice(specials, int(pick.sum()))
+        return col
+
+    vectors = np.zeros((rows, 2))
+    return Trace(
+        kind="fista",
+        problem_id="synthetic",
+        schedule_id="bt",
+        beta=1.0,
+        mu=0.0,
+        ts=1.0 + np.abs(column()),
+        F_x=column(),
+        delta=column(),
+        xi=column((rows, 2)),
+        s_refs=np.zeros((2, 2)),
+        res_zdef=column(),
+        res_convex=column(),
+        res_suffdec=column(),
+        gap_xy=column(),
+        norm_x=column(),
+        norm_z=column(),
+        xs=vectors,
+        ys=vectors,
+        zs=vectors,
+    )
+
+
+def per_row_csv(trace: Trace) -> str:
+    """Reference: the one-row-at-a-time f-string writer that to_csv replaced."""
+    columns = [trace.ts, trace.F_x]
+    if trace.delta is not None:
+        columns.append(trace.delta)
+    if trace.xi is not None:
+        columns.extend(trace.xi[:, j] for j in range(trace.xi.shape[1]))
+    columns.extend([trace.res_zdef, trace.res_convex, trace.res_suffdec])
+    columns.extend([trace.gap_xy, trace.norm_x, trace.norm_z])
+    lines = [",".join(trace._csv_header())]
+    for k in range(len(trace)):
+        lines.append(str(k) + "," + ",".join(f"{col[k]:.17g}" for col in columns))
+    return "\n".join(lines) + "\n"
 
 
 class TestExport:
@@ -292,6 +378,24 @@ class TestExport:
         assert np.allclose(loaded.xs, trace.xs, atol=0)
         assert np.allclose(loaded.xi[1:], trace.xi[1:], rtol=1e-15)
         assert loaded.mu == trace.mu
+
+    def test_csv_matches_per_row_formatter(self, tmp_path):
+        trace = special_values_trace(2 * _CSV_CHUNK + 17)
+        text = trace.to_csv(tmp_path / "t.csv").read_text()
+        assert {"nan", "inf", "-inf", "-0"} <= set(text.replace("\n", ",").split(","))
+        got, want = text.split("\n"), per_row_csv(trace).split("\n")
+        first_bad = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), None)
+        assert first_bad is None and len(got) == len(want), f"first differing line {first_bad}"
+
+    def test_load_round_trips_every_column(self, tmp_path):
+        trace = special_values_trace(_CSV_CHUNK + 5)
+        trace.save(tmp_path)
+        loaded = Trace.load(tmp_path)
+        for name in SCALAR_COLUMNS:
+            want, got = getattr(trace, name), getattr(loaded, name)
+            assert np.array_equal(got, want, equal_nan=True), name
+            assert np.array_equal(np.signbit(got), np.signbit(want)), name
+        assert np.array_equal(loaded.xs, trace.xs)
 
     def test_sparse_snapshots_keep_final_row(self, feas, tmp_path):
         trace = fista_run(feas, [5.0, 0.0], "bt", 25, snapshot_every=10)
