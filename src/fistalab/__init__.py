@@ -10,10 +10,8 @@ CLI (`fistalab`) for configured experiment runs.
 """
 
 from .diagnostics import (
-    ClusterProductReport,
     ConvergenceVerdict,
     ScalarSeq,
-    cluster_inner_product_check,
     inner_product_seq,
     momentum_identity_residual,
     orthonormal_span_basis,
@@ -37,11 +35,9 @@ from .problem import (
 )
 from .prox import (
     AffineHyperplane,
-    NonnegativeOrthant,
     half_sq_dist_grad,
     project_hyperplane,
     project_orthant,
-    prox_indicator,
     soft_threshold,
 )
 from .scalar_transform import (
@@ -67,7 +63,6 @@ from .schedule import (
     validate_schedule,
 )
 from .solver import (
-    IterateRecord,
     MissingSnapshotError,
     NonFiniteIterateError,
     Trace,

@@ -5,11 +5,13 @@ sequences into a pass/fail judgment with an explicit residual and, where a
 convergence proxy is involved, its window and tolerance. Tolerances on
 exact identities scale with max(1, magnitude of the participating terms)
 so that genuine violations stand out from accumulated roundoff on long
-runs.
+runs. A non-finite residual or scale makes the reported value NaN, and a
+check passes only on a finite value: nothing passes vacuously.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -40,6 +42,7 @@ class CheckResult:
     details: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
+        """Strict-JSON form: each non-finite float becomes null, tagged under "nonfinite"."""
         out = {
             "claim": self.claim,
             "pass": bool(self.passed),
@@ -49,7 +52,31 @@ class CheckResult:
         }
         if self.details:
             out["details"] = self.details
+        nonfinite = {}
+        out = _finite_only(out, "", nonfinite)
+        if nonfinite:
+            out["nonfinite"] = nonfinite
         return out
+
+
+def _finite_only(value, path: str, nonfinite: dict):
+    """Copy of ``value`` with non-finite floats as None, their tags in ``nonfinite``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        nonfinite[path] = "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
+        return None
+    if isinstance(value, dict):
+        return {k: _finite_only(v, f"{path}.{k}" if path else k, nonfinite) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_only(v, f"{path}[{i}]", nonfinite) for i, v in enumerate(value)]
+    return value
+
+
+def _worst(residual, scale=1.0) -> float:
+    """Largest residual / scale; NaN when any residual or scale is not finite."""
+    residual, scale = np.broadcast_arrays(np.asarray(residual, dtype=float), scale)
+    finite = np.isfinite(residual) & np.isfinite(scale)
+    ratio = np.divide(residual, scale, out=np.full(residual.shape, np.nan), where=finite)
+    return float(np.max(ratio))
 
 
 def _verdict_result(claim: str, v) -> CheckResult:
@@ -63,17 +90,19 @@ def _verdict_result(claim: str, v) -> CheckResult:
     )
 
 
-def _pair_directions(trace: Trace, params: dict) -> list:
-    if "directions" in params:
-        return [np.asarray(d, dtype=float) for d in params["directions"]]
-    if trace.s_refs is None or trace.s_refs.shape[0] < 2:
+def _pair_directions(trace: Trace, directions=None) -> list:
+    """The given probe directions, else s_i - s_j for every pair i < j of s_refs."""
+    if directions is not None:
+        return [np.asarray(d, dtype=float) for d in directions]
+    refs = () if trace.s_refs is None else trace.s_refs
+    return [refs[i] - refs[j] for i in range(len(refs)) for j in range(i + 1, len(refs))]
+
+
+def _required_directions(trace: Trace, params: dict) -> list:
+    directions = _pair_directions(trace, params.get("directions"))
+    if not directions:
         raise ValueError("check needs explicit directions or at least two s_refs")
-    refs = trace.s_refs
-    return [
-        refs[i] - refs[j]
-        for i in range(refs.shape[0])
-        for j in range(i + 1, refs.shape[0])
-    ]
+    return directions
 
 
 # ---- identity checks --------------------------------------------------------
@@ -87,16 +116,16 @@ def structural_check(trace: Trace, problem, params, rng) -> list:
     norm_y = np.linalg.norm(trace.ys, axis=1)
 
     zdef_scale = np.maximum(1.0, np.abs(1.0 - t) * trace.norm_x + t * norm_y)
-    zdef = float(np.max(trace.res_zdef / zdef_scale))
+    zdef = _worst(trace.res_zdef, zdef_scale)
 
     recur_res = trace.z_recursion_residuals()[1:]
     recur_scale = np.maximum(
         1.0, t[:-1] * (trace.norm_x[:-1] + trace.norm_x[1:]) + trace.norm_x[:-1]
     )
-    recur = float(np.max(recur_res / recur_scale))
+    recur = _worst(recur_res, recur_scale)
 
     convex_scale = np.maximum(1.0, trace.norm_x[:-1] + trace.norm_z[1:])
-    convex = float(np.max(trace.res_convex[1:] / convex_scale))
+    convex = _worst(trace.res_convex[1:], convex_scale)
 
     return [
         CheckResult("z-definition", zdef <= tol, zdef, tol=tol),
@@ -111,10 +140,7 @@ def momentum_identity_check(trace: Trace, problem, params, rng) -> list:
     count = params.get("count", 3)
     trace.require_vectors()
     dim = trace.xs.shape[1]
-    directions = []
-    if trace.s_refs is not None and trace.s_refs.shape[0] >= 2:
-        refs = trace.s_refs
-        directions = [refs[i] - refs[j] for i in range(len(refs)) for j in range(i + 1, len(refs))]
+    directions = _pair_directions(trace)
     while len(directions) < count:
         directions.append(rng.standard_normal(dim))
     sup_x = float(np.max(trace.norm_x))
@@ -219,8 +245,7 @@ def gap_decay_check(trace: Trace, problem, params, rng) -> list:
     """Extrapolation gap bounded by (||z|| + ||x||) / t and decaying."""
     tol = params.get("tol", IDENTITY_TOL)
     bound = (trace.norm_z + trace.norm_x) / trace.ts
-    scale = np.maximum(1.0, bound)
-    excess = float(np.max((trace.gap_xy - bound) / scale))
+    excess = _worst(trace.gap_xy - bound, np.maximum(1.0, bound))
     out = [CheckResult("gap-bound", excess <= tol, excess, tol=tol)]
     n = len(trace)
     if n >= 50:
@@ -242,9 +267,10 @@ def bounded_iterates_check(trace: Trace, problem, params, rng) -> list:
     """sup ||x_k|| within max(||x_0||, sup ||z_k||), the convex-combination bound."""
     sup_x = float(np.max(trace.norm_x))
     cap = max(float(trace.norm_x[0]), float(np.max(trace.norm_z))) + 1e-8
+    excess = _worst(sup_x - cap)
     return [
         CheckResult(
-            "bounded-iterates", sup_x <= cap, sup_x - cap, details={"sup_x": sup_x, "cap": cap}
+            "bounded-iterates", excess <= 0.0, excess, details={"sup_x": sup_x, "cap": cap}
         )
     ]
 
@@ -256,7 +282,7 @@ def cluster_products_check(trace: Trace, problem, params, rng) -> list:
     """Verdicts on <x_k, w1 - w2> for every pair of reference solutions."""
     window = params.get("window", 100)
     tol = params.get("tol", 1e-6)
-    directions = _pair_directions(trace, params)
+    directions = _required_directions(trace, params)
     out = []
     for i, d in enumerate(directions):
         seq = inner_product_seq(trace, "x", d)
@@ -285,11 +311,7 @@ def span_check(trace: Trace, problem, params, rng) -> list:
     trace.require_vectors()
     window = params.get("window", 100)
     tol = params.get("tol", 1e-6)
-    if "directions" in params:
-        directions = [np.asarray(d, dtype=float) for d in params["directions"]]
-    else:
-        directions = _pair_directions(trace, params)
-    basis = orthonormal_span_basis(directions)
+    basis = orthonormal_span_basis(_required_directions(trace, params))
     dim = basis.shape[1]
     proj = basis.T @ basis
 

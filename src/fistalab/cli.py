@@ -133,12 +133,8 @@ def run_config(config_path, output_dir=None, seed=None) -> int:
         if algorithm == "pgm":
             trace = pgm_run(problem, cfg["x0"], cfg["iterations"], **common)
         else:
-            schedule = cfg["schedule"]
-            sched = Schedule(schedule) if isinstance(schedule, str) else Schedule(
-                "explicit", values=schedule
-            )
             runner = fista_run if algorithm == "fista" else nesterov_run
-            trace = runner(problem, cfg["x0"], sched, cfg["iterations"], **common)
+            trace = runner(problem, cfg["x0"], cfg["schedule"], cfg["iterations"], **common)
 
         rng = np.random.default_rng(use_seed)
         results = run_analyses(trace, problem, cfg.get("analyses", []), rng)
@@ -168,7 +164,7 @@ def run_config(config_path, output_dir=None, seed=None) -> int:
     if aborted is not None:
         report["aborted_at_row"] = aborted.row
     report_path = out / "report.json"
-    report_path.write_text(json.dumps(report, sort_keys=True, indent=1))
+    report_path.write_text(json.dumps(report, sort_keys=True, indent=1, allow_nan=False))
     if aborted is not None:
         print(f"error: {aborted}; partial trace saved to {out}", file=sys.stderr)
         return 3

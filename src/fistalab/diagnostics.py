@@ -9,7 +9,7 @@ this module are exact algebraic identities evaluated in floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -25,8 +25,6 @@ __all__ = [
     "momentum_identity_residual",
     "orthonormal_span_basis",
     "span_projection",
-    "ClusterProductReport",
-    "cluster_inner_product_check",
     "xi_difference",
 ]
 
@@ -155,36 +153,6 @@ def span_projection(vectors: Sequence, xs: Sequence) -> list:
     """Orthogonal projection of each x onto span(vectors)."""
     basis = orthonormal_span_basis(vectors)
     return [basis.T @ (basis @ as_vector(x, basis.shape[1])) for x in xs]
-
-
-@dataclass(frozen=True)
-class ClusterProductReport:
-    """Verdicts for <x_k, w1 - w2> over candidate cluster-point pairs."""
-
-    entries: list = field(default_factory=list)  # (label, ConvergenceVerdict)
-
-    @property
-    def consistent(self) -> bool:
-        return all(v.converged for _, v in self.entries)
-
-
-def cluster_inner_product_check(
-    trace: Trace,
-    cluster_pairs: Sequence,
-    window: int = DEFAULT_WINDOW,
-    tol: float = DEFAULT_TOL,
-) -> ClusterProductReport:
-    """Verdict on <x_k, w1 - w2> for each supplied pair of cluster points.
-
-    All verdicts converged means the trace is consistent with iterate
-    convergence in every probed direction.
-    """
-    entries = []
-    for i, (w1, w2) in enumerate(cluster_pairs):
-        d = as_vector(w1) - as_vector(w2)
-        seq = inner_product_seq(trace, "x", d)
-        entries.append((f"pair{i}", verdict(seq, window=window, tol=tol)))
-    return ClusterProductReport(entries=entries)
 
 
 def xi_difference(trace: Trace, i: int = 0, j: int = 1) -> ScalarSeq:

@@ -11,13 +11,7 @@ import math
 import numpy as np
 
 from .problem import CompositeProblem, NonsmoothPart, SmoothPart, SolutionInfo, Vector
-from .prox import (
-    AffineHyperplane,
-    NonnegativeOrthant,
-    half_sq_dist_grad,
-    project_hyperplane,
-    soft_threshold,
-)
+from .prox import AffineHyperplane, half_sq_dist_grad, project_hyperplane, soft_threshold
 
 __all__ = [
     "zero_part",
@@ -58,12 +52,11 @@ def feasibility_problem(offset: float = 1.0, membership_tol: float = 1e-9) -> Co
     """
     if not offset > 0:
         raise ValueError("offset must be positive so the two sets intersect")
-    orthant = NonnegativeOrthant(2)
     plane = AffineHyperplane(normal=np.ones(2), offset=float(offset))
 
     f = SmoothPart(
         value=lambda x: 0.5 * np.sum(np.minimum(x, 0.0) ** 2, axis=-1),
-        gradient=lambda x: half_sq_dist_grad(orthant, x),
+        gradient=half_sq_dist_grad,
         beta=1.0,
     )
 

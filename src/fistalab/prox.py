@@ -15,10 +15,8 @@ from .problem import Vector, as_vector
 
 __all__ = [
     "AffineHyperplane",
-    "NonnegativeOrthant",
     "project_orthant",
     "project_hyperplane",
-    "prox_indicator",
     "soft_threshold",
     "half_sq_dist_grad",
 ]
@@ -40,17 +38,6 @@ class AffineHyperplane:
         object.__setattr__(self, "normal_sq", float(n @ n))
 
 
-@dataclass(frozen=True)
-class NonnegativeOrthant:
-    """The set {x : x_i >= 0 for all i} in the given dimension."""
-
-    dim: int
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("orthant dimension must be >= 1")
-
-
 def project_orthant(x) -> Vector:
     """Nearest point of the nonnegative orthant: coordinatewise max(., 0)."""
     return np.maximum(as_vector(x), 0.0)
@@ -64,17 +51,6 @@ def project_hyperplane(plane: AffineHyperplane, x) -> Vector:
     return v - shift * n
 
 
-def prox_indicator(constraint, v, step: float) -> Vector:
-    """Prox of an indicator function: the projection, for any positive step."""
-    if not step > 0:
-        raise ValueError("prox step must be positive")
-    if isinstance(constraint, AffineHyperplane):
-        return project_hyperplane(constraint, v)
-    if isinstance(constraint, NonnegativeOrthant):
-        return project_orthant(as_vector(v, constraint.dim))
-    raise TypeError(f"no closed-form projection for {type(constraint).__name__}")
-
-
 def soft_threshold(v, lambda_step: float) -> Vector:
     """Coordinatewise shrink-toward-zero: sign(v) * max(|v| - lambda_step, 0)."""
     if lambda_step < 0:
@@ -83,8 +59,8 @@ def soft_threshold(v, lambda_step: float) -> Vector:
     return np.sign(w) * np.maximum(np.abs(w) - lambda_step, 0.0)
 
 
-def half_sq_dist_grad(orthant: NonnegativeOrthant, x) -> Vector:
-    """Gradient of half the squared distance to the orthant: x - P(x).
+def half_sq_dist_grad(x) -> Vector:
+    """Gradient of half the squared distance to the nonnegative orthant: x - P(x).
 
     Valid everywhere, including boundary points, and 1-Lipschitz.
     """

@@ -9,6 +9,10 @@ The classic choice takes the largest root of the quadratic condition at
 equality; the slowest admissible growth is t_k = (k + 2) / 2 for k >= 1.
 Violation checks use residuals scaled by max(1, t^2) because the raw
 quadratic residual necessarily grows like eps * t^2 in double precision.
+
+Both conditions and their tolerances live in :func:`validate_schedule`
+alone: a :class:`Schedule` generates the terms it is asked for and
+certifies the whole prefix with one call to it.
 """
 
 from __future__ import annotations
@@ -88,16 +92,17 @@ class ScheduleReport:
 def validate_schedule(ts) -> ScheduleReport:
     """Check a raw sequence against both admissibility conditions.
 
-    Requires at least two entries and t_0 = 1 (to 1e-12). An empty
-    violation list in the report means the prefix is admissible.
+    Requires at least two entries; a non-finite entry or t_0 != 1 (to
+    1e-12) is a :class:`ScheduleError`. An empty violation list in the
+    report means the prefix is admissible.
     """
     arr = np.asarray(ts, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError("need a sequence of at least two step parameters")
     if abs(arr[0] - 1.0) > 1e-12:
-        raise ValueError(f"t_0 must equal 1, got {arr[0]!r}")
+        raise ScheduleError(f"t_0 must equal 1, got {float(arr[0])!r}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("step parameters must be finite")
+        raise ScheduleError(f"t_{int(np.argmin(np.isfinite(arr)))} is not finite")
 
     growth = _growth_residuals(arr)
     quad = _quadratic_residuals(arr)
@@ -126,12 +131,14 @@ def validate_schedule(ts) -> ScheduleReport:
 class Schedule:
     """Lazily extended, certified prefix of a step-parameter sequence.
 
-    ``rule`` is "bt" (quadratic recursion at equality), "linear"
-    ((k + 2) / 2 growth), or "explicit" with user-supplied values. Every
-    extension revalidates the new entries, so an existing instance always
-    holds an admissible prefix; asking for more terms than an explicit rule
-    provides is an error. Extension is single-writer; an already generated
-    prefix may be shared read-only.
+    ``rule`` is "bt" (quadratic recursion at equality, through
+    :func:`bt_next`), "linear" ((k + 2) / 2 growth, through
+    :func:`linear_half`), or "explicit" with at least two user-supplied
+    values. Every extension certifies the whole new prefix with
+    :func:`validate_schedule`, so an instance only ever holds an admissible
+    prefix; a violation, or asking for more terms than an explicit rule
+    provides, is a :class:`ScheduleError`. Extension is single-writer; an
+    already generated prefix may be shared read-only.
     """
 
     def __init__(self, rule: str = "bt", values=None):
@@ -142,55 +149,52 @@ class Schedule:
         elif rule == "explicit":
             if values is None:
                 raise ValueError("explicit rule needs values")
-            self._explicit = np.asarray(values, dtype=float)
-            if self._explicit.ndim != 1 or self._explicit.size < 1:
-                raise ValueError("explicit values must be a nonempty 1-D sequence")
+            self._explicit = np.array(values, dtype=float)
+            if self._explicit.ndim != 1 or self._explicit.size < 2:
+                raise ValueError("explicit values must be a 1-D sequence of at least two terms")
         else:
             raise ValueError(f"unknown schedule rule {rule!r}")
         self.rule = rule
-        self._cache = [1.0] if self._explicit is None else [float(self._explicit[0])]
-        self._certify(0)
+        self._ts = np.empty(0) if self._explicit is not None else np.ones(1)  # t_0 = 1
 
     @property
     def label(self) -> str:
         return self.rule
 
-    def _generate(self, k: int) -> float:
+    def _generate(self, k_max: int) -> np.ndarray:
+        """t_0..t_{k_max}, or as many of them as an explicit rule has."""
         if self._explicit is not None:
-            if k >= self._explicit.size:
-                raise ScheduleError(
-                    f"explicit schedule has {self._explicit.size} entries; index {k} requested"
-                )
-            return float(self._explicit[k])
-        if self.rule == "bt":
-            return bt_next(self._cache[k - 1])
-        return linear_half(k)
-
-    def _certify(self, k: int):
-        t = self._cache[k]
-        if not math.isfinite(t):
-            raise ScheduleError(f"t_{k} is not finite")
-        if k == 0:
-            if abs(t - 1.0) > 1e-12:
-                raise ScheduleError(f"t_0 must equal 1, got {t!r}")
-            return
-        growth_scale = max(1.0, (k + 2.0) / 2.0)
-        if t - (k + 2.0) / 2.0 < -GROWTH_TOL * growth_scale:
-            raise ScheduleError(f"growth condition violated at k={k}: t={t}")
-        prev = self._cache[k - 1]
-        quad_scale = max(1.0, prev * prev)
-        if prev * prev - t * t + t < -QUADRATIC_TOL * quad_scale:
-            raise ScheduleError(f"quadratic condition violated at k={k}: t={t}")
+            return self._explicit[: k_max + 1]
+        have = self._ts.size
+        if self.rule == "linear":
+            new = [linear_half(k) for k in range(have, k_max + 1)]
+        else:
+            t = float(self._ts[-1])
+            new = []
+            for _ in range(have, k_max + 1):
+                t = bt_next(t)
+                new.append(t)
+        return np.concatenate([self._ts, new])
 
     def prefix(self, k_max: int) -> np.ndarray:
         """Return t_0..t_{k_max} as an array, extending the cache as needed."""
         if k_max < 0:
             raise ValueError("k_max must be nonnegative")
-        while len(self._cache) <= k_max:
-            k = len(self._cache)
-            self._cache.append(self._generate(k))
-            self._certify(k)
-        return np.array(self._cache[: k_max + 1])
+        if self._ts.size <= k_max:
+            ts = self._generate(max(k_max, 1))
+            report = validate_schedule(ts)
+            if not report.valid:
+                k, condition = min(
+                    [(k, "growth") for k, _ in report.growth_violations[:1]]
+                    + [(k + 1, "quadratic") for k, _ in report.quadratic_violations[:1]]
+                )
+                raise ScheduleError(f"{condition} condition violated at k={k}: t={float(ts[k])}")
+            if ts.size <= k_max:
+                raise ScheduleError(
+                    f"explicit schedule has {ts.size} entries; index {ts.size} requested"
+                )
+            self._ts = ts
+        return self._ts[: k_max + 1].copy()
 
     def t(self, k: int) -> float:
         return float(self.prefix(k)[k])
@@ -226,10 +230,10 @@ def check_tk_bounds(ts) -> TkBoundsReport:
     ks = np.arange(2, arr.size)
     tm1 = arr[2:] - 1.0
     tol = 1e-9
-    lower = [(int(k), float(v - 1.0)) for k, v in zip(ks, tm1) if v - 1.0 < -tol]
-    upper = [
-        (int(k), float(k - v)) for k, v in zip(ks, tm1) if k - v < -tol * max(1.0, float(k))
-    ]
+    low = tm1 - 1.0
+    up = ks - tm1
+    lower = [(int(ks[i]), float(low[i])) for i in np.nonzero(low < -tol)[0]]
+    upper = [(int(ks[i]), float(up[i])) for i in np.nonzero(up < -tol * np.maximum(1.0, ks))[0]]
     # reciprocals are divergence evidence; meaningless where the lower bound fails
     inv = np.where(tm1 > 0, 1.0 / np.where(tm1 > 0, tm1, 1.0), np.nan)
     return TkBoundsReport(

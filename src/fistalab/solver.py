@@ -12,10 +12,16 @@ which is nonincreasing along the accelerated iteration. Residual columns
 monitor, row by row, the algebraic identities tying the three vector
 sequences together and the per-step sufficient-decrease inequality.
 
-Traces are columnar (one array per column) and immutable once produced;
-``IterateRecord`` offers a per-row view. CSV export uses 17 significant
-digits and a fixed header, so rerunning a configuration reproduces the
-file byte for byte.
+There is one iteration core. FISTA runs it with a certified schedule, PGM
+with t_k = 1 for every k, and Nesterov's accelerated gradient is FISTA
+with g = 0; the loop and :func:`t_operator` share one proximal gradient
+step. The core checks each extrapolation point y_{k+1} for finiteness
+(a non-finite x_{k+1} always makes y_{k+1} non-finite too) and aborts
+with :class:`NonFiniteIterateError` at the first one.
+
+Traces are columnar (one array per column) and immutable once produced.
+CSV export uses 17 significant digits and a fixed header, so rerunning a
+configuration reproduces the file byte for byte.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from .problem import CompositeProblem, Vector, _objective_rows, as_vector
 from .schedule import Schedule
 
 __all__ = [
-    "IterateRecord",
     "Trace",
     "NonFiniteIterateError",
     "MissingSnapshotError",
@@ -63,20 +68,6 @@ class MissingSnapshotError(RuntimeError):
 
     Rerun or resave the originating configuration with snapshot_every = 1.
     """
-
-
-@dataclass(frozen=True, eq=False)
-class IterateRecord:
-    """One row of a trace; vectors are None when the trace is vector-free."""
-
-    k: int
-    t: float
-    x: Optional[Vector]
-    y: Optional[Vector]
-    z: Optional[Vector]
-    F_x: float
-    delta: Optional[float]
-    xi: Optional[tuple]
 
 
 @dataclass(eq=False)
@@ -124,20 +115,6 @@ class Trace:
             raise MissingSnapshotError(
                 "trace has no per-row vectors; rerun with snapshot_every=1"
             )
-
-    def record(self, k: int) -> IterateRecord:
-        if not 0 <= k < len(self):
-            raise IndexError(f"row {k} out of range 0..{len(self) - 1}")
-        return IterateRecord(
-            k=k,
-            t=float(self.ts[k]),
-            x=None if self.xs is None else self.xs[k],
-            y=None if self.ys is None else self.ys[k],
-            z=None if self.zs is None else self.zs[k],
-            F_x=float(self.F_x[k]),
-            delta=None if self.delta is None else float(self.delta[k]),
-            xi=None if self.xi is None else tuple(float(v) for v in self.xi[k]),
-        )
 
     def z_recursion_residuals(self) -> np.ndarray:
         """Per-row residual of z_k = (1 - t_{k-1}) x_{k-1} + t_{k-1} x_k (NaN at 0)."""
@@ -269,18 +246,34 @@ class Trace:
         )
 
 
+def _step_map(problem: CompositeProblem):
+    """y -> prox of g after an explicit gradient step, both with step 1/beta.
+
+    The returned map does not check its input; callers validate once.
+    """
+    step = 1.0 / problem.f.beta
+    grad = problem.f.gradient
+    prox = problem.g.prox
+
+    def step_map(y: Vector) -> Vector:
+        return np.asarray(prox(y - step * grad(y), step), dtype=float)
+
+    return step_map
+
+
 def t_operator(problem: CompositeProblem, y) -> Vector:
     """One proximal gradient step: prox of g after an explicit gradient step.
 
     Uses the canonical step 1/beta for both the gradient move and the prox.
     """
-    v = as_vector(y, problem.dim)
-    step = 1.0 / problem.f.beta
-    return np.asarray(problem.g.prox(v - step * problem.f.gradient(v), step), dtype=float)
+    return _step_map(problem)(as_vector(y, problem.dim))
 
 
 def _iterate(problem: CompositeProblem, x0: Vector, ts: np.ndarray):
-    """Run the two-sequence recursion; returns (xs, ys, bad_row_or_None)."""
+    """Run the two-sequence recursion; returns (xs, ys, bad_row_or_None).
+
+    The bad row is the first k + 1 whose y_{k+1} is not finite; it is kept.
+    """
     steps = ts.size - 1
     xs = np.empty((steps + 1, x0.size))
     ys = np.empty((steps + 1, x0.size))
@@ -288,20 +281,16 @@ def _iterate(problem: CompositeProblem, x0: Vector, ts: np.ndarray):
     ys[0] = x0
     x = x0
     y = x0
-    step = 1.0 / problem.f.beta
-    grad = problem.f.gradient
-    prox = problem.g.prox
+    step_map = _step_map(problem)
     momentum = ((ts[:-1] - 1.0) / ts[1:]).tolist()
     for k in range(steps):
-        x_next = np.asarray(prox(y - step * grad(y), step), dtype=float)
-        if not np.isfinite(x_next).all():
-            xs[k + 1] = x_next
-            ys[k + 1] = x_next
-            return xs[: k + 2], ys[: k + 2], k + 1
+        x_next = step_map(y)
         y = x_next + momentum[k] * (x_next - x)
         x = x_next
         xs[k + 1] = x
         ys[k + 1] = y
+        if not np.isfinite(y).all():
+            return xs[: k + 2], ys[: k + 2], k + 1
     return xs, ys, None
 
 
@@ -366,8 +355,7 @@ def _build_trace(
         dx = np.linalg.norm(xs[1:] - xs[:-1], axis=1)
         dy = np.linalg.norm(xs[:-1] - ys[:-1], axis=1)
         prev_F = F_x[:-1]
-        with np.errstate(invalid="ignore"):
-            slack = prev_F - F_x[1:] - 0.5 * beta * (dx**2 - dy**2)
+        slack = prev_F - F_x[1:] - 0.5 * beta * (dx**2 - dy**2)
         slack[~np.isfinite(prev_F)] = np.nan
         res_suffdec[1:] = slack
 
@@ -403,6 +391,33 @@ def _coerce_schedule(schedule) -> Schedule:
     return Schedule(rule="explicit", values=schedule)
 
 
+def _run(
+    problem: CompositeProblem,
+    x0,
+    iterations: int,
+    ts: np.ndarray,
+    kind: str,
+    schedule_id: str,
+    s_refs: Sequence,
+    snapshot_every: int,
+) -> Trace:
+    """The one iteration core behind every public runner."""
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
+    if snapshot_every < 1:
+        raise ValueError("snapshot_every must be >= 1")
+    x0 = as_vector(x0, problem.dim)
+    refs = _validate_s_refs(problem, s_refs)
+    # a non-finite value ends the run as NonFiniteIterateError and stays in
+    # the trace, so numpy's overflow and invalid-value warnings are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs, ys, bad_row = _iterate(problem, x0, ts)
+        trace = _build_trace(problem, ts, xs, ys, kind, schedule_id, refs, snapshot_every)
+    if bad_row is not None:
+        raise NonFiniteIterateError(bad_row, trace)
+    return trace
+
+
 def fista_run(
     problem: CompositeProblem,
     x0,
@@ -410,7 +425,6 @@ def fista_run(
     iterations: int,
     s_refs: Sequence = (),
     snapshot_every: int = 1,
-    kind: str = "fista",
 ) -> Trace:
     """Accelerated proximal gradient run with a full diagnostic trace.
 
@@ -422,20 +436,9 @@ def fista_run(
     :class:`NonFiniteIterateError`, the offending row retained in the
     attached partial trace.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    if snapshot_every < 1:
-        raise ValueError("snapshot_every must be >= 1")
-    x0 = as_vector(x0, problem.dim)
     sched = _coerce_schedule(schedule)
     ts = sched.prefix(iterations)  # raises ScheduleError before any iteration
-    refs = _validate_s_refs(problem, s_refs)
-
-    xs, ys, bad_row = _iterate(problem, x0, ts)
-    trace = _build_trace(problem, ts, xs, ys, kind, sched.label, refs, snapshot_every)
-    if bad_row is not None:
-        raise NonFiniteIterateError(bad_row, trace)
-    return trace
+    return _run(problem, x0, iterations, ts, "fista", sched.label, s_refs, snapshot_every)
 
 
 def pgm_run(
@@ -450,18 +453,8 @@ def pgm_run(
     Stored with t_k = 1 for every row, which makes the extrapolation point
     coincide with the iterate and keeps all structural identities valid.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    if snapshot_every < 1:
-        raise ValueError("snapshot_every must be >= 1")
-    x0 = as_vector(x0, problem.dim)
     ts = np.ones(iterations + 1)
-    refs = _validate_s_refs(problem, s_refs)
-    xs, ys, bad_row = _iterate(problem, x0, ts)
-    trace = _build_trace(problem, ts, xs, ys, "pgm", "constant-1", refs, snapshot_every)
-    if bad_row is not None:
-        raise NonFiniteIterateError(bad_row, trace)
-    return trace
+    return _run(problem, x0, iterations, ts, "pgm", "constant-1", s_refs, snapshot_every)
 
 
 def _require_zero_g(problem: CompositeProblem, x0: Vector) -> None:
@@ -490,12 +483,6 @@ def nesterov_run(
     """
     x0 = as_vector(x0, problem.dim)
     _require_zero_g(problem, x0)
-    return fista_run(
-        problem,
-        x0,
-        schedule,
-        iterations,
-        s_refs=s_refs,
-        snapshot_every=snapshot_every,
-        kind="nesterov",
-    )
+    sched = _coerce_schedule(schedule)
+    ts = sched.prefix(iterations)
+    return _run(problem, x0, iterations, ts, "nesterov", sched.label, s_refs, snapshot_every)

@@ -11,6 +11,15 @@ REPO = Path(__file__).resolve().parent.parent
 FIG1_PGM_SHA256 = "ee8c3f07556698000130219a4bbb8ac051ea11f02ee6dc69cb66b495f816aa41"
 
 
+def strict_json(text: str):
+    """json.loads that rejects the NaN/Infinity extensions."""
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def write_config(path: Path, **overrides) -> Path:
     cfg = {
         "problem": {"family": "feasibility", "params": {}},
@@ -127,6 +136,27 @@ class TestRun:
         cfg = write_config(tmp_path, schedule=[1.0, 1.6], iterations=10, analyses=[])
         assert run_config(cfg, output_dir=tmp_path / "out") == 2
 
+    def test_overflowing_start_fails_instead_of_passing(self, tmp_path, capsys):
+        # ||x_0|| overflows to inf, so every scale built from it is infinite
+        cfg = write_config(
+            tmp_path,
+            problem={"family": "l1_quadratic", "params": {"dim": 2}},
+            x0=[1e308, -1e308],
+            iterations=200,
+            s_refs=[],
+            analyses=["structural", "bounded_iterates", "gap_decay"],
+        )
+        assert run_config(cfg, output_dir=tmp_path / "out") == 1
+        report = strict_json((tmp_path / "out" / "report.json").read_text())
+        checks = {c["claim"]: c for c in report["checks"]}
+        for claim in ("z-recursion", "convex-combination", "bounded-iterates"):
+            assert checks[claim]["pass"] is False, claim
+            assert checks[claim]["residual_or_oscillation"] is None, claim
+            assert checks[claim]["nonfinite"]["residual_or_oscillation"] == "nan", claim
+        assert checks["bounded-iterates"]["nonfinite"]["details.sup_x"] == "inf"
+        assert checks["gap-decay"]["pass"] is True  # every gap_xy is 0
+        assert checks["gap-decay"]["details"]["last_decile_max"] == 0.0
+
     def test_main_run_multiple_configs_with_jobs(self, tmp_path):
         c1 = write_config(tmp_path, iterations=50, analyses=["structural"])
         c2 = tmp_path / "second.json"
@@ -146,16 +176,16 @@ class TestNumericalAbort:
             tmp_path, x0=[1.7e308, 1.7e308], iterations=10, analyses=["structural"]
         )
 
-    def test_abort_saves_partial_trace_and_exits_three(self, tmp_path, capsys):
+    def test_abort_saves_partial_trace_and_exits_three(self, tmp_path, capsys, recwarn):
         cfg = self.overflowing_config(tmp_path)
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = run_config(cfg, output_dir=tmp_path / "out")
+        code = run_config(cfg, output_dir=tmp_path / "out")
         assert code == 3
+        assert [str(w.message) for w in recwarn if w.category is RuntimeWarning] == []
         err_lines = capsys.readouterr().err.splitlines()
         assert [line for line in err_lines if line.startswith("error:")] == [
             f"error: non-finite iterate at row 1; partial trace saved to {tmp_path / 'out'}"
         ]
-        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        report = strict_json((tmp_path / "out" / "report.json").read_text())
         assert report["aborted_at_row"] == 1
         assert report["all_pass"] is False
         assert report["checks"] == []
@@ -165,8 +195,7 @@ class TestNumericalAbort:
 
     def test_main_returns_three(self, tmp_path):
         cfg = self.overflowing_config(tmp_path)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 3
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 3
 
 
 class TestBundledTraceHash:
@@ -235,3 +264,8 @@ class TestValidate:
 
     def test_small_horizon_rejected(self):
         assert main(["validate", "bt", "2"]) == 2
+
+    def test_bt_million_matches_benchmark_reference(self, capsys):
+        reference = json.loads((REPO / "perfbench" / "reference.json").read_text())
+        assert main(["validate", "bt", "1000000"]) == 0
+        assert capsys.readouterr().out == reference["lab"]["stdout"]["validate bt 1000000"]

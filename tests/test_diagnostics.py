@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -7,7 +9,6 @@ from fistalab import (
     MissingSnapshotError,
     ScalarSeq,
     Trace,
-    cluster_inner_product_check,
     feasibility_problem,
     fista_run,
     inner_product_seq,
@@ -18,6 +19,7 @@ from fistalab import (
     verdict,
     xi_difference,
 )
+from fistalab.checks import ANALYSES, run_analyses
 
 
 def synthetic_trace(xs, ts):
@@ -109,6 +111,19 @@ class TestMomentumIdentity:
         r2 = momentum_identity_residual(feas_trace, 2.0 * d)
         assert r2 == pytest.approx(2.0 * r1, rel=1e-9, abs=1e-18)
 
+    def test_check_probes_pair_then_seeded_draws(self, feas_trace):
+        # two s_refs give one pair direction; the rest are standard normal draws
+        results = ANALYSES["momentum_identity"](
+            feas_trace, None, {"count": 3}, np.random.default_rng(3)
+        )
+        draws = np.random.default_rng(3)
+        s0, s1 = feas_trace.s_refs
+        directions = [s0 - s1, draws.standard_normal(2), draws.standard_normal(2)]
+        sup_x = float(np.max(feas_trace.norm_x))
+        for r, d in zip(results, directions, strict=True):
+            scale = max(1.0, float(np.linalg.norm(d)) * sup_x)
+            assert r.residual_or_oscillation == momentum_identity_residual(feas_trace, d) / scale
+
 
 class TestVerdict:
     def test_constant_sequence(self):
@@ -192,26 +207,74 @@ class TestSpanProjection:
             assert abs((proj @ u) @ v - u @ (proj @ v)) <= 1e-10
 
 
+def cluster_products(trace, pairs, window, tol):
+    """The `cluster_products` check on <x_k, w1 - w2> for each pair (w1, w2)."""
+    params = {"directions": [w1 - w2 for w1, w2 in pairs], "window": window, "tol": tol}
+    return ANALYSES["cluster_products"](trace, None, params, None)
+
+
 class TestClusterProducts:
     def test_identical_pair_trivially_converges(self, feas_trace):
         w = np.array([0.3, 0.7])
-        report = cluster_inner_product_check(feas_trace, [(w, w)], window=50, tol=0.0)
-        assert report.consistent
+        results = cluster_products(feas_trace, [(w, w)], window=50, tol=0.0)
+        assert [r.passed for r in results] == [True]
 
     def test_segment_endpoints_converge(self, feas_trace):
-        report = cluster_inner_product_check(
+        results = cluster_products(
             feas_trace, [(np.array([0.0, 1.0]), np.array([1.0, 0.0]))], window=100, tol=1e-3
         )
-        assert report.consistent
+        assert [r.passed for r in results] == [True]
 
     def test_alternating_trace_fails(self):
         rows = 40
         xs = np.column_stack([(-1.0) ** np.arange(rows), np.zeros(rows)])
         trace = synthetic_trace(xs, np.arange(rows, dtype=float) / 2.0 + 1.0)
-        report = cluster_inner_product_check(
+        results = cluster_products(
             trace, [(np.array([1.0, 0.0]), np.array([0.0, 0.0]))], window=10, tol=0.5
         )
-        assert not report.consistent
+        assert [r.passed for r in results] == [False]
+
+
+def with_inf_row(trace, k):
+    """The trace with row k of its norm, gap and z-definition columns set to inf."""
+    columns = {}
+    for name in ("norm_x", "norm_z", "gap_xy", "res_zdef"):
+        col = getattr(trace, name).copy()
+        col[k] = math.inf
+        columns[name] = col
+    return dataclasses.replace(trace, **columns)
+
+
+class TestNoVacuousPass:
+    ANALYSIS_NAMES = ("structural", "gap_decay", "bounded_iterates")
+    GUARDED = {"z-definition", "z-recursion", "convex-combination", "gap-bound", "bounded-iterates"}
+
+    def run(self, trace):
+        results = run_analyses(trace, None, self.ANALYSIS_NAMES, None)
+        return {r.claim: r for r in results}
+
+    def test_finite_trace_passes(self, feas_trace):
+        results = self.run(feas_trace)
+        assert set(results) == self.GUARDED | {"gap-decay"}
+        assert all(r.passed for r in results.values())
+
+    def test_injected_inf_row_fails_with_nan(self, feas_trace):
+        results = self.run(with_inf_row(feas_trace, len(feas_trace) // 2))
+        for claim in self.GUARDED:
+            assert not results[claim].passed, claim
+            assert math.isnan(results[claim].residual_or_oscillation), claim
+
+    def test_nonfinite_values_serialize_as_tagged_null(self, feas_trace):
+        results = self.run(with_inf_row(feas_trace, 7))
+        payload = results["bounded-iterates"].to_json()
+        assert payload["residual_or_oscillation"] is None
+        assert payload["details"] == {"sup_x": None, "cap": None}
+        assert payload["nonfinite"] == {
+            "residual_or_oscillation": "nan",
+            "details.sup_x": "inf",
+            "details.cap": "inf",
+        }
+        json.dumps([r.to_json() for r in results.values()], allow_nan=False)
 
 
 class TestXiDifference:

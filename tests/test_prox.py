@@ -3,17 +3,15 @@ import pytest
 
 from fistalab import (
     AffineHyperplane,
-    NonnegativeOrthant,
+    feasibility_problem,
     finite_difference_gradient,
     half_sq_dist_grad,
     project_hyperplane,
     project_orthant,
-    prox_indicator,
     soft_threshold,
 )
 
 LINE = AffineHyperplane(normal=np.ones(2), offset=1.0)
-ORTHANT = NonnegativeOrthant(2)
 
 
 def grid_argmin_orthant(x, lo=0.0, hi=6.0, step=0.01):
@@ -71,25 +69,20 @@ class TestProjectHyperplane:
 
 
 class TestProxIndicator:
-    def test_orthant_step_independent(self):
-        for step in (1.0, 0.01, 37.0):
-            assert np.array_equal(prox_indicator(ORTHANT, [-1.0, 2.0], step), [0.0, 2.0])
+    """The prox of a set's indicator is the projection onto the set."""
 
     def test_hyperplane_step_independent(self):
+        prox = feasibility_problem().g.prox  # the line indicator's prox
         for step in (1.0, 0.01):
-            assert np.allclose(prox_indicator(LINE, [5.0, 0.0], step), [3.0, -2.0], atol=1e-14)
+            assert np.allclose(prox([5.0, 0.0], step), [3.0, -2.0], atol=1e-14)
 
     def test_output_feasible(self, rng):
         for _ in range(20):
             v = 5.0 * rng.standard_normal(2)
-            on_line = prox_indicator(LINE, v, 1.0)
+            on_line = project_hyperplane(LINE, v)
             assert abs(on_line.sum() - 1.0) <= 1e-12
-            in_orthant = prox_indicator(ORTHANT, v, 1.0)
+            in_orthant = project_orthant(v)
             assert np.all(in_orthant >= 0.0)
-
-    def test_nonpositive_step_rejected(self):
-        with pytest.raises(ValueError):
-            prox_indicator(ORTHANT, [1.0, 1.0], 0.0)
 
 
 class TestSoftThreshold:
@@ -106,13 +99,13 @@ class TestSoftThreshold:
 
 class TestHalfSqDistGrad:
     def test_zero_inside_the_set(self):
-        assert np.array_equal(half_sq_dist_grad(ORTHANT, [5.0, 0.0]), [0.0, 0.0])
+        assert np.array_equal(half_sq_dist_grad([5.0, 0.0]), [0.0, 0.0])
 
     def test_hand_value_off_the_set(self):
-        assert np.array_equal(half_sq_dist_grad(ORTHANT, [3.0, -2.0]), [0.0, -2.0])
+        assert np.array_equal(half_sq_dist_grad([3.0, -2.0]), [0.0, -2.0])
 
     def test_projection_is_origin(self):
-        assert np.array_equal(half_sq_dist_grad(ORTHANT, [-1.0, -1.0]), [-1.0, -1.0])
+        assert np.array_equal(half_sq_dist_grad([-1.0, -1.0]), [-1.0, -1.0])
 
     def test_matches_finite_differences_off_boundary(self, rng):
         def half_sq_dist(x):
@@ -124,7 +117,7 @@ class TestHalfSqDistGrad:
             if np.any(np.abs(x) < 1e-3):  # gradient is only C^0 across the boundary
                 continue
             fd = finite_difference_gradient(half_sq_dist, x)
-            grad = half_sq_dist_grad(ORTHANT, x)
+            grad = half_sq_dist_grad(x)
             assert np.linalg.norm(fd - grad) <= 1e-5 * max(1.0, np.linalg.norm(grad))
             kept += 1
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from fistalab import (
     Schedule,
     ScheduleError,
+    ScheduleReport,
     bt_next,
     check_tk_bounds,
     linear_half,
@@ -111,6 +113,65 @@ class TestScheduleObject:
         with pytest.raises(ValueError):
             Schedule("cosine")
 
+    def test_explicit_rule_needs_two_terms(self):
+        with pytest.raises(ValueError):
+            Schedule("explicit", values=[1.0])
+
+
+def first_violation(report: ScheduleReport) -> int:
+    """First k whose term t_k breaks a condition; quadratic index j concerns t_{j+1}."""
+    ks = [k for k, _ in report.growth_violations[:1]]
+    ks += [j + 1 for j, _ in report.quadratic_violations[:1]]
+    return min(ks)
+
+
+class TestCertifiedPrefix:
+    def test_bt_prefix_bit_equals_the_bt_next_chain(self):
+        chain = [1.0]
+        for _ in range(100_000):
+            chain.append(bt_next(chain[-1]))
+        sched = Schedule("bt")
+        head = sched.prefix(1000)  # extending a cached prefix continues the chain
+        assert np.array_equal(sched.prefix(100_000), np.array(chain))
+        assert np.array_equal(head, np.array(chain[:1001]))
+
+    def test_linear_prefix_bit_equals_linear_half(self):
+        sched = Schedule("linear")
+        sched.prefix(10)
+        assert np.array_equal(sched.prefix(5000), [linear_half(k) for k in range(5001)])
+
+    def test_perturbed_explicit_names_the_reports_first_k(self):
+        rng = np.random.default_rng(2024)
+        base = Schedule("bt").prefix(60)
+        rejected = 0
+        for _ in range(300):
+            ts = base.copy()
+            picks = rng.integers(1, ts.size, size=int(rng.integers(1, 4)))
+            ts[picks] *= rng.uniform(0.5, 1.5, size=picks.size)
+            report = validate_schedule(ts)
+            sched = Schedule("explicit", values=ts)
+            if report.valid:
+                assert np.array_equal(sched.prefix(ts.size - 1), ts)
+                continue
+            rejected += 1
+            with pytest.raises(ScheduleError) as info:
+                sched.prefix(ts.size - 1)
+            named = int(re.search(r"at k=(\d+):", str(info.value)).group(1))
+            assert named == first_violation(report)
+        assert rejected > 200
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [([1.0, math.nan, 2.0], "t_1 is not finite"), ([1.5, 2.0], "t_0 must equal 1")],
+    )
+    def test_bad_terms_are_schedule_errors(self, values, message):
+        with pytest.raises(ScheduleError, match=message):
+            Schedule("explicit", values=values).prefix(1)
+
+    def test_explicit_too_short(self):
+        with pytest.raises(ScheduleError, match="has 2 entries; index 2 requested"):
+            Schedule("explicit", values=[1.0, 1.5]).prefix(5)
+
 
 class TestTkBounds:
     def test_bt_at_index_two(self):
@@ -134,3 +195,23 @@ class TestTkBounds:
     def test_needs_three_terms(self):
         with pytest.raises(ValueError):
             check_tk_bounds([1.0, 1.6])
+
+    def test_violation_lists_match_the_elementwise_rule(self):
+        rng = np.random.default_rng(7)
+        seen = {"lower": 0, "upper": 0}
+        for _ in range(50):
+            ts = Schedule("bt").prefix(200) * rng.uniform(0.3, 3.0, size=201)
+            ks = np.arange(2, ts.size)
+            tm1 = ts[2:] - 1.0
+            lower = [(int(k), float(v - 1.0)) for k, v in zip(ks, tm1) if v - 1.0 < -1e-9]
+            upper = [
+                (int(k), float(k - v))
+                for k, v in zip(ks, tm1)
+                if k - v < -1e-9 * max(1.0, float(k))
+            ]
+            report = check_tk_bounds(ts)
+            assert report.lower_violations == lower
+            assert report.upper_violations == upper
+            seen["lower"] += len(lower)
+            seen["upper"] += len(upper)
+        assert min(seen.values()) > 20

@@ -256,6 +256,24 @@ class TestAbortOnNonFinite:
         assert np.all(np.isnan(partial.xs[3]))
         assert np.all(np.isfinite(partial.xs[:3]))
 
+    def test_nonfinite_extrapolation_aborts_at_its_row(self):
+        # x_1 = clip(-inf) = -M is finite, but y_1 = x_1 + 0 * (x_1 - x_0) is NaN
+        big = 1.7e308
+        f = SmoothPart(
+            value=lambda x: 0.5 * np.sum((x + big) ** 2, axis=-1), gradient=lambda x: x + big, beta=1.0
+        )
+        g = NonsmoothPart(
+            value=lambda x: np.where(np.all(np.abs(x) <= big, axis=-1), 0.0, math.inf),
+            prox=lambda v, step: np.clip(v, -big, big),
+        )
+        problem = CompositeProblem(f=f, g=g, dim=1)
+        with pytest.raises(NonFiniteIterateError) as info:
+            fista_run(problem, [big], "bt", 5)
+        assert info.value.row == 1
+        partial = info.value.trace
+        assert partial.xs[:, 0].tolist() == [big, -big]
+        assert partial.ys[0, 0] == big and np.isnan(partial.ys[1, 0])
+
     def test_divergence_through_soft_threshold(self):
         # f = 2 ||x||^2 has a 4-Lipschitz gradient; declaring beta = 1 makes the
         # step four times too long and the iterates blow up
@@ -280,14 +298,6 @@ class TestAbortOnNonFinite:
 
 
 class TestTraceContainer:
-    def test_records_are_contiguous_views(self, feas_trace):
-        for k in (0, 1, 2, len(feas_trace) - 1):
-            rec = feas_trace.record(k)
-            assert rec.k == k
-            assert rec.F_x == feas_trace.F_x[k]
-        with pytest.raises(IndexError):
-            feas_trace.record(len(feas_trace))
-
     def test_iterations_bounds_validated(self, feas):
         with pytest.raises(ValueError):
             fista_run(feas, [5.0, 0.0], "bt", 0)
