@@ -25,7 +25,7 @@ from .diagnostics import (
     xi_difference,
 )
 from .problem import CompositeProblem, eval_F
-from .solver import Trace
+from .solver import Trace, finite_only
 
 __all__ = ["CheckResult", "ANALYSES", "run_analyses"]
 
@@ -53,22 +53,10 @@ class CheckResult:
         if self.details:
             out["details"] = self.details
         nonfinite = {}
-        out = _finite_only(out, "", nonfinite)
+        out = finite_only(out, nonfinite)
         if nonfinite:
             out["nonfinite"] = nonfinite
         return out
-
-
-def _finite_only(value, path: str, nonfinite: dict):
-    """Copy of ``value`` with non-finite floats as None, their tags in ``nonfinite``."""
-    if isinstance(value, float) and not math.isfinite(value):
-        nonfinite[path] = "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
-        return None
-    if isinstance(value, dict):
-        return {k: _finite_only(v, f"{path}.{k}" if path else k, nonfinite) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_finite_only(v, f"{path}[{i}]", nonfinite) for i, v in enumerate(value)]
-    return value
 
 
 def _worst(residual, scale=1.0) -> float:
@@ -113,19 +101,20 @@ def structural_check(trace: Trace, problem, params, rng) -> list:
     tol = params.get("tol", IDENTITY_TOL)
     trace.require_vectors()
     t = trace.ts
-    norm_y = np.linalg.norm(trace.ys, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # _worst turns inf/NaN into a failure
+        norm_y = np.linalg.norm(trace.ys, axis=1)
 
-    zdef_scale = np.maximum(1.0, np.abs(1.0 - t) * trace.norm_x + t * norm_y)
-    zdef = _worst(trace.res_zdef, zdef_scale)
+        zdef_scale = np.maximum(1.0, np.abs(1.0 - t) * trace.norm_x + t * norm_y)
+        zdef = _worst(trace.res_zdef, zdef_scale)
 
-    recur_res = trace.z_recursion_residuals()[1:]
-    recur_scale = np.maximum(
-        1.0, t[:-1] * (trace.norm_x[:-1] + trace.norm_x[1:]) + trace.norm_x[:-1]
-    )
-    recur = _worst(recur_res, recur_scale)
+        recur_res = trace.z_recursion_residuals()[1:]
+        recur_scale = np.maximum(
+            1.0, t[:-1] * (trace.norm_x[:-1] + trace.norm_x[1:]) + trace.norm_x[:-1]
+        )
+        recur = _worst(recur_res, recur_scale)
 
-    convex_scale = np.maximum(1.0, trace.norm_x[:-1] + trace.norm_z[1:])
-    convex = _worst(trace.res_convex[1:], convex_scale)
+        convex_scale = np.maximum(1.0, trace.norm_x[:-1] + trace.norm_z[1:])
+        convex = _worst(trace.res_convex[1:], convex_scale)
 
     return [
         CheckResult("z-definition", zdef <= tol, zdef, tol=tol),
@@ -211,7 +200,9 @@ def sufficient_decrease_check(trace: Trace, problem: CompositeProblem, params, r
     """Per-step decrease inequality against random feasible probe points.
 
     Probes are generated through the prox map, which lands them in the
-    domain of g, so every probe has a finite objective value.
+    domain of g. A probe that is not finite or has no finite objective
+    value is skipped; with no usable probe left, or a NaN slack, the
+    reported value is NaN and the check fails.
     """
     trace.require_vectors()
     n_probes = params.get("probes", 20)
@@ -224,28 +215,33 @@ def sufficient_decrease_check(trace: Trace, problem: CompositeProblem, params, r
     y_at = trace.ys[ks]
     F_next = trace.F_x[ks + 1]
     x0 = trace.xs[0]
-    spread = max(1.0, float(np.linalg.norm(x0)))
     step = 1.0 / beta
-    worst = np.inf
-    for _ in range(n_probes):
-        probe = np.asarray(
-            problem.g.prox(x0 + spread * rng.standard_normal(problem.dim), step), dtype=float
-        )
-        F_probe = eval_F(problem, probe)
-        if not np.isfinite(F_probe):
-            continue  # prox should land in dom g; stay safe regardless
-        d_next = np.sum((probe - x_next) ** 2, axis=1)
-        d_y = np.sum((probe - y_at) ** 2, axis=1)
-        slack = F_probe - F_next - 0.5 * beta * (d_next - d_y)
-        worst = min(worst, float(np.min(slack)))
+    worst_per_probe = []
+    with np.errstate(over="ignore", invalid="ignore"):  # unusable probes are skipped, NaN fails
+        spread = max(1.0, float(np.linalg.norm(x0)))
+        for _ in range(n_probes):
+            probe = np.asarray(
+                problem.g.prox(x0 + spread * rng.standard_normal(problem.dim), step), dtype=float
+            )
+            if not np.isfinite(probe).all():
+                continue
+            F_probe = eval_F(problem, probe)
+            if not np.isfinite(F_probe):
+                continue  # prox should land in dom g; stay safe regardless
+            d_next = np.sum((probe - x_next) ** 2, axis=1)
+            d_y = np.sum((probe - y_at) ** 2, axis=1)
+            slack = F_probe - F_next - 0.5 * beta * (d_next - d_y)
+            worst_per_probe.append(np.min(slack))
+    worst = float(np.min(worst_per_probe)) if worst_per_probe else math.nan
     return [CheckResult("sufficient-decrease", worst >= -tol, worst, tol=tol)]
 
 
 def gap_decay_check(trace: Trace, problem, params, rng) -> list:
     """Extrapolation gap bounded by (||z|| + ||x||) / t and decaying."""
     tol = params.get("tol", IDENTITY_TOL)
-    bound = (trace.norm_z + trace.norm_x) / trace.ts
-    excess = _worst(trace.gap_xy - bound, np.maximum(1.0, bound))
+    with np.errstate(over="ignore", invalid="ignore"):  # _worst turns inf/NaN into a failure
+        bound = (trace.norm_z + trace.norm_x) / trace.ts
+        excess = _worst(trace.gap_xy - bound, np.maximum(1.0, bound))
     out = [CheckResult("gap-bound", excess <= tol, excess, tol=tol)]
     n = len(trace)
     if n >= 50:

@@ -32,7 +32,7 @@ from .diagnostics import ScalarSeq, verdict
 from .families import FAMILIES, build_problem, feasibility_problem
 from .scalar_transform import SCENARIO_NAMES, divergence_witness, get_scenario
 from .schedule import Schedule, check_tk_bounds, validate_schedule
-from .solver import NonFiniteIterateError, fista_run, nesterov_run, pgm_run
+from .solver import NonFiniteIterateError, fista_run, nesterov_run, pgm_run, strict_json
 
 __all__ = ["main", "run_config", "repro_fig1", "bcch_demo", "validate_command", "ConfigError"]
 
@@ -164,7 +164,7 @@ def run_config(config_path, output_dir=None, seed=None) -> int:
     if aborted is not None:
         report["aborted_at_row"] = aborted.row
     report_path = out / "report.json"
-    report_path.write_text(json.dumps(report, sort_keys=True, indent=1, allow_nan=False))
+    report_path.write_text(strict_json(report))
     if aborted is not None:
         print(f"error: {aborted}; partial trace saved to {out}", file=sys.stderr)
         return 3

@@ -17,6 +17,25 @@ transfer can fail. The bundled scenarios exercise both regimes.
 
 Long products of lambda_j underflow well before 10^6 terms, so evidence
 about them is accumulated in log space.
+
+Sequences are given by index-array callables: ``phi``, ``h_closed`` and
+``g_closed`` map an integer array of absolute indices k to a float array
+of the same shape, and each sequence is evaluated with one such call on
+``np.arange(start, start + count)``. The indices arrive as ``int64``,
+whose arithmetic wraps silently (``k ** 4`` overflows past k ~ 55108), so
+a formula converts to float before any power or product, as the bundled
+``np.float64(k) ** 2`` does. A callable that fails on an array or
+returns another shape is a ``ValueError`` naming the argument; ``phi``
+may also be given as an array of values. The bundled scenarios are
+written as array expressions whose bits equal the scalar formulas they
+stand for (``np.where(k % 2, -1.0, 1.0) / k`` for ``(-1)^k / k``).
+
+:func:`reconstruct` keeps the sequential recursion, which rounds like the
+textbook loop and cannot underflow the way a product of lambdas does. It
+computes ``(1 - lambda_k) g_k`` as one array and runs the recursion on
+Python floats, converting ``_RECURSION_CHUNK`` terms at a time with
+``tolist`` so that the float objects of a long sequence never exist all
+at once.
 """
 
 from __future__ import annotations
@@ -48,12 +67,30 @@ def mixing_weight(phi_k: float) -> float:
     return phi_k / (1.0 + phi_k)
 
 
+_RECURSION_CHUNK = 16384
+
+
+def _on_indices(fn, name: str, start: int, count: int) -> np.ndarray:
+    """One call of ``fn`` on the absolute indices start..start+count-1."""
+    ks = np.arange(start, start + count)
+    try:
+        vals = np.asarray(fn(ks), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(
+            f"{name} failed on an index array ({exc}); "
+            "sequence callables map an integer array k to a float array"
+        ) from exc
+    if vals.shape != ks.shape:
+        raise ValueError(f"{name} returned shape {vals.shape} for indices of shape {ks.shape}")
+    return vals
+
+
 def _phi_array(phi, start: int, count: int) -> np.ndarray:
     """Evaluate phi on absolute indices start..start+count-1, checking positivity."""
     if count < 0:
         raise ValueError("count must be nonnegative")
     if callable(phi):
-        vals = np.array([float(phi(k)) for k in range(start, start + count)])
+        vals = _on_indices(phi, "phi", start, count)
     else:
         vals = np.asarray(phi, dtype=float)[:count]
         if vals.size != count:
@@ -84,10 +121,17 @@ def reconstruct(g, phi, h_seed: float, start: int = 0) -> np.ndarray:
         raise ValueError("g must be finite-valued")
     phis = _phi_array(phi, start, gg.size)
     lams = phis / (1.0 + phis)
+    drive = (1.0 - lams) * gg
     h = np.empty(gg.size + 1)
     h[0] = h_seed
-    for i in range(gg.size):
-        h[i + 1] = (1.0 - lams[i]) * gg[i] + lams[i] * h[i]
+    prev = float(h[0])
+    for lo in range(0, gg.size, _RECURSION_CHUNK):
+        terms = drive[lo : lo + _RECURSION_CHUNK].tolist()
+        weights = lams[lo : lo + _RECURSION_CHUNK].tolist()
+        for i, lam in enumerate(weights):
+            prev = terms[i] + lam * prev
+            terms[i] = prev
+        h[lo + 1 : lo + 1 + len(terms)] = terms
     return h
 
 
@@ -152,17 +196,30 @@ def divergence_witness(phi, count: int, start: int = 0) -> DivergenceWitness:
     if count < 1:
         raise ValueError("count must be >= 1")
     phis = _phi_array(phi, start, count)
+    # Every full-length array below is allocated here and reused in place
+    # (phis may be the caller's), so the four running sums are the only
+    # arrays that outlive the call.
     inv = 1.0 / phis
-    lams = phis / (1.0 + phis)
-    inv_one_plus = 1.0 / (1.0 + phis)
-    chain_ok = bool(np.all(inv_one_plus >= 0.5 * np.minimum(1.0, inv) - 1e-15))
+    inv_one_plus = 1.0 + phis
+    lams = phis / inv_one_plus
+    del phis
+    np.divide(1.0, inv_one_plus, out=inv_one_plus)
+    min1_inv = np.minimum(1.0, inv)
+    scratch = min1_inv * 0.5
+    scratch -= 1e-15
+    chain_ok = bool(np.all(inv_one_plus >= scratch))
+    one_minus_lambda = np.subtract(1.0, lams, out=scratch)
+    log_weight_product = float(np.sum(np.log(lams, out=lams)))
+    del lams
+    for partial in (inv, min1_inv, inv_one_plus, one_minus_lambda):
+        np.cumsum(partial, out=partial)
     return DivergenceWitness(
-        inv_phi=np.cumsum(inv),
-        min1_inv_phi=np.cumsum(np.minimum(1.0, inv)),
-        inv_one_plus_phi=np.cumsum(inv_one_plus),
-        one_minus_lambda=np.cumsum(1.0 - lams),
+        inv_phi=inv,
+        min1_inv_phi=min1_inv,
+        inv_one_plus_phi=inv_one_plus,
+        one_minus_lambda=one_minus_lambda,
         chain_ok=chain_ok,
-        log_weight_product=float(np.sum(np.log(lams))),
+        log_weight_product=log_weight_product,
     )
 
 
@@ -171,19 +228,20 @@ class Scenario:
     """A (phi, h or g) pair with a known limit, for exercising the transform.
 
     ``h_closed``/``g_closed`` give whichever sequence has an explicit
-    formula; the other side is derived by the transform or its inverse
-    (``h_seed`` seeds the reconstruction when only g is explicit).
+    formula, as index-array callables like ``phi``; the other side is
+    derived by the transform or its inverse (``h_seed`` seeds the
+    reconstruction when only g is explicit).
     ``expected_limit`` may be +-inf, in which case only hurdle exceedance
     is checkable at a finite horizon.
     """
 
     name: str
     start: int
-    phi: Callable[[int], float]
+    phi: Callable[[np.ndarray], np.ndarray]
     expected_limit: float
     provenance: str
-    h_closed: Optional[Callable[[int], float]] = None
-    g_closed: Optional[Callable[[int], float]] = None
+    h_closed: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    g_closed: Optional[Callable[[np.ndarray], np.ndarray]] = None
     h_seed: Optional[float] = None
 
     def h_values(self, count: int) -> np.ndarray:
@@ -191,7 +249,7 @@ class Scenario:
         if count < 1:
             raise ValueError("count must be >= 1")
         if self.h_closed is not None:
-            return np.array([self.h_closed(k) for k in range(self.start, self.start + count)])
+            return _on_indices(self.h_closed, "h_closed", self.start, count)
         if count == 1:
             return np.array([float(self.h_seed)])
         return reconstruct(self.g_values(count - 1), self.phi, self.h_seed, start=self.start)
@@ -201,7 +259,7 @@ class Scenario:
         if count < 1:
             raise ValueError("count must be >= 1")
         if self.g_closed is not None:
-            return np.array([self.g_closed(k) for k in range(self.start, self.start + count)])
+            return _on_indices(self.g_closed, "g_closed", self.start, count)
         return forward_transform(self.h_values(count + 1), self.phi, start=self.start)
 
 
@@ -209,11 +267,11 @@ def _ex42(ell: float) -> Scenario:
     return Scenario(
         name="ex42",
         start=1,
-        phi=float,
+        phi=np.float64,
         expected_limit=ell,
         provenance="alternating 1/k perturbation of the limit; the transform "
         "oscillates with amplitude 2 while h still settles",
-        h_closed=lambda k: ell + (-1.0) ** k / k,
+        h_closed=lambda k: ell + np.where(k % 2, -1.0, 1.0) / k,
     )
 
 
@@ -221,10 +279,10 @@ def _ex43(ell: float) -> Scenario:
     return Scenario(
         name="ex43",
         start=1,
-        phi=float,
+        phi=np.float64,
         expected_limit=ell,
         provenance="alternating 1/sqrt(k) perturbation; the transform is unbounded",
-        h_closed=lambda k: ell + (-1.0) ** k / math.sqrt(k),
+        h_closed=lambda k: ell + np.where(k % 2, -1.0, 1.0) / np.sqrt(k),
     )
 
 
@@ -232,12 +290,12 @@ def _ex44(ell: float) -> Scenario:
     return Scenario(
         name="ex44-sinh",
         start=1,
-        phi=lambda k: float(k) ** 2,
+        phi=lambda k: np.float64(k) ** 2,
         expected_limit=math.pi / math.sinh(math.pi),
         provenance="h is the partial product of j^2/(1+j^2), whose limit is the "
         "reciprocal of the classical Euler product for sinh(pi)/pi; g is "
         "identically 0, so limit transfer fails when sum 1/phi converges",
-        g_closed=lambda k: 0.0,
+        g_closed=lambda k: np.zeros(k.shape),
         h_seed=1.0,
     )
 
@@ -246,11 +304,11 @@ def _linf_plus(ell: float) -> Scenario:
     return Scenario(
         name="linf-plus",
         start=1,
-        phi=float,
+        phi=np.float64,
         expected_limit=math.inf,
         provenance="g_k = k grows without bound and the averaged h follows, "
         "clearing any fixed hurdle",
-        g_closed=float,
+        g_closed=np.float64,
         h_seed=0.0,
     )
 
@@ -259,10 +317,10 @@ def _linf_minus(ell: float) -> Scenario:
     return Scenario(
         name="linf-minus",
         start=1,
-        phi=float,
+        phi=np.float64,
         expected_limit=-math.inf,
         provenance="negation of the unbounded-growth scenario",
-        g_closed=lambda k: -float(k),
+        g_closed=lambda k: -np.float64(k),
         h_seed=0.0,
     )
 

@@ -27,6 +27,7 @@ configuration reproduces the file byte for byte.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -48,6 +49,42 @@ __all__ = [
 
 
 _CSV_CHUNK = 4096
+
+
+def finite_only(value, nonfinite: dict, path: str = ""):
+    """Copy of ``value`` with non-finite floats as None, their tags in ``nonfinite``.
+
+    A tag maps the float's path (``"details.sup_x"``, ``"snapshots.1.x[0]"``)
+    to ``"nan"``, ``"inf"`` or ``"-inf"``; :func:`restore_nonfinite` inverts it.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        nonfinite[path] = "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
+        return None
+    if isinstance(value, dict):
+        return {k: finite_only(v, nonfinite, f"{path}.{k}" if path else k) for k, v in value.items()}
+    if isinstance(value, list):
+        return [finite_only(v, nonfinite, f"{path}[{i}]") for i, v in enumerate(value)]
+    return value
+
+
+def restore_nonfinite(value, nonfinite: dict, path: str = ""):
+    """Copy of ``value`` with each tagged None put back as its float."""
+    if value is None and path in nonfinite:
+        return float(nonfinite[path])
+    if isinstance(value, dict):
+        return {k: restore_nonfinite(v, nonfinite, f"{path}.{k}" if path else k) for k, v in value.items()}
+    if isinstance(value, list):
+        return [restore_nonfinite(v, nonfinite, f"{path}[{i}]") for i, v in enumerate(value)]
+    return value
+
+
+def strict_json(payload: dict) -> str:
+    """Artifact text: strict JSON, non-finite floats as null tagged under "nonfinite"."""
+    nonfinite = {}
+    tagged = finite_only(payload, nonfinite)
+    if nonfinite:
+        tagged["nonfinite"] = nonfinite
+    return json.dumps(tagged, sort_keys=True, indent=1, allow_nan=False)
 
 
 class NonFiniteIterateError(RuntimeError):
@@ -194,7 +231,7 @@ class Trace:
         outdir.mkdir(parents=True, exist_ok=True)
         csv_path = self.to_csv(outdir / "trace.csv")
         json_path = outdir / "snapshots.json"
-        json_path.write_text(json.dumps(self.snapshot_payload(), sort_keys=True, indent=1))
+        json_path.write_text(strict_json(self.snapshot_payload()))
         return {"trace": csv_path, "snapshots": json_path}
 
     @classmethod
@@ -207,6 +244,8 @@ class Trace:
         """
         outdir = Path(outdir)
         meta = json.loads((outdir / "snapshots.json").read_text())
+        if "nonfinite" in meta:
+            meta = restore_nonfinite(meta, meta.pop("nonfinite"))
         csv_path = outdir / "trace.csv"
         with csv_path.open() as fh:
             header = fh.readline().rstrip("\n").split(",")

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fistalab import NonFiniteIterateError, Trace, feasibility_problem, fista_run
 from fistalab.cli import main, repro_fig1, run_config
 
 REPO = Path(__file__).resolve().parent.parent
@@ -157,6 +159,29 @@ class TestRun:
         assert checks["gap-decay"]["pass"] is True  # every gap_xy is 0
         assert checks["gap-decay"]["details"]["last_decile_max"] == 0.0
 
+    def test_unusable_probes_fail_without_warnings(self, tmp_path, capsys):
+        # every probe around the overflowing start is non-finite, so none is usable
+        cfg = write_config(
+            tmp_path,
+            problem={"family": "l1_quadratic", "params": {"dim": 2}},
+            x0=[1e308, -1e308],
+            iterations=200,
+            s_refs=[],
+            analyses=["structural", "bounded_iterates", "gap_decay", "sufficient_decrease"],
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_config(cfg, output_dir=tmp_path / "out")
+        assert code == 1
+        for name in ("trace.csv", "snapshots.json", "report.json"):
+            assert (tmp_path / "out" / name).exists(), name
+        report = strict_json((tmp_path / "out" / "report.json").read_text())
+        check = {c["claim"]: c for c in report["checks"]}["sufficient-decrease"]
+        assert check["pass"] is False
+        assert check["residual_or_oscillation"] is None
+        assert check["nonfinite"] == {"residual_or_oscillation": "nan"}
+        assert "details" not in check
+
     def test_main_run_multiple_configs_with_jobs(self, tmp_path):
         c1 = write_config(tmp_path, iterations=50, analyses=["structural"])
         c2 = tmp_path / "second.json"
@@ -197,6 +222,22 @@ class TestNumericalAbort:
         cfg = self.overflowing_config(tmp_path)
         assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 3
 
+    def test_partial_snapshots_are_strict_and_reload(self, tmp_path):
+        assert run_config(self.overflowing_config(tmp_path), output_dir=tmp_path / "out") == 3
+        meta = strict_json((tmp_path / "out" / "snapshots.json").read_text())
+        assert meta["snapshots"]["1"]["x"] == [None, None]
+        assert set(meta["nonfinite"].values()) <= {"nan", "inf", "-inf"}
+        with pytest.raises(NonFiniteIterateError) as caught:
+            s_refs = [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]]
+            fista_run(feasibility_problem(), [1.7e308, 1.7e308], "bt", 10, s_refs=s_refs)
+        reloaded = Trace.load(tmp_path / "out")
+        for name in ("xs", "ys", "zs"):
+            expected, got = getattr(caught.value.trace, name), getattr(reloaded, name)
+            assert not np.isfinite(expected).all(), name
+            assert np.array_equal(got, expected, equal_nan=True), name
+            signed = ~np.isnan(expected)  # a NaN's sign bit is not kept
+            assert np.array_equal(np.signbit(got[signed]), np.signbit(expected[signed])), name
+
 
 class TestBundledTraceHash:
     def test_fig1_pgm_trace_is_byte_identical(self, tmp_path):
@@ -206,6 +247,11 @@ class TestBundledTraceHash:
         assert code == 0
         rerun = (tmp_path / "trace.csv").read_bytes()
         assert hashlib.sha256(rerun).hexdigest() == FIG1_PGM_SHA256
+
+    def test_fig1_pgm_snapshots_are_byte_identical(self, tmp_path):
+        assert run_config(REPO / "configs" / "fig1-pgm.json", output_dir=tmp_path) == 0
+        committed = REPO / "out" / "fig1-pgm" / "snapshots.json"
+        assert (tmp_path / "snapshots.json").read_bytes() == committed.read_bytes()
 
 
 class TestReproFig1:
@@ -246,6 +292,12 @@ class TestBcchDemo:
     def test_unknown_scenario_exits_two(self, capsys):
         assert main(["bcch-demo", "ex99", "100"]) == 2
         assert "unknown scenario" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["ex42", "ex43", "ex44-sinh", "linf-minus", "linf-plus"])
+    def test_bcch_million_matches_benchmark_reference(self, name, capsys):
+        reference = json.loads((REPO / "perfbench" / "reference.json").read_text())
+        assert main(["bcch-demo", name, "1000000"]) == 0
+        assert capsys.readouterr().out == reference["lab"]["stdout"][f"bcch-demo {name} 1000000"]
 
 
 class TestValidate:

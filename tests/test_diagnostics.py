@@ -276,6 +276,28 @@ class TestNoVacuousPass:
         }
         json.dumps([r.to_json() for r in results.values()], allow_nan=False)
 
+    def sufficient_decrease(self, trace, probes=20):
+        check = ANALYSES["sufficient_decrease"]
+        (result,) = check(trace, feasibility_problem(), {"probes": probes}, np.random.default_rng(0))
+        return result
+
+    def test_sufficient_decrease_passes_with_probes(self, feas_trace):
+        result = self.sufficient_decrease(feas_trace)
+        assert result.passed
+        assert math.isfinite(result.residual_or_oscillation)
+
+    def test_sufficient_decrease_without_probes_fails(self, feas_trace):
+        result = self.sufficient_decrease(feas_trace, probes=0)
+        assert not result.passed
+        assert math.isnan(result.residual_or_oscillation)
+
+    def test_sufficient_decrease_nan_slack_fails(self, feas_trace):
+        F_x = feas_trace.F_x.copy()
+        F_x[-1] = math.nan  # the last row is always among the sampled steps
+        result = self.sufficient_decrease(dataclasses.replace(feas_trace, F_x=F_x))
+        assert not result.passed
+        assert math.isnan(result.residual_or_oscillation)
+
 
 class TestXiDifference:
     def test_gap_terms_cancel(self, feas_trace):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,8 +16,56 @@ from fistalab import (
     verdict,
     weighted_reconstruction,
 )
+from fistalab.scalar_transform import _RECURSION_CHUNK as CHUNK
 
 SINH_LIMIT = math.pi / math.sinh(math.pi)  # 0.27202905498213314
+EPS = np.finfo(float).eps
+
+
+# ---- the per-index evaluation the array path replaced, kept as its reference
+
+
+def old_reconstruct(g, lams, h_seed):
+    """The numpy-scalar recursion loop, one index at a time."""
+    h = np.empty(g.size + 1)
+    h[0] = h_seed
+    for i in range(g.size):
+        h[i + 1] = (1.0 - lams[i]) * g[i] + lams[i] * h[i]
+    return h
+
+
+def old_witness_arrays(phis):
+    inv = 1.0 / phis
+    lams = phis / (1.0 + phis)
+    inv_one_plus = 1.0 / (1.0 + phis)
+    chain_ok = bool(np.all(inv_one_plus >= 0.5 * np.minimum(1.0, inv) - 1e-15))
+    return (
+        [np.cumsum(inv), np.cumsum(np.minimum(1.0, inv)), np.cumsum(inv_one_plus), np.cumsum(1.0 - lams)],
+        chain_ok,
+        float(np.sum(np.log(lams))),
+    )
+
+
+# The bundled scenarios at ell = 1 as scalar formulas of a Python int k >= 1.
+OLD_FORMULAS = {
+    "ex42": {"phi": float, "h": lambda k: 1.0 + (-1.0) ** k / k},
+    "ex43": {"phi": float, "h": lambda k: 1.0 + (-1.0) ** k / math.sqrt(k)},
+    "ex44-sinh": {"phi": lambda k: float(k) ** 2, "g": lambda k: 0.0, "seed": 1.0},
+    "linf-plus": {"phi": float, "g": float, "seed": 0.0},
+    "linf-minus": {"phi": float, "g": lambda k: -float(k), "seed": 0.0},
+}
+
+
+def old_sequences(name, count):
+    """h and g over k = 1..count, one formula call per index, as the seed code did."""
+    formulas = OLD_FORMULAS[name]
+    phis = np.array([float(formulas["phi"](k)) for k in range(1, count + 1)])
+    if "h" in formulas:
+        h_ext = np.array([formulas["h"](k) for k in range(1, count + 2)])
+        return h_ext[:count], h_ext[1:] + phis * (h_ext[1:] - h_ext[:-1])
+    g = np.array([formulas["g"](k) for k in range(1, count + 1)])
+    lams = phis / (1.0 + phis)
+    return old_reconstruct(g[: count - 1], lams, formulas["seed"]), g
 
 
 class TestForwardTransform:
@@ -44,7 +93,7 @@ class TestForwardTransform:
 
     def test_needs_two_values(self):
         with pytest.raises(ValueError):
-            forward_transform([1.0], lambda k: 1.0)
+            forward_transform([1.0], lambda k: np.ones(k.shape))
 
 
 class TestReconstruct:
@@ -78,7 +127,7 @@ class TestReconstruct:
 
     def test_rejects_nonpositive_phi(self):
         with pytest.raises(ValueError, match="positive"):
-            reconstruct([1.0, 2.0], lambda k: float(k), h_seed=0.0, start=0)  # phi_0 = 0
+            reconstruct([1.0, 2.0], np.float64, h_seed=0.0, start=0)  # phi_0 = 0
 
 
 class TestWeights:
@@ -138,22 +187,22 @@ class TestWeightedReconstruction:
 
 class TestDivergenceWitness:
     def test_harmonic_weights(self):
-        wit = divergence_witness(float, 100_000, start=1)
+        wit = divergence_witness(np.float64, 100_000, start=1)
         # ln K + gamma for the harmonic partial sum
         assert wit.inv_phi[-1] == pytest.approx(math.log(1e5) + 0.5772156649, abs=1e-3)
         assert wit.chain_ok
 
     def test_square_weights_stay_below_pi_sq_over_six(self):
-        wit = divergence_witness(lambda k: float(k) ** 2, 100_000, start=1)
+        wit = divergence_witness(lambda k: np.float64(k) ** 2, 100_000, start=1)
         assert wit.inv_phi[-1] < math.pi**2 / 6.0 < 2.0
         assert wit.chain_ok
 
     def test_unit_weights(self):
-        wit = divergence_witness(lambda k: 1.0, 1000, start=0)
+        wit = divergence_witness(lambda k: np.ones(k.shape), 1000, start=0)
         assert wit.inv_one_plus_phi[-1] == pytest.approx(500.0, abs=1e-9)
         assert np.allclose(wit.one_minus_lambda, wit.inv_one_plus_phi, atol=1e-12)
 
-    @pytest.mark.parametrize("phi", [lambda k: 1.0, lambda k: math.sqrt(k)])
+    @pytest.mark.parametrize("phi", [lambda k: np.ones(k.shape), lambda k: np.sqrt(k)])
     def test_product_vanishes_once_divergence_witnessed(self, phi):
         # sum (1 - lambda) > 30 forces prod lambda below 1e-12 (log-space bound
         # prod lambda <= exp(-sum (1 - lambda)) and e^-30 < 1e-12)
@@ -169,7 +218,7 @@ class TestLimitTransfer:
         count = 20_000
         ks = np.arange(1, count + 1, dtype=float)
         g = ell + 1.0 / ks
-        h = reconstruct(g, float, h_seed=10.0, start=1)
+        h = reconstruct(g, np.float64, h_seed=10.0, start=1)
         g_v = verdict(ScalarSeq(g), window=200, tol=1e-3)
         h_v = verdict(ScalarSeq(h), window=200, tol=1e-2)
         assert g_v.converged and h_v.converged
@@ -204,3 +253,87 @@ class TestScenarios:
 
     def test_ell_parameter_shifts_the_limit(self):
         assert get_scenario("ex42", ell=5.0).h_values(3)[0] == pytest.approx(4.0)
+
+
+class TestArrayEvaluation:
+    @pytest.mark.parametrize("name", sorted(OLD_FORMULAS))
+    def test_bit_equal_to_old_per_index_formulas(self, name):
+        count = 3 * CHUNK + 5
+        scenario = get_scenario(name, ell=1.0)
+        old_h, old_g = old_sequences(name, count)
+        assert scenario.h_values(count).tobytes() == old_h.tobytes()
+        assert scenario.g_values(count).tobytes() == old_g.tobytes()
+
+        phis = np.array([float(OLD_FORMULAS[name]["phi"](k)) for k in range(1, count + 1)])
+        old_sums, old_chain, old_log = old_witness_arrays(phis)
+        wit = divergence_witness(scenario.phi, count, start=scenario.start)
+        new_sums = [wit.inv_phi, wit.min1_inv_phi, wit.inv_one_plus_phi, wit.one_minus_lambda]
+        assert [a.tobytes() for a in new_sums] == [a.tobytes() for a in old_sums]
+        assert wit.chain_ok == old_chain
+        assert wit.log_weight_product.hex() == old_log.hex()
+
+    def test_witness_leaves_a_phi_array_untouched(self, rng):
+        phis = rng.uniform(0.1, 10.0, size=100)
+        kept = phis.copy()
+        divergence_witness(phis, 100)
+        assert phis.tobytes() == kept.tobytes()
+
+    def test_scalar_callable_names_the_argument(self):
+        with pytest.raises(ValueError, match="phi failed on an index array"):
+            divergence_witness(lambda k: math.sqrt(k), 10, start=1)
+        with pytest.raises(ValueError, match="phi returned shape"):
+            divergence_witness(lambda k: 1.0, 10, start=1)
+
+    def test_closed_forms_are_checked_for_shape(self):
+        scenario = get_scenario("linf-plus")
+        broken = dataclasses.replace(scenario, g_closed=lambda k: np.ones((k.size, 2)))
+        with pytest.raises(ValueError, match="g_closed returned shape"):
+            broken.g_values(5)
+        broken = dataclasses.replace(scenario, g_closed=None, h_closed=float)
+        with pytest.raises(ValueError, match="h_closed failed on an index array"):
+            broken.h_values(5)
+
+
+def log_uniform_phi(rng, n):
+    return np.exp(rng.uniform(math.log(1e-3), math.log(1e3), size=n))
+
+
+class TestReconstructProperties:
+    """Seeded properties over phi in [1e-3, 1e3], at lengths around the chunk size."""
+
+    LENGTHS = [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 17]
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_bit_equal_to_scalar_loop(self, n):
+        rng = np.random.default_rng(1000 + n)
+        g = rng.standard_normal(n) * np.exp(rng.uniform(-5.0, 5.0, size=n))
+        phis = log_uniform_phi(rng, n)
+        seed = float(rng.standard_normal())
+        expected = old_reconstruct(g, phis / (1.0 + phis), seed)
+        assert reconstruct(g, phis, seed).tobytes() == expected.tobytes()
+        by_index = reconstruct(g, lambda k: phis[k - 7], seed, start=7)
+        assert by_index.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_forward_of_reconstruct_recovers_g(self, n):
+        # one rounded step of the recursion, seen through the forward map,
+        # errs by a few eps times (1 + phi_k) times the terms involved
+        rng = np.random.default_rng(2000 + n)
+        g = rng.standard_normal(n)
+        phis = log_uniform_phi(rng, n)
+        h = reconstruct(g, phis, h_seed=float(rng.standard_normal()))
+        back = forward_transform(h, phis)
+        bound = 16.0 * EPS * (1.0 + phis) * (np.abs(g) + np.abs(h[:-1]) + np.abs(h[1:]))
+        assert np.all(np.abs(back - g) <= bound)
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_reconstruct_of_forward_recovers_h(self, n):
+        # each step adds a few eps of error and damps the carried error by
+        # lambda_k, so the total stays within (1 + max phi) steps' worth
+        rng = np.random.default_rng(3000 + n)
+        h = rng.standard_normal(n + 1)
+        phis = log_uniform_phi(rng, n)
+        again = reconstruct(forward_transform(h, phis), phis, h_seed=h[0])
+        bound = 16.0 * EPS * (1.0 + phis.max()) * np.abs(h).max()
+        assert again[0] == h[0]
+        assert np.max(np.abs(again - h)) <= bound
