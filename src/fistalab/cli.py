@@ -22,7 +22,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -334,6 +333,9 @@ def main(argv=None) -> int:
                     for c in args.configs
                 ]
             if args.jobs > 1 and len(items) > 1:
+                # imported only here: concurrent.futures and multiprocessing slow every start-up
+                from concurrent.futures import ProcessPoolExecutor
+
                 with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                     codes = list(pool.map(_run_entry, items))
             else:

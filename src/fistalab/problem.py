@@ -14,9 +14,11 @@ taken as the same value for every row. Gradients and prox maps take one
 
 Inputs are validated once, at the boundary: ``as_vector`` checks shape and
 finiteness in the public entry points (``eval_F``, the solver runs,
-``t_operator``, ``check_lipschitz``). The solver checks each iterate for
-finiteness once and does not revalidate inside its loop, so the value,
-gradient and prox callables receive finite arrays without checking them.
+``t_operator``, ``check_lipschitz``). The solver checks the iterates for
+finiteness once per block of rows and does not revalidate inside its loop,
+so the value, gradient and prox callables do not check their input. A
+gradient or prox map may receive a non-finite vector after the row that
+aborts a run; what it returns or raises there is discarded.
 """
 
 from __future__ import annotations

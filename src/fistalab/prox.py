@@ -2,7 +2,8 @@
 
 The maps the solver calls every iteration (``project_hyperplane``,
 ``soft_threshold``, ``half_sq_dist_grad``) convert their input with
-``np.asarray`` and do not check it: the solver checks each iterate once.
+``np.asarray`` and do not check it: the solver checks the iterates once
+per block of rows.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def project_hyperplane(plane: AffineHyperplane, x) -> Vector:
     """Nearest point of the hyperplane: shift along the normal direction."""
     v = np.asarray(x, dtype=float)
     n = plane.normal
-    shift = (float(n @ v) - plane.offset) / plane.normal_sq
+    shift = (float(n.dot(v)) - plane.offset) / plane.normal_sq  # dot: half the call cost of @
     return v - shift * n
 
 

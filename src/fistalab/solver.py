@@ -15,9 +15,12 @@ sequences together and the per-step sufficient-decrease inequality.
 There is one iteration core. FISTA runs it with a certified schedule, PGM
 with t_k = 1 for every k, and Nesterov's accelerated gradient is FISTA
 with g = 0; the loop and :func:`t_operator` share one proximal gradient
-step. The core checks each extrapolation point y_{k+1} for finiteness
-(a non-finite x_{k+1} always makes y_{k+1} non-finite too) and aborts
-with :class:`NonFiniteIterateError` at the first one.
+step. The core aborts with :class:`NonFiniteIterateError` at the first
+non-finite extrapolation point y_{k+1} (a non-finite x_{k+1} always makes
+y_{k+1} non-finite too). It checks finiteness once per block of
+``_BLOCK`` rows, so at most ``_BLOCK - 1`` steps past that row are
+computed, on non-finite input, and discarded; one of them raising still
+reports that row.
 
 Traces are columnar (one array per column) and immutable once produced.
 CSV export uses 17 significant digits and a fixed header, so rerunning a
@@ -49,6 +52,7 @@ __all__ = [
 
 
 _CSV_CHUNK = 4096
+_BLOCK = 1024
 
 
 def finite_only(value, nonfinite: dict, path: str = ""):
@@ -177,12 +181,14 @@ class Trace:
         """Write the scalar columns with fixed 17-significant-digit formatting.
 
         Rows are written ``_CSV_CHUNK`` at a time straight into the open
-        file. Converged columns repeat their values, so within a chunk each
+        file. The ``k`` column is the row number, formatted by ``%d``.
+        Converged float columns repeat their values, so within a chunk each
         distinct float (by bit pattern, which keeps -0.0 apart from 0.0) is
-        formatted once, and one ``%s`` pass places the texts into rows.
+        formatted once with ``%.17g``, and one pass of the row format
+        places the row numbers and texts into rows.
         """
         path = Path(path)
-        columns = [np.arange(len(self)), self.ts, self.F_x]
+        columns = [self.ts, self.F_x]
         if self.delta is not None:
             columns.append(self.delta)
         if self.xi is not None:
@@ -190,16 +196,19 @@ class Trace:
         columns.extend(
             [self.res_zdef, self.res_convex, self.res_suffdec, self.gap_xy, self.norm_x, self.norm_z]
         )
-        table = np.column_stack(columns)  # k as a float: %.17g prints it as %d does
-        row_format = ",".join(["%s"] * table.shape[1]) + "\n"
+        table = np.column_stack(columns)
+        row_format = "%d," + ",".join(["%s"] * table.shape[1]) + "\n"
         with path.open("w") as out:
             out.write(",".join(self._csv_header()) + "\n")
             for start in range(0, len(table), _CSV_CHUNK):
                 chunk = table[start : start + _CSV_CHUNK]
                 bits, where = np.unique(chunk.view(np.int64), return_inverse=True)
                 text = ("%.17g\n" * len(bits)) % tuple(bits.view(float).tolist())
-                cells = np.array(text.split("\n")[:-1], dtype=object)[where.ravel()]
-                out.write((row_format * len(chunk)) % tuple(cells.tolist()))
+                texts = np.array(text.split("\n")[:-1], dtype=object)
+                cells = np.empty((len(chunk), table.shape[1] + 1), dtype=object)
+                cells[:, 0] = range(start, start + len(chunk))
+                cells[:, 1:] = texts[where.reshape(chunk.shape)]
+                out.write((row_format * len(chunk)) % tuple(cells.ravel().tolist()))
         return path
 
     def snapshot_payload(self) -> dict:
@@ -308,10 +317,22 @@ def t_operator(problem: CompositeProblem, y) -> Vector:
     return _step_map(problem)(as_vector(y, problem.dim))
 
 
+def _first_nonfinite_row(ys: np.ndarray, lo: int, hi: int) -> Optional[int]:
+    """The first row in ys[lo+1:hi+1] that is not finite, or None."""
+    finite = np.isfinite(ys[lo + 1 : hi + 1]).all(axis=1)
+    if finite.all():
+        return None
+    return lo + 1 + int(np.argmin(finite))
+
+
 def _iterate(problem: CompositeProblem, x0: Vector, ts: np.ndarray):
     """Run the two-sequence recursion; returns (xs, ys, bad_row_or_None).
 
     The bad row is the first k + 1 whose y_{k+1} is not finite; it is kept.
+    The y rows are checked once per block of ``_BLOCK`` rows, so up to
+    ``_BLOCK - 1`` steps past the bad row are computed and discarded. A
+    step that raises after a non-finite row of its block reports that row
+    instead.
     """
     steps = ts.size - 1
     xs = np.empty((steps + 1, x0.size))
@@ -322,14 +343,23 @@ def _iterate(problem: CompositeProblem, x0: Vector, ts: np.ndarray):
     y = x0
     step_map = _step_map(problem)
     momentum = ((ts[:-1] - 1.0) / ts[1:]).tolist()
-    for k in range(steps):
-        x_next = step_map(y)
-        y = x_next + momentum[k] * (x_next - x)
-        x = x_next
-        xs[k + 1] = x
-        ys[k + 1] = y
-        if not np.isfinite(y).all():
-            return xs[: k + 2], ys[: k + 2], k + 1
+    for lo in range(0, steps, _BLOCK):
+        hi = min(lo + _BLOCK, steps)
+        try:
+            for k in range(lo, hi):
+                x_next = step_map(y)
+                y = x_next + momentum[k] * (x_next - x)
+                x = x_next
+                xs[k + 1] = x
+                ys[k + 1] = y
+        except Exception:
+            bad_row = _first_nonfinite_row(ys, lo, k)
+            if bad_row is None:
+                raise
+        else:
+            bad_row = _first_nonfinite_row(ys, lo, hi)
+        if bad_row is not None:
+            return xs[: bad_row + 1], ys[: bad_row + 1], bad_row
     return xs, ys, None
 
 

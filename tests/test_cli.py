@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -10,6 +13,7 @@ from fistalab import NonFiniteIterateError, Trace, feasibility_problem, fista_ru
 from fistalab.cli import main, repro_fig1, run_config
 
 REPO = Path(__file__).resolve().parent.parent
+FIG1_SHA256 = "e8e483ab14e58c4b7f60feebb573086b69b4d8949ece96a515e1268093aa0e44"
 FIG1_PGM_SHA256 = "ee8c3f07556698000130219a4bbb8ac051ea11f02ee6dc69cb66b495f816aa41"
 
 
@@ -193,6 +197,15 @@ class TestRun:
         assert (tmp_path / "multi" / "config" / "trace.csv").exists()
         assert (tmp_path / "multi" / "second" / "trace.csv").exists()
 
+    def test_import_leaves_process_pool_unloaded(self):
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        probe = "import sys, fistalab.cli; print('concurrent.futures' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
 
 class TestNumericalAbort:
     def overflowing_config(self, tmp_path):
@@ -240,6 +253,13 @@ class TestNumericalAbort:
 
 
 class TestBundledTraceHash:
+    def test_fig1_trace_matches_benchmark_reference(self, tmp_path):
+        # the accelerated run: t_k > 1, so this hash covers the momentum step
+        reference = json.loads((REPO / "perfbench" / "reference.json").read_text())
+        assert reference["fig1"]["trace_sha256"]["fig1"] == FIG1_SHA256
+        assert run_config(REPO / "configs" / "fig1.json", output_dir=tmp_path) == 0
+        assert hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest() == FIG1_SHA256
+
     def test_fig1_pgm_trace_is_byte_identical(self, tmp_path):
         committed = REPO / "out" / "fig1-pgm" / "trace.csv"
         assert hashlib.sha256(committed.read_bytes()).hexdigest() == FIG1_PGM_SHA256

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from fistalab import (
     feasibility_problem,
     fista_run,
     inner_product_seq,
+    l1_quadratic,
     momentum_identity_residual,
     orthonormal_span_basis,
     pgm_run,
@@ -290,6 +292,25 @@ class TestNoVacuousPass:
         result = self.sufficient_decrease(feas_trace, probes=0)
         assert not result.passed
         assert math.isnan(result.residual_or_oscillation)
+
+    def test_overflowing_start_fails_momentum_and_rate_checks(self):
+        # ||x_0|| = inf: the momentum scale ||d|| sup ||x_k|| and the rate bound are infinite
+        problem = l1_quadratic(dim=2)
+        trace = fista_run(problem, [1e308, -1e308], "bt", 200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = run_analyses(
+                trace, problem, ["momentum_identity", "rate_bound"], np.random.default_rng(0)
+            )
+        assert [r.claim for r in results] == [
+            "momentum-identity[d0]",
+            "momentum-identity[d1]",
+            "momentum-identity[d2]",
+            "rate-bound",
+        ]
+        for result in results:
+            assert not result.passed, result.claim
+            assert math.isnan(result.residual_or_oscillation), result.claim
 
     def test_sufficient_decrease_nan_slack_fails(self, feas_trace):
         F_x = feas_trace.F_x.copy()

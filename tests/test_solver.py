@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from fistalab import (
     CompositeProblem,
     NonFiniteIterateError,
     NonsmoothPart,
+    Schedule,
     ScheduleError,
     SmoothPart,
     Trace,
@@ -20,7 +23,7 @@ from fistalab import (
     t_operator,
     zero_part,
 )
-from fistalab.solver import _CSV_CHUNK
+from fistalab.solver import _BLOCK, _CSV_CHUNK
 
 S_REFS = [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]]
 
@@ -232,6 +235,91 @@ class TestNesterov:
     def test_rejects_nonzero_g(self, feas):
         with pytest.raises(ValueError, match="identically zero"):
             nesterov_run(feas, [5.0, 0.0], "bt", 5)
+
+
+def per_row_iterate(problem, x0, ts):
+    """The per-row loop that the blocked ``_iterate`` replaced: checks each y as it is made."""
+    step = 1.0 / problem.f.beta
+    steps = ts.size - 1
+    xs = np.empty((steps + 1, x0.size))
+    ys = np.empty((steps + 1, x0.size))
+    xs[0] = ys[0] = x = y = x0
+    momentum = ((ts[:-1] - 1.0) / ts[1:]).tolist()
+    for k in range(steps):
+        x_next = np.asarray(problem.g.prox(y - step * problem.f.gradient(y), step), dtype=float)
+        y = x_next + momentum[k] * (x_next - x)
+        x = x_next
+        xs[k + 1] = x
+        ys[k + 1] = y
+        if not np.isfinite(y).all():
+            return xs[: k + 2], ys[: k + 2], k + 1
+    return xs, ys, None
+
+
+def counting_feasibility(bad_call=None, raise_on_nonfinite=False, error=None, beta=1.0):
+    """The plane problem with a prox that counts its calls.
+
+    Call number ``bad_call`` returns NaN, or raises ``error`` when one is
+    given; with ``raise_on_nonfinite`` a non-finite input raises ValueError.
+    ``beta`` replaces the declared Lipschitz constant 1 of the gradient (any
+    larger value is still valid), so the step 1/beta is not 1.
+    """
+    feas = feasibility_problem()
+    feas = dataclasses.replace(feas, f=dataclasses.replace(feas.f, beta=beta))
+    calls = {"n": 0}
+
+    def prox(v, step):
+        if raise_on_nonfinite and not np.isfinite(v).all():
+            raise ValueError("prox of a non-finite point")
+        calls["n"] += 1
+        if calls["n"] == bad_call and error is not None:
+            raise error
+        out = feas.g.prox(v, step)
+        return np.full_like(out, np.nan) if calls["n"] == bad_call else out
+
+    return dataclasses.replace(feas, g=NonsmoothPart(value=feas.g.value, prox=prox))
+
+
+class TestBlockBoundaryAbort:
+    ITERATIONS = 2 * _BLOCK + 300  # two full blocks and a partial one
+    X0 = np.array([5.0, 0.0])
+
+    @pytest.mark.parametrize("beta", [1.0, 2.0])
+    @pytest.mark.parametrize("raise_on_nonfinite", [False, True])
+    @pytest.mark.parametrize("row", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 100])
+    def test_abort_row_and_vectors_match_per_row_loop(self, row, raise_on_nonfinite, beta):
+        ts = Schedule(rule="bt").prefix(self.ITERATIONS)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = per_row_iterate(
+                counting_feasibility(row, raise_on_nonfinite, beta=beta), self.X0, ts
+            )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NonFiniteIterateError) as info:
+                problem = counting_feasibility(row, raise_on_nonfinite, beta=beta)
+                fista_run(problem, self.X0, "bt", self.ITERATIONS)
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        xs, ys, bad_row = expected
+        assert info.value.row == bad_row == row
+        partial = info.value.trace
+        assert partial.xs.tobytes() == xs.tobytes()
+        assert partial.ys.tobytes() == ys.tobytes()
+
+    @pytest.mark.parametrize("beta", [1.0, 2.0])
+    def test_unpoisoned_run_matches_per_row_loop(self, beta):
+        ts = Schedule(rule="bt").prefix(self.ITERATIONS)
+        xs, ys, bad_row = per_row_iterate(counting_feasibility(beta=beta), self.X0, ts)
+        trace = fista_run(counting_feasibility(beta=beta), self.X0, "bt", self.ITERATIONS)
+        assert bad_row is None
+        assert trace.xs.tobytes() == xs.tobytes()
+        assert trace.ys.tobytes() == ys.tobytes()
+
+    @pytest.mark.parametrize("call", [1, _BLOCK, _BLOCK + 1])
+    def test_step_error_on_finite_rows_propagates_unchanged(self, call):
+        error = KeyError("prox failed")
+        with pytest.raises(KeyError) as info:
+            fista_run(counting_feasibility(call, error=error), self.X0, "bt", self.ITERATIONS)
+        assert info.value is error
 
 
 class TestAbortOnNonFinite:
