@@ -67,11 +67,14 @@ def _worst(residual, scale=1.0) -> float:
     return float(np.max(ratio))
 
 
-def _verdict_result(claim: str, v) -> CheckResult:
+def _verdict_result(claim: str, seq, window: int, tol: float) -> CheckResult:
+    """Tail verdict on ``seq``; a non-finite term anywhere in it, tail or not, fails with NaN."""
+    v = verdict(seq, window, tol)
+    oscillation = _worst(v.tail_oscillation if np.isfinite(seq.values).all() else math.inf)
     return CheckResult(
         claim=claim,
-        passed=v.converged,
-        residual_or_oscillation=v.tail_oscillation,
+        passed=oscillation <= v.tol,
+        residual_or_oscillation=oscillation,
         window=v.window,
         tol=v.tol,
         details={"limit_estimate": v.limit_estimate},
@@ -179,21 +182,23 @@ def xi_monotone_check(trace: Trace, problem, params, rng) -> list:
         col = trace.xi[1:, j]
         xi1 = float(col[0])
         step_tol = 1e-9 * max(1.0, xi1)
-        max_inc = float(np.max(np.diff(col))) if col.size > 1 else 0.0
+        with np.errstate(over="ignore", invalid="ignore"):  # _worst turns inf/NaN into a failure
+            max_inc = _worst(np.diff(col)) if col.size > 1 else 0.0
+            start_bound = 0.5 * trace.beta * float(np.sum((x0 - trace.s_refs[j]) ** 2)) + 1e-9
+            excess = _worst(xi1 - start_bound)
+            min_xi = -_worst(-col)
         out.append(
             CheckResult(f"xi-monotone[s{j}]", max_inc <= step_tol, max_inc, tol=step_tol)
         )
-        start_bound = 0.5 * trace.beta * float(np.sum((x0 - trace.s_refs[j]) ** 2)) + 1e-9
         out.append(
             CheckResult(
                 f"xi-initial-bound[s{j}]",
-                xi1 <= start_bound,
-                xi1 - start_bound,
+                excess <= 0.0,
+                excess,
                 tol=1e-9,
                 details={"xi1": xi1, "bound": start_bound},
             )
         )
-        min_xi = float(np.min(col))
         out.append(CheckResult(f"xi-nonnegative[s{j}]", min_xi >= -1e-10, min_xi, tol=1e-10))
     return out
 
@@ -203,7 +208,7 @@ def sufficient_decrease_check(trace: Trace, problem: CompositeProblem, params, r
 
     Probes are generated through the prox map, which lands them in the
     domain of g. A probe that is not finite or has no finite objective
-    value is skipped; with no usable probe left, or a NaN slack, the
+    value is skipped; with no usable probe left, or a non-finite slack, the
     reported value is NaN and the check fails.
     """
     trace.require_vectors()
@@ -234,7 +239,7 @@ def sufficient_decrease_check(trace: Trace, problem: CompositeProblem, params, r
             d_y = np.sum((probe - y_at) ** 2, axis=1)
             slack = F_probe - F_next - 0.5 * beta * (d_next - d_y)
             worst_per_probe.append(np.min(slack))
-    worst = float(np.min(worst_per_probe)) if worst_per_probe else math.nan
+    worst = -_worst(-np.array(worst_per_probe)) if worst_per_probe else math.nan
     return [CheckResult("sufficient-decrease", worst >= -tol, worst, tol=tol)]
 
 
@@ -283,8 +288,9 @@ def cluster_products_check(trace: Trace, problem, params, rng) -> list:
     directions = _required_directions(trace, params)
     out = []
     for i, d in enumerate(directions):
-        seq = inner_product_seq(trace, "x", d)
-        out.append(_verdict_result(f"cluster-product[d{i}]", verdict(seq, window, tol)))
+        with np.errstate(over="ignore", invalid="ignore"):  # _verdict_result fails on inf/NaN
+            seq = inner_product_seq(trace, "x", d)
+            out.append(_verdict_result(f"cluster-product[d{i}]", seq, window, tol))
     return out
 
 
@@ -298,9 +304,10 @@ def xi_difference_check(trace: Trace, problem, params, rng) -> list:
     m = trace.xi.shape[1]
     for i in range(m):
         for j in range(i + 1, m):
-            seq = xi_difference(trace, i, j)
             tol = rel_tol * max(1.0, abs(float(trace.xi[1, i])), abs(float(trace.xi[1, j])))
-            out.append(_verdict_result(f"xi-difference[s{i},s{j}]", verdict(seq, window, tol)))
+            with np.errstate(over="ignore", invalid="ignore"):  # _verdict_result fails on inf/NaN
+                seq = xi_difference(trace, i, j)
+                out.append(_verdict_result(f"xi-difference[s{i},s{j}]", seq, window, tol))
     return out
 
 
@@ -326,8 +333,9 @@ def span_check(trace: Trace, problem, params, rng) -> list:
         CheckResult("span-self-adjoint", adj <= 1e-10, adj, tol=1e-10),
     ]
     for i, b in enumerate(basis):
-        seq = inner_product_seq(trace, "x", b)
-        out.append(_verdict_result(f"span-coefficient[{i}]", verdict(seq, window, tol)))
+        with np.errstate(over="ignore", invalid="ignore"):  # _verdict_result fails on inf/NaN
+            seq = inner_product_seq(trace, "x", b)
+            out.append(_verdict_result(f"span-coefficient[{i}]", seq, window, tol))
     return out
 
 

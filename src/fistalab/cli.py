@@ -14,11 +14,19 @@ configuration error, 3 numerical abort (a non-finite iterate; the partial
 trace and a report with ``aborted_at_row`` are still written). Runs are
 deterministic for a fixed config and seed; rerunning a config reproduces
 its trace CSV byte for byte.
+
+``run`` formats trace.csv in a forked writer process while the solver
+iterates where a second CPU is usable, and after the run otherwise. Every
+artifact is written under a temporary name in the output directory and
+renamed into place, trace.csv first and report.json last, so a crash
+never leaves a half-written file; a run that fails before writing its
+artifacts leaves the previous ones as they were.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -31,7 +39,14 @@ from .diagnostics import ScalarSeq, verdict
 from .families import FAMILIES, build_problem, feasibility_problem
 from .scalar_transform import SCENARIO_NAMES, divergence_witness, get_scenario
 from .schedule import Schedule, check_tk_bounds, validate_schedule
-from .solver import NonFiniteIterateError, fista_run, nesterov_run, pgm_run, strict_json
+from .solver import (
+    NonFiniteIterateError,
+    fista_run,
+    nesterov_run,
+    pgm_run,
+    strict_json,
+    write_atomically,
+)
 
 __all__ = ["main", "run_config", "repro_fig1", "bcch_demo", "validate_command", "ConfigError"]
 
@@ -111,7 +126,17 @@ def _load_config(path: Path) -> dict:
 
 
 def run_config(config_path, output_dir=None, seed=None) -> int:
-    """Execute one experiment config; returns the process exit code."""
+    """Execute one experiment config; returns the process exit code.
+
+    Where a second CPU is usable, a forked writer formats trace.csv while
+    the solver iterates (see :class:`~fistalab._sink.CsvSink`); otherwise
+    trace.csv is formatted after the run. The artifacts follow the checks in
+    the order trace.csv, snapshots.json, report.json, each written under a
+    temporary name and renamed, so every file is replaced whole. A run that
+    fails before writing its artifacts leaves the previous ones as they
+    were; one that fails while writing them may leave the newer files next
+    to older ones.
+    """
     path = Path(config_path)
     aborted = None
     try:
@@ -125,29 +150,34 @@ def run_config(config_path, output_dir=None, seed=None) -> int:
             out = Path(cfg["output_dir"])
         use_seed = cfg.get("seed", 0) if seed is None else seed
 
-        common = dict(
-            s_refs=cfg.get("s_refs", ()),
-            snapshot_every=cfg.get("snapshot_every", 1),
-        )
-        if algorithm == "pgm":
-            trace = pgm_run(problem, cfg["x0"], cfg["iterations"], **common)
-        else:
-            runner = fista_run if algorithm == "fista" else nesterov_run
-            trace = runner(problem, cfg["x0"], cfg["schedule"], cfg["iterations"], **common)
+        # imported only here: without cached bytecode, compiling it slows every other command
+        from ._sink import CsvSink, spare_cpu
 
-        rng = np.random.default_rng(use_seed)
-        results = run_analyses(trace, problem, cfg.get("analyses", []), rng)
-    except NonFiniteIterateError as exc:
-        trace, aborted, results = exc.trace, exc, []
+        out.mkdir(parents=True, exist_ok=True)
+        sink = CsvSink(out / "trace.csv") if spare_cpu() else None
+        with sink or contextlib.nullcontext():
+            common = dict(
+                s_refs=cfg.get("s_refs", ()),
+                snapshot_every=cfg.get("snapshot_every", 1),
+                csv_sink=sink,
+            )
+            try:
+                if algorithm == "pgm":
+                    trace = pgm_run(problem, cfg["x0"], cfg["iterations"], **common)
+                else:
+                    runner = fista_run if algorithm == "fista" else nesterov_run
+                    trace = runner(problem, cfg["x0"], cfg["schedule"], cfg["iterations"], **common)
+
+                rng = np.random.default_rng(use_seed)
+                results = run_analyses(trace, problem, cfg.get("analyses", []), rng)
+            except NonFiniteIterateError as exc:
+                trace, aborted, results = exc.trace, exc, []
+            if sink is not None:
+                sink.commit()
     except (ConfigError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    try:
-        paths = trace.save(out)
-    except OSError as exc:
-        print(f"error: cannot write artifacts: {exc}", file=sys.stderr)
-        return 2
     failing = [r.claim for r in results if not r.passed]
     report = {
         "config": path.name,
@@ -162,8 +192,17 @@ def run_config(config_path, output_dir=None, seed=None) -> int:
     }
     if aborted is not None:
         report["aborted_at_row"] = aborted.row
-    report_path = out / "report.json"
-    report_path.write_text(strict_json(report))
+    try:
+        trace_path = out / "trace.csv"
+        if sink is None:
+            write_atomically(trace_path, trace.to_csv)
+        snapshots_path = write_atomically(
+            out / "snapshots.json", lambda tmp: tmp.write_text(strict_json(trace.snapshot_payload()))
+        )
+        report_path = write_atomically(out / "report.json", lambda tmp: tmp.write_text(strict_json(report)))
+    except OSError as exc:
+        print(f"error: cannot write artifacts: {exc}", file=sys.stderr)
+        return 2
     if aborted is not None:
         print(f"error: {aborted}; partial trace saved to {out}", file=sys.stderr)
         return 3
@@ -171,7 +210,7 @@ def run_config(config_path, output_dir=None, seed=None) -> int:
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"[{status}] {r.claim}: {r.residual_or_oscillation!r}")
-    print(f"artifacts: {paths['trace']}, {paths['snapshots']}, {report_path}")
+    print(f"artifacts: {trace_path}, {snapshots_path}, {report_path}")
     if failing:
         print(f"FAILED checks: {', '.join(failing)}")
         return 1

@@ -1,7 +1,7 @@
 """Built-in problem families addressable by name from experiment configs.
 
 Every ``value`` callable works on any rank, ``(..., dim) -> (...)``, so the
-solver evaluates the objective over a whole trace in one call.
+solver evaluates the objective over thousands of trace rows in one call.
 """
 
 from __future__ import annotations

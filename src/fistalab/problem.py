@@ -7,10 +7,10 @@ functions are supported through extended-real values (``math.inf``), so
 
 Value protocol: ``SmoothPart.value`` and ``NonsmoothPart.value`` map an
 array of shape ``(..., dim)`` to an array of shape ``(...)``, one value per
-row, so a whole trace is evaluated in one call (reduce with ``axis=-1``,
-index with ``x[..., i]``, compare with ``np.maximum``). A scalar result is
-taken as the same value for every row. Gradients and prox maps take one
-1-D vector.
+row, so thousands of trace rows are evaluated in one call (reduce with
+``axis=-1``, index with ``x[..., i]``, compare with ``np.maximum``). A
+scalar result is taken as the same value for every row. Gradients and prox
+maps take one 1-D vector.
 
 Inputs are validated once, at the boundary: ``as_vector`` checks shape and
 finiteness in the public entry points (``eval_F``, the solver runs,

@@ -22,6 +22,16 @@ y_{k+1} non-finite too). It checks finiteness once per block of
 computed, on non-finite input, and discarded; one of them raising still
 reports that row.
 
+The derived columns are built ``_CSV_CHUNK`` rows at a time, as soon as
+the finiteness check has cleared those rows, into preallocated arrays.
+Given a :class:`~fistalab._sink.CsvSink`, each chunk also goes to a
+forked writer process that formats it beside the loop. ``fistalab run``
+passes one where a second CPU is usable; without one, the CSV is
+formatted after the run by :meth:`Trace.to_csv`. The writer's rows go to
+a temporary file that is renamed onto ``trace.csv`` only once the run is
+committed, and :meth:`Trace.save` writes its files the same way, so a
+crash never leaves a half-written artifact.
+
 Traces are columnar (one array per column) and immutable once produced.
 CSV export uses 17 significant digits and a fixed header, so rerunning a
 configuration reproduces the file byte for byte.
@@ -29,16 +39,21 @@ configuration reproduces the file byte for byte.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from .problem import CompositeProblem, Vector, _objective_rows, as_vector
 from .schedule import Schedule
+
+if TYPE_CHECKING:
+    from ._sink import CsvSink
 
 __all__ = [
     "Trace",
@@ -89,6 +104,47 @@ def strict_json(payload: dict) -> str:
     if nonfinite:
         tagged["nonfinite"] = nonfinite
     return json.dumps(tagged, sort_keys=True, indent=1, allow_nan=False)
+
+
+def _temp_path(path: Path) -> Path:
+    """A name beside ``path`` that no other process writes: it carries this pid."""
+    return path.with_name(f".{path.name}.{os.getpid()}.tmp")
+
+
+def write_atomically(path, write) -> Path:
+    """Call ``write(temp)`` on a temporary name beside ``path``, then rename it onto ``path``.
+
+    On failure the temporary file is removed, so ``path`` holds either its
+    old content or the complete new one, never a partial file.
+    """
+    path = Path(path)
+    tmp = _temp_path(path)
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
+
+
+def _csv_chunk(table: np.ndarray, start: int) -> str:
+    """CSV text of the float rows ``table``, numbered from ``start``.
+
+    The ``k`` column is the row number, formatted by ``%d``. Converged float
+    columns repeat their values, so each distinct float of the chunk (by bit
+    pattern, which keeps -0.0 apart from 0.0) is formatted once with
+    ``%.17g``, and one pass of the row format places the row numbers and
+    texts into rows.
+    """
+    bits, where = np.unique(table.view(np.int64), return_inverse=True)
+    text = ("%.17g\n" * len(bits)) % tuple(bits.view(float).tolist())
+    texts = np.array(text.split("\n")[:-1], dtype=object)
+    cells = np.empty((len(table), table.shape[1] + 1), dtype=object)
+    cells[:, 0] = range(start, start + len(table))
+    cells[:, 1:] = texts[where.reshape(table.shape)]
+    row_format = "%d," + ",".join(["%s"] * table.shape[1]) + "\n"
+    return (row_format * len(table)) % tuple(cells.ravel().tolist())
 
 
 class NonFiniteIterateError(RuntimeError):
@@ -177,38 +233,31 @@ class Trace:
         cols.extend(["res_zdef", "res_convex", "res_suffdec", "gap_xy", "norm_x", "norm_z"])
         return cols
 
+    def _csv_table(self, lo: int, hi: int) -> np.ndarray:
+        """The float columns of CSV rows lo..hi as one (rows, columns) array."""
+        columns = [self.ts[lo:hi], self.F_x[lo:hi]]
+        if self.delta is not None:
+            columns.append(self.delta[lo:hi])
+        if self.xi is not None:
+            columns.append(self.xi[lo:hi])
+        columns.extend(
+            column[lo:hi]
+            for column in (self.res_zdef, self.res_convex, self.res_suffdec, self.gap_xy, self.norm_x, self.norm_z)
+        )
+        return np.column_stack(columns)
+
     def to_csv(self, path) -> Path:
         """Write the scalar columns with fixed 17-significant-digit formatting.
 
-        Rows are written ``_CSV_CHUNK`` at a time straight into the open
-        file. The ``k`` column is the row number, formatted by ``%d``.
-        Converged float columns repeat their values, so within a chunk each
-        distinct float (by bit pattern, which keeps -0.0 apart from 0.0) is
-        formatted once with ``%.17g``, and one pass of the row format
-        places the row numbers and texts into rows.
+        Rows are formatted ``_CSV_CHUNK`` at a time by the formatter that a
+        :class:`~fistalab._sink.CsvSink` uses too, and written straight into
+        the open file.
         """
         path = Path(path)
-        columns = [self.ts, self.F_x]
-        if self.delta is not None:
-            columns.append(self.delta)
-        if self.xi is not None:
-            columns.append(self.xi)
-        columns.extend(
-            [self.res_zdef, self.res_convex, self.res_suffdec, self.gap_xy, self.norm_x, self.norm_z]
-        )
-        table = np.column_stack(columns)
-        row_format = "%d," + ",".join(["%s"] * table.shape[1]) + "\n"
         with path.open("w") as out:
             out.write(",".join(self._csv_header()) + "\n")
-            for start in range(0, len(table), _CSV_CHUNK):
-                chunk = table[start : start + _CSV_CHUNK]
-                bits, where = np.unique(chunk.view(np.int64), return_inverse=True)
-                text = ("%.17g\n" * len(bits)) % tuple(bits.view(float).tolist())
-                texts = np.array(text.split("\n")[:-1], dtype=object)
-                cells = np.empty((len(chunk), table.shape[1] + 1), dtype=object)
-                cells[:, 0] = range(start, start + len(chunk))
-                cells[:, 1:] = texts[where.reshape(chunk.shape)]
-                out.write((row_format * len(chunk)) % tuple(cells.ravel().tolist()))
+            for start in range(0, len(self), _CSV_CHUNK):
+                out.write(_csv_chunk(self._csv_table(start, start + _CSV_CHUNK), start))
         return path
 
     def snapshot_payload(self) -> dict:
@@ -236,11 +285,14 @@ class Trace:
         }
 
     def save(self, outdir) -> dict:
+        """Write trace.csv and snapshots.json into ``outdir``, each by temp name and rename."""
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        csv_path = self.to_csv(outdir / "trace.csv")
-        json_path = outdir / "snapshots.json"
-        json_path.write_text(strict_json(self.snapshot_payload()))
+        csv_path = outdir / "trace.csv"
+        write_atomically(csv_path, self.to_csv)
+        json_path = write_atomically(
+            outdir / "snapshots.json", lambda tmp: tmp.write_text(strict_json(self.snapshot_payload()))
+        )
         return {"trace": csv_path, "snapshots": json_path}
 
     @classmethod
@@ -325,18 +377,17 @@ def _first_nonfinite_row(ys: np.ndarray, lo: int, hi: int) -> Optional[int]:
     return lo + 1 + int(np.argmin(finite))
 
 
-def _iterate(problem: CompositeProblem, x0: Vector, ts: np.ndarray):
-    """Run the two-sequence recursion; returns (xs, ys, bad_row_or_None).
+def _iterate(problem: CompositeProblem, x0: Vector, ts: np.ndarray, xs, ys, cleared) -> Optional[int]:
+    """Run the two-sequence recursion into ``xs`` and ``ys``; returns the bad row or None.
 
-    The bad row is the first k + 1 whose y_{k+1} is not finite; it is kept.
-    The y rows are checked once per block of ``_BLOCK`` rows, so up to
-    ``_BLOCK - 1`` steps past the bad row are computed and discarded. A
-    step that raises after a non-finite row of its block reports that row
-    instead.
+    The bad row is the first k + 1 whose y_{k+1} is not finite. The y rows
+    are checked once per block of ``_BLOCK`` rows, so up to ``_BLOCK - 1``
+    steps past the bad row are computed and discarded. A step that raises
+    after a non-finite row of its block reports that row instead. After
+    each block found finite, ``cleared(rows)`` is called with the number of
+    leading rows now known to be finite.
     """
     steps = ts.size - 1
-    xs = np.empty((steps + 1, x0.size))
-    ys = np.empty((steps + 1, x0.size))
     xs[0] = x0
     ys[0] = x0
     x = x0
@@ -359,8 +410,9 @@ def _iterate(problem: CompositeProblem, x0: Vector, ts: np.ndarray):
         else:
             bad_row = _first_nonfinite_row(ys, lo, hi)
         if bad_row is not None:
-            return xs[: bad_row + 1], ys[: bad_row + 1], bad_row
-    return xs, ys, None
+            return bad_row
+        cleared(hi + 1)
+    return None
 
 
 def _validate_s_refs(problem: CompositeProblem, s_refs) -> Optional[np.ndarray]:
@@ -378,78 +430,98 @@ def _validate_s_refs(problem: CompositeProblem, s_refs) -> Optional[np.ndarray]:
     return refs
 
 
-def _build_trace(
+def _empty_trace(
     problem: CompositeProblem,
     ts: np.ndarray,
-    xs: np.ndarray,
-    ys: np.ndarray,
+    dim: int,
     kind: str,
     schedule_id: str,
     s_refs: Optional[np.ndarray],
     snapshot_every: int,
 ) -> Trace:
-    rows = xs.shape[0]
-    ts = ts[:rows]
-    beta = problem.f.beta
-    zs = (1.0 - ts)[:, None] * xs + ts[:, None] * ys
-
-    F_x = np.full(rows, np.nan)  # an aborted row stays NaN
-    finite = np.isfinite(xs).all(axis=1)
-    F_x[finite] = _objective_rows(problem, xs[finite])
-
+    """A trace with every column allocated for ``ts.size`` rows and not yet filled."""
+    rows = ts.size
     sol = problem.solution
     mu = None if sol is None else sol.mu
-    delta = F_x - mu if mu is not None else None
-
-    xi = None
-    if mu is not None and s_refs is not None and rows > 1:
-        xi = np.full((rows, s_refs.shape[0]), np.nan)
-        t_prev_sq = ts[:-1] ** 2
-        for j, s in enumerate(s_refs):
-            xi[1:, j] = t_prev_sq * delta[1:] + 0.5 * beta * np.sum((zs[1:] - s) ** 2, axis=1)
-
-    # z definition recomputed through a different grouping of the same
-    # affine combination; nonzero residual is pure floating-point noise.
-    regrouped = xs + ts[:, None] * (ys - xs)
-    res_zdef = np.linalg.norm(zs - regrouped, axis=1)
-
-    res_convex = np.full(rows, np.nan)
-    if rows > 1:
-        t_prev = ts[:-1, None]
-        combo = (1.0 - 1.0 / t_prev) * xs[:-1] + zs[1:] / t_prev
-        res_convex[1:] = np.linalg.norm(xs[1:] - combo, axis=1)
-
-    res_suffdec = np.full(rows, np.nan)
-    if rows > 1:
-        dx = np.linalg.norm(xs[1:] - xs[:-1], axis=1)
-        dy = np.linalg.norm(xs[:-1] - ys[:-1], axis=1)
-        prev_F = F_x[:-1]
-        slack = prev_F - F_x[1:] - 0.5 * beta * (dx**2 - dy**2)
-        slack[~np.isfinite(prev_F)] = np.nan
-        res_suffdec[1:] = slack
-
+    columns = ("F_x", "res_zdef", "res_convex", "res_suffdec", "gap_xy", "norm_x", "norm_z")
     return Trace(
         kind=kind,
         problem_id=problem.problem_id,
         schedule_id=schedule_id,
-        beta=beta,
+        beta=problem.f.beta,
         mu=mu,
         ts=ts,
-        F_x=F_x,
-        delta=delta,
-        xi=xi,
+        delta=None if mu is None else np.empty(rows),
+        xi=None if mu is None or s_refs is None else np.empty((rows, s_refs.shape[0])),
         s_refs=s_refs,
-        res_zdef=res_zdef,
-        res_convex=res_convex,
-        res_suffdec=res_suffdec,
-        gap_xy=np.linalg.norm(ys - xs, axis=1),
-        norm_x=np.linalg.norm(xs, axis=1),
-        norm_z=np.linalg.norm(zs, axis=1),
-        xs=xs,
-        ys=ys,
-        zs=zs,
+        xs=np.empty((rows, dim)),
+        ys=np.empty((rows, dim)),
+        zs=np.empty((rows, dim)),
         snapshot_every=snapshot_every,
+        **{name: np.empty(rows) for name in columns},
     )
+
+
+def _fill_rows(trace: Trace, problem: CompositeProblem, lo: int, hi: int) -> None:
+    """Compute the derived columns of rows lo..hi in place from ``xs`` and ``ys``.
+
+    Every column is row-local or reads row k - 1 too, so row lo - 1 is
+    carried in; the columns that relate consecutive rows are NaN at row 0.
+    F is evaluated over at least ``_CSV_CHUNK`` finite rows, or over every
+    row up to ``hi`` when there are fewer: a BLAS-backed objective may round
+    a handful of rows differently, so this keeps each F bit equal to one
+    evaluation over the whole trace.
+    """
+    beta = trace.beta
+    w = max(lo - 1, 0)
+    ts, xs, ys, zs = trace.ts[w:hi], trace.xs[w:hi], trace.ys[w:hi], trace.zs[w:hi]
+    new = slice(lo - w, None)
+    pairs = slice(w + 1, hi)  # rows k >= 1 of lo..hi; row k - 1 sits one place earlier
+    zs[new] = (1.0 - ts[new])[:, None] * xs[new] + ts[new, None] * ys[new]
+
+    f_lo = max(0, min(lo, hi - _CSV_CHUNK - 1))  # C + 1 rows, one of them maybe the aborted row
+    window = trace.xs[f_lo:hi]
+    finite = np.isfinite(window).all(axis=1)
+    F = np.full(hi - f_lo, np.nan)  # an aborted row stays NaN
+    F[finite] = _objective_rows(problem, window[finite])
+    trace.F_x[lo:hi] = F[lo - f_lo :]
+    if trace.delta is not None:
+        trace.delta[lo:hi] = trace.F_x[lo:hi] - trace.mu
+
+    if lo == 0:
+        trace.res_convex[0] = trace.res_suffdec[0] = np.nan
+        if trace.xi is not None:
+            trace.xi[0] = np.nan
+    if trace.xi is not None:
+        t_prev_sq = ts[:-1] ** 2
+        for j, s in enumerate(trace.s_refs):
+            trace.xi[pairs, j] = t_prev_sq * trace.delta[pairs] + 0.5 * beta * np.sum((zs[1:] - s) ** 2, axis=1)
+
+    # z definition recomputed through a different grouping of the same
+    # affine combination; nonzero residual is pure floating-point noise.
+    regrouped = xs[new] + ts[new, None] * (ys[new] - xs[new])
+    trace.res_zdef[lo:hi] = np.linalg.norm(zs[new] - regrouped, axis=1)
+
+    t_prev = ts[:-1, None]
+    combo = (1.0 - 1.0 / t_prev) * xs[:-1] + zs[1:] / t_prev
+    trace.res_convex[pairs] = np.linalg.norm(xs[1:] - combo, axis=1)
+
+    dx = np.linalg.norm(xs[1:] - xs[:-1], axis=1)
+    dy = np.linalg.norm(xs[:-1] - ys[:-1], axis=1)
+    prev_F = trace.F_x[w : hi - 1]
+    slack = prev_F - trace.F_x[pairs] - 0.5 * beta * (dx**2 - dy**2)
+    slack[~np.isfinite(prev_F)] = np.nan
+    trace.res_suffdec[pairs] = slack
+
+    trace.gap_xy[lo:hi] = np.linalg.norm(ys[new] - xs[new], axis=1)
+    trace.norm_x[lo:hi] = np.linalg.norm(xs[new], axis=1)
+    trace.norm_z[lo:hi] = np.linalg.norm(zs[new], axis=1)
+
+
+_ROW_COLUMNS = (
+    "ts", "F_x", "delta", "xi", "res_zdef", "res_convex", "res_suffdec", "gap_xy", "norm_x",
+    "norm_z", "xs", "ys", "zs",
+)
 
 
 def _coerce_schedule(schedule) -> Schedule:
@@ -469,6 +541,7 @@ def _run(
     schedule_id: str,
     s_refs: Sequence,
     snapshot_every: int,
+    csv_sink: Optional[CsvSink],
 ) -> Trace:
     """The one iteration core behind every public runner."""
     if iterations < 1:
@@ -477,11 +550,32 @@ def _run(
         raise ValueError("snapshot_every must be >= 1")
     x0 = as_vector(x0, problem.dim)
     refs = _validate_s_refs(problem, s_refs)
+    trace = _empty_trace(problem, ts, x0.size, kind, schedule_id, refs, snapshot_every)
+    if csv_sink is not None:
+        header = trace._csv_header()
+        csv_sink.start(",".join(header), len(header) - 1)
+    built = 0
+
+    def build(rows: int, last: bool) -> None:
+        # whole chunks of the rows cleared so far; the rest once the run ends
+        nonlocal built
+        while rows - built >= _CSV_CHUNK or (last and built < rows):
+            hi = min(built + _CSV_CHUNK, rows)
+            _fill_rows(trace, problem, built, hi)
+            if csv_sink is not None:
+                csv_sink.send(trace._csv_table(built, hi), built)
+            built = hi
+
     # a non-finite value ends the run as NonFiniteIterateError and stays in
     # the trace, so numpy's overflow and invalid-value warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
-        xs, ys, bad_row = _iterate(problem, x0, ts)
-        trace = _build_trace(problem, ts, xs, ys, kind, schedule_id, refs, snapshot_every)
+        bad_row = _iterate(problem, x0, ts, trace.xs, trace.ys, lambda rows: build(rows, False))
+        rows = ts.size if bad_row is None else bad_row + 1
+        build(rows, True)
+    if bad_row is not None:
+        # copies, so the partial trace does not hold the whole preallocation
+        kept = {name: getattr(trace, name)[:rows].copy() for name in _ROW_COLUMNS if getattr(trace, name) is not None}
+        trace = dataclasses.replace(trace, **kept)
     if bad_row is not None:
         raise NonFiniteIterateError(bad_row, trace)
     return trace
@@ -494,6 +588,8 @@ def fista_run(
     iterations: int,
     s_refs: Sequence = (),
     snapshot_every: int = 1,
+    *,
+    csv_sink: Optional[CsvSink] = None,
 ) -> Trace:
     """Accelerated proximal gradient run with a full diagnostic trace.
 
@@ -503,11 +599,13 @@ def fista_run(
     be minimizers when the optimal value is known; each contributes an xi
     column to the trace. A non-finite iterate aborts the run with
     :class:`NonFiniteIterateError`, the offending row retained in the
-    attached partial trace.
+    attached partial trace. Given a fresh ``csv_sink``, the CSV rows
+    are streamed to it as the run goes, up to the offending row on an
+    abort; the sink's commit puts the CSV in place.
     """
     sched = _coerce_schedule(schedule)
     ts = sched.prefix(iterations)  # raises ScheduleError before any iteration
-    return _run(problem, x0, iterations, ts, "fista", sched.label, s_refs, snapshot_every)
+    return _run(problem, x0, iterations, ts, "fista", sched.label, s_refs, snapshot_every, csv_sink)
 
 
 def pgm_run(
@@ -516,6 +614,8 @@ def pgm_run(
     iterations: int,
     s_refs: Sequence = (),
     snapshot_every: int = 1,
+    *,
+    csv_sink: Optional[CsvSink] = None,
 ) -> Trace:
     """Plain proximal gradient run: x_{k+1} = T(x_k), recorded like a trace.
 
@@ -523,7 +623,7 @@ def pgm_run(
     coincide with the iterate and keeps all structural identities valid.
     """
     ts = np.ones(iterations + 1)
-    return _run(problem, x0, iterations, ts, "pgm", "constant-1", s_refs, snapshot_every)
+    return _run(problem, x0, iterations, ts, "pgm", "constant-1", s_refs, snapshot_every, csv_sink)
 
 
 def _require_zero_g(problem: CompositeProblem, x0: Vector) -> None:
@@ -544,6 +644,8 @@ def nesterov_run(
     iterations: int,
     s_refs: Sequence = (),
     snapshot_every: int = 1,
+    *,
+    csv_sink: Optional[CsvSink] = None,
 ) -> Trace:
     """Accelerated gradient descent: the g = 0 special case, by its own name.
 
@@ -554,4 +656,4 @@ def nesterov_run(
     _require_zero_g(problem, x0)
     sched = _coerce_schedule(schedule)
     ts = sched.prefix(iterations)
-    return _run(problem, x0, iterations, ts, "nesterov", sched.label, s_refs, snapshot_every)
+    return _run(problem, x0, iterations, ts, "nesterov", sched.label, s_refs, snapshot_every, csv_sink)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fistalab import NonFiniteIterateError, Trace, feasibility_problem, fista_run
+from fistalab import NonFiniteIterateError, NonsmoothPart, Trace, cli, feasibility_problem, fista_run
 from fistalab.cli import main, repro_fig1, run_config
 
 REPO = Path(__file__).resolve().parent.parent
@@ -206,6 +207,16 @@ class TestRun:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "False"
 
+    def test_import_leaves_csv_writer_unloaded(self):
+        # only `run` needs it; without cached bytecode every command would compile it
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        probe = "import sys, fistalab.cli; print('fistalab._sink' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
 
 class TestNumericalAbort:
     def overflowing_config(self, tmp_path):
@@ -341,3 +352,83 @@ class TestValidate:
         reference = json.loads((REPO / "perfbench" / "reference.json").read_text())
         assert main(["validate", "bt", "1000000"]) == 0
         assert capsys.readouterr().out == reference["lab"]["stdout"]["validate bt 1000000"]
+
+
+class TestAtomicArtifacts:
+    ARTIFACTS = ("trace.csv", "snapshots.json", "report.json")
+
+    def test_one_cpu_writes_the_same_artifacts_without_forking(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, iterations=6000, analyses=["structural"])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert run_config(cfg, output_dir=tmp_path / "forked") == 0
+
+        def fork():
+            raise AssertionError("a run on one CPU forked")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "fork", fork)
+        assert run_config(cfg, output_dir=tmp_path / "one-cpu") == 0
+        for name in self.ARTIFACTS:
+            assert (tmp_path / "one-cpu" / name).read_bytes() == (tmp_path / "forked" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("usable", [{0, 1}, {0}], ids=["forked", "one-cpu"])
+    def test_failed_run_leaves_previous_artifacts(self, usable, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: usable)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, iterations=6000, analyses=["structural"])
+        assert run_config(cfg, output_dir=out) == 0
+        before = {name: (out / name).read_bytes() for name in self.ARTIFACTS}
+
+        feas = feasibility_problem()
+        calls = {"n": 0}
+
+        def prox(v, step):
+            calls["n"] += 1
+            if calls["n"] == 5000:  # the step that makes row 5000
+                raise ValueError("prox failed at row 5000")
+            return feas.g.prox(v, step)
+
+        failing = dataclasses.replace(feas, g=NonsmoothPart(value=feas.g.value, prox=prox))
+        monkeypatch.setattr(cli, "build_problem", lambda family, params: failing)
+        assert run_config(cfg, output_dir=out) == 2
+        assert calls["n"] == 5000
+        assert sorted(p.name for p in out.iterdir()) == sorted(self.ARTIFACTS)
+        for name in self.ARTIFACTS:
+            assert (out / name).read_bytes() == before[name], name
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_abort_streams_the_partial_trace(self, tmp_path):
+        # the whole partial trace goes through the sink; save adds only the JSON files
+        cfg = write_config(tmp_path, x0=[1.7e308, 1.7e308], iterations=10, analyses=[])
+        assert run_config(cfg, output_dir=tmp_path / "out") == 3
+        with pytest.raises(NonFiniteIterateError) as caught:
+            s_refs = [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]]
+            fista_run(feasibility_problem(), [1.7e308, 1.7e308], "bt", 10, s_refs=s_refs)
+        want = caught.value.trace.to_csv(tmp_path / "whole.csv").read_bytes()
+        assert (tmp_path / "out" / "trace.csv").read_bytes() == want
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(self.ARTIFACTS)
+
+    @pytest.mark.parametrize("usable", [{0, 1}, {0}], ids=["forked", "one-cpu"])
+    def test_report_write_failure_replaces_only_the_earlier_files(self, usable, tmp_path, monkeypatch):
+        # each file is replaced whole, but a failure after the first rename leaves a mix
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: usable)
+        out, want = tmp_path / "out", tmp_path / "want"
+        assert run_config(write_config(tmp_path, iterations=50, analyses=["structural"]), output_dir=out) == 0
+        before = (out / "report.json").read_bytes()
+        longer = write_config(tmp_path, iterations=60, analyses=["structural"])
+        assert run_config(longer, output_dir=want) == 0
+        write_text = Path.write_text
+
+        def torn_write(self, text, *args, **kwargs):
+            if "report.json" in self.name:
+                write_text(self, text[:20])
+                raise OSError("disk full")
+            return write_text(self, text, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", torn_write)
+        assert run_config(longer, output_dir=out) == 2
+        assert sorted(p.name for p in out.iterdir()) == sorted(self.ARTIFACTS)
+        assert (out / "report.json").read_bytes() == before
+        for name in ("trace.csv", "snapshots.json"):
+            assert (out / name).read_bytes() == (want / name).read_bytes(), name

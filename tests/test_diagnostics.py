@@ -340,3 +340,90 @@ class TestXiDifference:
         trace = synthetic_trace(np.zeros((10, 2)), np.ones(10))
         with pytest.raises(ValueError):
             xi_difference(trace, 0, 1)
+
+
+def with_inf_row_everywhere(trace, k):
+    """The trace with row k of every vector and derived column set to inf (t_k kept)."""
+    columns = {}
+    for name in ("xs", "ys", "zs", "F_x", "delta", "xi", "res_zdef", "res_convex", "res_suffdec",
+                 "gap_xy", "norm_x", "norm_z"):
+        col = getattr(trace, name).copy()
+        col[k] = math.inf
+        columns[name] = col
+    return dataclasses.replace(trace, **columns)
+
+
+PROBE = [[1.0, -1.0]]
+# analysis -> (params, claims that fail on the overflowing start, claims that fail on an inf row).
+# Verdict tolerances are loose so that on finite input every claim passes and a failure
+# below is caused by the non-finite values alone.
+NONFINITE_CASES = {
+    "structural": (
+        {},
+        {"z-definition", "z-recursion", "convex-combination"},
+        {"z-definition", "z-recursion", "convex-combination"},
+    ),
+    "momentum_identity": (
+        {},
+        {"momentum-identity[d0]", "momentum-identity[d1]", "momentum-identity[d2]"},
+        {"momentum-identity[d0]", "momentum-identity[d1]", "momentum-identity[d2]"},
+    ),
+    "rate_bound": ({}, {"rate-bound"}, {"rate-bound"}),
+    # xi is defined from k = 1, and on the overflowing start x_1 is already the minimizer
+    "xi_monotone": (
+        {},
+        {"xi-initial-bound[s0]", "xi-initial-bound[s1]"},
+        {"xi-monotone[s0]", "xi-nonnegative[s0]", "xi-monotone[s1]", "xi-nonnegative[s1]"},
+    ),
+    "sufficient_decrease": ({}, {"sufficient-decrease"}, {"sufficient-decrease"}),
+    # the deciles of gap_xy that gap-decay compares are finite in both cases
+    "gap_decay": ({}, {"gap-bound"}, {"gap-bound"}),
+    "bounded_iterates": ({}, {"bounded-iterates"}, {"bounded-iterates"}),
+    "cluster_products": (
+        {"directions": PROBE, "window": 20, "tol": 1.0},
+        {"cluster-product[d0]"},
+        {"cluster-product[d0]"},
+    ),
+    "xi_difference": ({"window": 20, "tol": 1.0}, set(), {"xi-difference[s0,s1]"}),
+    # the unit basis vector keeps <x_0, b> finite at the overflowing start
+    "span": ({"directions": PROBE, "window": 20, "tol": 1.0}, set(), {"span-coefficient[0]"}),
+    "final_point": ({"tol": 1e-3}, set(), set()),
+}
+
+
+class TestNonFiniteInputTable:
+    """Every analysis on an overflowing start and on an inf row: no PASS on a non-finite value."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        l1 = l1_quadratic(dim=2)
+        feas = feasibility_problem()
+        finite = fista_run(feas, [5.0, 0.0], "bt", 400, s_refs=[[0.0, 1.0], [1.0, 0.0]])
+        # the sampled steps of sufficient_decrease include k = 201, which reads x_202
+        inf_row = with_inf_row_everywhere(finite, 202)
+        overflow = fista_run(l1, [1e308, -1e308], "bt", 200, s_refs=[[0.0, 0.0], [0.0, 0.0]])
+        return {"finite": (finite, feas), "inf-row": (inf_row, feas), "overflow": (overflow, l1)}
+
+    def test_table_covers_every_analysis(self):
+        assert set(NONFINITE_CASES) == set(ANALYSES)
+
+    @pytest.mark.parametrize("case", ["finite", "overflow", "inf-row"])
+    @pytest.mark.parametrize("name", sorted(NONFINITE_CASES))
+    def test_fails_exactly_where_a_value_is_not_finite(self, name, case, inputs):
+        trace, problem = inputs[case]
+        params, fail_overflow, fail_inf_row = NONFINITE_CASES[name]
+        params = dict(params, name=name)
+        if name == "final_point":
+            params["target"] = trace.xs[-1].tolist()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = run_analyses(trace, problem, [params], np.random.default_rng(0))
+        expected = {"finite": set(), "overflow": fail_overflow, "inf-row": fail_inf_row}[case]
+        assert {r.claim for r in results if not r.passed} == expected
+        for r in results:
+            numbers = [r.residual_or_oscillation, r.tol, *r.details.values()]
+            floats = [v for v in numbers if isinstance(v, float)]
+            if r.passed:
+                assert all(math.isfinite(v) for v in floats), r.claim
+            else:
+                assert math.isnan(r.residual_or_oscillation), r.claim

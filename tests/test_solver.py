@@ -1,5 +1,8 @@
 import dataclasses
+import errno
+import functools
 import math
+import os
 import warnings
 
 import numpy as np
@@ -16,6 +19,7 @@ from fistalab import (
     eval_F,
     feasibility_problem,
     fista_run,
+    l1_quadratic,
     nesterov_run,
     pgm_run,
     random_quadratic,
@@ -23,7 +27,9 @@ from fistalab import (
     t_operator,
     zero_part,
 )
-from fistalab.solver import _BLOCK, _CSV_CHUNK
+from fistalab._sink import CsvSink
+from fistalab.problem import _objective_rows
+from fistalab.solver import _BLOCK, _CSV_CHUNK, _ROW_COLUMNS
 
 S_REFS = [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]]
 
@@ -502,3 +508,193 @@ class TestExport:
         trace.save(tmp_path)
         loaded = Trace.load(tmp_path)
         assert not loaded.has_full_vectors
+
+
+def whole_array_columns(problem, ts, xs, ys, s_refs):
+    """The whole-array column builder that the per-chunk ``_fill_rows`` replaced."""
+    rows = xs.shape[0]
+    ts = ts[:rows]
+    beta = problem.f.beta
+    zs = (1.0 - ts)[:, None] * xs + ts[:, None] * ys
+    F_x = np.full(rows, np.nan)
+    finite = np.isfinite(xs).all(axis=1)
+    F_x[finite] = _objective_rows(problem, xs[finite])
+    mu = problem.solution.mu
+    delta = F_x - mu
+    xi = np.full((rows, s_refs.shape[0]), np.nan)
+    t_prev_sq = ts[:-1] ** 2
+    for j, s in enumerate(s_refs):
+        xi[1:, j] = t_prev_sq * delta[1:] + 0.5 * beta * np.sum((zs[1:] - s) ** 2, axis=1)
+    regrouped = xs + ts[:, None] * (ys - xs)
+    res_convex = np.full(rows, np.nan)
+    t_prev = ts[:-1, None]
+    combo = (1.0 - 1.0 / t_prev) * xs[:-1] + zs[1:] / t_prev
+    res_convex[1:] = np.linalg.norm(xs[1:] - combo, axis=1)
+    res_suffdec = np.full(rows, np.nan)
+    dx = np.linalg.norm(xs[1:] - xs[:-1], axis=1)
+    dy = np.linalg.norm(xs[:-1] - ys[:-1], axis=1)
+    prev_F = F_x[:-1]
+    slack = prev_F - F_x[1:] - 0.5 * beta * (dx**2 - dy**2)
+    slack[~np.isfinite(prev_F)] = np.nan
+    res_suffdec[1:] = slack
+    return {
+        "ts": ts,
+        "F_x": F_x,
+        "delta": delta,
+        "xi": xi,
+        "res_zdef": np.linalg.norm(zs - regrouped, axis=1),
+        "res_convex": res_convex,
+        "res_suffdec": res_suffdec,
+        "gap_xy": np.linalg.norm(ys - xs, axis=1),
+        "norm_x": np.linalg.norm(xs, axis=1),
+        "norm_z": np.linalg.norm(zs, axis=1),
+        "zs": zs,
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def stream_problem(name):
+    """(problem, x0, s_refs) for the streamed-CSV cases."""
+    if name == "feasibility":
+        return feasibility_problem(), [5.0, 0.0], S_REFS
+    if name == "l1_quadratic":
+        problem = l1_quadratic(dim=6, seed=2)
+        return problem, np.linspace(-3.0, 3.0, 6), [problem.solution.s_ref]
+    problem = random_quadratic(dim=512, seed=1)
+    return problem, np.random.default_rng(4).standard_normal(512), [problem.solution.s_ref]
+
+
+def counted_forks(monkeypatch) -> list:
+    """Record the pid of every ``os.fork`` from now on."""
+    real_fork, pids = os.fork, []
+
+    def fork():
+        pid = real_fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def streamed(tmp_path, run):
+    """Run ``run(csv_sink=...)`` into a committed sink; returns (trace or error, CSV bytes)."""
+    with CsvSink(tmp_path / "trace.csv") as sink:
+        try:
+            outcome = run(csv_sink=sink)
+        except NonFiniteIterateError as exc:
+            outcome = exc
+        sink.commit()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv"]
+    return outcome, (tmp_path / "trace.csv").read_bytes()
+
+
+class TestCsvStream:
+    ROWS = [_CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1, 2 * _CSV_CHUNK + 2]
+
+    @pytest.mark.parametrize("rows", ROWS)
+    @pytest.mark.parametrize("name", ["feasibility", "l1_quadratic", "quadratic"])
+    def test_stream_equals_to_csv_and_whole_array_columns(self, name, rows, monkeypatch, tmp_path):
+        problem, x0, s_refs = stream_problem(name)
+        forks = counted_forks(monkeypatch)
+        (tmp_path / "stream").mkdir()
+        trace, text = streamed(
+            tmp_path / "stream", lambda **kw: fista_run(problem, x0, "bt", rows - 1, s_refs=s_refs, **kw)
+        )
+        assert len(forks) == 1
+        assert len(trace) == rows
+        assert text == trace.to_csv(tmp_path / "whole.csv").read_bytes()
+        # without a sink, the run returns the same trace, and forks nothing
+        plain = fista_run(problem, x0, "bt", rows - 1, s_refs=s_refs)
+        assert len(forks) == 1
+        want = whole_array_columns(problem, trace.ts, trace.xs, trace.ys, trace.s_refs)
+        for column in _ROW_COLUMNS:
+            values = getattr(trace, column)
+            if values is not None:
+                assert values.tobytes() == getattr(plain, column).tobytes(), column
+        for column, values in want.items():
+            assert getattr(trace, column).tobytes() == values.tobytes(), column
+
+    @pytest.mark.parametrize("row", [_CSV_CHUNK + 100, 2 * _CSV_CHUNK + 1])
+    def test_abort_inside_a_block_streams_the_partial_trace(self, row, tmp_path):
+        problem = counting_feasibility(row)
+        (tmp_path / "stream").mkdir()
+        error, text = streamed(
+            tmp_path / "stream",
+            lambda **kw: fista_run(problem, [5.0, 0.0], "bt", 3 * _CSV_CHUNK, s_refs=S_REFS, **kw),
+        )
+        assert isinstance(error, NonFiniteIterateError) and error.row == row
+        assert len(error.trace) == row + 1
+        assert text == error.trace.to_csv(tmp_path / "whole.csv").read_bytes()
+
+    def test_uncommitted_stream_leaves_no_file(self, tmp_path):
+        (tmp_path / "trace.csv").write_text("previous\n")
+        with CsvSink(tmp_path / "trace.csv") as sink:
+            fista_run(feasibility_problem(), [5.0, 0.0], "bt", _CSV_CHUNK + 10, csv_sink=sink)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv"]
+        assert (tmp_path / "trace.csv").read_text() == "previous\n"
+
+    @pytest.mark.parametrize("where", ["formatting", "renaming"])
+    def test_writer_failure_is_an_os_error(self, where, monkeypatch, tmp_path):
+        def broken(*args):
+            raise MemoryError(f"{where} failed")
+
+        # the forked writer inherits the patch; a rename fails after the end marker,
+        # so only the writer's exit status reports it
+        if where == "formatting":
+            monkeypatch.setattr("fistalab._sink._csv_chunk", broken)
+        else:
+            monkeypatch.setattr(os, "replace", broken)
+        (tmp_path / "trace.csv").write_text("previous\n")
+        with pytest.raises(OSError):
+            with CsvSink(tmp_path / "trace.csv") as sink:
+                fista_run(feasibility_problem(), [5.0, 0.0], "bt", 3 * _CSV_CHUNK, csv_sink=sink)
+                sink.commit()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv"]
+        assert (tmp_path / "trace.csv").read_text() == "previous\n"
+
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_objective_calls_cover_a_whole_chunk(self, rows):
+        # a BLAS-backed value may round a few rows differently from many
+        feas = feasibility_problem()
+        sizes = []
+
+        def value(x):  # g is evaluated on every finite row
+            sizes.append(len(x))
+            return feas.g.value(x)
+
+        problem = dataclasses.replace(feas, g=dataclasses.replace(feas.g, value=value))
+        fista_run(problem, [5.0, 0.0], "bt", rows - 1)
+        assert sizes and all(size >= _CSV_CHUNK or size == rows for size in sizes), sizes
+
+    def test_failed_fork_closes_the_pipe(self, monkeypatch, tmp_path):
+        real_pipe, pipes = os.pipe, []
+
+        def pipe():
+            pipes.extend(real_pipe())
+            return pipes[-2], pipes[-1]
+
+        def fork():
+            raise BlockingIOError(errno.EAGAIN, "fork: no process ids left")
+
+        monkeypatch.setattr(os, "pipe", pipe)
+        monkeypatch.setattr(os, "fork", fork)
+        with pytest.raises(OSError):
+            with CsvSink(tmp_path / "trace.csv") as sink:
+                fista_run(feasibility_problem(), [5.0, 0.0], "bt", 50, csv_sink=sink)
+        assert len(pipes) == 2
+        for fd in pipes:
+            with pytest.raises(OSError):
+                os.fstat(fd)
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestPartialTraceMemory:
+    def test_partial_columns_own_their_rows(self):
+        with pytest.raises(NonFiniteIterateError) as info:
+            fista_run(feasibility_problem(), [1.7e308, 1.7e308], "bt", 100000, s_refs=S_REFS)
+        partial = info.value.trace
+        assert len(partial) == 2
+        for name in _ROW_COLUMNS:
+            column = getattr(partial, name)
+            assert column.base is None or column.base.shape == column.shape, name
