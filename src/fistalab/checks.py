@@ -7,6 +7,17 @@ exact identities scale with max(1, magnitude of the participating terms)
 so that genuine violations stand out from accumulated roundoff on long
 runs. A non-finite residual or scale makes the reported value NaN, and a
 check passes only on a finite value: nothing passes vacuously.
+
+Every check is a fold over the rows, in blocks of ``_CSV_CHUNK``: set up
+before the first row (every probe draw from the rng happens there, in
+analysis order), updated once per block, then read. Each fold is a
+maximum, a minimum, a finiteness flag, a tail window or a set of sampled
+rows, so it gives the bits of one pass over the whole trace. The one
+exception is a BLAS product <v_k, d>, whose rounding depends on how the
+rows are split; :func:`_products` keeps the split of the one whole-array
+product. ``fistalab run`` folds the checks as the run builds each block
+(:class:`AnalysisStream`), so it never holds every row of x, y and z;
+``ANALYSES[name]`` runs the same fold over a stored trace.
 """
 
 from __future__ import annotations
@@ -17,17 +28,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .diagnostics import (
-    inner_product_seq,
-    momentum_identity_residual,
-    orthonormal_span_basis,
-    verdict,
-    xi_difference,
-)
-from .problem import CompositeProblem, eval_F
-from .solver import Trace, finite_only
+from .diagnostics import check_window, momentum_gaps, orthonormal_span_basis, tail_verdict
+from .problem import CompositeProblem, as_vector, eval_F
+from .solver import _CSV_CHUNK, RowWindow, Trace, finite_only, z_recursion
 
-__all__ = ["CheckResult", "ANALYSES", "run_analyses"]
+__all__ = ["CheckResult", "ANALYSES", "AnalysisStream", "run_analyses"]
 
 IDENTITY_TOL = 1e-9
 
@@ -67,18 +72,49 @@ def _worst(residual, scale=1.0) -> float:
     return float(np.max(ratio))
 
 
-def _verdict_result(claim: str, seq, window: int, tol: float) -> CheckResult:
-    """Tail verdict on ``seq``; a non-finite term anywhere in it, tail or not, fails with NaN."""
-    v = verdict(seq, window, tol)
-    oscillation = _worst(v.tail_oscillation if np.isfinite(seq.values).all() else math.inf)
-    return CheckResult(
-        claim=claim,
-        passed=oscillation <= v.tol,
-        residual_or_oscillation=oscillation,
-        window=v.window,
-        tol=v.tol,
-        details={"limit_estimate": v.limit_estimate},
-    )
+def _max(acc: float, value: float) -> float:
+    """The larger of two maxima, NaN once either is NaN (as ``np.max`` over both blocks)."""
+    return value if value != value or value > acc else acc
+
+
+def _products(rows_of, a: int, b: int, d: np.ndarray, start: int) -> np.ndarray:
+    """<v_k, d> for rows a..b, rounded as the one product ``v[start:] @ d`` would round them.
+
+    ``rows_of`` is a :class:`RowWindow` accessor. Callers split that product
+    at ``start`` plus multiples of ``_CSV_CHUNK``, which keeps every row in
+    its place among BLAS's four-row groups. A one-row piece would go to
+    numpy's dot instead, which may round differently, so it is widened by
+    four earlier rows.
+    """
+    lead = 4 if b - a == 1 and a > start else 0
+    return (rows_of(a - lead, b) @ d)[lead:]
+
+
+class _Tail:
+    """A verdict fold: the last ``window`` values of a sequence of ``length``, and whether all were finite."""
+
+    def __init__(self, window: int, length: int):
+        check_window(window, length)
+        self.window = window
+        self.values = np.empty(0)
+        self.finite = True
+
+    def add(self, values: np.ndarray) -> None:
+        self.finite = self.finite and bool(np.isfinite(values).all())
+        self.values = np.concatenate((self.values, values))[-self.window :]
+
+    def result(self, claim: str, tol: float) -> CheckResult:
+        """Tail verdict; a non-finite term anywhere in the sequence, tail or not, fails with NaN."""
+        v = tail_verdict(self.values, tol)
+        oscillation = _worst(v.tail_oscillation if self.finite else math.inf)
+        return CheckResult(
+            claim=claim,
+            passed=oscillation <= v.tol,
+            residual_or_oscillation=oscillation,
+            window=v.window,
+            tol=v.tol,
+            details={"limit_estimate": v.limit_estimate},
+        )
 
 
 def _pair_directions(trace: Trace, directions=None) -> list:
@@ -96,290 +132,487 @@ def _required_directions(trace: Trace, params: dict) -> list:
     return directions
 
 
+class _Fold:
+    """One named check as a fold over a run's rows.
+
+    It is built before the first row from the trace (its metadata and its
+    not yet filled columns; ``len(trace)`` is the planned row count), the
+    problem, the check's parameters, the shared ``rng`` (every draw happens
+    here) and ``x0``. :meth:`update` then sees rows lo..hi, for consecutive
+    blocks of ``_CSV_CHUNK`` rows, once the trace's columns for them are
+    filled; ``window`` holds their x, y and z rows and the
+    ``_CSV_CHUNK + 1`` rows before them. :meth:`result` gives the results.
+    """
+
+    vectors = True  # it reads x, y or z rows, not only the scalar columns
+
+    def update(self, trace: Trace, window: Optional[RowWindow], lo: int, hi: int) -> None:
+        pass
+
+    def result(self) -> list:
+        raise NotImplementedError
+
+
 # ---- identity checks --------------------------------------------------------
 
 
-def structural_check(trace: Trace, problem, params, rng) -> list:
+class _Structural(_Fold):
     """Rowwise residuals of the three identities tying x, y, z together."""
-    tol = params.get("tol", IDENTITY_TOL)
-    trace.require_vectors()
-    t = trace.ts
-    with np.errstate(over="ignore", invalid="ignore"):  # _worst turns inf/NaN into a failure
-        norm_y = np.linalg.norm(trace.ys, axis=1)
 
-        zdef_scale = np.maximum(1.0, np.abs(1.0 - t) * trace.norm_x + t * norm_y)
-        zdef = _worst(trace.res_zdef, zdef_scale)
+    def __init__(self, trace, problem, params, rng, x0):
+        self.tol = params.get("tol", IDENTITY_TOL)
+        self.zdef = self.recur = self.convex = -math.inf
 
-        recur_res = trace.z_recursion_residuals()[1:]
-        recur_scale = np.maximum(
-            1.0, t[:-1] * (trace.norm_x[:-1] + trace.norm_x[1:]) + trace.norm_x[:-1]
-        )
-        recur = _worst(recur_res, recur_scale)
+    def update(self, trace, window, lo, hi):
+        t, norm_x = trace.ts, trace.norm_x
+        norm_y = np.linalg.norm(window.y(lo, hi), axis=1)
+        zdef_scale = np.maximum(1.0, np.abs(1.0 - t[lo:hi]) * norm_x[lo:hi] + t[lo:hi] * norm_y)
+        self.zdef = _max(self.zdef, _worst(trace.res_zdef[lo:hi], zdef_scale))
+        p = max(lo, 1)  # rows k >= 1, each with row k - 1
+        if p == hi:
+            return
+        prev = slice(p - 1, hi - 1)
+        recur_res = z_recursion(t[prev], window.x(p - 1, hi), window.z(p, hi))
+        recur_scale = np.maximum(1.0, t[prev] * (norm_x[prev] + norm_x[p:hi]) + norm_x[prev])
+        self.recur = _max(self.recur, _worst(recur_res, recur_scale))
+        convex_scale = np.maximum(1.0, norm_x[prev] + trace.norm_z[p:hi])
+        self.convex = _max(self.convex, _worst(trace.res_convex[p:hi], convex_scale))
 
-        convex_scale = np.maximum(1.0, trace.norm_x[:-1] + trace.norm_z[1:])
-        convex = _worst(trace.res_convex[1:], convex_scale)
+    def result(self):
+        tol = self.tol
+        return [
+            CheckResult("z-definition", self.zdef <= tol, self.zdef, tol=tol),
+            CheckResult("z-recursion", self.recur <= tol, self.recur, tol=tol),
+            CheckResult("convex-combination", self.convex <= tol, self.convex, tol=tol),
+        ]
 
-    return [
-        CheckResult("z-definition", zdef <= tol, zdef, tol=tol),
-        CheckResult("z-recursion", recur <= tol, recur, tol=tol),
-        CheckResult("convex-combination", convex <= tol, convex, tol=tol),
-    ]
 
+class _MomentumIdentity(_Fold):
+    """Scalar momentum identity along probe directions (linear in d).
 
-def momentum_identity_check(trace: Trace, problem, params, rng) -> list:
-    """Scalar momentum identity along probe directions (linear in d)."""
-    tol = params.get("tol", IDENTITY_TOL)
-    count = params.get("count", 3)
-    trace.require_vectors()
-    dim = trace.xs.shape[1]
-    directions = _pair_directions(trace)
-    while len(directions) < count:
-        directions.append(rng.standard_normal(dim))
-    sup_x = np.max(trace.norm_x)
-    out = []
-    for i, d in enumerate(directions[:count]):
-        with np.errstate(over="ignore", invalid="ignore"):  # _worst turns inf/NaN into a failure
-            res = momentum_identity_residual(trace, d)
-            worst = _worst(res, np.maximum(1.0, np.linalg.norm(d) * sup_x))
-        out.append(CheckResult(f"momentum-identity[d{i}]", worst <= tol, worst, tol=tol))
-    return out
+    With h_k = <x_k, d>, the combination h_k + (t_{k-1} - 1)(h_k - h_{k-1})
+    must equal <z_k, d> for every k >= 1. The reference pairs come first,
+    then seeded standard normal draws up to ``count``.
+    """
+
+    def __init__(self, trace, problem, params, rng, x0):
+        self.tol = params.get("tol", IDENTITY_TOL)
+        count = params.get("count", 3)
+        directions = _pair_directions(trace)
+        while len(directions) < count:
+            directions.append(rng.standard_normal(x0.size))
+        self.directions = [as_vector(d, x0.size) for d in directions[:count]]
+        self.worst = [-math.inf] * len(self.directions)
+        self.h_prev = [None] * len(self.directions)  # h over the previous block
+        self.sup_x = -math.inf
+
+    def update(self, trace, window, lo, hi):
+        self.sup_x = _max(self.sup_x, float(np.max(trace.norm_x[lo:hi])))
+        # h is taken in the blocks of xs @ d, which start at row 0; <z_k, d> in
+        # those of zs[1:] @ d, which start at row 1, so each ends one row into
+        # the next block and is taken one block late
+        spans = [(lo - _CSV_CHUNK + 1, lo + 1)] if lo else []
+        if hi == len(trace) and lo + 1 < hi:
+            spans.append((lo + 1, hi))
+        h_lo = max(lo - _CSV_CHUNK, 0)
+        for i, d in enumerate(self.directions):
+            h = _products(window.x, lo, hi, d, 0)
+            h_all = h if self.h_prev[i] is None else np.concatenate((self.h_prev[i], h))
+            for a, b in spans:
+                zh = _products(window.z, a, b, d, 1)
+                gaps = momentum_gaps(h_all[a - 1 - h_lo : b - h_lo], trace.ts[a - 1 : b - 1], zh)
+                self.worst[i] = _max(self.worst[i], float(np.max(gaps)))
+            self.h_prev[i] = h
+
+    def result(self):
+        out = []
+        for i, (d, residual) in enumerate(zip(self.directions, self.worst)):
+            worst = _worst(residual, np.maximum(1.0, np.linalg.norm(d) * self.sup_x))
+            out.append(CheckResult(f"momentum-identity[d{i}]", worst <= self.tol, worst, tol=self.tol))
+        return out
 
 
 # ---- inequality checks ------------------------------------------------------
 
 
-def rate_bound_check(trace: Trace, problem: CompositeProblem, params, rng) -> list:
+class _RateBound(_Fold):
     """Objective gap against the accelerated 1/(k+1)^2 guarantee, k >= 1."""
-    if trace.delta is None or problem.solution is None:
-        raise ValueError("rate_bound needs a problem with known optimal value")
-    trace.require_vectors()
-    tol = params.get("tol", IDENTITY_TOL)
-    k = np.arange(1, len(trace), dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):  # _worst turns inf/NaN into a failure
-        d0 = problem.solution.distance(trace.xs[0])
-        slack = tol * np.maximum(1.0, trace.beta * trace.norm_x[0] ** 2)
-        bound = 2.0 * trace.beta * d0**2 / (k + 1.0) ** 2 + slack
-        excess = _worst(trace.delta[1:] - bound)
-    return [
-        CheckResult(
-            "rate-bound",
-            excess <= 0.0,
-            excess,
-            tol=tol,
-            details={"per_s_surrogate": not problem.solution.exact_distance},
-        )
-    ]
 
+    def __init__(self, trace, problem, params, rng, x0):
+        if trace.delta is None or problem.solution is None:
+            raise ValueError("rate_bound needs a problem with known optimal value")
+        self.tol = params.get("tol", IDENTITY_TOL)
+        self.d0 = problem.solution.distance(x0)
+        self.surrogate = not problem.solution.exact_distance
+        self.excess = -math.inf
 
-def xi_monotone_check(trace: Trace, problem, params, rng) -> list:
-    """Monotone decay, initial bound, and nonnegativity of each xi column."""
-    if trace.xi is None:
-        raise ValueError("xi_monotone needs xi columns (known optimal value and s_refs)")
-    trace.require_vectors()
-    out = []
-    x0 = trace.xs[0]
-    for j in range(trace.xi.shape[1]):
-        col = trace.xi[1:, j]
-        xi1 = float(col[0])
-        step_tol = 1e-9 * max(1.0, xi1)
-        with np.errstate(over="ignore", invalid="ignore"):  # _worst turns inf/NaN into a failure
-            max_inc = _worst(np.diff(col)) if col.size > 1 else 0.0
-            start_bound = 0.5 * trace.beta * float(np.sum((x0 - trace.s_refs[j]) ** 2)) + 1e-9
-            excess = _worst(xi1 - start_bound)
-            min_xi = -_worst(-col)
-        out.append(
-            CheckResult(f"xi-monotone[s{j}]", max_inc <= step_tol, max_inc, tol=step_tol)
-        )
-        out.append(
+    def update(self, trace, window, lo, hi):
+        if lo == 0:
+            self.slack = self.tol * np.maximum(1.0, trace.beta * trace.norm_x[0] ** 2)
+        p = max(lo, 1)
+        if p == hi:
+            return
+        k = np.arange(p, hi, dtype=float)
+        bound = 2.0 * trace.beta * self.d0**2 / (k + 1.0) ** 2 + self.slack
+        self.excess = _max(self.excess, _worst(trace.delta[p:hi] - bound))
+
+    def result(self):
+        return [
             CheckResult(
-                f"xi-initial-bound[s{j}]",
-                excess <= 0.0,
-                excess,
-                tol=1e-9,
-                details={"xi1": xi1, "bound": start_bound},
+                "rate-bound",
+                self.excess <= 0.0,
+                self.excess,
+                tol=self.tol,
+                details={"per_s_surrogate": self.surrogate},
             )
-        )
-        out.append(CheckResult(f"xi-nonnegative[s{j}]", min_xi >= -1e-10, min_xi, tol=1e-10))
-    return out
+        ]
 
 
-def sufficient_decrease_check(trace: Trace, problem: CompositeProblem, params, rng) -> list:
+class _XiMonotone(_Fold):
+    """Monotone decay, initial bound, and nonnegativity of each xi column."""
+
+    def __init__(self, trace, problem, params, rng, x0):
+        if trace.xi is None:
+            raise ValueError("xi_monotone needs xi columns (known optimal value and s_refs)")
+        self.rows = len(trace)
+        self.start_bounds = [0.5 * trace.beta * float(np.sum((x0 - s) ** 2)) + 1e-9 for s in trace.s_refs]
+        columns = trace.xi.shape[1]
+        self.max_inc = [-math.inf] * columns
+        self.neg = [-math.inf] * columns  # the largest -xi_k
+        self.xi1 = None
+
+    def update(self, trace, window, lo, hi):
+        p = max(lo, 1)  # xi is defined from k = 1
+        if p == hi:
+            return
+        if p == 1:
+            self.xi1 = [float(v) for v in trace.xi[1]]
+        step = max(lo, 2)  # xi_k - xi_{k-1} from k = 2
+        for j in range(trace.xi.shape[1]):
+            if step < hi:
+                self.max_inc[j] = _max(self.max_inc[j], _worst(np.diff(trace.xi[step - 1 : hi, j])))
+            self.neg[j] = _max(self.neg[j], _worst(-trace.xi[p:hi, j]))
+
+    def result(self):
+        out = []
+        for j, (xi1, start_bound) in enumerate(zip(self.xi1, self.start_bounds)):
+            step_tol = 1e-9 * max(1.0, xi1)
+            max_inc = self.max_inc[j] if self.rows > 2 else 0.0
+            excess = _worst(xi1 - start_bound)
+            min_xi = -self.neg[j]
+            out.append(CheckResult(f"xi-monotone[s{j}]", max_inc <= step_tol, max_inc, tol=step_tol))
+            out.append(
+                CheckResult(
+                    f"xi-initial-bound[s{j}]",
+                    excess <= 0.0,
+                    excess,
+                    tol=1e-9,
+                    details={"xi1": xi1, "bound": start_bound},
+                )
+            )
+            out.append(CheckResult(f"xi-nonnegative[s{j}]", min_xi >= -1e-10, min_xi, tol=1e-10))
+        return out
+
+
+class _SufficientDecrease(_Fold):
     """Per-step decrease inequality against random feasible probe points.
 
     Probes are generated through the prox map, which lands them in the
     domain of g. A probe that is not finite or has no finite objective
     value is skipped; with no usable probe left, or a non-finite slack, the
-    reported value is NaN and the check fails.
+    reported value is NaN and the check fails. The steps k checked are
+    about ``points`` evenly spaced ones; only their rows are kept.
     """
-    trace.require_vectors()
-    n_probes = params.get("probes", 20)
-    n_points = params.get("points", 100)
-    tol = params.get("tol", IDENTITY_TOL)
-    beta = trace.beta
-    rows = len(trace)
-    ks = np.unique(np.linspace(0, rows - 2, min(n_points, rows - 1)).astype(int))
-    x_next = trace.xs[ks + 1]
-    y_at = trace.ys[ks]
-    F_next = trace.F_x[ks + 1]
-    x0 = trace.xs[0]
-    step = 1.0 / beta
-    worst_per_probe = []
-    with np.errstate(over="ignore", invalid="ignore"):  # unusable probes are skipped, NaN fails
+
+    def __init__(self, trace, problem, params, rng, x0):
+        n_probes = params.get("probes", 20)
+        n_points = params.get("points", 100)
+        self.tol = params.get("tol", IDENTITY_TOL)
+        self.beta = trace.beta
+        rows = len(trace)
+        self.ks = np.unique(np.linspace(0, rows - 2, min(n_points, rows - 1)).astype(int))
+        step = 1.0 / self.beta
         spread = max(1.0, float(np.linalg.norm(x0)))
+        self.probes = []
         for _ in range(n_probes):
-            probe = np.asarray(
-                problem.g.prox(x0 + spread * rng.standard_normal(problem.dim), step), dtype=float
-            )
+            probe = np.asarray(problem.g.prox(x0 + spread * rng.standard_normal(problem.dim), step), dtype=float)
             if not np.isfinite(probe).all():
                 continue
             F_probe = eval_F(problem, probe)
             if not np.isfinite(F_probe):
                 continue  # prox should land in dom g; stay safe regardless
+            self.probes.append((probe, F_probe))
+        self.x_next, self.y_at, self.F_next = [], [], []
+
+    def update(self, trace, window, lo, hi):
+        at = self.ks[(self.ks >= lo) & (self.ks < hi)]
+        self.y_at.append(window.y(lo, hi)[at - lo])
+        after = self.ks[(self.ks + 1 >= lo) & (self.ks + 1 < hi)] + 1
+        self.x_next.append(window.x(lo, hi)[after - lo])
+        self.F_next.append(trace.F_x[after])
+
+    def result(self):
+        x_next, y_at, F_next = (np.concatenate(rows) for rows in (self.x_next, self.y_at, self.F_next))
+        worst_per_probe = []
+        for probe, F_probe in self.probes:
             d_next = np.sum((probe - x_next) ** 2, axis=1)
             d_y = np.sum((probe - y_at) ** 2, axis=1)
-            slack = F_probe - F_next - 0.5 * beta * (d_next - d_y)
+            slack = F_probe - F_next - 0.5 * self.beta * (d_next - d_y)
             worst_per_probe.append(np.min(slack))
-    worst = -_worst(-np.array(worst_per_probe)) if worst_per_probe else math.nan
-    return [CheckResult("sufficient-decrease", worst >= -tol, worst, tol=tol)]
+        worst = -_worst(-np.array(worst_per_probe)) if worst_per_probe else math.nan
+        return [CheckResult("sufficient-decrease", worst >= -self.tol, worst, tol=self.tol)]
 
 
-def gap_decay_check(trace: Trace, problem, params, rng) -> list:
+class _GapDecay(_Fold):
     """Extrapolation gap bounded by (||z|| + ||x||) / t and decaying."""
-    tol = params.get("tol", IDENTITY_TOL)
-    with np.errstate(over="ignore", invalid="ignore"):  # _worst turns inf/NaN into a failure
-        bound = (trace.norm_z + trace.norm_x) / trace.ts
-        excess = _worst(trace.gap_xy - bound, np.maximum(1.0, bound))
-    out = [CheckResult("gap-bound", excess <= tol, excess, tol=tol)]
-    n = len(trace)
-    if n >= 50:
-        decile = n // 10
-        first = float(np.max(trace.gap_xy[:decile]))
-        last = float(np.max(trace.gap_xy[-decile:]))
-        out.append(
-            CheckResult(
-                "gap-decay",
-                last <= first,
-                last - first,
-                details={"first_decile_max": first, "last_decile_max": last},
+
+    vectors = False
+
+    def __init__(self, trace, problem, params, rng, x0):
+        self.tol = params.get("tol", IDENTITY_TOL)
+        self.rows = len(trace)
+        self.decile = self.rows // 10
+        self.excess = self.first = self.last = -math.inf
+
+    def update(self, trace, window, lo, hi):
+        bound = (trace.norm_z[lo:hi] + trace.norm_x[lo:hi]) / trace.ts[lo:hi]
+        self.excess = _max(self.excess, _worst(trace.gap_xy[lo:hi] - bound, np.maximum(1.0, bound)))
+        if lo < self.decile:
+            self.first = _max(self.first, float(np.max(trace.gap_xy[lo : min(hi, self.decile)])))
+        if hi > self.rows - self.decile:
+            self.last = _max(self.last, float(np.max(trace.gap_xy[max(lo, self.rows - self.decile) : hi])))
+
+    def result(self):
+        out = [CheckResult("gap-bound", self.excess <= self.tol, self.excess, tol=self.tol)]
+        if self.rows >= 50:
+            first, last = self.first, self.last
+            out.append(
+                CheckResult(
+                    "gap-decay",
+                    last <= first,
+                    last - first,
+                    details={"first_decile_max": first, "last_decile_max": last},
+                )
             )
-        )
-    return out
+        return out
 
 
-def bounded_iterates_check(trace: Trace, problem, params, rng) -> list:
+class _BoundedIterates(_Fold):
     """sup ||x_k|| within max(||x_0||, sup ||z_k||), the convex-combination bound."""
-    sup_x = float(np.max(trace.norm_x))
-    cap = max(float(trace.norm_x[0]), float(np.max(trace.norm_z))) + 1e-8
-    excess = _worst(sup_x - cap)
-    return [
-        CheckResult(
-            "bounded-iterates", excess <= 0.0, excess, details={"sup_x": sup_x, "cap": cap}
-        )
-    ]
+
+    vectors = False
+
+    def __init__(self, trace, problem, params, rng, x0):
+        self.sup_x = self.sup_z = -math.inf
+
+    def update(self, trace, window, lo, hi):
+        if lo == 0:
+            self.norm_x0 = float(trace.norm_x[0])
+        self.sup_x = _max(self.sup_x, float(np.max(trace.norm_x[lo:hi])))
+        self.sup_z = _max(self.sup_z, float(np.max(trace.norm_z[lo:hi])))
+
+    def result(self):
+        cap = max(self.norm_x0, self.sup_z) + 1e-8
+        excess = _worst(self.sup_x - cap)
+        return [
+            CheckResult(
+                "bounded-iterates", excess <= 0.0, excess, details={"sup_x": self.sup_x, "cap": cap}
+            )
+        ]
 
 
 # ---- convergence-proxy checks ----------------------------------------------
 
 
-def cluster_products_check(trace: Trace, problem, params, rng) -> list:
+class _ClusterProducts(_Fold):
     """Verdicts on <x_k, w1 - w2> for every pair of reference solutions."""
-    window = params.get("window", 100)
-    tol = params.get("tol", 1e-6)
-    directions = _required_directions(trace, params)
-    out = []
-    for i, d in enumerate(directions):
-        with np.errstate(over="ignore", invalid="ignore"):  # _verdict_result fails on inf/NaN
-            seq = inner_product_seq(trace, "x", d)
-            out.append(_verdict_result(f"cluster-product[d{i}]", seq, window, tol))
-    return out
+
+    def __init__(self, trace, problem, params, rng, x0):
+        window = params.get("window", 100)
+        self.tol = params.get("tol", 1e-6)
+        self.directions = [as_vector(d, x0.size) for d in _required_directions(trace, params)]
+        self.tails = [_Tail(window, len(trace)) for _ in self.directions]
+
+    def update(self, trace, window, lo, hi):
+        for d, tail in zip(self.directions, self.tails):
+            tail.add(_products(window.x, lo, hi, d, 0))
+
+    def result(self):
+        return [tail.result(f"cluster-product[d{i}]", self.tol) for i, tail in enumerate(self.tails)]
 
 
-def xi_difference_check(trace: Trace, problem, params, rng) -> list:
-    """Verdicts on xi(s_i) - xi(s_j); the gap terms cancel pairwise."""
-    if trace.xi is None or trace.xi.shape[1] < 2:
-        raise ValueError("xi_difference needs at least two xi columns")
-    window = params.get("window", 100)
-    rel_tol = params.get("tol", 1e-6)
-    out = []
-    m = trace.xi.shape[1]
-    for i in range(m):
-        for j in range(i + 1, m):
-            tol = rel_tol * max(1.0, abs(float(trace.xi[1, i])), abs(float(trace.xi[1, j])))
-            with np.errstate(over="ignore", invalid="ignore"):  # _verdict_result fails on inf/NaN
-                seq = xi_difference(trace, i, j)
-                out.append(_verdict_result(f"xi-difference[s{i},s{j}]", seq, window, tol))
-    return out
+class _XiDifference(_Fold):
+    """Verdicts on xi(s_i) - xi(s_j) from k = 1; the gap terms cancel pairwise."""
+
+    vectors = False
+
+    def __init__(self, trace, problem, params, rng, x0):
+        if trace.xi is None or trace.xi.shape[1] < 2:
+            raise ValueError("xi_difference needs at least two xi columns")
+        window = params.get("window", 100)
+        self.rel_tol = params.get("tol", 1e-6)
+        m = trace.xi.shape[1]
+        self.pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        self.tails = [_Tail(window, len(trace) - 1) for _ in self.pairs]
+
+    def update(self, trace, window, lo, hi):
+        p = max(lo, 1)
+        if p == hi:
+            return
+        if p == 1:
+            self.xi1 = trace.xi[1].copy()
+        for (i, j), tail in zip(self.pairs, self.tails):
+            tail.add(trace.xi[p:hi, i] - trace.xi[p:hi, j])
+
+    def result(self):
+        out = []
+        for (i, j), tail in zip(self.pairs, self.tails):
+            tol = self.rel_tol * max(1.0, abs(float(self.xi1[i])), abs(float(self.xi1[j])))
+            out.append(tail.result(f"xi-difference[s{i},s{j}]", tol))
+        return out
 
 
-def span_check(trace: Trace, problem, params, rng) -> list:
+class _Span(_Fold):
     """Projection onto span of probe directions: projector laws + verdicts."""
-    trace.require_vectors()
-    window = params.get("window", 100)
-    tol = params.get("tol", 1e-6)
-    basis = orthonormal_span_basis(_required_directions(trace, params))
-    dim = basis.shape[1]
-    proj = basis.T @ basis
 
-    idem = 0.0
-    adj = 0.0
-    for _ in range(8):
-        u = rng.standard_normal(dim)
-        v = rng.standard_normal(dim)
-        pu = proj @ u
-        idem = max(idem, float(np.linalg.norm(proj @ pu - pu)))
-        adj = max(adj, abs(float(pu @ v - u @ (proj @ v))))
-    out = [
-        CheckResult("span-idempotent", idem <= 1e-10, idem, tol=1e-10),
-        CheckResult("span-self-adjoint", adj <= 1e-10, adj, tol=1e-10),
-    ]
-    for i, b in enumerate(basis):
-        with np.errstate(over="ignore", invalid="ignore"):  # _verdict_result fails on inf/NaN
-            seq = inner_product_seq(trace, "x", b)
-            out.append(_verdict_result(f"span-coefficient[{i}]", seq, window, tol))
-    return out
+    def __init__(self, trace, problem, params, rng, x0):
+        window = params.get("window", 100)
+        self.tol = params.get("tol", 1e-6)
+        basis = orthonormal_span_basis(_required_directions(trace, params))
+        dim = basis.shape[1]
+        proj = basis.T @ basis
+        idem = 0.0
+        adj = 0.0
+        for _ in range(8):
+            u = rng.standard_normal(dim)
+            v = rng.standard_normal(dim)
+            pu = proj @ u
+            idem = max(idem, float(np.linalg.norm(proj @ pu - pu)))
+            adj = max(adj, abs(float(pu @ v - u @ (proj @ v))))
+        self.laws = [
+            CheckResult("span-idempotent", idem <= 1e-10, idem, tol=1e-10),
+            CheckResult("span-self-adjoint", adj <= 1e-10, adj, tol=1e-10),
+        ]
+        self.basis = [as_vector(b, x0.size) for b in basis]
+        self.tails = [_Tail(window, len(trace)) for _ in self.basis]
+
+    def update(self, trace, window, lo, hi):
+        for b, tail in zip(self.basis, self.tails):
+            tail.add(_products(window.x, lo, hi, b, 0))
+
+    def result(self):
+        return self.laws + [tail.result(f"span-coefficient[{i}]", self.tol) for i, tail in enumerate(self.tails)]
 
 
-def final_point_check(trace: Trace, problem, params, rng) -> list:
+class _FinalPoint(_Fold):
     """Terminal iterate within tol of a configured target point."""
-    if "target" not in params or "tol" not in params:
-        raise ValueError("final_point needs 'target' and 'tol' parameters")
-    trace.require_vectors()
-    target = np.asarray(params["target"], dtype=float)
-    dist = float(np.linalg.norm(trace.xs[-1] - target))
-    return [
-        CheckResult(
-            "final-point",
-            dist <= params["tol"],
-            dist,
-            tol=params["tol"],
-            details={"final": trace.xs[-1].tolist(), "target": target.tolist()},
-        )
-    ]
+
+    def __init__(self, trace, problem, params, rng, x0):
+        if "target" not in params or "tol" not in params:
+            raise ValueError("final_point needs 'target' and 'tol' parameters")
+        self.target = np.asarray(params["target"], dtype=float)
+        self.tol = params["tol"]
+
+    def update(self, trace, window, lo, hi):
+        if hi == len(trace):
+            self.final = window.x(hi - 1, hi)[0].copy()
+
+    def result(self):
+        dist = float(np.linalg.norm(self.final - self.target))
+        return [
+            CheckResult(
+                "final-point",
+                dist <= self.tol,
+                dist,
+                tol=self.tol,
+                details={"final": self.final.tolist(), "target": self.target.tolist()},
+            )
+        ]
 
 
-ANALYSES: dict[str, Callable] = {
-    "structural": structural_check,
-    "momentum_identity": momentum_identity_check,
-    "rate_bound": rate_bound_check,
-    "xi_monotone": xi_monotone_check,
-    "sufficient_decrease": sufficient_decrease_check,
-    "gap_decay": gap_decay_check,
-    "bounded_iterates": bounded_iterates_check,
-    "cluster_products": cluster_products_check,
-    "xi_difference": xi_difference_check,
-    "span": span_check,
-    "final_point": final_point_check,
+_FOLDS: dict[str, type] = {
+    "structural": _Structural,
+    "momentum_identity": _MomentumIdentity,
+    "rate_bound": _RateBound,
+    "xi_monotone": _XiMonotone,
+    "sufficient_decrease": _SufficientDecrease,
+    "gap_decay": _GapDecay,
+    "bounded_iterates": _BoundedIterates,
+    "cluster_products": _ClusterProducts,
+    "xi_difference": _XiDifference,
+    "span": _Span,
+    "final_point": _FinalPoint,
 }
 
 
-def run_analyses(trace: Trace, problem: CompositeProblem, analyses, rng) -> list:
-    """Run a list of named analyses (strings or {'name': ..., params} dicts)."""
-    results = []
+def _errstate():
+    # a non-finite residual, scale or bound fails its check with NaN, so
+    # numpy's overflow and invalid-value warnings are noise
+    return np.errstate(over="ignore", invalid="ignore")
+
+
+def _replay(fold: type) -> Callable:
+    def analysis(trace: Trace, problem: CompositeProblem, params: dict, rng) -> list:
+        if fold.vectors:
+            trace.require_vectors()
+        window = RowWindow(trace.xs, trace.ys, trace.zs) if trace.has_full_vectors else None
+        with _errstate():
+            state = fold(trace, problem, params, rng, None if window is None else trace.xs[0])
+            for lo in range(0, len(trace), _CSV_CHUNK):
+                state.update(trace, window, lo, min(lo + _CSV_CHUNK, len(trace)))
+            return state.result()
+
+    analysis.__doc__ = fold.__doc__
+    return analysis
+
+
+# name -> check(trace, problem, params, rng) -> [CheckResult]: the fold over a
+# stored trace, in the blocks a run folds it in
+ANALYSES: dict[str, Callable] = {name: _replay(fold) for name, fold in _FOLDS.items()}
+
+
+def _entries(analyses) -> list:
+    """(name, params) of each named analysis (a string or a {'name': ..., params} dict)."""
+    out = []
     for entry in analyses:
         if isinstance(entry, str):
-            name, params = entry, {}
+            out.append((entry, {}))
         else:
             params = dict(entry)
-            name = params.pop("name")
-        results.extend(ANALYSES[name](trace, problem, params, rng))
-    return results
+            out.append((params.pop("name"), params))
+    return out
+
+
+def run_analyses(trace: Trace, problem: CompositeProblem, analyses, rng) -> list:
+    """Run a list of named analyses (strings or {'name': ..., params} dicts) over a stored trace."""
+    return [r for name, params in _entries(analyses) for r in ANALYSES[name](trace, problem, params, rng)]
+
+
+class AnalysisStream:
+    """Named analyses folded over a run's rows as a runner builds them.
+
+    Pass one to a runner (``analyses=``). The runner calls :meth:`start`
+    once before the first row, which sets up every check in order, so every
+    draw from ``rng`` happens there, and :meth:`update` once per
+    ``_CSV_CHUNK`` rows. After a run that did not abort, :meth:`results`
+    gives what :func:`run_analyses` gives on the full trace.
+    """
+
+    def __init__(self, problem: CompositeProblem, analyses, rng):
+        self.problem = problem
+        self.entries = _entries(analyses)
+        self.rng = rng
+        self._folds = []
+
+    def start(self, trace: Trace, x0: np.ndarray) -> None:
+        with _errstate():
+            self._folds = [_FOLDS[name](trace, self.problem, params, self.rng, x0) for name, params in self.entries]
+
+    def update(self, trace: Trace, window: RowWindow, lo: int, hi: int) -> None:
+        with _errstate():
+            for fold in self._folds:
+                fold.update(trace, window, lo, hi)
+
+    def results(self) -> list:
+        with _errstate():
+            return [r for fold in self._folds for r in fold.result()]

@@ -15,8 +15,11 @@ trace and a report with ``aborted_at_row`` are still written). Runs are
 deterministic for a fixed config and seed; rerunning a config reproduces
 its trace CSV byte for byte.
 
-``run`` formats trace.csv in a forked writer process while the solver
-iterates where a second CPU is usable, and after the run otherwise. Every
+``run`` folds the configured checks over each block of rows as the solver
+builds it (:class:`~fistalab.checks.AnalysisStream`), so it keeps x, y and
+z only in a window of a few thousand rows and at the snapshot rows, and
+formats trace.csv in a forked writer process while the solver iterates
+where a second CPU is usable, and after the run otherwise. Every
 artifact is written under a temporary name in the output directory and
 renamed into place, trace.csv first and report.json last, so a crash
 never leaves a half-written file; a run that fails before writing its
@@ -34,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import ANALYSES, run_analyses
+from .checks import ANALYSES, AnalysisStream
 from .diagnostics import ScalarSeq, verdict
 from .families import FAMILIES, build_problem, feasibility_problem
 from .scalar_transform import SCENARIO_NAMES, divergence_witness, get_scenario
@@ -128,9 +131,13 @@ def _load_config(path: Path) -> dict:
 def run_config(config_path, output_dir=None, seed=None) -> int:
     """Execute one experiment config; returns the process exit code.
 
-    Where a second CPU is usable, a forked writer formats trace.csv while
-    the solver iterates (see :class:`~fistalab._sink.CsvSink`); otherwise
-    trace.csv is formatted after the run. The artifacts follow the checks in
+    The checks are set up before the first row (every probe draw from the
+    seeded rng happens there, in analysis order) and folded over the rows
+    as the run builds them, so the run holds no full x, y or z arrays; a
+    bad check parameter fails before the run. Where a second CPU is
+    usable, a forked writer formats trace.csv while the solver iterates
+    (see :class:`~fistalab._sink.CsvSink`); otherwise trace.csv is
+    formatted after the run. The artifacts follow the checks in
     the order trace.csv, snapshots.json, report.json, each written under a
     temporary name and renamed, so every file is replaced whole. A run that
     fails before writing its artifacts leaves the previous ones as they
@@ -156,10 +163,12 @@ def run_config(config_path, output_dir=None, seed=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         sink = CsvSink(out / "trace.csv") if spare_cpu() else None
         with sink or contextlib.nullcontext():
+            analyses = AnalysisStream(problem, cfg.get("analyses", []), np.random.default_rng(use_seed))
             common = dict(
                 s_refs=cfg.get("s_refs", ()),
                 snapshot_every=cfg.get("snapshot_every", 1),
                 csv_sink=sink,
+                analyses=analyses,
             )
             try:
                 if algorithm == "pgm":
@@ -167,9 +176,7 @@ def run_config(config_path, output_dir=None, seed=None) -> int:
                 else:
                     runner = fista_run if algorithm == "fista" else nesterov_run
                     trace = runner(problem, cfg["x0"], cfg["schedule"], cfg["iterations"], **common)
-
-                rng = np.random.default_rng(use_seed)
-                results = run_analyses(trace, problem, cfg.get("analyses", []), rng)
+                results = analyses.results()
             except NonFiniteIterateError as exc:
                 trace, aborted, results = exc.trace, exc, []
             if sink is not None:

@@ -71,13 +71,27 @@ def verdict(seq: ScalarSeq, window: int = DEFAULT_WINDOW, tol: float = DEFAULT_T
     non-finite value in the window yields a not-converged verdict with the
     ``finite_tail`` flag cleared, never an exception.
     """
+    check_window(window, len(seq))
+    return tail_verdict(seq.values[-window:], tol)
+
+
+def check_window(window: int, length: int) -> None:
+    """Raise ValueError unless 2 <= window <= length / 2."""
     if window < 2:
         raise ValueError("window must be >= 2")
-    if 2 * window > len(seq):
-        raise ValueError(f"window {window} too long for a sequence of {len(seq)} values")
+    if 2 * window > length:
+        raise ValueError(f"window {window} too long for a sequence of {length} values")
+
+
+def tail_verdict(tail: np.ndarray, tol: float) -> ConvergenceVerdict:
+    """The verdict on a sequence whose last values are ``tail``; its window is ``len(tail)``.
+
+    The caller has checked the window against the sequence's length with
+    :func:`check_window`.
+    """
+    window = len(tail)
     if not tol >= 0:
         raise ValueError("tol must be nonnegative")
-    tail = seq.values[-window:]
     if not np.all(np.isfinite(tail)):
         return ConvergenceVerdict(
             converged=False,
@@ -115,10 +129,17 @@ def momentum_identity_residual(trace: Trace, d) -> float:
     """
     trace.require_vectors()
     dd = as_vector(d, trace.xs.shape[1])
-    h = trace.xs @ dd
-    t = trace.ts[:-1]
-    g = h[1:] + (t - 1.0) * (h[1:] - h[:-1])
-    return float(np.max(np.abs(g - trace.zs[1:] @ dd)))
+    return float(np.max(momentum_gaps(trace.xs @ dd, trace.ts[:-1], trace.zs[1:] @ dd)))
+
+
+def momentum_gaps(h: np.ndarray, t_prev: np.ndarray, zh: np.ndarray) -> np.ndarray:
+    """|h_k + (t_{k-1} - 1)(h_k - h_{k-1}) - <z_k, d>| for consecutive rows.
+
+    ``h`` holds <x_k, d> for rows k - 1 .. k of every pair, ``t_prev`` and
+    ``zh`` (the <z_k, d>) one entry per pair.
+    """
+    g = h[1:] + (t_prev - 1.0) * (h[1:] - h[:-1])
+    return np.abs(g - zh)
 
 
 def orthonormal_span_basis(vectors: Sequence, drop_tol: float = 1e-10) -> np.ndarray:

@@ -166,15 +166,21 @@ class Schedule:
         if self._explicit is not None:
             return self._explicit[: k_max + 1]
         have = self._ts.size
-        if self.rule == "linear":
-            new = [linear_half(k) for k in range(have, k_max + 1)]
-        else:
-            t = float(self._ts[-1])
-            new = []
-            for _ in range(have, k_max + 1):
-                t = bt_next(t)
-                new.append(t)
-        return np.concatenate([self._ts, new])
+        ts = np.empty(k_max + 1)
+        ts[:have] = self._ts
+        t = float(self._ts[-1])
+        # a few thousand terms at a time, so the Python floats never pile up
+        for lo in range(have, k_max + 1, 4096):
+            hi = min(lo + 4096, k_max + 1)
+            if self.rule == "linear":
+                new = [linear_half(k) for k in range(lo, hi)]
+            else:
+                new = []
+                for _ in range(lo, hi):
+                    t = bt_next(t)
+                    new.append(t)
+            ts[lo:hi] = new
+        return ts
 
     def prefix(self, k_max: int) -> np.ndarray:
         """Return t_0..t_{k_max} as an array, extending the cache as needed."""

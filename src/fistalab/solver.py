@@ -23,14 +23,24 @@ computed, on non-finite input, and discarded; one of them raising still
 reports that row.
 
 The derived columns are built ``_CSV_CHUNK`` rows at a time, as soon as
-the finiteness check has cleared those rows, into preallocated arrays.
-Given a :class:`~fistalab._sink.CsvSink`, each chunk also goes to a
-forked writer process that formats it beside the loop. ``fistalab run``
-passes one where a second CPU is usable; without one, the CSV is
-formatted after the run by :meth:`Trace.to_csv`. The writer's rows go to
-a temporary file that is renamed onto ``trace.csv`` only once the run is
-committed, and :meth:`Trace.save` writes its files the same way, so a
-crash never leaves a half-written artifact.
+the finiteness check has cleared those rows. Given a
+:class:`~fistalab._sink.CsvSink`, each chunk also goes to a forked writer
+process that formats it beside the loop. ``fistalab run`` passes one where
+a second CPU is usable; without one, the CSV is formatted after the run by
+:meth:`Trace.to_csv`. The writer's rows go to a temporary file that is
+renamed onto ``trace.csv`` only once the run is committed, and
+:meth:`Trace.save` writes its files the same way, so a crash never leaves
+a half-written artifact.
+
+Memory. A library run returns every row of x, y and z, so it holds
+O(rows x dim) floats. Given its checks (``analyses=``, an
+:class:`~fistalab.checks.AnalysisStream`), a run folds them over each chunk
+as it is built and keeps vector rows only where something still reads
+them: a window of about two chunks plus one finiteness block (the carried
+row, the objective's window, the chunk of z products that lags one row),
+the snapshot rows, and what the checks sample. Its trace then carries no
+per-row vectors, only the snapshot rows, so vectors take O(chunk x dim)
+memory; the scalar columns stay full length, O(rows).
 
 Traces are columnar (one array per column) and immutable once produced.
 CSV export uses 17 significant digits and a fixed header, so rerunning a
@@ -54,6 +64,7 @@ from .schedule import Schedule
 
 if TYPE_CHECKING:
     from ._sink import CsvSink
+    from .checks import AnalysisStream
 
 __all__ = [
     "Trace",
@@ -68,6 +79,10 @@ __all__ = [
 
 _CSV_CHUNK = 4096
 _BLOCK = 1024
+# rows a streamed run holds: C + 1 rows before the chunk being built (the
+# objective's window and the lagging z products), that chunk, and the
+# finiteness block the loop may run ahead of it
+_WINDOW = 2 * _CSV_CHUNK + _BLOCK
 
 
 def finite_only(value, nonfinite: dict, path: str = ""):
@@ -147,6 +162,57 @@ def _csv_chunk(table: np.ndarray, start: int) -> str:
     return (row_format * len(table)) % tuple(cells.ravel().tolist())
 
 
+def z_recursion(t_prev: np.ndarray, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """||z_k - ((1 - t_{k-1}) x_{k-1} + t_{k-1} x_k)|| for consecutive rows.
+
+    ``xs`` holds rows k - 1 .. k of every pair, ``t_prev`` and ``zs`` one
+    entry per pair.
+    """
+    t_prev = t_prev[:, None]
+    predicted = (1.0 - t_prev) * xs[:-1] + t_prev * xs[1:]
+    return np.linalg.norm(zs - predicted, axis=1)
+
+
+class RowWindow:
+    """Rows ``base`` onward of a run's x, y and z sequences, one ``(rows, dim)`` array each.
+
+    A library run holds every row and ``base`` stays 0. A streamed run holds
+    ``_WINDOW`` rows and :meth:`slide` drops the rows that nothing reads any
+    more. Rows are addressed by their row number k.
+    """
+
+    def __init__(self, xs: np.ndarray, ys: np.ndarray, zs: np.ndarray):
+        self.xs, self.ys, self.zs = xs, ys, zs
+        self.base = 0
+
+    def _rows(self, vectors: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        if lo < self.base:
+            raise IndexError(f"row {lo} was dropped; the window starts at row {self.base}")
+        return vectors[lo - self.base : hi - self.base]
+
+    def x(self, lo: int, hi: int) -> np.ndarray:
+        return self._rows(self.xs, lo, hi)
+
+    def y(self, lo: int, hi: int) -> np.ndarray:
+        return self._rows(self.ys, lo, hi)
+
+    def z(self, lo: int, hi: int) -> np.ndarray:
+        return self._rows(self.zs, lo, hi)
+
+    def slide(self, first: int, top: int) -> None:
+        """Move rows first..top to the front of the arrays; rows before ``first`` are dropped."""
+        shift = first - self.base
+        if shift > 0:
+            for vectors in (self.xs, self.ys, self.zs):
+                vectors[: top - first] = vectors[shift : top - self.base]
+            self.base = first
+
+    def snapshots(self, lo: int, hi: int, rows: Sequence) -> np.ndarray:
+        """The x, y and z of each of ``rows`` (all within lo..hi), shape ``(len(rows), 3, dim)``."""
+        at = np.asarray(rows, dtype=int) - lo
+        return np.stack((self.x(lo, hi)[at], self.y(lo, hi)[at], self.z(lo, hi)[at]), axis=1)
+
+
 class NonFiniteIterateError(RuntimeError):
     """An iteration produced a non-finite point.
 
@@ -177,6 +243,10 @@ class Trace:
     ``res_suffdec`` is NaN wherever the earlier objective value was +inf,
     so inequalities involving an infeasible starting point are skipped
     rather than fabricated.
+
+    ``xs``, ``ys`` and ``zs`` hold every row, or are None. A run that
+    streamed its checks keeps only its snapshot rows, in ``snapshots``:
+    one ``(3, dim)`` entry of x, y and z per snapshot row, in row order.
     """
 
     kind: str
@@ -199,6 +269,7 @@ class Trace:
     ys: Optional[np.ndarray] = None
     zs: Optional[np.ndarray] = None
     snapshot_every: int = 1
+    snapshots: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return int(self.ts.size)
@@ -217,9 +288,7 @@ class Trace:
         """Per-row residual of z_k = (1 - t_{k-1}) x_{k-1} + t_{k-1} x_k (NaN at 0)."""
         self.require_vectors()
         out = np.full(len(self), np.nan)
-        t_prev = self.ts[:-1, None]
-        predicted = (1.0 - t_prev) * self.xs[:-1] + t_prev * self.xs[1:]
-        out[1:] = np.linalg.norm(self.zs[1:] - predicted, axis=1)
+        out[1:] = z_recursion(self.ts[:-1], self.xs, self.zs[1:])
         return out
 
     # ---- export -----------------------------------------------------------
@@ -266,11 +335,14 @@ class Trace:
         The final row is always included so the terminal iterate survives a
         sparse export.
         """
-        self.require_vectors()
         rows = sorted(set(range(0, len(self), self.snapshot_every)) | {len(self) - 1})
+        if self.snapshots is None:
+            self.require_vectors()
+            vectors = [(self.xs[k], self.ys[k], self.zs[k]) for k in rows]
+        else:
+            vectors = self.snapshots
         snapshots = {
-            str(k): {"x": self.xs[k].tolist(), "y": self.ys[k].tolist(), "z": self.zs[k].tolist()}
-            for k in rows
+            str(k): {"x": x.tolist(), "y": y.tolist(), "z": z.tolist()} for k, (x, y, z) in zip(rows, vectors)
         }
         return {
             "kind": self.kind,
@@ -369,49 +441,54 @@ def t_operator(problem: CompositeProblem, y) -> Vector:
     return _step_map(problem)(as_vector(y, problem.dim))
 
 
-def _first_nonfinite_row(ys: np.ndarray, lo: int, hi: int) -> Optional[int]:
-    """The first row in ys[lo+1:hi+1] that is not finite, or None."""
-    finite = np.isfinite(ys[lo + 1 : hi + 1]).all(axis=1)
+def _first_nonfinite_row(window: RowWindow, lo: int, hi: int) -> Optional[int]:
+    """The first of rows lo+1..hi whose y is not finite, or None."""
+    finite = np.isfinite(window.y(lo + 1, hi + 1)).all(axis=1)
     if finite.all():
         return None
     return lo + 1 + int(np.argmin(finite))
 
 
-def _iterate(problem: CompositeProblem, x0: Vector, ts: np.ndarray, xs, ys, cleared) -> Optional[int]:
-    """Run the two-sequence recursion into ``xs`` and ``ys``; returns the bad row or None.
+def _iterate(problem: CompositeProblem, x0: Vector, ts: np.ndarray, window: RowWindow, cleared) -> Optional[int]:
+    """Run the two-sequence recursion into ``window``; returns the bad row or None.
 
     The bad row is the first k + 1 whose y_{k+1} is not finite. The y rows
     are checked once per block of ``_BLOCK`` rows, so up to ``_BLOCK - 1``
     steps past the bad row are computed and discarded. A step that raises
     after a non-finite row of its block reports that row instead. After
     each block found finite, ``cleared(rows)`` is called with the number of
-    leading rows now known to be finite.
+    leading rows now known to be finite; it may slide the window, and
+    returns its new ``base``.
     """
     steps = ts.size - 1
+    xs, ys = window.xs, window.ys
     xs[0] = x0
     ys[0] = x0
     x = x0
     y = x0
     step_map = _step_map(problem)
-    momentum = ((ts[:-1] - 1.0) / ts[1:]).tolist()
+    base = window.base
     for lo in range(0, steps, _BLOCK):
         hi = min(lo + _BLOCK, steps)
+        i = lo + 1 - base  # where row lo + 1 goes
+        momentum = (ts[lo:hi] - 1.0) / ts[lo + 1 : hi + 1]
         try:
-            for k in range(lo, hi):
+            for m in momentum.tolist():
                 x_next = step_map(y)
-                y = x_next + momentum[k] * (x_next - x)
+                y = x_next + m * (x_next - x)
                 x = x_next
-                xs[k + 1] = x
-                ys[k + 1] = y
+                xs[i] = x
+                ys[i] = y
+                i += 1
         except Exception:
-            bad_row = _first_nonfinite_row(ys, lo, k)
+            bad_row = _first_nonfinite_row(window, lo, i + base - 1)
             if bad_row is None:
                 raise
         else:
-            bad_row = _first_nonfinite_row(ys, lo, hi)
+            bad_row = _first_nonfinite_row(window, lo, hi)
         if bad_row is not None:
             return bad_row
-        cleared(hi + 1)
+        base = cleared(hi + 1)
     return None
 
 
@@ -433,13 +510,17 @@ def _validate_s_refs(problem: CompositeProblem, s_refs) -> Optional[np.ndarray]:
 def _empty_trace(
     problem: CompositeProblem,
     ts: np.ndarray,
-    dim: int,
     kind: str,
     schedule_id: str,
     s_refs: Optional[np.ndarray],
     snapshot_every: int,
+    window: Optional[RowWindow],
 ) -> Trace:
-    """A trace with every column allocated for ``ts.size`` rows and not yet filled."""
+    """A trace with every scalar column allocated for ``ts.size`` rows and not yet filled.
+
+    Its vectors are the arrays of ``window``, which must then hold every
+    row, or None.
+    """
     rows = ts.size
     sol = problem.solution
     mu = None if sol is None else sol.mu
@@ -454,36 +535,37 @@ def _empty_trace(
         delta=None if mu is None else np.empty(rows),
         xi=None if mu is None or s_refs is None else np.empty((rows, s_refs.shape[0])),
         s_refs=s_refs,
-        xs=np.empty((rows, dim)),
-        ys=np.empty((rows, dim)),
-        zs=np.empty((rows, dim)),
+        xs=None if window is None else window.xs,
+        ys=None if window is None else window.ys,
+        zs=None if window is None else window.zs,
         snapshot_every=snapshot_every,
         **{name: np.empty(rows) for name in columns},
     )
 
 
-def _fill_rows(trace: Trace, problem: CompositeProblem, lo: int, hi: int) -> None:
-    """Compute the derived columns of rows lo..hi in place from ``xs`` and ``ys``.
+def _fill_rows(trace: Trace, window: RowWindow, problem: CompositeProblem, lo: int, hi: int) -> None:
+    """Compute the derived columns of rows lo..hi in place from the x and y rows of ``window``.
 
     Every column is row-local or reads row k - 1 too, so row lo - 1 is
     carried in; the columns that relate consecutive rows are NaN at row 0.
-    F is evaluated over at least ``_CSV_CHUNK`` finite rows, or over every
-    row up to ``hi`` when there are fewer: a BLAS-backed objective may round
-    a handful of rows differently, so this keeps each F bit equal to one
-    evaluation over the whole trace.
+    The z rows are written into ``window``. F is evaluated over at least
+    ``_CSV_CHUNK`` finite rows, or over every row up to ``hi`` when there
+    are fewer: a BLAS-backed objective may round a handful of rows
+    differently, so this keeps each F bit equal to one evaluation over the
+    whole trace.
     """
     beta = trace.beta
     w = max(lo - 1, 0)
-    ts, xs, ys, zs = trace.ts[w:hi], trace.xs[w:hi], trace.ys[w:hi], trace.zs[w:hi]
+    ts, xs, ys, zs = trace.ts[w:hi], window.x(w, hi), window.y(w, hi), window.z(w, hi)
     new = slice(lo - w, None)
     pairs = slice(w + 1, hi)  # rows k >= 1 of lo..hi; row k - 1 sits one place earlier
     zs[new] = (1.0 - ts[new])[:, None] * xs[new] + ts[new, None] * ys[new]
 
     f_lo = max(0, min(lo, hi - _CSV_CHUNK - 1))  # C + 1 rows, one of them maybe the aborted row
-    window = trace.xs[f_lo:hi]
-    finite = np.isfinite(window).all(axis=1)
+    f_rows = window.x(f_lo, hi)
+    finite = np.isfinite(f_rows).all(axis=1)
     F = np.full(hi - f_lo, np.nan)  # an aborted row stays NaN
-    F[finite] = _objective_rows(problem, window[finite])
+    F[finite] = _objective_rows(problem, f_rows[finite])
     trace.F_x[lo:hi] = F[lo - f_lo :]
     if trace.delta is not None:
         trace.delta[lo:hi] = trace.F_x[lo:hi] - trace.mu
@@ -542,6 +624,7 @@ def _run(
     s_refs: Sequence,
     snapshot_every: int,
     csv_sink: Optional[CsvSink],
+    analyses: Optional[AnalysisStream],
 ) -> Trace:
     """The one iteration core behind every public runner."""
     if iterations < 1:
@@ -550,34 +633,49 @@ def _run(
         raise ValueError("snapshot_every must be >= 1")
     x0 = as_vector(x0, problem.dim)
     refs = _validate_s_refs(problem, s_refs)
-    trace = _empty_trace(problem, ts, x0.size, kind, schedule_id, refs, snapshot_every)
+    streamed = analyses is not None
+    held = min(ts.size, _WINDOW) if streamed else ts.size
+    window = RowWindow(*(np.empty((held, x0.size)) for _ in range(3)))
+    trace = _empty_trace(problem, ts, kind, schedule_id, refs, snapshot_every, None if streamed else window)
+    if streamed:
+        analyses.start(trace, x0)  # every probe draw, before the first row
     if csv_sink is not None:
         header = trace._csv_header()
         csv_sink.start(",".join(header), len(header) - 1)
     built = 0
+    snapshots = []
 
-    def build(rows: int, last: bool) -> None:
+    def build(rows: int, last: bool) -> int:
         # whole chunks of the rows cleared so far; the rest once the run ends
         nonlocal built
         while rows - built >= _CSV_CHUNK or (last and built < rows):
             hi = min(built + _CSV_CHUNK, rows)
-            _fill_rows(trace, problem, built, hi)
+            _fill_rows(trace, window, problem, built, hi)
             if csv_sink is not None:
                 csv_sink.send(trace._csv_table(built, hi), built)
+            if streamed:
+                analyses.update(trace, window, built, hi)
+                first = -(-built // snapshot_every) * snapshot_every
+                snapshots.append(window.snapshots(built, hi, range(first, hi, snapshot_every)))
             built = hi
+        if streamed:
+            window.slide(max(built - _CSV_CHUNK - 1, 0), rows)
+        return window.base
 
     # a non-finite value ends the run as NonFiniteIterateError and stays in
     # the trace, so numpy's overflow and invalid-value warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
-        bad_row = _iterate(problem, x0, ts, trace.xs, trace.ys, lambda rows: build(rows, False))
+        bad_row = _iterate(problem, x0, ts, window, lambda rows: build(rows, False))
         rows = ts.size if bad_row is None else bad_row + 1
         build(rows, True)
+    if streamed:
+        if (rows - 1) % snapshot_every:
+            snapshots.append(window.snapshots(rows - 1, rows, [rows - 1]))
+        trace.snapshots = np.concatenate(snapshots)
     if bad_row is not None:
         # copies, so the partial trace does not hold the whole preallocation
         kept = {name: getattr(trace, name)[:rows].copy() for name in _ROW_COLUMNS if getattr(trace, name) is not None}
-        trace = dataclasses.replace(trace, **kept)
-    if bad_row is not None:
-        raise NonFiniteIterateError(bad_row, trace)
+        raise NonFiniteIterateError(bad_row, dataclasses.replace(trace, **kept))
     return trace
 
 
@@ -590,6 +688,7 @@ def fista_run(
     snapshot_every: int = 1,
     *,
     csv_sink: Optional[CsvSink] = None,
+    analyses: Optional[AnalysisStream] = None,
 ) -> Trace:
     """Accelerated proximal gradient run with a full diagnostic trace.
 
@@ -601,11 +700,14 @@ def fista_run(
     :class:`NonFiniteIterateError`, the offending row retained in the
     attached partial trace. Given a fresh ``csv_sink``, the CSV rows
     are streamed to it as the run goes, up to the offending row on an
-    abort; the sink's commit puts the CSV in place.
+    abort; the sink's commit puts the CSV in place. Given ``analyses``,
+    their checks are folded over the rows as the run goes (read them with
+    its ``results``), and the trace keeps no per-row vectors, only its
+    snapshot rows; without, it keeps every row of x, y and z.
     """
     sched = _coerce_schedule(schedule)
     ts = sched.prefix(iterations)  # raises ScheduleError before any iteration
-    return _run(problem, x0, iterations, ts, "fista", sched.label, s_refs, snapshot_every, csv_sink)
+    return _run(problem, x0, iterations, ts, "fista", sched.label, s_refs, snapshot_every, csv_sink, analyses)
 
 
 def pgm_run(
@@ -616,6 +718,7 @@ def pgm_run(
     snapshot_every: int = 1,
     *,
     csv_sink: Optional[CsvSink] = None,
+    analyses: Optional[AnalysisStream] = None,
 ) -> Trace:
     """Plain proximal gradient run: x_{k+1} = T(x_k), recorded like a trace.
 
@@ -623,7 +726,7 @@ def pgm_run(
     coincide with the iterate and keeps all structural identities valid.
     """
     ts = np.ones(iterations + 1)
-    return _run(problem, x0, iterations, ts, "pgm", "constant-1", s_refs, snapshot_every, csv_sink)
+    return _run(problem, x0, iterations, ts, "pgm", "constant-1", s_refs, snapshot_every, csv_sink, analyses)
 
 
 def _require_zero_g(problem: CompositeProblem, x0: Vector) -> None:
@@ -646,6 +749,7 @@ def nesterov_run(
     snapshot_every: int = 1,
     *,
     csv_sink: Optional[CsvSink] = None,
+    analyses: Optional[AnalysisStream] = None,
 ) -> Trace:
     """Accelerated gradient descent: the g = 0 special case, by its own name.
 
@@ -656,4 +760,4 @@ def nesterov_run(
     _require_zero_g(problem, x0)
     sched = _coerce_schedule(schedule)
     ts = sched.prefix(iterations)
-    return _run(problem, x0, iterations, ts, "nesterov", sched.label, s_refs, snapshot_every, csv_sink)
+    return _run(problem, x0, iterations, ts, "nesterov", sched.label, s_refs, snapshot_every, csv_sink, analyses)

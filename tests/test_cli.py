@@ -16,6 +16,7 @@ from fistalab.cli import main, repro_fig1, run_config
 REPO = Path(__file__).resolve().parent.parent
 FIG1_SHA256 = "e8e483ab14e58c4b7f60feebb573086b69b4d8949ece96a515e1268093aa0e44"
 FIG1_PGM_SHA256 = "ee8c3f07556698000130219a4bbb8ac051ea11f02ee6dc69cb66b495f816aa41"
+FIG1_SNAPSHOTS_SHA256 = "aded90ae35bf4ffb5ee4e05b5622b67a3a6b62ee5e4c6d0d6daf7640ca7236b9"
 
 
 def strict_json(text: str):
@@ -115,6 +116,23 @@ class TestRun:
     def test_missing_output_dir_exits_two(self, tmp_path):
         cfg = write_config(tmp_path)
         assert run_config(cfg) == 2
+
+    def test_bad_check_parameter_fails_before_the_first_step(self, tmp_path, monkeypatch, capsys):
+        # the checks are set up before the run, so a window longer than half the run costs no step
+        feas = feasibility_problem()
+        steps = []
+
+        def gradient(x):
+            steps.append(1)
+            return feas.f.gradient(x)
+
+        counted = dataclasses.replace(feas, f=dataclasses.replace(feas.f, gradient=gradient))
+        monkeypatch.setattr(cli, "build_problem", lambda family, params: counted)
+        cfg = write_config(tmp_path, analyses=[{"name": "cluster_products", "window": 300, "tol": 1e-2}])
+        assert run_config(cfg, output_dir=tmp_path / "out") == 2
+        assert "window 300 too long" in capsys.readouterr().err
+        assert steps == []
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_seed_override_changes_probe_draws_not_trace(self, tmp_path):
         cfg = write_config(
@@ -263,13 +281,20 @@ class TestNumericalAbort:
             assert np.array_equal(np.signbit(got[signed]), np.signbit(expected[signed])), name
 
 
+@pytest.fixture(scope="module")
+def fig1_out(tmp_path_factory):
+    """The artifacts of one ``fistalab run configs/fig1.json`` (1e5 rows), shared by the gates below."""
+    out = tmp_path_factory.mktemp("fig1")
+    assert run_config(REPO / "configs" / "fig1.json", output_dir=out) == 0
+    return out
+
+
 class TestBundledTraceHash:
-    def test_fig1_trace_matches_benchmark_reference(self, tmp_path):
+    def test_fig1_trace_matches_benchmark_reference(self, fig1_out):
         # the accelerated run: t_k > 1, so this hash covers the momentum step
         reference = json.loads((REPO / "perfbench" / "reference.json").read_text())
         assert reference["fig1"]["trace_sha256"]["fig1"] == FIG1_SHA256
-        assert run_config(REPO / "configs" / "fig1.json", output_dir=tmp_path) == 0
-        assert hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest() == FIG1_SHA256
+        assert hashlib.sha256((fig1_out / "trace.csv").read_bytes()).hexdigest() == FIG1_SHA256
 
     def test_fig1_pgm_trace_is_byte_identical(self, tmp_path):
         committed = REPO / "out" / "fig1-pgm" / "trace.csv"
@@ -283,6 +308,20 @@ class TestBundledTraceHash:
         assert run_config(REPO / "configs" / "fig1-pgm.json", output_dir=tmp_path) == 0
         committed = REPO / "out" / "fig1-pgm" / "snapshots.json"
         assert (tmp_path / "snapshots.json").read_bytes() == committed.read_bytes()
+
+
+class TestBundledReportGolden:
+    """The checks of both bundled configs, pinned to the values recorded before the checks streamed."""
+
+    def test_fig1_checks_and_snapshots_match_the_golden(self, fig1_out):
+        golden = strict_json((REPO / "tests" / "golden" / "fig1_checks.json").read_text())
+        assert strict_json((fig1_out / "report.json").read_text())["checks"] == golden
+        assert hashlib.sha256((fig1_out / "snapshots.json").read_bytes()).hexdigest() == FIG1_SNAPSHOTS_SHA256
+
+    def test_fig1_pgm_report_matches_the_committed_one(self, tmp_path):
+        assert run_config(REPO / "configs" / "fig1-pgm.json", output_dir=tmp_path) == 0
+        committed = strict_json((REPO / "out" / "fig1-pgm" / "report.json").read_text())
+        assert strict_json((tmp_path / "report.json").read_text()) == committed
 
 
 class TestReproFig1:

@@ -10,6 +10,7 @@ import pytest
 
 from fistalab import (
     CompositeProblem,
+    MissingSnapshotError,
     NonFiniteIterateError,
     NonsmoothPart,
     Schedule,
@@ -28,6 +29,7 @@ from fistalab import (
     zero_part,
 )
 from fistalab._sink import CsvSink
+from fistalab.checks import AnalysisStream
 from fistalab.problem import _objective_rows
 from fistalab.solver import _BLOCK, _CSV_CHUNK, _ROW_COLUMNS
 
@@ -508,6 +510,49 @@ class TestExport:
         trace.save(tmp_path)
         loaded = Trace.load(tmp_path)
         assert not loaded.has_full_vectors
+
+
+class TestSaveLoadRoundTrip:
+    """Seeded property test: every scalar column survives save/load bit for bit."""
+
+    def test_seeded_runs_round_trip(self, tmp_path):
+        rng = np.random.default_rng(20261018)
+        for case in range(16):
+            family = str(rng.choice(["feasibility", "l1_quadratic", "quadratic"]))
+            dim = 2 if family == "feasibility" else int(rng.integers(1, 9))
+            problem = {
+                "feasibility": feasibility_problem,
+                "l1_quadratic": lambda: l1_quadratic(dim=dim, seed=case),
+                "quadratic": lambda: random_quadratic(dim=dim, seed=case),
+            }[family]()
+            iterations = int(rng.choice([1, 2, int(rng.integers(3, 200)), int(rng.integers(_CSV_CHUNK, 2 * _CSV_CHUNK))]))
+            every = int(rng.choice([1, 2, int(rng.integers(3, 50)), iterations + 3]))
+            x0 = rng.standard_normal(dim) * 10.0 ** rng.integers(-3, 4)
+            s_refs = [problem.solution.s_ref] if family != "feasibility" else S_REFS
+            trace = fista_run(problem, x0, "bt", iterations, s_refs=s_refs, snapshot_every=every)
+            out = tmp_path / str(case)
+            trace.save(out)
+            loaded = Trace.load(out)
+            label = f"case {case}: {family} dim {dim}, {iterations} iterations, every {every}"
+            for name in SCALAR_COLUMNS:
+                assert getattr(loaded, name).tobytes() == getattr(trace, name).tobytes(), (label, name)
+            rows = iterations + 1
+            if len(set(range(0, rows, every)) | {rows - 1}) == rows:
+                for name in ("xs", "ys", "zs"):
+                    assert getattr(loaded, name).tobytes() == getattr(trace, name).tobytes(), (label, name)
+            else:
+                assert loaded.xs is None and loaded.ys is None and loaded.zs is None, label
+                with pytest.raises(MissingSnapshotError):
+                    loaded.require_vectors()
+            # a run that streams its checks keeps only the snapshot rows, and saves the same bytes
+            streamed = fista_run(
+                problem, x0, "bt", iterations, s_refs=s_refs, snapshot_every=every,
+                analyses=AnalysisStream(problem, [], rng),
+            )
+            streamed.save(tmp_path / f"{case}-streamed")
+            for name in ("trace.csv", "snapshots.json"):
+                want = (out / name).read_bytes()
+                assert (tmp_path / f"{case}-streamed" / name).read_bytes() == want, (label, name)
 
 
 def whole_array_columns(problem, ts, xs, ys, s_refs):
