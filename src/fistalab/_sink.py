@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .solver import _csv_chunk, _temp_path
+from .solver import _csv_chunk, write_atomically
 
 __all__ = ["CsvSink", "spare_cpu"]
 
@@ -43,39 +43,37 @@ def _writer_main(read_fd: int, path: Path, header: str, columns: int) -> None:
     """Body of the forked writer; it leaves only through ``os._exit``, and calls no BLAS.
 
     Reads (first row, row count) heads, each followed by that many rows of
-    ``columns`` float64 values, and appends their CSV text to a temporary
-    file. A negative row count is the end marker: the file is renamed onto
-    ``path``. At end of input without it, the file is removed.
+    ``columns`` float64 values, and writes their CSV text through
+    :func:`~fistalab.solver.write_atomically`. A negative row count is the
+    end marker: the file is renamed onto ``path``. At end of input without
+    it, the file is removed and the writer exits 0.
     """
-    code = 1
-    tmp = _temp_path(path)
-    try:
-        # an interrupt reaches the parent too, which then closes the pipe
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        committed = False
+
+    def write(tmp: Path) -> None:
         with os.fdopen(read_fd, "rb") as pipe, open(tmp, "w") as out:
             out.write(header + "\n")
             while True:
                 head = pipe.read(_HEAD)
                 if len(head) < _HEAD:
-                    break
+                    raise EOFError
                 start, rows = np.frombuffer(head, dtype=np.int64).tolist()
                 if rows < 0:
-                    committed = True
-                    break
+                    return
                 data = pipe.read(rows * columns * 8)
                 if len(data) < rows * columns * 8:
-                    break
-                table = np.frombuffer(data, dtype=np.float64).reshape(rows, columns)
-                out.write(_csv_chunk(table, start))
-        if committed:
-            os.replace(tmp, path)
-        else:
-            tmp.unlink()
+                    raise EOFError
+                out.write(_csv_chunk(np.frombuffer(data, dtype=np.float64).reshape(rows, columns), start))
+
+    code = 1
+    try:
+        # an interrupt reaches the parent too, which then closes the pipe
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        write_atomically(path, write)
+        code = 0
+    except EOFError:  # not committed; write_atomically removed the file
         code = 0
     except BaseException as exc:
         try:
-            tmp.unlink(missing_ok=True)
             os.write(2, f"trace writer for {path}: {exc!r}\n".encode())
         except BaseException:
             pass

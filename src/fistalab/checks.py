@@ -17,7 +17,8 @@ exception is a BLAS product <v_k, d>, whose rounding depends on how the
 rows are split; :func:`_products` keeps the split of the one whole-array
 product. ``fistalab run`` folds the checks as the run builds each block
 (:class:`AnalysisStream`), so it never holds every row of x, y and z;
-``ANALYSES[name]`` runs the same fold over a stored trace.
+``ANALYSES[name]`` and :func:`run_analyses` run the same fold over a stored
+trace (:meth:`AnalysisStream.fold`).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .diagnostics import check_window, momentum_gaps, orthonormal_span_basis, tail_verdict
 from .problem import CompositeProblem, as_vector, eval_F
-from .solver import _CSV_CHUNK, RowWindow, Trace, finite_only, z_recursion
+from .solver import _CSV_CHUNK, RowWindow, Trace, tag_nonfinite, z_recursion
 
 __all__ = ["CheckResult", "ANALYSES", "AnalysisStream", "run_analyses"]
 
@@ -57,11 +58,7 @@ class CheckResult:
         }
         if self.details:
             out["details"] = self.details
-        nonfinite = {}
-        out = finite_only(out, nonfinite)
-        if nonfinite:
-            out["nonfinite"] = nonfinite
-        return out
+        return tag_nonfinite(out)
 
 
 def _worst(residual, scale=1.0) -> float:
@@ -551,51 +548,53 @@ def _errstate():
     return np.errstate(over="ignore", invalid="ignore")
 
 
-def _replay(fold: type) -> Callable:
+def _analysis(name: str) -> Callable:
     def analysis(trace: Trace, problem: CompositeProblem, params: dict, rng) -> list:
-        if fold.vectors:
-            trace.require_vectors()
-        window = RowWindow(trace.xs, trace.ys, trace.zs) if trace.has_full_vectors else None
-        with _errstate():
-            state = fold(trace, problem, params, rng, None if window is None else trace.xs[0])
-            for lo in range(0, len(trace), _CSV_CHUNK):
-                state.update(trace, window, lo, min(lo + _CSV_CHUNK, len(trace)))
-            return state.result()
+        return AnalysisStream(problem, [{**params, "name": name}], rng).fold(trace)
 
-    analysis.__doc__ = fold.__doc__
+    analysis.__doc__ = _FOLDS[name].__doc__
     return analysis
 
 
 # name -> check(trace, problem, params, rng) -> [CheckResult]: the fold over a
 # stored trace, in the blocks a run folds it in
-ANALYSES: dict[str, Callable] = {name: _replay(fold) for name, fold in _FOLDS.items()}
+ANALYSES: dict[str, Callable] = {name: _analysis(name) for name in _FOLDS}
 
 
 def _entries(analyses) -> list:
-    """(name, params) of each named analysis (a string or a {'name': ..., params} dict)."""
+    """(name, params) of each analysis entry: a name, or a {'name': ..., params} dict.
+
+    A malformed entry or an unknown name is a ValueError.
+    """
     out = []
     for entry in analyses:
         if isinstance(entry, str):
-            out.append((entry, {}))
-        else:
+            name, params = entry, {}
+        elif isinstance(entry, dict) and "name" in entry:
             params = dict(entry)
-            out.append((params.pop("name"), params))
+            name = params.pop("name")
+        else:
+            raise ValueError(f"bad analysis entry {entry!r}")
+        if not isinstance(name, str) or name not in _FOLDS:
+            raise ValueError(f"unknown analysis {name!r}; known: {sorted(_FOLDS)}")
+        out.append((name, params))
     return out
 
 
 def run_analyses(trace: Trace, problem: CompositeProblem, analyses, rng) -> list:
     """Run a list of named analyses (strings or {'name': ..., params} dicts) over a stored trace."""
-    return [r for name, params in _entries(analyses) for r in ANALYSES[name](trace, problem, params, rng)]
+    return AnalysisStream(problem, analyses, rng).fold(trace)
 
 
 class AnalysisStream:
-    """Named analyses folded over a run's rows as a runner builds them.
+    """Named analyses folded over a run's rows as a runner builds them, or over a stored trace.
 
     Pass one to a runner (``analyses=``). The runner calls :meth:`start`
     once before the first row, which sets up every check in order, so every
     draw from ``rng`` happens there, and :meth:`update` once per
     ``_CSV_CHUNK`` rows. After a run that did not abort, :meth:`results`
-    gives what :func:`run_analyses` gives on the full trace.
+    gives what :meth:`fold` gives on the full trace. A malformed entry or an
+    unknown name is a ValueError here, before any run.
     """
 
     def __init__(self, problem: CompositeProblem, analyses, rng):
@@ -616,3 +615,13 @@ class AnalysisStream:
     def results(self) -> list:
         with _errstate():
             return [r for fold in self._folds for r in fold.result()]
+
+    def fold(self, trace: Trace) -> list:
+        """The results over a stored trace, in the blocks a run folds; MissingSnapshotError if a check lacks rows."""
+        if any(_FOLDS[name].vectors for name, _ in self.entries):
+            trace.require_vectors()
+        window = RowWindow(trace.xs, trace.ys, trace.zs) if trace.has_full_vectors else None
+        self.start(trace, None if window is None else trace.xs[0])
+        for lo in range(0, len(trace), _CSV_CHUNK):
+            self.update(trace, window, lo, min(lo + _CSV_CHUNK, len(trace)))
+        return self.results()

@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import ANALYSES, AnalysisStream
+from .checks import AnalysisStream, _entries
 from .diagnostics import ScalarSeq, verdict
 from .families import FAMILIES, build_problem, feasibility_problem
 from .scalar_transform import SCENARIO_NAMES, divergence_witness, get_scenario
@@ -116,15 +116,10 @@ def _load_config(path: Path) -> dict:
     if not isinstance(seed, int):
         raise ConfigError("seed must be an integer")
 
-    for entry in raw.get("analyses", []):
-        if isinstance(entry, str):
-            name = entry
-        elif isinstance(entry, dict) and "name" in entry:
-            name = entry["name"]
-        else:
-            raise ConfigError(f"bad analysis entry {entry!r}")
-        if name not in ANALYSES:
-            raise ConfigError(f"unknown analysis {name!r}; known: {sorted(ANALYSES)}")
+    try:
+        _entries(raw.get("analyses", []))
+    except ValueError as exc:
+        raise ConfigError(exc) from None
     return raw
 
 

@@ -183,7 +183,7 @@ class Schedule:
         return ts
 
     def prefix(self, k_max: int) -> np.ndarray:
-        """Return t_0..t_{k_max} as an array, extending the cache as needed."""
+        """Return t_0..t_{k_max} as a read-only view of the cache, extending it as needed."""
         if k_max < 0:
             raise ValueError("k_max must be nonnegative")
         if self._ts.size <= k_max:
@@ -200,7 +200,9 @@ class Schedule:
                     f"explicit schedule has {ts.size} entries; index {ts.size} requested"
                 )
             self._ts = ts
-        return self._ts[: k_max + 1].copy()
+        view = self._ts[: k_max + 1]
+        view.flags.writeable = False
+        return view
 
     def t(self, k: int) -> float:
         return float(self.prefix(k)[k])

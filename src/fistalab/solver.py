@@ -17,13 +17,11 @@ with t_k = 1 for every k, and Nesterov's accelerated gradient is FISTA
 with g = 0; the loop and :func:`t_operator` share one proximal gradient
 step. The core aborts with :class:`NonFiniteIterateError` at the first
 non-finite extrapolation point y_{k+1} (a non-finite x_{k+1} always makes
-y_{k+1} non-finite too). It checks finiteness once per block of
-``_BLOCK`` rows, so at most ``_BLOCK - 1`` steps past that row are
-computed, on non-finite input, and discarded; one of them raising still
-reports that row.
-
-The derived columns are built ``_CSV_CHUNK`` rows at a time, as soon as
-the finiteness check has cleared those rows. Given a
+y_{k+1} non-finite too). One loop, in ``_run``, walks a run's rows: it
+checks finiteness once per block of ``_BLOCK`` rows, so at most
+``_BLOCK - 1`` steps past that row are computed, on non-finite input, and
+discarded (one of them raising still reports that row), then builds the
+derived columns of each ``_CSV_CHUNK`` rows the check has cleared. Given a
 :class:`~fistalab._sink.CsvSink`, each chunk also goes to a forked writer
 process that formats it beside the loop. ``fistalab run`` passes one where
 a second CPU is usable; without one, the CSV is formatted after the run by
@@ -84,6 +82,22 @@ _BLOCK = 1024
 # finiteness block the loop may run ahead of it
 _WINDOW = 2 * _CSV_CHUNK + _BLOCK
 
+# (CSV header, Trace field) of each scalar column, in CSV order after "k";
+# "xi_s" heads one column xi_s0, xi_s1, ... per reference point
+_COLUMNS = (
+    ("t", "ts"),
+    ("Fx", "F_x"),
+    ("delta", "delta"),
+    ("xi_s", "xi"),
+    ("res_zdef", "res_zdef"),
+    ("res_convex", "res_convex"),
+    ("res_suffdec", "res_suffdec"),
+    ("gap_xy", "gap_xy"),
+    ("norm_x", "norm_x"),
+    ("norm_z", "norm_z"),
+)
+_ROW_COLUMNS = tuple(field for _, field in _COLUMNS) + ("xs", "ys", "zs")
+
 
 def finite_only(value, nonfinite: dict, path: str = ""):
     """Copy of ``value`` with non-finite floats as None, their tags in ``nonfinite``.
@@ -112,28 +126,29 @@ def restore_nonfinite(value, nonfinite: dict, path: str = ""):
     return value
 
 
-def strict_json(payload: dict) -> str:
-    """Artifact text: strict JSON, non-finite floats as null tagged under "nonfinite"."""
+def tag_nonfinite(payload: dict) -> dict:
+    """Copy of ``payload`` with non-finite floats as null, their tags under "nonfinite"."""
     nonfinite = {}
     tagged = finite_only(payload, nonfinite)
     if nonfinite:
         tagged["nonfinite"] = nonfinite
-    return json.dumps(tagged, sort_keys=True, indent=1, allow_nan=False)
+    return tagged
 
 
-def _temp_path(path: Path) -> Path:
-    """A name beside ``path`` that no other process writes: it carries this pid."""
-    return path.with_name(f".{path.name}.{os.getpid()}.tmp")
+def strict_json(payload: dict) -> str:
+    """Artifact text: strict JSON, non-finite floats as null tagged under "nonfinite"."""
+    return json.dumps(tag_nonfinite(payload), sort_keys=True, indent=1, allow_nan=False)
 
 
 def write_atomically(path, write) -> Path:
     """Call ``write(temp)`` on a temporary name beside ``path``, then rename it onto ``path``.
 
-    On failure the temporary file is removed, so ``path`` holds either its
-    old content or the complete new one, never a partial file.
+    The temporary name carries the pid, so no other process writes it. On
+    failure the temporary file is removed, so ``path`` holds either its old
+    content or the complete new one, never a partial file.
     """
     path = Path(path)
-    tmp = _temp_path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         write(tmp)
         os.replace(tmp, path)
@@ -294,26 +309,16 @@ class Trace:
     # ---- export -----------------------------------------------------------
 
     def _csv_header(self) -> list:
-        cols = ["k", "t", "Fx"]
-        if self.delta is not None:
-            cols.append("delta")
-        if self.xi is not None:
-            cols.extend(f"xi_s{j}" for j in range(self.xi.shape[1]))
-        cols.extend(["res_zdef", "res_convex", "res_suffdec", "gap_xy", "norm_x", "norm_z"])
+        cols = ["k"]
+        for name, field in _COLUMNS:
+            values = getattr(self, field)
+            if values is not None:
+                cols.extend([name] if values.ndim == 1 else (f"{name}{j}" for j in range(values.shape[1])))
         return cols
 
     def _csv_table(self, lo: int, hi: int) -> np.ndarray:
         """The float columns of CSV rows lo..hi as one (rows, columns) array."""
-        columns = [self.ts[lo:hi], self.F_x[lo:hi]]
-        if self.delta is not None:
-            columns.append(self.delta[lo:hi])
-        if self.xi is not None:
-            columns.append(self.xi[lo:hi])
-        columns.extend(
-            column[lo:hi]
-            for column in (self.res_zdef, self.res_convex, self.res_suffdec, self.gap_xy, self.norm_x, self.norm_z)
-        )
-        return np.column_stack(columns)
+        return np.column_stack([getattr(self, f)[lo:hi] for _, f in _COLUMNS if getattr(self, f) is not None])
 
     def to_csv(self, path) -> Path:
         """Write the scalar columns with fixed 17-significant-digit formatting.
@@ -369,11 +374,11 @@ class Trace:
 
     @classmethod
     def load(cls, outdir) -> "Trace":
-        """Rebuild a trace from ``save`` artifacts.
+        """Rebuild a trace from ``save`` artifacts; saving it again writes the same bytes.
 
         Vector columns are restored only when the snapshots cover every row;
-        otherwise the trace is vector-free and vector-hungry diagnostics
-        raise :class:`MissingSnapshotError`.
+        otherwise the trace keeps the snapshot rows in ``snapshots`` and
+        vector-hungry diagnostics raise :class:`MissingSnapshotError`.
         """
         outdir = Path(outdir)
         meta = json.loads((outdir / "snapshots.json").read_text())
@@ -384,37 +389,32 @@ class Trace:
             header = fh.readline().rstrip("\n").split(",")
         data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
         col = {name: data[:, i] for i, name in enumerate(header)}
-        rows = int(meta["rows"])
+        scalars = {}
+        for name, field in _COLUMNS:
+            if name in col:
+                scalars[field] = col[name]
+            elif f"{name}0" in col:  # one column per reference point
+                scalars[field] = np.column_stack([col[h] for h in header if h.startswith(name)])
 
-        xi_names = [name for name in header if name.startswith("xi_s")]
-        xi = np.column_stack([col[name] for name in xi_names]) if xi_names else None
-        xs = ys = zs = None
-        if len(meta["snapshots"]) == rows:
-            order = sorted(meta["snapshots"], key=int)
-            xs = np.array([meta["snapshots"][k]["x"] for k in order])
-            ys = np.array([meta["snapshots"][k]["y"] for k in order])
-            zs = np.array([meta["snapshots"][k]["z"] for k in order])
+        order = sorted(meta["snapshots"], key=int)
+        xs, ys, zs = (np.array([meta["snapshots"][k][v] for k in order]) for v in "xyz")
+        snapshots = None
+        if len(order) < int(meta["rows"]):
+            snapshots = np.stack((xs, ys, zs), axis=1)
+            xs = ys = zs = None
         return cls(
             kind=meta["kind"],
             problem_id=meta["problem"],
             schedule_id=meta["schedule"],
             beta=float(meta["beta"]),
             mu=None if meta["mu"] is None else float(meta["mu"]),
-            ts=col["t"],
-            F_x=col["Fx"],
-            delta=col.get("delta"),
-            xi=xi,
             s_refs=None if meta["s_refs"] is None else np.asarray(meta["s_refs"], dtype=float),
-            res_zdef=col["res_zdef"],
-            res_convex=col["res_convex"],
-            res_suffdec=col["res_suffdec"],
-            gap_xy=col["gap_xy"],
-            norm_x=col["norm_x"],
-            norm_z=col["norm_z"],
             xs=xs,
             ys=ys,
             zs=zs,
             snapshot_every=int(meta["snapshot_every"]),
+            snapshots=snapshots,
+            **scalars,
         )
 
 
@@ -449,47 +449,35 @@ def _first_nonfinite_row(window: RowWindow, lo: int, hi: int) -> Optional[int]:
     return lo + 1 + int(np.argmin(finite))
 
 
-def _iterate(problem: CompositeProblem, x0: Vector, ts: np.ndarray, window: RowWindow, cleared) -> Optional[int]:
-    """Run the two-sequence recursion into ``window``; returns the bad row or None.
+def _iterate(step_map, ts: np.ndarray, window: RowWindow, lo: int, hi: int) -> Optional[int]:
+    """Steps lo..hi - 1 of the two-sequence recursion, from row lo of ``window`` into rows lo + 1..hi.
 
-    The bad row is the first k + 1 whose y_{k+1} is not finite. The y rows
-    are checked once per block of ``_BLOCK`` rows, so up to ``_BLOCK - 1``
-    steps past the bad row are computed and discarded. A step that raises
-    after a non-finite row of its block reports that row instead. After
-    each block found finite, ``cleared(rows)`` is called with the number of
-    leading rows now known to be finite; it may slide the window, and
-    returns its new ``base``.
+    Returns the first of those rows whose y is not finite, or None. The y
+    rows are checked once, after the block, so the steps past that row are
+    computed and discarded; a step that raises after a non-finite row
+    reports that row instead. The block starts from copies of row lo's x
+    and y, so a ``step_map`` that writes into its argument cannot change a
+    stored row.
     """
-    steps = ts.size - 1
+    x = window.x(lo, lo + 1)[0].copy()
+    y = window.y(lo, lo + 1)[0].copy()
     xs, ys = window.xs, window.ys
-    xs[0] = x0
-    ys[0] = x0
-    x = x0
-    y = x0
-    step_map = _step_map(problem)
-    base = window.base
-    for lo in range(0, steps, _BLOCK):
-        hi = min(lo + _BLOCK, steps)
-        i = lo + 1 - base  # where row lo + 1 goes
-        momentum = (ts[lo:hi] - 1.0) / ts[lo + 1 : hi + 1]
-        try:
-            for m in momentum.tolist():
-                x_next = step_map(y)
-                y = x_next + m * (x_next - x)
-                x = x_next
-                xs[i] = x
-                ys[i] = y
-                i += 1
-        except Exception:
-            bad_row = _first_nonfinite_row(window, lo, i + base - 1)
-            if bad_row is None:
-                raise
-        else:
-            bad_row = _first_nonfinite_row(window, lo, hi)
-        if bad_row is not None:
-            return bad_row
-        base = cleared(hi + 1)
-    return None
+    i = lo + 1 - window.base  # where row lo + 1 goes
+    momentum = (ts[lo:hi] - 1.0) / ts[lo + 1 : hi + 1]
+    try:
+        for m in momentum.tolist():
+            x_next = step_map(y)
+            y = x_next + m * (x_next - x)
+            x = x_next
+            xs[i] = x
+            ys[i] = y
+            i += 1
+    except Exception:
+        bad_row = _first_nonfinite_row(window, lo, i + window.base - 1)
+        if bad_row is None:
+            raise
+        return bad_row
+    return _first_nonfinite_row(window, lo, hi)
 
 
 def _validate_s_refs(problem: CompositeProblem, s_refs) -> Optional[np.ndarray]:
@@ -514,17 +502,12 @@ def _empty_trace(
     schedule_id: str,
     s_refs: Optional[np.ndarray],
     snapshot_every: int,
-    window: Optional[RowWindow],
 ) -> Trace:
-    """A trace with every scalar column allocated for ``ts.size`` rows and not yet filled.
-
-    Its vectors are the arrays of ``window``, which must then hold every
-    row, or None.
-    """
+    """A vector-free trace with every scalar column but ``ts`` allocated for ``ts.size`` rows and not yet filled."""
     rows = ts.size
     sol = problem.solution
     mu = None if sol is None else sol.mu
-    columns = ("F_x", "res_zdef", "res_convex", "res_suffdec", "gap_xy", "norm_x", "norm_z")
+    columns = {field: np.empty(rows) for _, field in _COLUMNS if field not in ("ts", "delta", "xi")}
     return Trace(
         kind=kind,
         problem_id=problem.problem_id,
@@ -535,11 +518,8 @@ def _empty_trace(
         delta=None if mu is None else np.empty(rows),
         xi=None if mu is None or s_refs is None else np.empty((rows, s_refs.shape[0])),
         s_refs=s_refs,
-        xs=None if window is None else window.xs,
-        ys=None if window is None else window.ys,
-        zs=None if window is None else window.zs,
         snapshot_every=snapshot_every,
-        **{name: np.empty(rows) for name in columns},
+        **columns,
     )
 
 
@@ -600,12 +580,6 @@ def _fill_rows(trace: Trace, window: RowWindow, problem: CompositeProblem, lo: i
     trace.norm_z[lo:hi] = np.linalg.norm(zs[new], axis=1)
 
 
-_ROW_COLUMNS = (
-    "ts", "F_x", "delta", "xi", "res_zdef", "res_convex", "res_suffdec", "gap_xy", "norm_x",
-    "norm_z", "xs", "ys", "zs",
-)
-
-
 def _coerce_schedule(schedule) -> Schedule:
     if isinstance(schedule, Schedule):
         return schedule
@@ -626,7 +600,14 @@ def _run(
     csv_sink: Optional[CsvSink],
     analyses: Optional[AnalysisStream],
 ) -> Trace:
-    """The one iteration core behind every public runner."""
+    """The one iteration core behind every public runner, and the one loop over a run's rows.
+
+    Each pass runs one block of ``_BLOCK`` steps (:func:`_iterate`), then
+    builds each whole chunk ``[k*C, (k+1)*C)`` (C = ``_CSV_CHUNK``) of the
+    rows found finite: fills its columns, sends it to ``csv_sink``, folds
+    ``analyses`` over it and keeps its snapshot rows. The last pass builds
+    the short last chunk too; the others then slide a streamed window.
+    """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     if snapshot_every < 1:
@@ -636,42 +617,45 @@ def _run(
     streamed = analyses is not None
     held = min(ts.size, _WINDOW) if streamed else ts.size
     window = RowWindow(*(np.empty((held, x0.size)) for _ in range(3)))
-    trace = _empty_trace(problem, ts, kind, schedule_id, refs, snapshot_every, None if streamed else window)
+    window.xs[0] = window.ys[0] = x0
+    trace = _empty_trace(problem, ts, kind, schedule_id, refs, snapshot_every)
     if streamed:
         analyses.start(trace, x0)  # every probe draw, before the first row
     if csv_sink is not None:
         header = trace._csv_header()
         csv_sink.start(",".join(header), len(header) - 1)
+    step_map = _step_map(problem)
+    steps = ts.size - 1
     built = 0
     snapshots = []
-
-    def build(rows: int, last: bool) -> int:
-        # whole chunks of the rows cleared so far; the rest once the run ends
-        nonlocal built
-        while rows - built >= _CSV_CHUNK or (last and built < rows):
-            hi = min(built + _CSV_CHUNK, rows)
-            _fill_rows(trace, window, problem, built, hi)
-            if csv_sink is not None:
-                csv_sink.send(trace._csv_table(built, hi), built)
-            if streamed:
-                analyses.update(trace, window, built, hi)
-                first = -(-built // snapshot_every) * snapshot_every
-                snapshots.append(window.snapshots(built, hi, range(first, hi, snapshot_every)))
-            built = hi
-        if streamed:
-            window.slide(max(built - _CSV_CHUNK - 1, 0), rows)
-        return window.base
-
     # a non-finite value ends the run as NonFiniteIterateError and stays in
     # the trace, so numpy's overflow and invalid-value warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
-        bad_row = _iterate(problem, x0, ts, window, lambda rows: build(rows, False))
-        rows = ts.size if bad_row is None else bad_row + 1
-        build(rows, True)
+        for lo in range(0, steps, _BLOCK):
+            hi = min(lo + _BLOCK, steps)
+            bad_row = _iterate(step_map, ts, window, lo, hi)
+            rows = hi + 1 if bad_row is None else bad_row + 1
+            last = hi == steps or bad_row is not None
+            while rows - built >= _CSV_CHUNK or (last and built < rows):
+                top = min(built + _CSV_CHUNK, rows)
+                _fill_rows(trace, window, problem, built, top)
+                if csv_sink is not None:
+                    csv_sink.send(trace._csv_table(built, top), built)
+                if streamed:
+                    analyses.update(trace, window, built, top)
+                    first = -(-built // snapshot_every) * snapshot_every
+                    snapshots.append(window.snapshots(built, top, range(first, top, snapshot_every)))
+                built = top
+            if last:
+                break
+            if streamed:
+                window.slide(max(built - _CSV_CHUNK - 1, 0), rows)
     if streamed:
         if (rows - 1) % snapshot_every:
             snapshots.append(window.snapshots(rows - 1, rows, [rows - 1]))
         trace.snapshots = np.concatenate(snapshots)
+    else:
+        trace.xs, trace.ys, trace.zs = window.xs, window.ys, window.zs
     if bad_row is not None:
         # copies, so the partial trace does not hold the whole preallocation
         kept = {name: getattr(trace, name)[:rows].copy() for name in _ROW_COLUMNS if getattr(trace, name) is not None}

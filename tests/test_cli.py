@@ -101,6 +101,21 @@ class TestRun:
         cfg = write_config(tmp_path, analyses=["no_such_check"])
         assert run_config(cfg, output_dir=tmp_path / "out") == 2
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"window": 40}, "bad analysis entry {'window': 40}"),
+            (7, "bad analysis entry 7"),
+            ("no_such_check", "unknown analysis 'no_such_check'; known: ['bounded_iterates', "),
+            ({"name": ["structural"]}, "unknown analysis ['structural']; known: "),
+        ],
+    )
+    def test_bad_analysis_entry_is_named_before_any_output(self, entry, message, tmp_path, capsys):
+        cfg = write_config(tmp_path, analyses=["structural", entry])
+        assert run_config(cfg, output_dir=tmp_path / "out") == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_family_exits_two(self, tmp_path):
         cfg = write_config(tmp_path, problem={"family": "mystery"})
         assert run_config(cfg, output_dir=tmp_path / "out") == 2

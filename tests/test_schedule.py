@@ -87,6 +87,16 @@ class TestScheduleObject:
         assert np.array_equal(first[:6], again)
         assert sched.t(3) == first[3]
 
+    def test_prefix_is_a_read_only_view_of_the_cache(self):
+        sched = Schedule("bt")
+        first = sched.prefix(10)
+        again = sched.prefix(5)
+        assert np.shares_memory(first, again)
+        for ts in (first, again):
+            with pytest.raises(ValueError):
+                ts[1] = 0.0
+        assert sched.prefix(20)[:11].tobytes() == first.tobytes()
+
     def test_growth_witnesses_divergence(self):
         for rule in ("bt", "linear"):
             ts = Schedule(rule).prefix(2000)

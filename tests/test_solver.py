@@ -322,6 +322,27 @@ class TestBlockBoundaryAbort:
         assert trace.xs.tobytes() == xs.tobytes()
         assert trace.ys.tobytes() == ys.tobytes()
 
+    def test_a_gradient_that_writes_into_its_argument_leaves_the_stored_rows(self):
+        feas = feasibility_problem()
+
+        def gradient(v):
+            np.round(v, 12, out=v)  # written into
+            return feas.f.gradient(v)
+
+        problem = dataclasses.replace(feas, f=dataclasses.replace(feas.f, gradient=gradient))
+        ts = Schedule(rule="bt").prefix(self.ITERATIONS)
+        step = 1.0 / problem.f.beta
+        xs, ys = np.empty((2, ts.size, 2))
+        xs[0] = ys[0] = self.X0
+        x, y = self.X0.copy(), self.X0.copy()
+        for k in range(ts.size - 1):  # each row stored as a copy of the carried point
+            x_next = problem.g.prox(y - step * problem.f.gradient(y), step)
+            x, y = x_next, x_next + (ts[k] - 1.0) / ts[k + 1] * (x_next - x)
+            xs[k + 1], ys[k + 1] = x, y
+        trace = fista_run(problem, self.X0.copy(), "bt", self.ITERATIONS)
+        assert trace.xs.tobytes() == xs.tobytes()
+        assert trace.ys.tobytes() == ys.tobytes()
+
     @pytest.mark.parametrize("call", [1, _BLOCK, _BLOCK + 1])
     def test_step_error_on_finite_rows_propagates_unchanged(self, call):
         error = KeyError("prox failed")
@@ -550,9 +571,12 @@ class TestSaveLoadRoundTrip:
                 analyses=AnalysisStream(problem, [], rng),
             )
             streamed.save(tmp_path / f"{case}-streamed")
+            # a loaded trace saves the same two files again, sparse snapshots included
+            loaded.save(tmp_path / f"{case}-again")
             for name in ("trace.csv", "snapshots.json"):
                 want = (out / name).read_bytes()
                 assert (tmp_path / f"{case}-streamed" / name).read_bytes() == want, (label, name)
+                assert (tmp_path / f"{case}-again" / name).read_bytes() == want, (label, name)
 
 
 def whole_array_columns(problem, ts, xs, ys, s_refs):
