@@ -141,7 +141,7 @@ class _Fold:
     ``_CSV_CHUNK + 1`` rows before them. :meth:`result` gives the results.
     """
 
-    vectors = True  # it reads x, y or z rows, not only the scalar columns
+    vectors = True  # it reads x, y or z rows, not only the scalar columns and x_0
 
     def update(self, trace: Trace, window: Optional[RowWindow], lo: int, hi: int) -> None:
         pass
@@ -235,6 +235,8 @@ class _MomentumIdentity(_Fold):
 class _RateBound(_Fold):
     """Objective gap against the accelerated 1/(k+1)^2 guarantee, k >= 1."""
 
+    vectors = False
+
     def __init__(self, trace, problem, params, rng, x0):
         if trace.delta is None or problem.solution is None:
             raise ValueError("rate_bound needs a problem with known optimal value")
@@ -267,6 +269,8 @@ class _RateBound(_Fold):
 
 class _XiMonotone(_Fold):
     """Monotone decay, initial bound, and nonnegativity of each xi column."""
+
+    vectors = False
 
     def __init__(self, trace, problem, params, rng, x0):
         if trace.xi is None:
@@ -621,7 +625,11 @@ class AnalysisStream:
         if any(_FOLDS[name].vectors for name, _ in self.entries):
             trace.require_vectors()
         window = RowWindow(trace.xs, trace.ys, trace.zs) if trace.has_full_vectors else None
-        self.start(trace, None if window is None else trace.xs[0])
+        if window is not None:
+            x0 = trace.xs[0]
+        else:  # row 0 is always a snapshot row
+            x0 = None if trace.snapshots is None else trace.snapshots[0, 0]
+        self.start(trace, x0)
         for lo in range(0, len(trace), _CSV_CHUNK):
             self.update(trace, window, lo, min(lo + _CSV_CHUNK, len(trace)))
         return self.results()

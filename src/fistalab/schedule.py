@@ -55,17 +55,6 @@ def linear_half(k: int) -> float:
     return 1.0 if k == 0 else 0.5 * (k + 2)
 
 
-def _growth_residuals(ts: np.ndarray) -> np.ndarray:
-    # t_k - (k+2)/2 for k >= 1; at k = 0 the condition pins t_0 = 1 exactly.
-    ks = np.arange(ts.size, dtype=float)
-    res = ts - (ks + 2.0) / 2.0
-    res[0] = -abs(ts[0] - 1.0)
-    return res
-
-def _quadratic_residuals(ts: np.ndarray) -> np.ndarray:
-    return ts[:-1] ** 2 - ts[1:] ** 2 + ts[1:]
-
-
 @dataclass(frozen=True)
 class ScheduleReport:
     """Certification result for a step-parameter prefix.
@@ -73,7 +62,8 @@ class ScheduleReport:
     Residuals follow the sign convention "nonnegative means satisfied":
     ``growth_residuals[k] = t_k - (k+2)/2`` (0 index: -|t_0 - 1|) and
     ``quadratic_residuals[k] = t_k^2 - t_{k+1}^2 + t_{k+1}``. Violations
-    list (index, scaled residual) pairs beyond the scaled tolerances;
+    list (index, scaled residual) pairs beyond the scaled tolerances, the
+    growth scale being (k+2)/2 >= 1 and the quadratic one max(1, t_k^2);
     ``quadratic_scaled_abs_max`` is the largest |residual| / max(1, t_k^2),
     the quantity that stays near eps when the recursion holds at equality.
     """
@@ -93,8 +83,9 @@ def validate_schedule(ts) -> ScheduleReport:
     """Check a raw sequence against both admissibility conditions.
 
     Requires at least two entries; a non-finite entry or t_0 != 1 (to
-    1e-12) is a :class:`ScheduleError`. An empty violation list in the
-    report means the prefix is admissible.
+    1e-12) is a :class:`ScheduleError`. Growth residuals are scaled by
+    (k+2)/2 >= 1, quadratic ones by max(1, t_k^2). An empty violation list
+    in the report means the prefix is admissible.
     """
     arr = np.asarray(ts, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
@@ -104,16 +95,15 @@ def validate_schedule(ts) -> ScheduleReport:
     if not np.all(np.isfinite(arr)):
         raise ScheduleError(f"t_{int(np.argmin(np.isfinite(arr)))} is not finite")
 
-    growth = _growth_residuals(arr)
-    quad = _quadratic_residuals(arr)
-
-    ks = np.arange(arr.size, dtype=float)
-    growth_scale = np.maximum(1.0, (ks + 2.0) / 2.0)
-    quad_scale = np.maximum(1.0, arr[:-1] ** 2)
+    half = np.arange(2, arr.size + 2) / 2.0  # (k+2)/2 >= 1: growth offset and scale
+    growth = arr - half
+    growth[0] = -abs(arr[0] - 1.0)  # at k = 0 the condition pins t_0 = 1 exactly
+    sq = arr**2
+    quad = sq[:-1] - sq[1:] + arr[1:]
+    quad_scale = np.maximum(1.0, sq[:-1])  # explicit schedules may hold t < 1
 
     growth_violations = [
-        (int(k), float(growth[k] / growth_scale[k]))
-        for k in np.nonzero(growth < -GROWTH_TOL * growth_scale)[0]
+        (int(k), float(growth[k] / half[k])) for k in np.nonzero(growth < -GROWTH_TOL * half)[0]
     ]
     quadratic_violations = [
         (int(k), float(quad[k] / quad_scale[k]))
@@ -241,11 +231,11 @@ def check_tk_bounds(ts) -> TkBoundsReport:
     low = tm1 - 1.0
     up = ks - tm1
     lower = [(int(ks[i]), float(low[i])) for i in np.nonzero(low < -tol)[0]]
-    upper = [(int(ks[i]), float(up[i])) for i in np.nonzero(up < -tol * np.maximum(1.0, ks))[0]]
+    upper = [(int(ks[i]), float(up[i])) for i in np.nonzero(up < -tol * ks)[0]]
     # reciprocals are divergence evidence; meaningless where the lower bound fails
-    inv = np.where(tm1 > 0, 1.0 / np.where(tm1 > 0, tm1, 1.0), np.nan)
+    inv = np.divide(1.0, tm1, out=np.full(tm1.shape, np.nan), where=tm1 > 0)
     return TkBoundsReport(
         lower_violations=lower,
         upper_violations=upper,
-        inv_partial_sums=np.cumsum(inv),
+        inv_partial_sums=np.cumsum(inv, out=inv),
     )

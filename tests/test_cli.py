@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -406,6 +407,17 @@ class TestValidate:
         reference = json.loads((REPO / "perfbench" / "reference.json").read_text())
         assert main(["validate", "bt", "1000000"]) == 0
         assert capsys.readouterr().out == reference["lab"]["stdout"]["validate bt 1000000"]
+
+    def test_validate_peak_scratch_per_term(self, capsys):
+        # 8.13 arrays of K + 1 doubles at the peak; computing (k+2)/2 and t^2 twice reads 9.13
+        count = 2**18
+        tracemalloc.start()
+        try:
+            assert cli.validate_command("bt", count) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8.5 * 8 * (count + 1), f"peak {peak / (8 * (count + 1)):.2f} arrays"
 
 
 class TestAtomicArtifacts:

@@ -8,11 +8,13 @@ from fistalab import (
     Schedule,
     ScheduleError,
     ScheduleReport,
+    TkBoundsReport,
     bt_next,
     check_tk_bounds,
     linear_half,
     validate_schedule,
 )
+from fistalab.schedule import GROWTH_TOL, QUADRATIC_TOL
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -225,3 +227,108 @@ class TestTkBounds:
             seen["lower"] += len(lower)
             seen["upper"] += len(upper)
         assert min(seen.values()) > 20
+
+
+# ---- the certifier as it stood before each quantity was computed once -------
+
+
+def reference_validate_schedule(ts) -> ScheduleReport:
+    arr = np.asarray(ts, dtype=float)
+    if arr.ndim != 1 or arr.size < 2:
+        raise ValueError("need a sequence of at least two step parameters")
+    if abs(arr[0] - 1.0) > 1e-12:
+        raise ScheduleError(f"t_0 must equal 1, got {float(arr[0])!r}")
+    if not np.all(np.isfinite(arr)):
+        raise ScheduleError(f"t_{int(np.argmin(np.isfinite(arr)))} is not finite")
+    ks = np.arange(arr.size, dtype=float)
+    growth = arr - (ks + 2.0) / 2.0
+    growth[0] = -abs(arr[0] - 1.0)
+    quad = arr[:-1] ** 2 - arr[1:] ** 2 + arr[1:]
+    growth_scale = np.maximum(1.0, (ks + 2.0) / 2.0)
+    quad_scale = np.maximum(1.0, arr[:-1] ** 2)
+    return ScheduleReport(
+        growth_residuals=growth,
+        quadratic_residuals=quad,
+        growth_violations=[
+            (int(k), float(growth[k] / growth_scale[k]))
+            for k in np.nonzero(growth < -GROWTH_TOL * growth_scale)[0]
+        ],
+        quadratic_violations=[
+            (int(k), float(quad[k] / quad_scale[k]))
+            for k in np.nonzero(quad < -QUADRATIC_TOL * quad_scale)[0]
+        ],
+        quadratic_scaled_abs_max=float(np.max(np.abs(quad) / quad_scale)),
+    )
+
+
+def reference_check_tk_bounds(ts) -> TkBoundsReport:
+    arr = np.asarray(ts, dtype=float)
+    if arr.ndim != 1 or arr.size < 3:
+        raise ValueError("need at least t_0..t_2 to check the bounds")
+    ks = np.arange(2, arr.size)
+    tm1 = arr[2:] - 1.0
+    tol = 1e-9
+    low = tm1 - 1.0
+    up = ks - tm1
+    lower = [(int(ks[i]), float(low[i])) for i in np.nonzero(low < -tol)[0]]
+    upper = [(int(ks[i]), float(up[i])) for i in np.nonzero(up < -tol * np.maximum(1.0, ks))[0]]
+    inv = np.where(tm1 > 0, 1.0 / np.where(tm1 > 0, tm1, 1.0), np.nan)
+    return TkBoundsReport(lower_violations=lower, upper_violations=upper, inv_partial_sums=np.cumsum(inv))
+
+
+def same_report(got, want) -> None:
+    """Field by field: arrays bit for bit (NaN payloads included), lists and scalars equal."""
+    assert type(got) is type(want)
+    for name in got.__dataclass_fields__:
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        else:
+            assert repr(a) == repr(b), name
+
+
+def certifier_inputs():
+    rng = np.random.default_rng(11)
+    bt = np.array(Schedule("bt").prefix(200_000))
+    yield "bt", bt
+    yield "linear", np.array(Schedule("linear").prefix(50_000))
+    yield "ones", np.ones(1000)
+    below_one = bt[:500].copy()
+    below_one[1:] *= rng.uniform(0.0, 1.0, size=499)  # terms under 1, some near 0
+    yield "below-one", below_one
+    for i in range(20):
+        ts = bt[: int(rng.integers(3, 2000))].copy()
+        # a few perturbed terms, or every term after t_0
+        picks = rng.integers(1, ts.size, size=int(rng.integers(1, 50))) if i % 2 else slice(1, None)
+        ts[picks] *= rng.uniform(0.3, 3.0, size=ts[picks].size)
+        yield f"invalid-{i}", ts
+
+
+class TestCertifierMatchesTheReference:
+    @pytest.mark.parametrize("ts", [pytest.param(ts, id=label) for label, ts in certifier_inputs()])
+    def test_same_bits(self, ts):
+        same_report(validate_schedule(ts), reference_validate_schedule(ts))
+        same_report(check_tk_bounds(ts), reference_check_tk_bounds(ts))
+
+    def test_inputs_exercise_every_branch(self):
+        reports = [(validate_schedule(ts), check_tk_bounds(ts)) for _, ts in certifier_inputs()]
+        assert sum(bool(v.growth_violations) for v, _ in reports) > 10
+        assert sum(bool(v.quadratic_violations) for v, _ in reports) > 10
+        assert sum(bool(b.lower_violations) for _, b in reports) > 5
+        assert sum(bool(b.upper_violations) for _, b in reports) > 10
+        assert any(np.isnan(b.inv_partial_sums).any() for _, b in reports)
+
+    @pytest.mark.parametrize("values", [[math.inf, 1.0, 2.0], [1.0, 1.5, math.nan], [1.0, 2.0, -math.inf, 3.0]])
+    def test_tk_bounds_on_non_finite_terms(self, values):
+        same_report(check_tk_bounds(values), reference_check_tk_bounds(values))
+
+    @pytest.mark.parametrize(
+        "values",
+        [[1.5, 2.0], [0.0, 1.0, 2.0], [1.0 + 1e-9, 2.0], [1.0, math.nan, 2.0], [1.0, 2.0, math.inf], [1.0, -math.inf]],
+    )
+    def test_same_errors(self, values):
+        with pytest.raises(ScheduleError) as want:
+            reference_validate_schedule(values)
+        with pytest.raises(ScheduleError) as got:
+            validate_schedule(values)
+        assert str(got.value) == str(want.value)

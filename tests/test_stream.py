@@ -379,6 +379,8 @@ def reference_analyses(trace: Trace, problem, analyses, rng) -> list:
 # ---- the cases ---------------------------------------------------------------
 
 C = _CSV_CHUNK
+# the checks that read only scalar columns and x_0, which a streamed or reloaded trace keeps
+SCALAR_ONLY = ("rate_bound", "xi_monotone", "gap_decay", "bounded_iterates", "xi_difference")
 ROWS = [C - 1, C, C + 1, 2 * C + 2]
 USABLE_CPUS = {"forked": {0, 1}, "one-cpu": {0}}
 
@@ -529,7 +531,7 @@ class TestStreamedChecks:
         cfg = case_config("feasibility", 2, C + 1)
         problem = build_problem("feasibility", {})
         names = [a if isinstance(a, str) else a["name"] for a in cfg["analyses"]]
-        scalar_only = [a for a in cfg["analyses"] if a in ("gap_decay", "bounded_iterates", "xi_difference")]
+        scalar_only = [a for a in cfg["analyses"] if a in SCALAR_ONLY]
         stream = AnalysisStream(problem, cfg["analyses"], np.random.default_rng(0))
         trace = fista_run(problem, cfg["x0"], "bt", cfg["iterations"], s_refs=cfg["s_refs"], analyses=stream)
         assert trace.xs is None and trace.ys is None and trace.zs is None
@@ -543,8 +545,23 @@ class TestStreamedChecks:
         # the checks that read only scalar columns run post hoc, with the streamed results
         streamed = {r.claim: r for r in stream.results()}
         post_hoc = run_analyses(trace, problem, scalar_only, np.random.default_rng(0))
-        assert len(scalar_only) == 3 and len(names) == 11
+        assert len(scalar_only) == 5 and len(names) == 11
         assert post_hoc and all(streamed[r.claim] == r for r in post_hoc)
+
+    def test_scalar_checks_run_on_a_reloaded_trace(self, tmp_path):
+        # x_0, which rate_bound and xi_monotone read, comes from snapshot row 0
+        problem = build_problem("feasibility", {})
+        cfg = case_config("feasibility", 2, C + 1)
+        trace = fista_run(problem, cfg["x0"], "bt", cfg["iterations"], s_refs=cfg["s_refs"], snapshot_every=100)
+        trace.save(tmp_path)
+        loaded = Trace.load(tmp_path)
+        assert loaded.xs is None and loaded.snapshots is not None
+        for name in SCALAR_ONLY:
+            want, got = (
+                [r.to_json() for r in ANALYSES[name](t, problem, {}, np.random.default_rng(0))]
+                for t in (trace, loaded)
+            )
+            assert got == want, name
 
     def test_streamed_run_holds_a_window_not_every_row(self, tmp_path):
         # quadratic dim 64, 5e4 iterations: the whole-array checks over the full
