@@ -17,8 +17,10 @@ exception is a BLAS product <v_k, d>, whose rounding depends on how the
 rows are split; :func:`_products` keeps the split of the one whole-array
 product. ``fistalab run`` folds the checks as the run builds each block
 (:class:`AnalysisStream`), so it never holds every row of x, y and z;
-``ANALYSES[name]`` and :func:`run_analyses` run the same fold over a stored
-trace (:meth:`AnalysisStream.fold`).
+``ANALYSES[name]`` and :meth:`AnalysisStream.fold` run the same fold over
+a stored trace. A check's parameters are its fold's keyword arguments, each
+default written once, in the fold's signature; an unknown, missing or
+mistyped one is a ValueError before the first row.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .diagnostics import check_window, momentum_gaps, orthonormal_span_basis, ta
 from .problem import CompositeProblem, as_vector, eval_F
 from .solver import _CSV_CHUNK, RowWindow, Trace, tag_nonfinite, z_recursion
 
-__all__ = ["CheckResult", "ANALYSES", "AnalysisStream", "run_analyses"]
+__all__ = ["CheckResult", "ANALYSES", "AnalysisStream"]
 
 IDENTITY_TOL = 1e-9
 
@@ -122,8 +124,8 @@ def _pair_directions(trace: Trace, directions=None) -> list:
     return [refs[i] - refs[j] for i in range(len(refs)) for j in range(i + 1, len(refs))]
 
 
-def _required_directions(trace: Trace, params: dict) -> list:
-    directions = _pair_directions(trace, params.get("directions"))
+def _required_directions(trace: Trace, directions) -> list:
+    directions = _pair_directions(trace, directions)
     if not directions:
         raise ValueError("check needs explicit directions or at least two s_refs")
     return directions
@@ -134,20 +136,15 @@ class _Fold:
 
     It is built before the first row from the trace (its metadata and its
     not yet filled columns; ``len(trace)`` is the planned row count), the
-    problem, the check's parameters, the shared ``rng`` (every draw happens
-    here) and ``x0``. :meth:`update` then sees rows lo..hi, for consecutive
-    blocks of ``_CSV_CHUNK`` rows, once the trace's columns for them are
-    filled; ``window`` holds their x, y and z rows and the
-    ``_CSV_CHUNK + 1`` rows before them. :meth:`result` gives the results.
+    problem, the shared ``rng`` (every draw happens here), ``x0`` and the
+    check's parameters as keyword-only arguments. ``update(trace, window,
+    lo, hi)`` then sees rows lo..hi, for consecutive blocks of
+    ``_CSV_CHUNK`` rows, once the trace's columns for them are filled;
+    ``window`` holds their x, y and z rows and the ``_CSV_CHUNK + 1`` rows
+    before them. ``result()`` gives the results.
     """
 
     vectors = True  # it reads x, y or z rows, not only the scalar columns and x_0
-
-    def update(self, trace: Trace, window: Optional[RowWindow], lo: int, hi: int) -> None:
-        pass
-
-    def result(self) -> list:
-        raise NotImplementedError
 
 
 # ---- identity checks --------------------------------------------------------
@@ -156,8 +153,8 @@ class _Fold:
 class _Structural(_Fold):
     """Rowwise residuals of the three identities tying x, y, z together."""
 
-    def __init__(self, trace, problem, params, rng, x0):
-        self.tol = params.get("tol", IDENTITY_TOL)
+    def __init__(self, trace, problem, rng, x0, *, tol=IDENTITY_TOL):
+        self.tol = float(tol)
         self.zdef = self.recur = self.convex = -math.inf
 
     def update(self, trace, window, lo, hi):
@@ -192,9 +189,8 @@ class _MomentumIdentity(_Fold):
     then seeded standard normal draws up to ``count``.
     """
 
-    def __init__(self, trace, problem, params, rng, x0):
-        self.tol = params.get("tol", IDENTITY_TOL)
-        count = params.get("count", 3)
+    def __init__(self, trace, problem, rng, x0, *, tol=IDENTITY_TOL, count=3):
+        self.tol = float(tol)
         directions = _pair_directions(trace)
         while len(directions) < count:
             directions.append(rng.standard_normal(x0.size))
@@ -237,10 +233,10 @@ class _RateBound(_Fold):
 
     vectors = False
 
-    def __init__(self, trace, problem, params, rng, x0):
+    def __init__(self, trace, problem, rng, x0, *, tol=IDENTITY_TOL):
         if trace.delta is None or problem.solution is None:
             raise ValueError("rate_bound needs a problem with known optimal value")
-        self.tol = params.get("tol", IDENTITY_TOL)
+        self.tol = float(tol)
         self.d0 = problem.solution.distance(x0)
         self.surrogate = not problem.solution.exact_distance
         self.excess = -math.inf
@@ -272,7 +268,7 @@ class _XiMonotone(_Fold):
 
     vectors = False
 
-    def __init__(self, trace, problem, params, rng, x0):
+    def __init__(self, trace, problem, rng, x0):
         if trace.xi is None:
             raise ValueError("xi_monotone needs xi columns (known optimal value and s_refs)")
         self.rows = len(trace)
@@ -325,17 +321,15 @@ class _SufficientDecrease(_Fold):
     about ``points`` evenly spaced ones; only their rows are kept.
     """
 
-    def __init__(self, trace, problem, params, rng, x0):
-        n_probes = params.get("probes", 20)
-        n_points = params.get("points", 100)
-        self.tol = params.get("tol", IDENTITY_TOL)
+    def __init__(self, trace, problem, rng, x0, *, probes=20, points=100, tol=IDENTITY_TOL):
+        self.tol = float(tol)
         self.beta = trace.beta
         rows = len(trace)
-        self.ks = np.unique(np.linspace(0, rows - 2, min(n_points, rows - 1)).astype(int))
+        self.ks = np.unique(np.linspace(0, rows - 2, min(points, rows - 1)).astype(int))
         step = 1.0 / self.beta
         spread = max(1.0, float(np.linalg.norm(x0)))
         self.probes = []
-        for _ in range(n_probes):
+        for _ in range(probes):
             probe = np.asarray(problem.g.prox(x0 + spread * rng.standard_normal(problem.dim), step), dtype=float)
             if not np.isfinite(probe).all():
                 continue
@@ -369,8 +363,8 @@ class _GapDecay(_Fold):
 
     vectors = False
 
-    def __init__(self, trace, problem, params, rng, x0):
-        self.tol = params.get("tol", IDENTITY_TOL)
+    def __init__(self, trace, problem, rng, x0, *, tol=IDENTITY_TOL):
+        self.tol = float(tol)
         self.rows = len(trace)
         self.decile = self.rows // 10
         self.excess = self.first = self.last = -math.inf
@@ -403,7 +397,7 @@ class _BoundedIterates(_Fold):
 
     vectors = False
 
-    def __init__(self, trace, problem, params, rng, x0):
+    def __init__(self, trace, problem, rng, x0):
         self.sup_x = self.sup_z = -math.inf
 
     def update(self, trace, window, lo, hi):
@@ -428,10 +422,9 @@ class _BoundedIterates(_Fold):
 class _ClusterProducts(_Fold):
     """Verdicts on <x_k, w1 - w2> for every pair of reference solutions."""
 
-    def __init__(self, trace, problem, params, rng, x0):
-        window = params.get("window", 100)
-        self.tol = params.get("tol", 1e-6)
-        self.directions = [as_vector(d, x0.size) for d in _required_directions(trace, params)]
+    def __init__(self, trace, problem, rng, x0, *, window=100, tol=1e-6, directions=None):
+        self.tol = float(tol)
+        self.directions = [as_vector(d, x0.size) for d in _required_directions(trace, directions)]
         self.tails = [_Tail(window, len(trace)) for _ in self.directions]
 
     def update(self, trace, window, lo, hi):
@@ -447,11 +440,10 @@ class _XiDifference(_Fold):
 
     vectors = False
 
-    def __init__(self, trace, problem, params, rng, x0):
+    def __init__(self, trace, problem, rng, x0, *, window=100, tol=1e-6):
         if trace.xi is None or trace.xi.shape[1] < 2:
             raise ValueError("xi_difference needs at least two xi columns")
-        window = params.get("window", 100)
-        self.rel_tol = params.get("tol", 1e-6)
+        self.rel_tol = float(tol)
         m = trace.xi.shape[1]
         self.pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
         self.tails = [_Tail(window, len(trace) - 1) for _ in self.pairs]
@@ -476,10 +468,9 @@ class _XiDifference(_Fold):
 class _Span(_Fold):
     """Projection onto span of probe directions: projector laws + verdicts."""
 
-    def __init__(self, trace, problem, params, rng, x0):
-        window = params.get("window", 100)
-        self.tol = params.get("tol", 1e-6)
-        basis = orthonormal_span_basis(_required_directions(trace, params))
+    def __init__(self, trace, problem, rng, x0, *, window=100, tol=1e-6, directions=None):
+        self.tol = float(tol)
+        basis = orthonormal_span_basis(_required_directions(trace, directions))
         dim = basis.shape[1]
         proj = basis.T @ basis
         idem = 0.0
@@ -508,11 +499,9 @@ class _Span(_Fold):
 class _FinalPoint(_Fold):
     """Terminal iterate within tol of a configured target point."""
 
-    def __init__(self, trace, problem, params, rng, x0):
-        if "target" not in params or "tol" not in params:
-            raise ValueError("final_point needs 'target' and 'tol' parameters")
-        self.target = np.asarray(params["target"], dtype=float)
-        self.tol = params["tol"]
+    def __init__(self, trace, problem, rng, x0, *, target, tol):
+        self.target = as_vector(target, x0.size)
+        self.tol = float(tol)
 
     def update(self, trace, window, lo, hi):
         if hi == len(trace):
@@ -565,10 +554,18 @@ def _analysis(name: str) -> Callable:
 ANALYSES: dict[str, Callable] = {name: _analysis(name) for name in _FOLDS}
 
 
+def _real(value) -> bool:
+    """Whether ``value`` is a real number (not a bool), or a list, tuple or array of them."""
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return all(map(_real, value))
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def _entries(analyses) -> list:
     """(name, params) of each analysis entry: a name, or a {'name': ..., params} dict.
 
-    A malformed entry or an unknown name is a ValueError.
+    A malformed entry, an unknown name or a parameter value that is not a
+    real number or a list of them is a ValueError.
     """
     out = []
     for entry in analyses:
@@ -581,13 +578,12 @@ def _entries(analyses) -> list:
             raise ValueError(f"bad analysis entry {entry!r}")
         if not isinstance(name, str) or name not in _FOLDS:
             raise ValueError(f"unknown analysis {name!r}; known: {sorted(_FOLDS)}")
+        for key, value in params.items():
+            if not _real(value):
+                msg = f"{key!r} is {value!r}, not a real number or a list of them"
+                raise ValueError(f"bad parameters for analysis {name!r}: {msg}")
         out.append((name, params))
     return out
-
-
-def run_analyses(trace: Trace, problem: CompositeProblem, analyses, rng) -> list:
-    """Run a list of named analyses (strings or {'name': ..., params} dicts) over a stored trace."""
-    return AnalysisStream(problem, analyses, rng).fold(trace)
 
 
 class AnalysisStream:
@@ -597,8 +593,9 @@ class AnalysisStream:
     once before the first row, which sets up every check in order, so every
     draw from ``rng`` happens there, and :meth:`update` once per
     ``_CSV_CHUNK`` rows. After a run that did not abort, :meth:`results`
-    gives what :meth:`fold` gives on the full trace. A malformed entry or an
-    unknown name is a ValueError here, before any run.
+    gives what :meth:`fold` gives on the full trace. A bad entry is a
+    ValueError here (see :func:`_entries`), and so is an unknown or
+    missing parameter in :meth:`start`, before the first row.
     """
 
     def __init__(self, problem: CompositeProblem, analyses, rng):
@@ -608,8 +605,13 @@ class AnalysisStream:
         self._folds = []
 
     def start(self, trace: Trace, x0: np.ndarray) -> None:
+        self._folds = []
         with _errstate():
-            self._folds = [_FOLDS[name](trace, self.problem, params, self.rng, x0) for name, params in self.entries]
+            for name, params in self.entries:
+                try:
+                    self._folds.append(_FOLDS[name](trace, self.problem, self.rng, x0, **params))
+                except TypeError as exc:
+                    raise ValueError(f"bad parameters for analysis {name!r}: {exc}") from exc
 
     def update(self, trace: Trace, window: RowWindow, lo: int, hi: int) -> None:
         with _errstate():
@@ -622,13 +624,10 @@ class AnalysisStream:
 
     def fold(self, trace: Trace) -> list:
         """The results over a stored trace, in the blocks a run folds; MissingSnapshotError if a check lacks rows."""
-        if any(_FOLDS[name].vectors for name, _ in self.entries):
+        if trace.snapshots is None or any(_FOLDS[name].vectors for name, _ in self.entries):
             trace.require_vectors()
         window = RowWindow(trace.xs, trace.ys, trace.zs) if trace.has_full_vectors else None
-        if window is not None:
-            x0 = trace.xs[0]
-        else:  # row 0 is always a snapshot row
-            x0 = None if trace.snapshots is None else trace.snapshots[0, 0]
+        x0 = trace.snapshots[0, 0] if window is None else trace.xs[0]  # row 0 is always a snapshot row
         self.start(trace, x0)
         for lo in range(0, len(trace), _CSV_CHUNK):
             self.update(trace, window, lo, min(lo + _CSV_CHUNK, len(trace)))

@@ -236,7 +236,7 @@ def repro_fig1(output_dir=".") -> Path:
     lines.append("1 0")
     path = Path(output_dir) / "fig1_points.dat"
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    write_atomically(path, lambda tmp: tmp.write_text("\n".join(lines) + "\n"))
     print(f"wrote {path}")
     return path
 

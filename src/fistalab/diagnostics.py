@@ -76,7 +76,9 @@ def verdict(seq: ScalarSeq, window: int = DEFAULT_WINDOW, tol: float = DEFAULT_T
 
 
 def check_window(window: int, length: int) -> None:
-    """Raise ValueError unless 2 <= window <= length / 2."""
+    """Raise ValueError unless window is an integer with 2 <= window <= length / 2."""
+    if not isinstance(window, (int, np.integer)):
+        raise ValueError(f"window must be an integer, not {window!r}")
     if window < 2:
         raise ValueError("window must be >= 2")
     if 2 * window > length:

@@ -150,6 +150,45 @@ class TestRun:
         assert steps == []
         assert list((tmp_path / "out").iterdir()) == []
 
+    @pytest.mark.parametrize("usable", [{0, 1}, {0}], ids=["forked", "one-cpu"])
+    def test_mistyped_check_parameter_exits_two_and_keeps_the_artifacts(self, usable, tmp_path, monkeypatch, capsys):
+        # an unknown key used to be dropped: span ran at its default tol and passed
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: usable)
+        out = tmp_path / "out"
+        span = {"name": "span", "directions": [[1.0, -1.0]]}
+        assert run_config(write_config(tmp_path, iterations=2000, analyses=[span]), output_dir=out) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        feas = feasibility_problem()
+        steps = []
+
+        def gradient(x):
+            steps.append(1)
+            return feas.f.gradient(x)
+
+        counted = dataclasses.replace(feas, f=dataclasses.replace(feas.f, gradient=gradient))
+        monkeypatch.setattr(cli, "build_problem", lambda family, params: counted)
+        mistyped = write_config(tmp_path, iterations=2000, analyses=[{**span, "tolerance": 1e-30}])
+        assert run_config(mistyped, output_dir=out) == 2
+        err = capsys.readouterr().err
+        assert "error: bad parameters for analysis 'span': " in err
+        assert "unexpected keyword argument 'tolerance'" in err
+        assert steps == []
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"name": "structural", "tol": "1e-3"},
+            {"name": "span", "directions": [[1.0, -1.0]], "tol": "1e-3"},
+            {"name": "momentum_identity", "count": True},
+        ],
+    )
+    def test_check_parameter_of_the_wrong_type_exits_two_before_any_output(self, entry, tmp_path, capsys):
+        cfg = write_config(tmp_path, analyses=["structural", entry])
+        assert run_config(cfg, output_dir=tmp_path / "out") == 2
+        assert f"error: bad parameters for analysis {entry['name']!r}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_seed_override_changes_probe_draws_not_trace(self, tmp_path):
         cfg = write_config(
             tmp_path, analyses=["structural", {"name": "sufficient_decrease", "probes": 5}]
@@ -354,6 +393,22 @@ class TestReproFig1:
     def test_cli_entry(self, tmp_path):
         assert main(["repro-fig1", "--output-dir", str(tmp_path)]) == 0
         assert (tmp_path / "fig1_points.dat").exists()
+
+
+    def test_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch):
+        old = tmp_path / "fig1_points.dat"
+        old.write_text("previous\n")
+        write_text = Path.write_text
+
+        def torn_write(self, text, *args, **kwargs):
+            write_text(self, text[:20])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", torn_write)
+        with pytest.raises(OSError, match="disk full"):
+            repro_fig1(tmp_path)
+        assert old.read_text() == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["fig1_points.dat"]
 
 
 class TestBcchDemo:

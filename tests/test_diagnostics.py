@@ -21,7 +21,7 @@ from fistalab import (
     verdict,
     xi_difference,
 )
-from fistalab.checks import ANALYSES, run_analyses
+from fistalab.checks import ANALYSES, AnalysisStream
 
 
 def synthetic_trace(xs, ts):
@@ -252,7 +252,7 @@ class TestNoVacuousPass:
     GUARDED = {"z-definition", "z-recursion", "convex-combination", "gap-bound", "bounded-iterates"}
 
     def run(self, trace):
-        results = run_analyses(trace, None, self.ANALYSIS_NAMES, None)
+        results = AnalysisStream(None, self.ANALYSIS_NAMES, None).fold(trace)
         return {r.claim: r for r in results}
 
     def test_finite_trace_passes(self, feas_trace):
@@ -299,9 +299,9 @@ class TestNoVacuousPass:
         trace = fista_run(problem, [1e308, -1e308], "bt", 200)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            results = run_analyses(
-                trace, problem, ["momentum_identity", "rate_bound"], np.random.default_rng(0)
-            )
+            results = AnalysisStream(
+                problem, ["momentum_identity", "rate_bound"], np.random.default_rng(0)
+            ).fold(trace)
         assert [r.claim for r in results] == [
             "momentum-identity[d0]",
             "momentum-identity[d1]",
@@ -417,7 +417,7 @@ class TestNonFiniteInputTable:
             params["target"] = trace.xs[-1].tolist()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            results = run_analyses(trace, problem, [params], np.random.default_rng(0))
+            results = AnalysisStream(problem, [params], np.random.default_rng(0)).fold(trace)
         expected = {"finite": set(), "overflow": fail_overflow, "inf-row": fail_inf_row}[case]
         assert {r.claim for r in results if not r.passed} == expected
         for r in results:
@@ -427,3 +427,66 @@ class TestNonFiniteInputTable:
                 assert all(math.isfinite(v) for v in floats), r.claim
             else:
                 assert math.isnan(r.residual_or_oscillation), r.claim
+
+
+class TestAnalysisParameters:
+    """A check's parameters bind to its fold's keyword arguments; anything else is a ValueError."""
+
+    @staticmethod
+    def required(name):
+        return {"target": [0.0, 1.0], "tol": 1e-3} if name == "final_point" else {}
+
+    @pytest.mark.parametrize("name", sorted(ANALYSES))
+    def test_unknown_parameter_names_the_analysis_and_the_key(self, name, feas_trace):
+        # an unknown key used to be dropped, so the check ran at its default
+        params = {**self.required(name), "tolerance": 1e-30}
+        with pytest.raises(ValueError, match=rf"bad parameters for analysis '{name}': .*'tolerance'"):
+            ANALYSES[name](feas_trace, feasibility_problem(), params, np.random.default_rng(0))
+
+    def test_final_point_needs_a_target(self, feas_trace):
+        with pytest.raises(ValueError, match=r"bad parameters for analysis 'final_point': .*'target'"):
+            ANALYSES["final_point"](feas_trace, feasibility_problem(), {"tol": 1e-3}, None)
+
+    @pytest.mark.parametrize(
+        "entry, key",
+        [
+            ({"name": "structural", "tol": "1e-3"}, "tol"),
+            ({"name": "span", "directions": PROBE, "tol": "1e-3"}, "tol"),
+            ({"name": "span", "directions": [[1.0, None]]}, "directions"),
+            ({"name": "momentum_identity", "count": "3"}, "count"),
+            ({"name": "momentum_identity", "count": True}, "count"),
+        ],
+    )
+    def test_value_that_is_not_a_real_number_fails_before_the_fold(self, entry, key):
+        # a string tol used to run the whole fold and then raise TypeError in its verdict
+        with pytest.raises(ValueError, match=rf"bad parameters for analysis '{entry['name']}': '{key}' is "):
+            AnalysisStream(feasibility_problem(), [entry], np.random.default_rng(0))
+
+    @pytest.mark.parametrize("name", ["cluster_products", "xi_difference", "span"])
+    def test_window_that_is_not_an_integer_fails_at_set_up(self, name, feas_trace):
+        # a float window used to run the whole fold and then fail to slice its tail
+        stream = AnalysisStream(feasibility_problem(), [{"name": name, "window": 50.0}], np.random.default_rng(0))
+        with pytest.raises(ValueError, match="window must be an integer, not 50.0"):
+            stream.start(feas_trace, feas_trace.xs[0])
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"name": "structural", "tol": [1e-3]}, r"analysis 'structural': float\(\) argument"),
+            ({"name": "span", "tol": [1e-3]}, r"analysis 'span': float\(\) argument"),
+            ({"name": "final_point", "target": [0.0, 1.0], "tol": [1e-3]}, r"analysis 'final_point': float\(\) argument"),
+            ({"name": "final_point", "target": [0.0, 1.0, 0.0], "tol": 1e-3}, "expected dimension 2, got 3"),
+        ],
+    )
+    def test_list_for_a_number_or_a_vector_of_another_size_fails_at_set_up(self, entry, message, feas_trace):
+        # each used to run the whole fold and then fail in its verdict
+        stream = AnalysisStream(feasibility_problem(), [entry], np.random.default_rng(0))
+        with pytest.raises(ValueError, match=message):
+            stream.start(feas_trace, feas_trace.xs[0])
+
+    @pytest.mark.parametrize("name", sorted(ANALYSES))
+    def test_trace_without_vectors_or_snapshots_is_missing_snapshots(self, name, feas_trace):
+        # x_0 comes from xs[0] or from snapshot row 0; with neither, no check may see x_0 = None
+        bare = dataclasses.replace(feas_trace, xs=None, ys=None, zs=None, snapshots=None)
+        with pytest.raises(MissingSnapshotError):
+            ANALYSES[name](bare, feasibility_problem(), self.required(name), np.random.default_rng(0))

@@ -45,7 +45,7 @@ from fistalab import (
     xi_difference,
 )
 from fistalab import cli
-from fistalab.checks import ANALYSES, AnalysisStream, CheckResult, run_analyses
+from fistalab.checks import ANALYSES, AnalysisStream, CheckResult
 from fistalab.problem import CompositeProblem, eval_F
 from fistalab.solver import _CSV_CHUNK
 
@@ -544,7 +544,7 @@ class TestStreamedChecks:
                 ANALYSES[name](trace, problem, params, np.random.default_rng(0))
         # the checks that read only scalar columns run post hoc, with the streamed results
         streamed = {r.claim: r for r in stream.results()}
-        post_hoc = run_analyses(trace, problem, scalar_only, np.random.default_rng(0))
+        post_hoc = AnalysisStream(problem, scalar_only, np.random.default_rng(0)).fold(trace)
         assert len(scalar_only) == 5 and len(names) == 11
         assert post_hoc and all(streamed[r.claim] == r for r in post_hoc)
 
