@@ -6,7 +6,9 @@ convergence proxy is involved, its window and tolerance. Tolerances on
 exact identities scale with max(1, magnitude of the participating terms)
 so that genuine violations stand out from accumulated roundoff on long
 runs. A non-finite residual or scale makes the reported value NaN, and a
-check passes only on a finite value: nothing passes vacuously.
+check passes only on a finite value: nothing passes vacuously. Nor does a
+check with nothing to check: no probe direction (:func:`_directions`
+chooses them for every check) or no sampled step is a ValueError at set-up.
 
 Every check is a fold over the rows, in blocks of ``_CSV_CHUNK``: set up
 before the first row (every probe draw from the rng happens there, in
@@ -31,8 +33,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .diagnostics import check_window, momentum_gaps, orthonormal_span_basis, tail_verdict
+from .diagnostics import check_window, orthonormal_span_basis, tail_verdict
 from .problem import CompositeProblem, as_vector, eval_F
+from .scalar_transform import forward_transform
 from .solver import _CSV_CHUNK, RowWindow, Trace, tag_nonfinite, z_recursion
 
 __all__ = ["CheckResult", "ANALYSES", "AnalysisStream"]
@@ -116,16 +119,16 @@ class _Tail:
         )
 
 
-def _pair_directions(trace: Trace, directions=None) -> list:
-    """The given probe directions, else s_i - s_j for every pair i < j of s_refs."""
-    if directions is not None:
-        return [np.asarray(d, dtype=float) for d in directions]
-    refs = () if trace.s_refs is None else trace.s_refs
-    return [refs[i] - refs[j] for i in range(len(refs)) for j in range(i + 1, len(refs))]
-
-
-def _required_directions(trace: Trace, directions) -> list:
-    directions = _pair_directions(trace, directions)
+def _directions(trace: Trace, dim: int, directions=None, rng=None, count=None) -> list:
+    """Probe directions of size ``dim``, at least one: the given ones, else s_i - s_j for every
+    pair i < j of s_refs, then standard normal draws from ``rng`` up to ``count``."""
+    if directions is None:
+        refs = () if trace.s_refs is None else trace.s_refs
+        directions = [refs[i] - refs[j] for i in range(len(refs)) for j in range(i + 1, len(refs))]
+        while count is not None and len(directions) < count:
+            directions.append(rng.standard_normal(dim))
+        directions = directions[:count]
+    directions = [as_vector(d, dim) for d in directions]
     if not directions:
         raise ValueError("check needs explicit directions or at least two s_refs")
     return directions
@@ -182,19 +185,18 @@ class _Structural(_Fold):
 
 
 class _MomentumIdentity(_Fold):
-    """Scalar momentum identity along probe directions (linear in d).
+    """Scalar momentum identity along ``count`` >= 1 probe directions (linear in d).
 
-    With h_k = <x_k, d>, the combination h_k + (t_{k-1} - 1)(h_k - h_{k-1})
-    must equal <z_k, d> for every k >= 1. The reference pairs come first,
-    then seeded standard normal draws up to ``count``.
+    With h_k = <x_k, d>, the forward transform of h by phi = t - 1 must equal
+    <z_k, d> for every k >= 1. The reference pairs come first, then seeded
+    standard normal draws up to ``count``.
     """
 
     def __init__(self, trace, problem, rng, x0, *, tol=IDENTITY_TOL, count=3):
+        if count < 1:
+            raise ValueError(f"momentum_identity needs count >= 1, got {count!r}")
         self.tol = float(tol)
-        directions = _pair_directions(trace)
-        while len(directions) < count:
-            directions.append(rng.standard_normal(x0.size))
-        self.directions = [as_vector(d, x0.size) for d in directions[:count]]
+        self.directions = _directions(trace, x0.size, rng=rng, count=count)
         self.worst = [-math.inf] * len(self.directions)
         self.h_prev = [None] * len(self.directions)  # h over the previous block
         self.sup_x = -math.inf
@@ -213,8 +215,8 @@ class _MomentumIdentity(_Fold):
             h_all = h if self.h_prev[i] is None else np.concatenate((self.h_prev[i], h))
             for a, b in spans:
                 zh = _products(window.z, a, b, d, 1)
-                gaps = momentum_gaps(h_all[a - 1 - h_lo : b - h_lo], trace.ts[a - 1 : b - 1], zh)
-                self.worst[i] = _max(self.worst[i], float(np.max(gaps)))
+                g = forward_transform(h_all[a - 1 - h_lo : b - h_lo], trace.ts[a - 1 : b - 1] - 1.0)
+                self.worst[i] = _max(self.worst[i], float(np.max(np.abs(g - zh))))
             self.h_prev[i] = h
 
     def result(self):
@@ -318,10 +320,12 @@ class _SufficientDecrease(_Fold):
     domain of g. A probe that is not finite or has no finite objective
     value is skipped; with no usable probe left, or a non-finite slack, the
     reported value is NaN and the check fails. The steps k checked are
-    about ``points`` evenly spaced ones; only their rows are kept.
+    about ``points`` >= 1 evenly spaced ones; only their rows are kept.
     """
 
     def __init__(self, trace, problem, rng, x0, *, probes=20, points=100, tol=IDENTITY_TOL):
+        if points < 1:
+            raise ValueError(f"sufficient_decrease needs points >= 1, got {points!r}")
         self.tol = float(tol)
         self.beta = trace.beta
         rows = len(trace)
@@ -420,11 +424,13 @@ class _BoundedIterates(_Fold):
 
 
 class _ClusterProducts(_Fold):
-    """Verdicts on <x_k, w1 - w2> for every pair of reference solutions."""
+    """Verdicts on <x_k, d> for each probe direction d, by default w1 - w2 for every pair of reference solutions."""
+
+    claim = "cluster-product[d{}]"
 
     def __init__(self, trace, problem, rng, x0, *, window=100, tol=1e-6, directions=None):
         self.tol = float(tol)
-        self.directions = [as_vector(d, x0.size) for d in _required_directions(trace, directions)]
+        self.directions = _directions(trace, x0.size, directions)
         self.tails = [_Tail(window, len(trace)) for _ in self.directions]
 
     def update(self, trace, window, lo, hi):
@@ -432,7 +438,7 @@ class _ClusterProducts(_Fold):
             tail.add(_products(window.x, lo, hi, d, 0))
 
     def result(self):
-        return [tail.result(f"cluster-product[d{i}]", self.tol) for i, tail in enumerate(self.tails)]
+        return [tail.result(self.claim.format(i), self.tol) for i, tail in enumerate(self.tails)]
 
 
 class _XiDifference(_Fold):
@@ -465,19 +471,19 @@ class _XiDifference(_Fold):
         return out
 
 
-class _Span(_Fold):
-    """Projection onto span of probe directions: projector laws + verdicts."""
+class _Span(_ClusterProducts):
+    """Projection onto span of probe directions: projector laws, then cluster-product verdicts on its basis."""
+
+    claim = "span-coefficient[{}]"
 
     def __init__(self, trace, problem, rng, x0, *, window=100, tol=1e-6, directions=None):
-        self.tol = float(tol)
-        basis = orthonormal_span_basis(_required_directions(trace, directions))
-        dim = basis.shape[1]
+        basis = orthonormal_span_basis(_directions(trace, x0.size, directions))
         proj = basis.T @ basis
         idem = 0.0
         adj = 0.0
         for _ in range(8):
-            u = rng.standard_normal(dim)
-            v = rng.standard_normal(dim)
+            u = rng.standard_normal(x0.size)
+            v = rng.standard_normal(x0.size)
             pu = proj @ u
             idem = max(idem, float(np.linalg.norm(proj @ pu - pu)))
             adj = max(adj, abs(float(pu @ v - u @ (proj @ v))))
@@ -485,15 +491,10 @@ class _Span(_Fold):
             CheckResult("span-idempotent", idem <= 1e-10, idem, tol=1e-10),
             CheckResult("span-self-adjoint", adj <= 1e-10, adj, tol=1e-10),
         ]
-        self.basis = [as_vector(b, x0.size) for b in basis]
-        self.tails = [_Tail(window, len(trace)) for _ in self.basis]
-
-    def update(self, trace, window, lo, hi):
-        for b, tail in zip(self.basis, self.tails):
-            tail.add(_products(window.x, lo, hi, b, 0))
+        super().__init__(trace, problem, rng, x0, window=window, tol=tol, directions=basis)
 
     def result(self):
-        return self.laws + [tail.result(f"span-coefficient[{i}]", self.tol) for i, tail in enumerate(self.tails)]
+        return self.laws + super().result()
 
 
 class _FinalPoint(_Fold):

@@ -37,9 +37,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import AnalysisStream, _entries
+from .checks import AnalysisStream, _entries, _real
 from .diagnostics import ScalarSeq, verdict
-from .families import FAMILIES, build_problem, feasibility_problem
+from .families import build_problem, feasibility_problem
 from .scalar_transform import SCENARIO_NAMES, divergence_witness, get_scenario
 from .schedule import Schedule, check_tk_bounds, validate_schedule
 from .solver import (
@@ -91,30 +91,32 @@ def _load_config(path: Path) -> dict:
             raise ConfigError(f"config is missing required key {key!r}")
 
     problem = raw["problem"]
-    if not isinstance(problem, dict) or "family" not in problem:
-        raise ConfigError("'problem' must be an object with a 'family' key")
+    if not isinstance(problem, dict) or not isinstance(problem.get("family"), str):
+        raise ConfigError("'problem' must be an object with a string 'family'")
     if set(problem) - {"family", "params"}:
         raise ConfigError("'problem' accepts only 'family' and 'params'")
-    if problem["family"] not in FAMILIES:
-        raise ConfigError(
-            f"unknown problem family {problem['family']!r}; known: {sorted(FAMILIES)}"
-        )
 
     algorithm = raw.get("algorithm", "fista")
     if algorithm not in _ALGORITHMS:
         raise ConfigError(f"algorithm must be one of {_ALGORITHMS}, got {algorithm!r}")
     if algorithm != "pgm" and "schedule" not in raw:
         raise ConfigError(f"algorithm {algorithm!r} needs a 'schedule'")
-
-    iterations = raw["iterations"]
-    if not isinstance(iterations, int) or iterations < 1:
-        raise ConfigError("iterations must be an integer >= 1")
-    snapshot_every = raw.get("snapshot_every", 1)
-    if not isinstance(snapshot_every, int) or snapshot_every < 1:
-        raise ConfigError("snapshot_every must be an integer >= 1")
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("seed must be an integer")
+    schedule = raw.get("schedule", "bt")
+    if not (isinstance(schedule, str) or isinstance(schedule, list) and _real(schedule)):
+        raise ConfigError("schedule must be a rule name or a list of real numbers")
+    for key in ("x0", "s_refs"):
+        value = raw.get(key, [])
+        if not (isinstance(value, list) and _real(value)):
+            raise ConfigError(f"{key} must be a list of real numbers or of lists of them")
+    if not isinstance(raw.get("output_dir", ""), str):
+        raise ConfigError("output_dir must be a string")
+    # a bool is not an integer here, as for check parameters
+    for key, least in (("iterations", 1), ("snapshot_every", 1), ("seed", 0)):
+        value = raw.get(key, least)
+        if not isinstance(value, int) or isinstance(value, bool) or value < least:
+            raise ConfigError(f"{key} must be an integer >= {least}")
+    if not isinstance(raw.get("analyses", []), list):
+        raise ConfigError("analyses must be a list")
 
     try:
         _entries(raw.get("analyses", []))

@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .problem import as_vector
+from .scalar_transform import forward_transform
 from .solver import Trace
 
 __all__ = [
@@ -126,22 +127,13 @@ def inner_product_seq(trace: Trace, which: str, d) -> ScalarSeq:
 def momentum_identity_residual(trace: Trace, d) -> float:
     """Max residual of the scalar momentum identity along direction d.
 
-    With h_k = <x_k, d>, the combination h_{k+1} + (t_k - 1)(h_{k+1} - h_k)
-    must equal <z_{k+1}, d> for every k; the identity is linear in d.
+    With h_k = <x_k, d>, the forward transform of h by phi_k = t_k - 1 must
+    equal <z_{k+1}, d> for every k; the identity is linear in d.
     """
     trace.require_vectors()
     dd = as_vector(d, trace.xs.shape[1])
-    return float(np.max(momentum_gaps(trace.xs @ dd, trace.ts[:-1], trace.zs[1:] @ dd)))
-
-
-def momentum_gaps(h: np.ndarray, t_prev: np.ndarray, zh: np.ndarray) -> np.ndarray:
-    """|h_k + (t_{k-1} - 1)(h_k - h_{k-1}) - <z_k, d>| for consecutive rows.
-
-    ``h`` holds <x_k, d> for rows k - 1 .. k of every pair, ``t_prev`` and
-    ``zh`` (the <z_k, d>) one entry per pair.
-    """
-    g = h[1:] + (t_prev - 1.0) * (h[1:] - h[:-1])
-    return np.abs(g - zh)
+    g = forward_transform(trace.xs @ dd, trace.ts[:-1] - 1.0)
+    return float(np.max(np.abs(g - trace.zs[1:] @ dd)))
 
 
 def orthonormal_span_basis(vectors: Sequence, drop_tol: float = 1e-10) -> np.ndarray:

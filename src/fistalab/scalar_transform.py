@@ -1,10 +1,12 @@
 """Averaging transform on scalar sequences and its limit-transfer machinery.
 
-For a positive weight sequence phi_k, the forward transform of (h_k) is
+For a weight sequence phi_k, the forward transform of (h_k) is
 
     g_k = h_{k+1} + phi_k (h_{k+1} - h_k).
 
-With lambda_k = phi_k / (1 + phi_k) the transform inverts to the recursion
+It takes any real phi (FISTA's momentum identity is this transform with
+phi_k = t_k - 1, 0 at k = 0 and on PGM). The inverse needs phi > 0: with
+lambda_k = phi_k / (1 + phi_k), the transform inverts to the recursion
 h_{k+1} = (1 - lambda_k) g_k + lambda_k h_k, whose unrolled closed form is
 
     h_n = sum_{k<n} w_{n,k} g_k + h_0 prod_{j<n} lambda_j,
@@ -85,8 +87,8 @@ def _on_indices(fn, name: str, start: int, count: int) -> np.ndarray:
     return vals
 
 
-def _phi_array(phi, start: int, count: int) -> np.ndarray:
-    """Evaluate phi on absolute indices start..start+count-1, checking positivity."""
+def _phi_values(phi, start: int, count: int) -> np.ndarray:
+    """Evaluate phi on absolute indices start..start+count-1."""
     if count < 0:
         raise ValueError("count must be nonnegative")
     if callable(phi):
@@ -95,6 +97,12 @@ def _phi_array(phi, start: int, count: int) -> np.ndarray:
         vals = np.asarray(phi, dtype=float)[:count]
         if vals.size != count:
             raise ValueError(f"need {count} phi values, got {vals.size}")
+    return vals
+
+
+def _phi_array(phi, start: int, count: int) -> np.ndarray:
+    """Evaluate phi as :func:`_phi_values` does, checking positivity (the inverse side needs it)."""
+    vals = _phi_values(phi, start, count)
     if np.any(~(vals > 0)):
         bad = int(np.argmax(~(vals > 0)))
         raise ValueError(f"phi must be positive; offending index {start + bad}")
@@ -102,11 +110,11 @@ def _phi_array(phi, start: int, count: int) -> np.ndarray:
 
 
 def forward_transform(h, phi, start: int = 0) -> np.ndarray:
-    """g_k = h_{k+1} + phi_k (h_{k+1} - h_k); one entry shorter than h."""
+    """g_k = h_{k+1} + phi_k (h_{k+1} - h_k) for any real phi; one entry shorter than h."""
     hh = np.asarray(h, dtype=float)
     if hh.size < 2:
         raise ValueError("need at least two h values")
-    phis = _phi_array(phi, start, hh.size - 1)
+    phis = _phi_values(phi, start, hh.size - 1)
     return hh[1:] + phis * (hh[1:] - hh[:-1])
 
 

@@ -189,6 +189,54 @@ class TestRun:
         assert f"error: bad parameters for analysis {entry['name']!r}: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "override, key",
+        [
+            ({"problem": {"family": ["feasibility"]}}, "family"),
+            ({"schedule": {"rule": "bt"}}, "schedule"),
+            ({"x0": {"a": 1}}, "x0"),
+            ({"s_refs": 5}, "s_refs"),
+            ({"output_dir": 7}, "output_dir"),
+            ({"iterations": True}, "iterations"),
+        ],
+        ids=["family", "schedule", "x0", "s_refs", "output_dir", "iterations"],
+    )
+    def test_malformed_config_value_exits_two_before_any_output(self, override, key, tmp_path, capsys):
+        # the first five used to end in a traceback with exit 1; a bool iterations ran one step
+        cfg = write_config(tmp_path, **override)
+        out = None if "output_dir" in override else tmp_path / "out"
+        assert run_config(cfg, output_dir=out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"name": "momentum_identity", "count": 0}, "momentum_identity needs count >= 1, got 0"),
+            ({"name": "sufficient_decrease", "points": 0}, "sufficient_decrease needs points >= 1, got 0"),
+        ],
+        ids=["count", "points"],
+    )
+    def test_check_with_nothing_to_check_exits_two_before_the_first_step(
+        self, entry, message, tmp_path, monkeypatch, capsys
+    ):
+        # count 0 used to check nothing and pass; points 0 failed only after the whole run
+        feas = feasibility_problem()
+        steps = []
+
+        def gradient(x):
+            steps.append(1)
+            return feas.f.gradient(x)
+
+        counted = dataclasses.replace(feas, f=dataclasses.replace(feas.f, gradient=gradient))
+        monkeypatch.setattr(cli, "build_problem", lambda family, params: counted)
+        cfg = write_config(tmp_path, iterations=2000, analyses=["structural", entry])
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert steps == []
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_seed_override_changes_probe_draws_not_trace(self, tmp_path):
         cfg = write_config(
             tmp_path, analyses=["structural", {"name": "sufficient_decrease", "probes": 5}]

@@ -9,6 +9,7 @@ import pytest
 from fistalab import (
     MissingSnapshotError,
     ScalarSeq,
+    Schedule,
     Trace,
     feasibility_problem,
     fista_run,
@@ -125,6 +126,35 @@ class TestMomentumIdentity:
         for r, d in zip(results, directions, strict=True):
             scale = max(1.0, float(np.linalg.norm(d)) * sup_x)
             assert r.residual_or_oscillation == momentum_identity_residual(feas_trace, d) / scale
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_count_below_one_is_rejected(self, count, feas_trace):
+        # a count of 0 used to check nothing and pass; -2 dropped directions from the end
+        with pytest.raises(ValueError, match=rf"momentum_identity needs count >= 1, got {count}"):
+            ANALYSES["momentum_identity"](feas_trace, None, {"count": count}, np.random.default_rng(3))
+
+    @pytest.mark.parametrize("run", ["pgm", "t0-below-one"])
+    def test_fold_equals_the_residual_where_phi_is_zero_or_negative(self, run):
+        # phi_k = t_k - 1 is 0 on every PGM row; an admissible explicit t_0 = 1 - 1e-13 makes phi_0 < 0.
+        # 5000 rows cross a block boundary of the fold.
+        feas = feasibility_problem()
+        refs = [[0.0, 1.0], [1.0, 0.0]]
+        if run == "pgm":
+            trace = pgm_run(feas, [5.0, 0.0], 5000, s_refs=refs)
+        else:
+            ts = np.array(Schedule("bt").prefix(5000))
+            ts[0] = 1.0 - 1e-13
+            trace = fista_run(feas, [5.0, 0.0], ts, 5000, s_refs=refs)
+        assert np.min(trace.ts[:-1] - 1.0) <= 0.0
+        results = ANALYSES["momentum_identity"](trace, None, {"count": 3}, np.random.default_rng(3))
+        draws = np.random.default_rng(3)
+        s0, s1 = trace.s_refs
+        directions = [s0 - s1, draws.standard_normal(2), draws.standard_normal(2)]
+        sup_x = float(np.max(trace.norm_x))
+        for r, d in zip(results, directions, strict=True):
+            scale = max(1.0, float(np.linalg.norm(d)) * sup_x)
+            assert r.passed
+            assert r.residual_or_oscillation == momentum_identity_residual(trace, d) / scale
 
 
 class TestVerdict:
@@ -461,6 +491,12 @@ class TestAnalysisParameters:
         # a string tol used to run the whole fold and then raise TypeError in its verdict
         with pytest.raises(ValueError, match=rf"bad parameters for analysis '{entry['name']}': '{key}' is "):
             AnalysisStream(feasibility_problem(), [entry], np.random.default_rng(0))
+
+    def test_sufficient_decrease_without_points_fails_at_set_up(self, feas_trace):
+        # points = 0 used to run the whole fold and then fail on numpy's empty minimum
+        stream = AnalysisStream(feasibility_problem(), [{"name": "sufficient_decrease", "points": 0}], None)
+        with pytest.raises(ValueError, match="sufficient_decrease needs points >= 1, got 0"):
+            stream.start(feas_trace, feas_trace.xs[0])
 
     @pytest.mark.parametrize("name", ["cluster_products", "xi_difference", "span"])
     def test_window_that_is_not_an_integer_fails_at_set_up(self, name, feas_trace):

@@ -95,6 +95,12 @@ class TestForwardTransform:
         with pytest.raises(ValueError):
             forward_transform([1.0], lambda k: np.ones(k.shape))
 
+    def test_takes_any_real_phi(self, rng):
+        # phi = t - 1 is 0 on a PGM run and at k = 0; it used to be rejected as nonpositive
+        h = rng.standard_normal(50)
+        assert np.array_equal(forward_transform(h, np.zeros(49)), h[1:])
+        assert np.array_equal(forward_transform([0.0, 1.0, 3.0], [-0.5, -2.0]), [0.5, -1.0])
+
 
 class TestReconstruct:
     def test_partial_product_oracle(self):
