@@ -89,12 +89,13 @@ class CsvSink:
     forks a writer process that formats the chunks while the run goes on,
     so use a sink only where :func:`spare_cpu` holds; elsewhere write
     ``trace.csv`` after the run (:meth:`~fistalab.solver.Trace.save`). A
-    fork that fails raises its ``OSError``. The writer puts the rows in a
-    temporary file in the target directory. :meth:`commit` has it renamed
-    onto ``path``; leaving the ``with`` block without a commit removes it,
-    so a failed run leaves the previous ``trace.csv`` as it was. The
-    ``with`` block always reaps the writer, and a writer that fails is an
-    ``OSError``.
+    fork that fails raises its ``OSError``. The writer creates the target
+    directory where it is missing and puts the rows in a temporary file
+    there. :meth:`commit` has it renamed onto ``path``; leaving the
+    ``with`` block without a commit removes it, so a failed run leaves the
+    previous ``trace.csv`` as it was. The ``with`` block always reaps the
+    writer, and a writer that fails (say, on an output path below a
+    regular file) is an ``OSError``.
     """
 
     def __init__(self, path):

@@ -23,7 +23,10 @@ where a second CPU is usable, and after the run otherwise. Every
 artifact is written under a temporary name in the output directory and
 renamed into place, trace.csv first and report.json last, so a crash
 never leaves a half-written file; a run that fails before writing its
-artifacts leaves the previous ones as they were.
+artifacts leaves the previous ones as they were. ``--output-dir`` and
+``--seed`` are checked as the config keys they replace, and the output
+directory is created by the first artifact write, so a run that fails at
+set-up leaves nothing on disk.
 """
 
 from __future__ import annotations
@@ -73,7 +76,8 @@ _ALLOWED_KEYS = {
 _ALGORITHMS = ("fista", "pgm", "nesterov")
 
 
-def _load_config(path: Path) -> dict:
+def _load_config(path: Path, overrides=None) -> dict:
+    """The config at ``path`` with ``overrides`` (command-line values) put over its keys, checked."""
     try:
         raw = json.loads(path.read_text())
     except FileNotFoundError:
@@ -82,6 +86,7 @@ def _load_config(path: Path) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    raw.update(overrides or {})
 
     unknown = set(raw) - _ALLOWED_KEYS
     if unknown:
@@ -108,7 +113,9 @@ def _load_config(path: Path) -> dict:
         value = raw.get(key, [])
         if not (isinstance(value, list) and _real(value)):
             raise ConfigError(f"{key} must be a list of real numbers or of lists of them")
-    if not isinstance(raw.get("output_dir", ""), str):
+    if "output_dir" not in raw:
+        raise ConfigError("no output directory (config 'output_dir' or --output-dir)")
+    if not isinstance(raw["output_dir"], str):
         raise ConfigError("output_dir must be a string")
     # a bool is not an integer here, as for check parameters
     for key, least in (("iterations", 1), ("snapshot_every", 1), ("seed", 0)):
@@ -140,27 +147,30 @@ def run_config(config_path, output_dir=None, seed=None) -> int:
     fails before writing its artifacts leaves the previous ones as they
     were; one that fails while writing them may leave the newer files next
     to older ones.
+
+    ``output_dir`` and ``seed``, where given, replace the config's keys and
+    are checked as they are. The first artifact write creates the output
+    directory: the forked writer's start, after every check is set up, or
+    the writes after the run. So a run that fails at set-up creates no
+    directory, and an unusable output path (one below a regular file) is
+    reported only there, as exit 2.
     """
     path = Path(config_path)
     aborted = None
     try:
-        cfg = _load_config(path)
+        overrides = {"output_dir": None if output_dir is None else str(output_dir), "seed": seed}
+        cfg = _load_config(path, {k: v for k, v in overrides.items() if v is not None})
         problem = build_problem(cfg["problem"]["family"], cfg["problem"].get("params"))
         algorithm = cfg.get("algorithm", "fista")
-        out = Path(output_dir) if output_dir is not None else None
-        if out is None:
-            if "output_dir" not in cfg:
-                raise ConfigError("no output directory (config 'output_dir' or --output-dir)")
-            out = Path(cfg["output_dir"])
-        use_seed = cfg.get("seed", 0) if seed is None else seed
+        out = Path(cfg["output_dir"])
+        seed = cfg.get("seed", 0)
 
         # imported only here: without cached bytecode, compiling it slows every other command
         from ._sink import CsvSink, spare_cpu
 
-        out.mkdir(parents=True, exist_ok=True)
         sink = CsvSink(out / "trace.csv") if spare_cpu() else None
         with sink or contextlib.nullcontext():
-            analyses = AnalysisStream(problem, cfg.get("analyses", []), np.random.default_rng(use_seed))
+            analyses = AnalysisStream(problem, cfg.get("analyses", []), np.random.default_rng(seed))
             common = dict(
                 s_refs=cfg.get("s_refs", ()),
                 snapshot_every=cfg.get("snapshot_every", 1),
@@ -189,7 +199,7 @@ def run_config(config_path, output_dir=None, seed=None) -> int:
         "algorithm": trace.kind,
         "schedule": trace.schedule_id,
         "iterations": len(trace) - 1,
-        "seed": use_seed,
+        "seed": seed,
         "checks": [r.to_json() for r in results],
         "all_pass": not failing and aborted is None,
         "failing": failing,
@@ -237,7 +247,6 @@ def repro_fig1(output_dir=".") -> Path:
     lines.append("0 1")
     lines.append("1 0")
     path = Path(output_dir) / "fig1_points.dat"
-    path.parent.mkdir(parents=True, exist_ok=True)
     write_atomically(path, lambda tmp: tmp.write_text("\n".join(lines) + "\n"))
     print(f"wrote {path}")
     return path
@@ -334,10 +343,6 @@ def validate_command(name: str, count: int) -> int:
     return 1
 
 
-def _run_entry(args_tuple) -> int:
-    return run_config(*args_tuple)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="fistalab", description="composite-minimization solver lab and experiment runner"
@@ -348,7 +353,6 @@ def main(argv=None) -> int:
     p_run.add_argument("configs", nargs="+", help="JSON config paths")
     p_run.add_argument("--output-dir", default=None, help="override the config output directory")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_run.add_argument("--jobs", type=int, default=1, help="run configs concurrently")
 
     p_fig = sub.add_parser("repro-fig1", help="emit the plane-demo iterate point list")
     p_fig.add_argument("--output-dir", default=".", help="where to write fig1_points.dat")
@@ -368,22 +372,15 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "run":
-            items = [(c, args.output_dir, args.seed) for c in args.configs]
+            outs = [args.output_dir] * len(args.configs)
             if args.output_dir is not None and len(args.configs) > 1:
-                # per-config subdirectories keep concurrent runs apart
-                items = [
-                    (c, str(Path(args.output_dir) / Path(c).stem), args.seed)
-                    for c in args.configs
-                ]
-            if args.jobs > 1 and len(items) > 1:
-                # imported only here: concurrent.futures and multiprocessing slow every start-up
-                from concurrent.futures import ProcessPoolExecutor
-
-                with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                    codes = list(pool.map(_run_entry, items))
-            else:
-                codes = [_run_entry(item) for item in items]
-            return max(codes)
+                # one subdirectory per config, named by its stem; a shared one would lose a run
+                outs = [str(Path(args.output_dir) / Path(c).stem) for c in args.configs]
+                for i, out in enumerate(outs):
+                    if out in outs[:i]:
+                        first = args.configs[outs.index(out)]
+                        raise ConfigError(f"configs {first} and {args.configs[i]} would both write to {out}")
+            return max([run_config(c, out, args.seed) for c, out in zip(args.configs, outs)])
         if args.command == "repro-fig1":
             repro_fig1(args.output_dir)
             return 0
@@ -391,9 +388,8 @@ def main(argv=None) -> int:
             return bcch_demo(args.name, args.K, ell=args.ell, window=args.window, tol=args.tol)
         if args.command == "validate":
             return validate_command(args.name, args.K)
-    except (ConfigError, KeyError, ValueError) as exc:
-        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"error: {msg}", file=sys.stderr)
+    except ValueError as exc:  # a ConfigError is one
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2
 

@@ -147,10 +147,6 @@ class Schedule:
         self.rule = rule
         self._ts = np.empty(0) if self._explicit is not None else np.ones(1)  # t_0 = 1
 
-    @property
-    def label(self) -> str:
-        return self.rule
-
     def _generate(self, k_max: int) -> np.ndarray:
         """t_0..t_{k_max}, or as many of them as an explicit rule has."""
         if self._explicit is not None:

@@ -143,11 +143,13 @@ def strict_json(payload: dict) -> str:
 def write_atomically(path, write) -> Path:
     """Call ``write(temp)`` on a temporary name beside ``path``, then rename it onto ``path``.
 
-    The temporary name carries the pid, so no other process writes it. On
-    failure the temporary file is removed, so ``path`` holds either its old
-    content or the complete new one, never a partial file.
+    Creates the parent directory first, where it is missing. The temporary
+    name carries the pid, so no other process writes it. On failure the
+    temporary file is removed, so ``path`` holds either its old content or
+    the complete new one, never a partial file.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         write(tmp)
@@ -362,9 +364,8 @@ class Trace:
         }
 
     def save(self, outdir) -> dict:
-        """Write trace.csv and snapshots.json into ``outdir``, each by temp name and rename."""
+        """Write trace.csv and snapshots.json into ``outdir`` (created if missing), each by temp name and rename."""
         outdir = Path(outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
         csv_path = outdir / "trace.csv"
         write_atomically(csv_path, self.to_csv)
         json_path = write_atomically(
@@ -691,7 +692,7 @@ def fista_run(
     """
     sched = _coerce_schedule(schedule)
     ts = sched.prefix(iterations)  # raises ScheduleError before any iteration
-    return _run(problem, x0, iterations, ts, "fista", sched.label, s_refs, snapshot_every, csv_sink, analyses)
+    return _run(problem, x0, iterations, ts, "fista", sched.rule, s_refs, snapshot_every, csv_sink, analyses)
 
 
 def pgm_run(
@@ -744,4 +745,4 @@ def nesterov_run(
     _require_zero_g(problem, x0)
     sched = _coerce_schedule(schedule)
     ts = sched.prefix(iterations)
-    return _run(problem, x0, iterations, ts, "nesterov", sched.label, s_refs, snapshot_every, csv_sink, analyses)
+    return _run(problem, x0, iterations, ts, "nesterov", sched.rule, s_refs, snapshot_every, csv_sink, analyses)

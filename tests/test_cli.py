@@ -148,7 +148,7 @@ class TestRun:
         assert run_config(cfg, output_dir=tmp_path / "out") == 2
         assert "window 300 too long" in capsys.readouterr().err
         assert steps == []
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("usable", [{0, 1}, {0}], ids=["forked", "one-cpu"])
     def test_mistyped_check_parameter_exits_two_and_keeps_the_artifacts(self, usable, tmp_path, monkeypatch, capsys):
@@ -235,7 +235,21 @@ class TestRun:
         assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert steps == []
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_override_exits_two_before_any_output(self, tmp_path, capsys):
+        # numpy used to reject it, after the output directory was created
+        cfg = write_config(tmp_path, iterations=50)
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out"), "--seed", "-1"]) == 2
+        assert "error: seed must be an integer >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed", [-1, True])
+    def test_bad_seed_argument_exits_two_before_any_output(self, seed, tmp_path, capsys):
+        cfg = write_config(tmp_path, iterations=50)
+        assert run_config(cfg, output_dir=tmp_path / "out", seed=seed) == 2
+        assert "error: seed must be an integer >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_seed_override_changes_probe_draws_not_trace(self, tmp_path):
         cfg = write_config(
@@ -308,16 +322,31 @@ class TestRun:
         assert check["nonfinite"] == {"residual_or_oscillation": "nan"}
         assert "details" not in check
 
-    def test_main_run_multiple_configs_with_jobs(self, tmp_path):
+    def test_main_run_multiple_configs_writes_one_subdirectory_each(self, tmp_path):
         c1 = write_config(tmp_path, iterations=50, analyses=["structural"])
         c2 = tmp_path / "second.json"
         c2.write_text(c1.read_text())
-        code = main(
-            ["run", str(c1), str(c2), "--output-dir", str(tmp_path / "multi"), "--jobs", "2"]
-        )
-        assert code == 0
+        assert main(["run", str(c1), str(c2), "--output-dir", str(tmp_path / "multi")]) == 0
         assert (tmp_path / "multi" / "config" / "trace.csv").exists()
         assert (tmp_path / "multi" / "second" / "trace.csv").exists()
+
+    def test_configs_sharing_a_stem_exit_two_before_any_output(self, tmp_path, capsys):
+        # the second run used to replace the first one's artifacts in D/config
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        c1 = write_config(tmp_path / "a", iterations=50, analyses=["structural"])
+        c2 = write_config(tmp_path / "b", iterations=60, analyses=["structural"])
+        multi = tmp_path / "multi"
+        assert main(["run", str(c1), str(c2), "--output-dir", str(multi)]) == 2
+        assert f"error: configs {c1} and {c2} would both write to {multi / 'config'}" in capsys.readouterr().err
+        assert not multi.exists()
+
+    def test_jobs_is_a_usage_error(self, tmp_path):
+        cfg = write_config(tmp_path, iterations=50)
+        with pytest.raises(SystemExit) as caught:
+            main(["run", str(cfg), "--output-dir", str(tmp_path / "out"), "--jobs", "2"])
+        assert caught.value.code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_import_leaves_process_pool_unloaded(self):
         env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
@@ -566,6 +595,24 @@ class TestAtomicArtifacts:
             assert (out / name).read_bytes() == before[name], name
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize(
+        "usable, message",
+        [({0, 1}, "/trace.csv exited with status 1"), ({0}, "error: cannot write artifacts: ")],
+        ids=["forked", "one-cpu"],
+    )
+    def test_output_dir_below_a_file_exits_two_and_leaves_the_file(
+        self, usable, message, tmp_path, monkeypatch, capsys
+    ):
+        # reported at the first artifact write: the writer's start, or the writes after the run
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: usable)
+        blocker = tmp_path / "blocker"
+        blocker.write_bytes(b"not a directory\n")
+        cfg = write_config(tmp_path, iterations=50, analyses=["structural"])
+        assert run_config(cfg, output_dir=blocker / "out") == 2
+        assert message in capsys.readouterr().err
+        assert blocker.read_bytes() == b"not a directory\n"
+        assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
     def test_abort_streams_the_partial_trace(self, tmp_path):
         # the whole partial trace goes through the sink; save adds only the JSON files
