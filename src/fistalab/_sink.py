@@ -30,6 +30,7 @@ def spare_cpu() -> bool:
 
 
 _HEAD = np.dtype(np.int64).itemsize * 2  # a message starts with (first row, row count)
+_FAILED = 255  # the writer's exit status for a failure without an errno (errnos stay below it)
 
 
 def _write_all(fd: int, data: bytes) -> None:
@@ -46,7 +47,9 @@ def _writer_main(read_fd: int, path: Path, header: str, columns: int) -> None:
     ``columns`` float64 values, and writes their CSV text through
     :func:`~fistalab.solver.write_atomically`. A negative row count is the
     end marker: the file is renamed onto ``path``. At end of input without
-    it, the file is removed and the writer exits 0.
+    it, the file is removed and the writer exits 0. A failure prints
+    nothing: the writer exits with the ``OSError``'s errno, or with
+    ``_FAILED`` for any other failure, and :meth:`CsvSink.close` reports it.
     """
 
     def write(tmp: Path) -> None:
@@ -64,7 +67,7 @@ def _writer_main(read_fd: int, path: Path, header: str, columns: int) -> None:
                     raise EOFError
                 out.write(_csv_chunk(np.frombuffer(data, dtype=np.float64).reshape(rows, columns), start))
 
-    code = 1
+    code = _FAILED
     try:
         # an interrupt reaches the parent too, which then closes the pipe
         signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -72,11 +75,9 @@ def _writer_main(read_fd: int, path: Path, header: str, columns: int) -> None:
         code = 0
     except EOFError:  # not committed; write_atomically removed the file
         code = 0
-    except BaseException as exc:
-        try:
-            os.write(2, f"trace writer for {path}: {exc!r}\n".encode())
-        except BaseException:
-            pass
+    except OSError as exc:
+        if exc.errno and 0 < exc.errno < _FAILED:
+            code = exc.errno
     finally:
         os._exit(code)
 
@@ -95,7 +96,8 @@ class CsvSink:
     ``with`` block without a commit removes it, so a failed run leaves the
     previous ``trace.csv`` as it was. The ``with`` block always reaps the
     writer, and a writer that fails (say, on an output path below a
-    regular file) is an ``OSError``.
+    regular file) is an ``OSError``: the writer's own, errno and all, with
+    ``path`` as its file name.
     """
 
     def __init__(self, path):
@@ -143,5 +145,7 @@ class CsvSink:
         if self._pid is not None:
             pid, self._pid = self._pid, None
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if 0 < code < _FAILED:
+                raise OSError(code, os.strerror(code), str(self.path))
             if code != 0:
                 raise OSError(f"trace writer for {self.path} exited with status {code}")

@@ -16,13 +16,15 @@ analysis order), updated once per block, then read. Each fold is a
 maximum, a minimum, a finiteness flag, a tail window or a set of sampled
 rows, so it gives the bits of one pass over the whole trace. The one
 exception is a BLAS product <v_k, d>, whose rounding depends on how the
-rows are split; :func:`_products` keeps the split of the one whole-array
-product. ``fistalab run`` folds the checks as the run builds each block
-(:class:`AnalysisStream`), so it never holds every row of x, y and z;
-``ANALYSES[name]`` and :meth:`AnalysisStream.fold` run the same fold over
-a stored trace. A check's parameters are its fold's keyword arguments, each
-default written once, in the fold's signature; an unknown, missing or
-mistyped one is a ValueError before the first row.
+rows are split; :func:`_products` takes each one, of x and of z alike, in
+the fold's own block, which splits the one whole-array product ``v @ d``
+at multiples of ``_CSV_CHUNK`` from row 0. ``fistalab run`` folds the
+checks as the run builds each block (:class:`AnalysisStream`), so it
+never holds every row of x, y and z; ``ANALYSES[name]`` and
+:meth:`AnalysisStream.fold` run the same fold over a stored trace. A
+check's parameters are its fold's keyword arguments, each default written
+once, in the fold's signature; an unknown, missing or mistyped one is a
+ValueError before the first row.
 """
 
 from __future__ import annotations
@@ -79,16 +81,15 @@ def _max(acc: float, value: float) -> float:
     return value if value != value or value > acc else acc
 
 
-def _products(rows_of, a: int, b: int, d: np.ndarray, start: int) -> np.ndarray:
-    """<v_k, d> for rows a..b, rounded as the one product ``v[start:] @ d`` would round them.
+def _products(rows_of, a: int, b: int, d: np.ndarray) -> np.ndarray:
+    """<v_k, d> for rows a..b, rounded as the one whole-array product ``v @ d`` would round them.
 
     ``rows_of`` is a :class:`RowWindow` accessor. Callers split that product
-    at ``start`` plus multiples of ``_CSV_CHUNK``, which keeps every row in
-    its place among BLAS's four-row groups. A one-row piece would go to
-    numpy's dot instead, which may round differently, so it is widened by
-    four earlier rows.
+    at multiples of ``_CSV_CHUNK``, which keeps every row in its place among
+    BLAS's four-row groups. A one-row piece would go to numpy's dot instead,
+    which may round differently, so it is widened by four earlier rows.
     """
-    lead = 4 if b - a == 1 and a > start else 0
+    lead = 4 if b - a == 1 and a > 0 else 0
     return (rows_of(a - lead, b) @ d)[lead:]
 
 
@@ -143,8 +144,9 @@ class _Fold:
     check's parameters as keyword-only arguments. ``update(trace, window,
     lo, hi)`` then sees rows lo..hi, for consecutive blocks of
     ``_CSV_CHUNK`` rows, once the trace's columns for them are filled;
-    ``window`` holds their x, y and z rows and the ``_CSV_CHUNK + 1`` rows
-    before them. ``result()`` gives the results.
+    ``window`` holds their x, y and z rows and row lo - 1 (and the three
+    before it, for :func:`_products`' widening of a one-row block).
+    ``result()`` gives the results.
     """
 
     vectors = True  # it reads x, y or z rows, not only the scalar columns and x_0
@@ -198,26 +200,20 @@ class _MomentumIdentity(_Fold):
         self.tol = float(tol)
         self.directions = _directions(trace, x0.size, rng=rng, count=count)
         self.worst = [-math.inf] * len(self.directions)
-        self.h_prev = [None] * len(self.directions)  # h over the previous block
+        self.h_last = [None] * len(self.directions)  # h_{lo-1}, the last h of the previous block
         self.sup_x = -math.inf
 
     def update(self, trace, window, lo, hi):
         self.sup_x = _max(self.sup_x, float(np.max(trace.norm_x[lo:hi])))
-        # h is taken in the blocks of xs @ d, which start at row 0; <z_k, d> in
-        # those of zs[1:] @ d, which start at row 1, so each ends one row into
-        # the next block and is taken one block late
-        spans = [(lo - _CSV_CHUNK + 1, lo + 1)] if lo else []
-        if hi == len(trace) and lo + 1 < hi:
-            spans.append((lo + 1, hi))
-        h_lo = max(lo - _CSV_CHUNK, 0)
+        p = max(lo, 1)  # <z_k, d> from k = 1, against h_{k-1} and h_k
+        phi = trace.ts[p - 1 : hi - 1] - 1.0
         for i, d in enumerate(self.directions):
-            h = _products(window.x, lo, hi, d, 0)
-            h_all = h if self.h_prev[i] is None else np.concatenate((self.h_prev[i], h))
-            for a, b in spans:
-                zh = _products(window.z, a, b, d, 1)
-                g = forward_transform(h_all[a - 1 - h_lo : b - h_lo], trace.ts[a - 1 : b - 1] - 1.0)
-                self.worst[i] = _max(self.worst[i], float(np.max(np.abs(g - zh))))
-            self.h_prev[i] = h
+            h = _products(window.x, lo, hi, d)
+            if p < hi:
+                g = forward_transform(h if lo == 0 else np.concatenate(([self.h_last[i]], h)), phi)
+                residual = np.abs(g - _products(window.z, lo, hi, d)[p - lo :])
+                self.worst[i] = _max(self.worst[i], float(np.max(residual)))
+            self.h_last[i] = h[-1]
 
     def result(self):
         out = []
@@ -435,7 +431,7 @@ class _ClusterProducts(_Fold):
 
     def update(self, trace, window, lo, hi):
         for d, tail in zip(self.directions, self.tails):
-            tail.add(_products(window.x, lo, hi, d, 0))
+            tail.add(_products(window.x, lo, hi, d))
 
     def result(self):
         return [tail.result(self.claim.format(i), self.tol) for i, tail in enumerate(self.tails)]

@@ -277,8 +277,8 @@ def bcch_demo(name: str, count: int, ell: float = 1.0, window: int = 100, tol: f
     win = max(2, min(window, count // 2))
     expected = scenario.expected_limit
     rel = max(1.0, abs(expected)) if math.isfinite(expected) else 1.0
-    gv = verdict(ScalarSeq(g, start=scenario.start, label="g"), win, tol * rel)
-    hv = verdict(ScalarSeq(h, start=scenario.start, label="h"), win, tol * rel)
+    gv = verdict(ScalarSeq(g), win, tol * rel)
+    hv = verdict(ScalarSeq(h), win, tol * rel)
 
     print(f"scenario {scenario.name}: start k={scenario.start}, {count} terms")
     print(f"  provenance: {scenario.provenance}")
@@ -343,6 +343,34 @@ def validate_command(name: str, count: int) -> int:
     return 1
 
 
+def _output_dirs(configs: list, output_dir) -> list:
+    """Each config's ``output_dir`` override: ``output_dir`` itself for one config, else its stem under it.
+
+    Several configs that would write to one directory, whether it comes
+    from ``output_dir`` or from their own ``output_dir`` keys, are a
+    ConfigError before the first run, since a later run would overwrite
+    an earlier one. A config that does not load is left to fail in its
+    own turn.
+    """
+    if len(configs) == 1:
+        return [output_dir]
+    if output_dir is None:
+        outs = [None] * len(configs)
+    else:
+        outs = [str(Path(output_dir) / Path(c).stem) for c in configs]
+    owners = {}
+    for config, out in zip(configs, outs):
+        try:
+            out = _load_config(Path(config))["output_dir"] if out is None else out
+        except (ValueError, OSError):
+            continue
+        where = Path(out).resolve()
+        if where in owners:
+            raise ConfigError(f"configs {owners[where]} and {config} would both write to {out}")
+        owners[where] = config
+    return outs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="fistalab", description="composite-minimization solver lab and experiment runner"
@@ -372,14 +400,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "run":
-            outs = [args.output_dir] * len(args.configs)
-            if args.output_dir is not None and len(args.configs) > 1:
-                # one subdirectory per config, named by its stem; a shared one would lose a run
-                outs = [str(Path(args.output_dir) / Path(c).stem) for c in args.configs]
-                for i, out in enumerate(outs):
-                    if out in outs[:i]:
-                        first = args.configs[outs.index(out)]
-                        raise ConfigError(f"configs {first} and {args.configs[i]} would both write to {out}")
+            outs = _output_dirs(args.configs, args.output_dir)
             return max([run_config(c, out, args.seed) for c, out in zip(args.configs, outs)])
         if args.command == "repro-fig1":
             repro_fig1(args.output_dir)

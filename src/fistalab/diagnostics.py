@@ -35,11 +35,9 @@ DEFAULT_TOL = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class ScalarSeq:
-    """A scalar sequence indexed contiguously from ``start``."""
+    """A scalar sequence, as a float array."""
 
     values: np.ndarray
-    start: int = 0
-    label: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -121,19 +119,21 @@ def inner_product_seq(trace: Trace, which: str, d) -> ScalarSeq:
     trace.require_vectors()
     vectors = {"x": trace.xs, "y": trace.ys, "z": trace.zs}[which]
     dd = as_vector(d, vectors.shape[1])
-    return ScalarSeq(values=vectors @ dd, start=0, label=f"<{which}_k, d>")
+    return ScalarSeq(vectors @ dd)
 
 
 def momentum_identity_residual(trace: Trace, d) -> float:
     """Max residual of the scalar momentum identity along direction d.
 
     With h_k = <x_k, d>, the forward transform of h by phi_k = t_k - 1 must
-    equal <z_{k+1}, d> for every k; the identity is linear in d.
+    equal <z_{k+1}, d> for every k; the identity is linear in d. Both
+    products are taken over every row, as :func:`inner_product_seq` takes
+    them.
     """
     trace.require_vectors()
     dd = as_vector(d, trace.xs.shape[1])
     g = forward_transform(trace.xs @ dd, trace.ts[:-1] - 1.0)
-    return float(np.max(np.abs(g - trace.zs[1:] @ dd)))
+    return float(np.max(np.abs(g - (trace.zs @ dd)[1:])))
 
 
 def orthonormal_span_basis(vectors: Sequence, drop_tol: float = 1e-10) -> np.ndarray:
@@ -177,4 +177,4 @@ def xi_difference(trace: Trace, i: int = 0, j: int = 1) -> ScalarSeq:
     cols = trace.xi.shape[1]
     if not (0 <= i < cols and 0 <= j < cols):
         raise IndexError(f"xi column out of range 0..{cols - 1}")
-    return ScalarSeq(values=trace.xi[1:, i] - trace.xi[1:, j], start=1, label=f"xi[s{i}]-xi[s{j}]")
+    return ScalarSeq(trace.xi[1:, i] - trace.xi[1:, j])

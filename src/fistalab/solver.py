@@ -35,10 +35,10 @@ O(rows x dim) floats. Given its checks (``analyses=``, an
 :class:`~fistalab.checks.AnalysisStream`), a run folds them over each chunk
 as it is built and keeps vector rows only where something still reads
 them: a window of about two chunks plus one finiteness block (the carried
-row, the objective's window, the chunk of z products that lags one row),
-the snapshot rows, and what the checks sample. Its trace then carries no
-per-row vectors, only the snapshot rows, so vectors take O(chunk x dim)
-memory; the scalar columns stay full length, O(rows).
+row and the objective's window), the snapshot rows, and what the checks
+sample. Its trace then carries no per-row vectors, only the snapshot
+rows, so vectors take O(chunk x dim) memory; the scalar columns stay full
+length, O(rows).
 
 Traces are columnar (one array per column) and immutable once produced.
 CSV export uses 17 significant digits and a fixed header, so rerunning a
@@ -78,8 +78,8 @@ __all__ = [
 _CSV_CHUNK = 4096
 _BLOCK = 1024
 # rows a streamed run holds: C + 1 rows before the chunk being built (the
-# objective's window and the lagging z products), that chunk, and the
-# finiteness block the loop may run ahead of it
+# objective's window), that chunk, and the finiteness block the loop may
+# run ahead of it
 _WINDOW = 2 * _CSV_CHUNK + _BLOCK
 
 # (CSV header, Trace field) of each scalar column, in CSV order after "k";

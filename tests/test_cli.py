@@ -341,6 +341,24 @@ class TestRun:
         assert f"error: configs {c1} and {c2} would both write to {multi / 'config'}" in capsys.readouterr().err
         assert not multi.exists()
 
+    def test_configs_sharing_an_output_dir_key_exit_two_before_any_output(self, tmp_path, monkeypatch, capsys):
+        # without --output-dir the configs' own keys name the directories; the second run used to
+        # replace the first one's artifacts
+        monkeypatch.chdir(tmp_path)
+        for iterations in (50, 60):
+            write_config(tmp_path, iterations=iterations, output_dir="SAME").rename(f"c{iterations}.json")
+        assert main(["run", "c50.json", "c60.json"]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: configs c50.json and c60.json would both write to SAME"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c50.json", "c60.json"]
+
+    def test_a_config_that_does_not_load_fails_in_its_own_turn(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, iterations=50, analyses=["structural"], output_dir="SAME")
+        (tmp_path / "broken.json").write_text('{"output_dir": "SAME"')
+        assert main(["run", "config.json", "broken.json"]) == 2
+        assert "error: config broken.json is not valid JSON" in capsys.readouterr().err
+        assert json.loads((tmp_path / "SAME" / "report.json").read_text())["iterations"] == 50
+
     def test_jobs_is_a_usage_error(self, tmp_path):
         cfg = write_config(tmp_path, iterations=50)
         with pytest.raises(SystemExit) as caught:
@@ -598,19 +616,23 @@ class TestAtomicArtifacts:
 
     @pytest.mark.parametrize(
         "usable, message",
-        [({0, 1}, "/trace.csv exited with status 1"), ({0}, "error: cannot write artifacts: ")],
+        [
+            ({0, 1}, "error: [Errno 20] Not a directory: '{out}/trace.csv'"),
+            ({0}, "error: cannot write artifacts: [Errno 20] Not a directory: '{out}'"),
+        ],
         ids=["forked", "one-cpu"],
     )
     def test_output_dir_below_a_file_exits_two_and_leaves_the_file(
-        self, usable, message, tmp_path, monkeypatch, capsys
+        self, usable, message, tmp_path, monkeypatch, capfd
     ):
-        # reported at the first artifact write: the writer's start, or the writes after the run
+        # reported at the first artifact write: the writer's start, or the writes after the run;
+        # either way as one line, the forked writer printing nothing of its own
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: usable)
         blocker = tmp_path / "blocker"
         blocker.write_bytes(b"not a directory\n")
         cfg = write_config(tmp_path, iterations=50, analyses=["structural"])
         assert run_config(cfg, output_dir=blocker / "out") == 2
-        assert message in capsys.readouterr().err
+        assert capfd.readouterr().err.splitlines() == [message.format(out=blocker / "out")]
         assert blocker.read_bytes() == b"not a directory\n"
         assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 

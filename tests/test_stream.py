@@ -45,9 +45,9 @@ from fistalab import (
     xi_difference,
 )
 from fistalab import cli
-from fistalab.checks import ANALYSES, AnalysisStream, CheckResult
+from fistalab.checks import _FOLDS, ANALYSES, AnalysisStream, CheckResult
 from fistalab.problem import CompositeProblem, eval_F
-from fistalab.solver import _CSV_CHUNK
+from fistalab.solver import _CSV_CHUNK, RowWindow
 
 REPO = Path(__file__).resolve().parent.parent
 IDENTITY_TOL = 1e-9
@@ -578,6 +578,36 @@ class TestStreamedChecks:
             tracemalloc.stop()
         assert code == 0
         assert peak < 38 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+class ReadRecorder(RowWindow):
+    """A window that records the (first, end) rows of every read in ``reads``."""
+
+    def _rows(self, vectors, lo, hi):
+        self.reads.append((lo, hi))
+        return super()._rows(vectors, lo, hi)
+
+
+class TestFoldReads:
+    @pytest.mark.parametrize("name", sorted(_FOLDS))
+    def test_each_fold_reads_its_block_and_the_row_before_it(self, name):
+        # 2C + 1 rows: the last block is one row, whose products may be widened by four rows
+        cfg = case_config("feasibility", 2, 2 * C + 1)
+        problem = build_problem("feasibility", {})
+        trace = fista_run(problem, cfg["x0"], "bt", cfg["iterations"], s_refs=cfg["s_refs"])
+        [entry] = [a for a in cfg["analyses"] if (a if isinstance(a, str) else a["name"]) == name]
+        stream = AnalysisStream(problem, [entry], np.random.default_rng(cfg["seed"]))
+        window = ReadRecorder(trace.xs, trace.ys, trace.zs)
+        stream.start(trace, trace.xs[0])
+        for lo in range(0, len(trace), C):
+            hi = min(lo + C, len(trace))
+            window.reads = []
+            stream.update(trace, window, lo, hi)
+            if window.reads:
+                first = min(a for a, _ in window.reads)
+                assert first - lo >= (-4 if hi - lo == 1 else -1), f"rows {lo}..{hi} read from row {first}"
+                assert max(b for _, b in window.reads) <= hi
+        assert stream.results()
 
 
 if __name__ == "__main__":
