@@ -15,7 +15,6 @@ from .diagnostics import (
     inner_product_seq,
     momentum_identity_residual,
     orthonormal_span_basis,
-    span_projection,
     verdict,
     xi_difference,
 )
@@ -47,7 +46,6 @@ from .scalar_transform import (
     divergence_witness,
     forward_transform,
     get_scenario,
-    mixing_weight,
     reconstruct,
     transform_weights,
     weighted_reconstruction,

@@ -8,7 +8,8 @@ so that genuine violations stand out from accumulated roundoff on long
 runs. A non-finite residual or scale makes the reported value NaN, and a
 check passes only on a finite value: nothing passes vacuously. Nor does a
 check with nothing to check: no probe direction (:func:`_directions`
-chooses them for every check) or no sampled step is a ValueError at set-up.
+chooses them for every check) or no sampled step is a ValueError at set-up,
+as is a tail verdict's window or tolerance out of range.
 
 Every check is a fold over the rows, in blocks of ``_CSV_CHUNK``: set up
 before the first row (every probe draw from the rng happens there, in
@@ -35,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .diagnostics import check_window, orthonormal_span_basis, tail_verdict
+from .diagnostics import check_tail, orthonormal_span_basis, tail_verdict
 from .problem import CompositeProblem, as_vector, eval_F
 from .scalar_transform import forward_transform
 from .solver import _CSV_CHUNK, RowWindow, Trace, tag_nonfinite, z_recursion
@@ -94,11 +95,15 @@ def _products(rows_of, a: int, b: int, d: np.ndarray) -> np.ndarray:
 
 
 class _Tail:
-    """A verdict fold: the last ``window`` values of a sequence of ``length``, and whether all were finite."""
+    """A verdict fold: the last ``window`` values of a sequence of ``length``, and whether all were finite.
 
-    def __init__(self, window: int, length: int):
-        check_window(window, length)
+    The window and ``tol`` are checked here, at set-up, as :func:`~fistalab.diagnostics.verdict` checks them.
+    """
+
+    def __init__(self, window: int, length: int, tol: float):
+        check_tail(window, length, tol)
         self.window = window
+        self.tol = tol
         self.values = np.empty(0)
         self.finite = True
 
@@ -106,9 +111,9 @@ class _Tail:
         self.finite = self.finite and bool(np.isfinite(values).all())
         self.values = np.concatenate((self.values, values))[-self.window :]
 
-    def result(self, claim: str, tol: float) -> CheckResult:
-        """Tail verdict; a non-finite term anywhere in the sequence, tail or not, fails with NaN."""
-        v = tail_verdict(self.values, tol)
+    def result(self, claim: str, scale: float = 1.0) -> CheckResult:
+        """Tail verdict at tol * scale; a non-finite term anywhere in the sequence, tail or not, fails with NaN."""
+        v = tail_verdict(self.values, self.tol * scale)
         oscillation = _worst(v.tail_oscillation if self.finite else math.inf)
         return CheckResult(
             claim=claim,
@@ -425,16 +430,15 @@ class _ClusterProducts(_Fold):
     claim = "cluster-product[d{}]"
 
     def __init__(self, trace, problem, rng, x0, *, window=100, tol=1e-6, directions=None):
-        self.tol = float(tol)
         self.directions = _directions(trace, x0.size, directions)
-        self.tails = [_Tail(window, len(trace)) for _ in self.directions]
+        self.tails = [_Tail(window, len(trace), float(tol)) for _ in self.directions]
 
     def update(self, trace, window, lo, hi):
         for d, tail in zip(self.directions, self.tails):
             tail.add(_products(window.x, lo, hi, d))
 
     def result(self):
-        return [tail.result(self.claim.format(i), self.tol) for i, tail in enumerate(self.tails)]
+        return [tail.result(self.claim.format(i)) for i, tail in enumerate(self.tails)]
 
 
 class _XiDifference(_Fold):
@@ -445,10 +449,9 @@ class _XiDifference(_Fold):
     def __init__(self, trace, problem, rng, x0, *, window=100, tol=1e-6):
         if trace.xi is None or trace.xi.shape[1] < 2:
             raise ValueError("xi_difference needs at least two xi columns")
-        self.rel_tol = float(tol)
         m = trace.xi.shape[1]
         self.pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-        self.tails = [_Tail(window, len(trace) - 1) for _ in self.pairs]
+        self.tails = [_Tail(window, len(trace) - 1, float(tol)) for _ in self.pairs]
 
     def update(self, trace, window, lo, hi):
         p = max(lo, 1)
@@ -462,8 +465,8 @@ class _XiDifference(_Fold):
     def result(self):
         out = []
         for (i, j), tail in zip(self.pairs, self.tails):
-            tol = self.rel_tol * max(1.0, abs(float(self.xi1[i])), abs(float(self.xi1[j])))
-            out.append(tail.result(f"xi-difference[s{i},s{j}]", tol))
+            scale = max(1.0, abs(float(self.xi1[i])), abs(float(self.xi1[j])))
+            out.append(tail.result(f"xi-difference[s{i},s{j}]", scale))
         return out
 
 

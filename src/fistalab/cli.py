@@ -6,7 +6,8 @@ Subcommands:
                            report artifacts, exit 0 only if all checks pass
   repro-fig1               emit the first iterates of the plane feasibility
                            demo as a plot-ready point list
-  bcch-demo <name> <K>     run a bundled scalar-sequence transform scenario
+  bcch-demo <name> <K>     run a bundled scalar-sequence transform scenario at
+                           its default limit; it takes no options
   validate <schedule> <K>  certify a named step-parameter schedule prefix
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
@@ -259,26 +260,26 @@ def _print_verdict(label: str, v) -> None:
     )
 
 
-def bcch_demo(name: str, count: int, ell: float = 1.0, window: int = 100, tol: float = 1e-2) -> int:
-    """Run a bundled transform scenario and print its verdicts.
+def bcch_demo(name: str, count: int) -> int:
+    """Run a bundled transform scenario at its default limit and print its verdicts.
 
-    The demo tolerance is relative to max(1, |expected limit|); scenarios
-    with an infinite expected limit are judged by hurdle exceedance instead
-    of a verdict.
+    The verdicts take the last min(100, count // 2) terms and a tolerance of
+    1e-2 relative to max(1, |expected limit|); scenarios with an infinite
+    expected limit are judged by hurdle exceedance instead of a verdict.
     """
     try:
-        scenario = get_scenario(name, ell=ell)
+        scenario = get_scenario(name)
     except KeyError as exc:
         raise ConfigError(exc.args[0]) from None
     if count < 4:
         raise ConfigError("need at least 4 terms for a meaningful demo")
     h = scenario.h_values(count)
     g = scenario.g_values(count)
-    win = max(2, min(window, count // 2))
+    win = min(100, count // 2)
     expected = scenario.expected_limit
-    rel = max(1.0, abs(expected)) if math.isfinite(expected) else 1.0
-    gv = verdict(ScalarSeq(g), win, tol * rel)
-    hv = verdict(ScalarSeq(h), win, tol * rel)
+    tol = 1e-2 * max(1.0, abs(expected)) if math.isfinite(expected) else 1e-2
+    gv = verdict(ScalarSeq(g), win, tol)
+    hv = verdict(ScalarSeq(h), win, tol)
 
     print(f"scenario {scenario.name}: start k={scenario.start}, {count} terms")
     print(f"  provenance: {scenario.provenance}")
@@ -388,9 +389,6 @@ def main(argv=None) -> int:
     p_demo = sub.add_parser("bcch-demo", help="scalar-sequence transform scenario demo")
     p_demo.add_argument("name", help=f"one of {list(SCENARIO_NAMES)}")
     p_demo.add_argument("K", type=int, help="number of terms")
-    p_demo.add_argument("--ell", type=float, default=1.0, help="limit parameter where free")
-    p_demo.add_argument("--window", type=int, default=100)
-    p_demo.add_argument("--tol", type=float, default=1e-2, help="relative verdict tolerance")
 
     p_val = sub.add_parser("validate", help="certify a schedule prefix")
     p_val.add_argument("name", help=f"one of {_VALIDATE_SCHEDULES}")
@@ -406,7 +404,7 @@ def main(argv=None) -> int:
             repro_fig1(args.output_dir)
             return 0
         if args.command == "bcch-demo":
-            return bcch_demo(args.name, args.K, ell=args.ell, window=args.window, tol=args.tol)
+            return bcch_demo(args.name, args.K)
         if args.command == "validate":
             return validate_command(args.name, args.K)
     except ValueError as exc:  # a ConfigError is one

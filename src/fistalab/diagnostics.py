@@ -25,7 +25,6 @@ __all__ = [
     "inner_product_seq",
     "momentum_identity_residual",
     "orthonormal_span_basis",
-    "span_projection",
     "xi_difference",
 ]
 
@@ -66,33 +65,33 @@ class ConvergenceVerdict:
 def verdict(seq: ScalarSeq, window: int = DEFAULT_WINDOW, tol: float = DEFAULT_TOL) -> ConvergenceVerdict:
     """Judge a sequence by the oscillation of its last ``window`` values.
 
-    Requires 2 <= window <= len(seq) / 2 so the tail is a genuine tail. A
-    non-finite value in the window yields a not-converged verdict with the
-    ``finite_tail`` flag cleared, never an exception.
+    Requires 2 <= window <= len(seq) / 2 so the tail is a genuine tail, and
+    tol >= 0. A non-finite value in the window yields a not-converged
+    verdict with the ``finite_tail`` flag cleared, never an exception.
     """
-    check_window(window, len(seq))
+    check_tail(window, len(seq), tol)
     return tail_verdict(seq.values[-window:], tol)
 
 
-def check_window(window: int, length: int) -> None:
-    """Raise ValueError unless window is an integer with 2 <= window <= length / 2."""
+def check_tail(window: int, length: int, tol: float) -> None:
+    """Raise ValueError unless window is an integer with 2 <= window <= length / 2 and tol >= 0."""
     if not isinstance(window, (int, np.integer)):
         raise ValueError(f"window must be an integer, not {window!r}")
     if window < 2:
         raise ValueError("window must be >= 2")
     if 2 * window > length:
         raise ValueError(f"window {window} too long for a sequence of {length} values")
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol!r}")
 
 
 def tail_verdict(tail: np.ndarray, tol: float) -> ConvergenceVerdict:
     """The verdict on a sequence whose last values are ``tail``; its window is ``len(tail)``.
 
-    The caller has checked the window against the sequence's length with
-    :func:`check_window`.
+    The caller has checked the window against the sequence's length, and
+    the tolerance, with :func:`check_tail`.
     """
     window = len(tail)
-    if not tol >= 0:
-        raise ValueError("tol must be nonnegative")
     if not np.all(np.isfinite(tail)):
         return ConvergenceVerdict(
             converged=False,
@@ -162,12 +161,6 @@ def orthonormal_span_basis(vectors: Sequence, drop_tol: float = 1e-10) -> np.nda
     if not basis:
         raise ValueError("spanning set has no vector above the rank tolerance")
     return np.array(basis)
-
-
-def span_projection(vectors: Sequence, xs: Sequence) -> list:
-    """Orthogonal projection of each x onto span(vectors)."""
-    basis = orthonormal_span_basis(vectors)
-    return [basis.T @ (basis @ as_vector(x, basis.shape[1])) for x in xs]
 
 
 def xi_difference(trace: Trace, i: int = 0, j: int = 1) -> ScalarSeq:

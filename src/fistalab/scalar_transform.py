@@ -17,8 +17,10 @@ diverges, the weights behave like an averaging kernel and (h_k) inherits
 any limit of (g_k), finite or infinite; when the sum converges the
 transfer can fail. The bundled scenarios exercise both regimes.
 
-Long products of lambda_j underflow well before 10^6 terms, so evidence
-about them is accumulated in log space.
+The inverse side checks phi > 0 and forms lambda in one place,
+``_phi_lambdas``. Long products of lambda_j underflow well before 10^6
+terms, so :func:`divergence_witness` keeps their logarithm, next to the
+running sums of 1/phi_k and 1/(1+phi_k) = 1 - lambda_k.
 
 Sequences are given by index-array callables: ``phi``, ``h_closed`` and
 ``g_closed`` map an integer array of absolute indices k to a float array
@@ -49,7 +51,6 @@ from typing import Callable, Optional
 import numpy as np
 
 __all__ = [
-    "mixing_weight",
     "forward_transform",
     "reconstruct",
     "transform_weights",
@@ -60,14 +61,6 @@ __all__ = [
     "SCENARIO_NAMES",
     "get_scenario",
 ]
-
-
-def mixing_weight(phi_k: float) -> float:
-    """lambda = phi / (1 + phi), in (0, 1) for positive phi."""
-    if not phi_k > 0:
-        raise ValueError(f"phi must be positive, got {phi_k}")
-    return phi_k / (1.0 + phi_k)
-
 
 _RECURSION_CHUNK = 16384
 
@@ -89,24 +82,38 @@ def _on_indices(fn, name: str, start: int, count: int) -> np.ndarray:
 
 def _phi_values(phi, start: int, count: int) -> np.ndarray:
     """Evaluate phi on absolute indices start..start+count-1."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
     if callable(phi):
-        vals = _on_indices(phi, "phi", start, count)
-    else:
-        vals = np.asarray(phi, dtype=float)[:count]
-        if vals.size != count:
-            raise ValueError(f"need {count} phi values, got {vals.size}")
+        return _on_indices(phi, "phi", start, count)
+    vals = np.asarray(phi, dtype=float)[:count]
+    if vals.size != count:
+        raise ValueError(f"need {count} phi values, got {vals.size}")
     return vals
 
 
-def _phi_array(phi, start: int, count: int) -> np.ndarray:
-    """Evaluate phi as :func:`_phi_values` does, checking positivity (the inverse side needs it)."""
-    vals = _phi_values(phi, start, count)
-    if np.any(~(vals > 0)):
-        bad = int(np.argmax(~(vals > 0)))
+def _phi_lambdas(phi, start: int, count: int) -> tuple:
+    """phi as :func:`_phi_values` gives it, checked positive (the inverse side needs it),
+    and lambda = phi / (1 + phi)."""
+    phis = _phi_values(phi, start, count)
+    if np.any(~(phis > 0)):
+        bad = int(np.argmax(~(phis > 0)))
         raise ValueError(f"phi must be positive; offending index {start + bad}")
-    return vals
+    return phis, phis / (1.0 + phis)
+
+
+def _inverse_inputs(g, phi, start: int) -> tuple:
+    """g as a finite float array and the lambdas of its len(g) weights."""
+    gg = np.asarray(g, dtype=float)
+    if not np.all(np.isfinite(gg)):
+        raise ValueError("g must be finite-valued")
+    return gg, _phi_lambdas(phi, start, gg.size)[1]
+
+
+def _weights(lams: np.ndarray) -> np.ndarray:
+    """w_{n,k} = (1 - lambda_k) prod_{j=k+1}^{n-1} lambda_j for n = len(lams)."""
+    suffix = np.ones(lams.size)  # empty product = 1
+    if lams.size > 1:
+        suffix[:-1] = np.cumprod(lams[:0:-1])[::-1]
+    return (1.0 - lams) * suffix
 
 
 def forward_transform(h, phi, start: int = 0) -> np.ndarray:
@@ -124,11 +131,7 @@ def reconstruct(g, phi, h_seed: float, start: int = 0) -> np.ndarray:
     ``h_seed`` is the leading value h_{start}; entry i of the result is
     h_{start + i}.
     """
-    gg = np.asarray(g, dtype=float)
-    if not np.all(np.isfinite(gg)):
-        raise ValueError("g must be finite-valued")
-    phis = _phi_array(phi, start, gg.size)
-    lams = phis / (1.0 + phis)
+    gg, lams = _inverse_inputs(g, phi, start)
     drive = (1.0 - lams) * gg
     h = np.empty(gg.size + 1)
     h[0] = h_seed
@@ -150,12 +153,7 @@ def transform_weights(phi, n: int, start: int = 0) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    phis = _phi_array(phi, start, n)
-    lams = phis / (1.0 + phis)
-    suffix = np.ones(n)  # prod_{j=k+1}^{n-1} lambda_j; empty product = 1
-    if n > 1:
-        suffix[: n - 1] = np.cumprod(lams[:0:-1])[::-1]
-    return (1.0 - lams) * suffix
+    return _weights(_phi_lambdas(phi, start, n)[1])
 
 
 def weighted_reconstruction(g, phi, h_seed: float, start: int = 0) -> np.ndarray:
@@ -164,16 +162,11 @@ def weighted_reconstruction(g, phi, h_seed: float, start: int = 0) -> np.ndarray
     Independent of :func:`reconstruct` (explicit weights and a dot product
     per entry, quadratic total cost); the two must agree to roundoff.
     """
-    gg = np.asarray(g, dtype=float)
-    if not np.all(np.isfinite(gg)):
-        raise ValueError("g must be finite-valued")
-    phis = _phi_array(phi, start, gg.size)
-    lams = phis / (1.0 + phis)
+    gg, lams = _inverse_inputs(g, phi, start)
     h = np.empty(gg.size + 1)
     h[0] = h_seed
     for n in range(1, gg.size + 1):
-        w = transform_weights(phis[:n], n)
-        h[n] = float(w @ gg[:n]) + h_seed * float(np.prod(lams[:n]))
+        h[n] = float(_weights(lams[:n]) @ gg[:n]) + h_seed * float(np.prod(lams[:n]))
     return h
 
 
@@ -181,51 +174,44 @@ def weighted_reconstruction(g, phi, h_seed: float, start: int = 0) -> np.ndarray
 class DivergenceWitness:
     """Partial-sum evidence about the weight sequence up to a horizon.
 
-    Each array holds running sums over the first ``count`` indices. The
-    pointwise chain 1/(1+phi) >= min(1, 1/phi)/2 links divergence of
-    sum 1/phi to divergence of sum (1 - lambda); ``log_weight_product``
-    is sum log(lambda_k), finite even when the plain product underflows.
+    ``inv_phi`` and ``inv_one_plus_phi`` hold the running sums of 1/phi_k
+    and 1/(1+phi_k) = 1 - lambda_k over the first ``count`` indices.
+    ``chain_ok`` records the pointwise chain 1/(1+phi) >= min(1, 1/phi)/2,
+    which links divergence of sum 1/phi to divergence of sum (1 - lambda);
+    ``log_weight_product`` is sum log(lambda_k), finite even when the plain
+    product underflows.
     """
 
     inv_phi: np.ndarray
-    min1_inv_phi: np.ndarray
     inv_one_plus_phi: np.ndarray
-    one_minus_lambda: np.ndarray
     chain_ok: bool
     log_weight_product: float
-
-    @property
-    def weight_product(self) -> float:
-        return math.exp(self.log_weight_product)
 
 
 def divergence_witness(phi, count: int, start: int = 0) -> DivergenceWitness:
     """Accumulate the divergence evidence for the first ``count`` weights."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    phis = _phi_array(phi, start, count)
-    # Every full-length array below is allocated here and reused in place
-    # (phis may be the caller's), so the four running sums are the only
-    # arrays that outlive the call.
+    phis, lams = _phi_lambdas(phi, start, count)
+    # Every full-length array is allocated by this call and reused in place
+    # (phis may be the caller's), so the two running sums are the only
+    # arrays that outlive it.
     inv = 1.0 / phis
-    inv_one_plus = 1.0 + phis
-    lams = phis / inv_one_plus
+    inv_one_plus = np.add(1.0, phis)
     del phis
     np.divide(1.0, inv_one_plus, out=inv_one_plus)
-    min1_inv = np.minimum(1.0, inv)
-    scratch = min1_inv * 0.5
-    scratch -= 1e-15
-    chain_ok = bool(np.all(inv_one_plus >= scratch))
-    one_minus_lambda = np.subtract(1.0, lams, out=scratch)
+    half_min1 = np.minimum(1.0, inv)
+    half_min1 *= 0.5
+    half_min1 -= 1e-15
+    chain_ok = bool(np.all(inv_one_plus >= half_min1))
+    del half_min1
     log_weight_product = float(np.sum(np.log(lams, out=lams)))
     del lams
-    for partial in (inv, min1_inv, inv_one_plus, one_minus_lambda):
-        np.cumsum(partial, out=partial)
+    np.cumsum(inv, out=inv)
+    np.cumsum(inv_one_plus, out=inv_one_plus)
     return DivergenceWitness(
         inv_phi=inv,
-        min1_inv_phi=min1_inv,
         inv_one_plus_phi=inv_one_plus,
-        one_minus_lambda=one_minus_lambda,
         chain_ok=chain_ok,
         log_weight_product=log_weight_product,
     )

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -133,8 +134,21 @@ class TestRun:
         cfg = write_config(tmp_path)
         assert run_config(cfg) == 2
 
-    def test_bad_check_parameter_fails_before_the_first_step(self, tmp_path, monkeypatch, capsys):
-        # the checks are set up before the run, so a window longer than half the run costs no step
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"name": "cluster_products", "window": 300, "tol": 1e-2}, "window 300 too long"),
+            ({"name": "cluster_products", "tol": -1e-3}, "tol must be nonnegative"),
+            ({"name": "cluster_products", "tol": math.nan}, "tol must be nonnegative"),
+            ({"name": "span", "directions": [[1.0, -1.0]], "tol": -1e-3}, "tol must be nonnegative"),
+            ({"name": "span", "directions": [[1.0, -1.0]], "tol": math.nan}, "tol must be nonnegative"),
+            ({"name": "xi_difference", "tol": -1}, "tol must be nonnegative"),
+        ],
+        ids=["window", "cluster-tol", "cluster-tol-nan", "span-tol", "span-tol-nan", "xi-difference-tol"],
+    )
+    def test_bad_check_parameter_fails_before_the_first_step(self, entry, message, tmp_path, monkeypatch, capsys):
+        # the checks are set up before the run, so a window longer than half the run costs no step;
+        # a bad tol used to be caught by the verdict after the whole run, leaving an empty directory
         feas = feasibility_problem()
         steps = []
 
@@ -144,9 +158,9 @@ class TestRun:
 
         counted = dataclasses.replace(feas, f=dataclasses.replace(feas.f, gradient=gradient))
         monkeypatch.setattr(cli, "build_problem", lambda family, params: counted)
-        cfg = write_config(tmp_path, analyses=[{"name": "cluster_products", "window": 300, "tol": 1e-2}])
+        cfg = write_config(tmp_path, analyses=[entry])
         assert run_config(cfg, output_dir=tmp_path / "out") == 2
-        assert "window 300 too long" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert steps == []
         assert not (tmp_path / "out").exists()
 
@@ -528,6 +542,12 @@ class TestBcchDemo:
     def test_unknown_scenario_exits_two(self, capsys):
         assert main(["bcch-demo", "ex99", "100"]) == 2
         assert "unknown scenario" in capsys.readouterr().err
+
+    def test_takes_no_options(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bcch-demo", "ex42", "100", "--ell", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --ell 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["ex42", "ex43", "ex44-sinh", "linf-minus", "linf-plus"])
     def test_bcch_million_matches_benchmark_reference(self, name, capsys):

@@ -18,7 +18,6 @@ from fistalab import (
     momentum_identity_residual,
     orthonormal_span_basis,
     pgm_run,
-    span_projection,
     verdict,
     xi_difference,
 )
@@ -196,22 +195,6 @@ class TestVerdict:
 
 
 class TestSpanProjection:
-    def test_coordinate_projection(self):
-        out = span_projection([np.array([1.0, 0.0])], [np.array([3.0, 4.0])])
-        assert np.allclose(out[0], [3.0, 0.0], atol=1e-14)
-
-    def test_rank_deficient_spanning_set(self):
-        out = span_projection(
-            [np.array([1.0, 1.0]), np.array([2.0, 2.0])], [np.array([1.0, 0.0])]
-        )
-        assert np.allclose(out[0], [0.5, 0.5], atol=1e-12)
-
-    def test_full_rank_projection_is_identity(self, rng):
-        spanning = [rng.standard_normal(3) for _ in range(3)]
-        x = rng.standard_normal(3)
-        out = span_projection(spanning, [x])
-        assert np.allclose(out[0], x, atol=1e-10)
-
     def test_all_zero_spanning_set_rejected(self):
         with pytest.raises(ValueError):
             orthonormal_span_basis([np.zeros(4), np.zeros(4)])

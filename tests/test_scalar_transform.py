@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from fistalab import (
     divergence_witness,
     forward_transform,
     get_scenario,
-    mixing_weight,
     reconstruct,
     transform_weights,
     verdict,
@@ -40,7 +40,7 @@ def old_witness_arrays(phis):
     inv_one_plus = 1.0 / (1.0 + phis)
     chain_ok = bool(np.all(inv_one_plus >= 0.5 * np.minimum(1.0, inv) - 1e-15))
     return (
-        [np.cumsum(inv), np.cumsum(np.minimum(1.0, inv)), np.cumsum(inv_one_plus), np.cumsum(1.0 - lams)],
+        [np.cumsum(inv), np.cumsum(inv_one_plus)],
         chain_ok,
         float(np.sum(np.log(lams))),
     )
@@ -140,7 +140,7 @@ class TestWeights:
     def test_single_weight_is_one_minus_lambda(self):
         phi0 = 3.0
         w = transform_weights([phi0], 1)
-        assert np.allclose(w, [1.0 - mixing_weight(phi0)], atol=1e-16)
+        assert np.allclose(w, [1.0 - phi0 / (1 + phi0)], atol=1e-16)
 
     def test_hand_value_for_constant_phi(self):
         # phi = 1 gives lambda = 1/2: weights (1/2) * (1/2)^{n-1-k}
@@ -206,15 +206,17 @@ class TestDivergenceWitness:
     def test_unit_weights(self):
         wit = divergence_witness(lambda k: np.ones(k.shape), 1000, start=0)
         assert wit.inv_one_plus_phi[-1] == pytest.approx(500.0, abs=1e-9)
-        assert np.allclose(wit.one_minus_lambda, wit.inv_one_plus_phi, atol=1e-12)
+        phis = np.ones(1000)
+        assert np.allclose(np.cumsum(1.0 - phis / (1.0 + phis)), wit.inv_one_plus_phi, atol=1e-12)
+        assert wit.log_weight_product == pytest.approx(1000 * math.log(0.5), rel=1e-12)
 
     @pytest.mark.parametrize("phi", [lambda k: np.ones(k.shape), lambda k: np.sqrt(k)])
     def test_product_vanishes_once_divergence_witnessed(self, phi):
         # sum (1 - lambda) > 30 forces prod lambda below 1e-12 (log-space bound
         # prod lambda <= exp(-sum (1 - lambda)) and e^-30 < 1e-12)
         wit = divergence_witness(phi, 5000, start=1)
-        assert wit.one_minus_lambda[-1] > 30.0
-        assert wit.weight_product < 1e-12
+        assert wit.inv_one_plus_phi[-1] > 30.0
+        assert math.exp(wit.log_weight_product) < 1e-12
 
 
 class TestLimitTransfer:
@@ -273,10 +275,24 @@ class TestArrayEvaluation:
         phis = np.array([float(OLD_FORMULAS[name]["phi"](k)) for k in range(1, count + 1)])
         old_sums, old_chain, old_log = old_witness_arrays(phis)
         wit = divergence_witness(scenario.phi, count, start=scenario.start)
-        new_sums = [wit.inv_phi, wit.min1_inv_phi, wit.inv_one_plus_phi, wit.one_minus_lambda]
+        new_sums = [wit.inv_phi, wit.inv_one_plus_phi]
         assert [a.tobytes() for a in new_sums] == [a.tobytes() for a in old_sums]
         assert wit.chain_ok == old_chain
         assert wit.log_weight_product.hex() == old_log.hex()
+
+    def test_witness_memory(self):
+        # two running sums are kept; lambda, 1/phi and the chain's min(1, 1/phi) are temporaries
+        count = 10**6
+        tracemalloc.start()
+        try:
+            wit = divergence_witness(np.float64, count, start=1)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del wit
+        array = 8 * count
+        assert peak <= 4.5 * array, f"peak {peak / array:.2f} arrays"
+        assert kept <= 2.1 * array, f"kept {kept / array:.2f} arrays"
 
     def test_witness_leaves_a_phi_array_untouched(self, rng):
         phis = rng.uniform(0.1, 10.0, size=100)
