@@ -67,7 +67,6 @@ from .solver import (
     fista_run,
     nesterov_run,
     pgm_run,
-    t_operator,
 )
 
 __version__ = "0.1.0"

@@ -21,6 +21,10 @@ def spare_cpu() -> bool:
     """True when a forked writer can run beside this process: fork exists and two CPUs are usable.
 
     On a single usable CPU the writer would only take turns with the solver.
+    Measured on ``fistalab run configs/fig1.json`` pinned to one CPU of a
+    2-vCPU Xeon VM (Python 3.11, numpy 2.4, one BLAS thread), 12
+    alternating pairs: 2.16 s median wall with the writer forked, 2.16 s
+    with ``trace.csv`` written after the run, each faster in 6 pairs.
     """
     if not hasattr(os, "fork"):
         return False

@@ -135,12 +135,12 @@ def momentum_identity_residual(trace: Trace, d) -> float:
     return float(np.max(np.abs(g - (trace.zs @ dd)[1:])))
 
 
-def orthonormal_span_basis(vectors: Sequence, drop_tol: float = 1e-10) -> np.ndarray:
+def orthonormal_span_basis(vectors: Sequence) -> np.ndarray:
     """Orthonormal basis of span(vectors), rows orthonormal.
 
     Classical Gram-Schmidt with a second re-orthogonalization pass.
     Vectors whose residual after orthogonalization is below
-    ``drop_tol * max(1, ||v||)`` are dropped as linearly dependent; an
+    ``1e-10 * max(1, ||v||)`` are dropped as linearly dependent; an
     input without a single independent vector is an error.
     """
     if len(vectors) == 0:
@@ -156,7 +156,7 @@ def orthonormal_span_basis(vectors: Sequence, drop_tol: float = 1e-10) -> np.nda
             for b in basis:
                 r -= (r @ b) * b
         norm = float(np.linalg.norm(r))
-        if norm > drop_tol * max(1.0, float(np.linalg.norm(v))):
+        if norm > 1e-10 * max(1.0, float(np.linalg.norm(v))):
             basis.append(r / norm)
     if not basis:
         raise ValueError("spanning set has no vector above the rank tolerance")

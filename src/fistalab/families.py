@@ -37,22 +37,20 @@ def _project_segment(a: Vector, b: Vector, x: Vector) -> Vector:
     return a + min(1.0, max(0.0, t)) * d
 
 
-def feasibility_problem(offset: float = 1.0, membership_tol: float = 1e-9) -> CompositeProblem:
-    """Two-set feasibility in the plane.
+def feasibility_problem() -> CompositeProblem:
+    """Two-set feasibility in the plane, the example behind the paper's Fig. 1.
 
     f is half the squared distance to the nonnegative orthant (beta = 1,
     gradient step = orthant projection) and g is the indicator of the line
-    x1 + x2 = offset (prox = line projection). For positive offset the
-    solution set is the segment between (0, offset) and (offset, 0) and the
-    optimal value is 0; the segment projection gives exact distances.
+    x1 + x2 = 1 (prox = line projection). The solution set is the segment
+    between (0, 1) and (1, 0) and the optimal value is 0; the segment
+    projection gives exact distances.
 
-    ``membership_tol`` is the scaled slack allowed when deciding whether a
-    point lies on the line, so that iterates produced in floating point
-    still evaluate to a finite objective.
+    A point counts as on the line when its gap is at most 1e-9 times
+    max(1, ||x||_1), so that iterates produced in floating point still
+    evaluate to a finite objective.
     """
-    if not offset > 0:
-        raise ValueError("offset must be positive so the two sets intersect")
-    plane = AffineHyperplane(normal=np.ones(2), offset=float(offset))
+    plane = AffineHyperplane(normal=np.ones(2), offset=1.0)
 
     f = SmoothPart(
         value=lambda x: 0.5 * np.sum(np.minimum(x, 0.0) ** 2, axis=-1),
@@ -61,36 +59,34 @@ def feasibility_problem(offset: float = 1.0, membership_tol: float = 1e-9) -> Co
     )
 
     def line_indicator(x: Vector) -> np.ndarray:
-        scale = np.maximum(max(1.0, abs(offset)), np.abs(x).sum(axis=-1))
-        gap = np.abs(x[..., 0] + x[..., 1] - offset)
+        scale = np.maximum(1.0, np.abs(x).sum(axis=-1))
+        gap = np.abs(x[..., 0] + x[..., 1] - 1.0)
         # an overflowed gap is inf and so is the scale; that point is off the line
-        return np.where((gap <= membership_tol * scale) & (gap < math.inf), 0.0, math.inf)
+        return np.where((gap <= 1e-9 * scale) & (gap < math.inf), 0.0, math.inf)
 
     g = NonsmoothPart(value=line_indicator, prox=lambda v, step: project_hyperplane(plane, v))
 
-    a = np.array([0.0, offset])
-    b = np.array([offset, 0.0])
+    a = np.array([0.0, 1.0])
+    b = np.array([1.0, 0.0])
     sol = SolutionInfo(
-        s_ref=np.array([offset / 2.0, offset / 2.0]),
+        s_ref=np.array([0.5, 0.5]),
         mu=0.0,
         project=lambda x: _project_segment(a, b, x),
     )
-    return CompositeProblem(f=f, g=g, dim=2, problem_id=f"feasibility(offset={offset:g})", solution=sol)
+    return CompositeProblem(f=f, g=g, dim=2, problem_id="feasibility(offset=1)", solution=sol)
 
 
-def random_quadratic(dim: int = 8, seed: int = 0, cond: float = 10.0) -> CompositeProblem:
+def random_quadratic(dim: int = 8, seed: int = 0) -> CompositeProblem:
     """Seeded strongly convex quadratic with g = 0 and a known minimizer.
 
-    Eigenvalues are spread geometrically in [1/cond, 1], so beta = 1 exactly
-    by construction and the problem is (1/cond)-strongly convex.
+    Eigenvalues are spread geometrically in [1/10, 1], so beta = 1 exactly
+    by construction and the problem is (1/10)-strongly convex.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    if cond < 1:
-        raise ValueError("cond must be >= 1")
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-    eigs = np.geomspace(1.0 / cond, 1.0, dim)
+    eigs = np.geomspace(0.1, 1.0, dim)
     a = (q * eigs) @ q.T
     a = 0.5 * (a + a.T)
     center = rng.normal(size=dim)
@@ -106,7 +102,7 @@ def random_quadratic(dim: int = 8, seed: int = 0, cond: float = 10.0) -> Composi
         f=f,
         g=zero_part(),
         dim=dim,
-        problem_id=f"quadratic(dim={dim},seed={seed},cond={cond:g})",
+        problem_id=f"quadratic(dim={dim},seed={seed},cond=10)",
         solution=sol,
     )
 

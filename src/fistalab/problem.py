@@ -14,11 +14,11 @@ maps take one 1-D vector.
 
 Inputs are validated once, at the boundary: ``as_vector`` checks shape and
 finiteness in the public entry points (``eval_F``, the solver runs,
-``t_operator``, ``check_lipschitz``). The solver checks the iterates for
-finiteness once per block of rows and does not revalidate inside its loop,
-so the value, gradient and prox callables do not check their input. A
-gradient or prox map may receive a non-finite vector after the row that
-aborts a run; what it returns or raises there is discarded.
+``check_lipschitz``). The solver checks the iterates for finiteness once
+per block of rows and does not revalidate inside its loop, so the value,
+gradient and prox callables do not check their input. A gradient or prox
+map may receive a non-finite vector after the row that aborts a run; what
+it returns or raises there is discarded.
 """
 
 from __future__ import annotations
@@ -231,12 +231,12 @@ def check_lipschitz(problem: CompositeProblem, samples) -> LipschitzReport:
     )
 
 
-def finite_difference_gradient(fun: Callable[[Vector], float], x, h: float = 1e-6) -> Vector:
-    """Central finite differences of ``fun`` at ``x``, one coordinate at a time."""
+def finite_difference_gradient(fun: Callable[[Vector], float], x) -> Vector:
+    """Central finite differences of ``fun`` at ``x`` with step 1e-6, one coordinate at a time."""
     v = as_vector(x)
     out = np.empty_like(v)
     for i in range(v.size):
         e = np.zeros_like(v)
-        e[i] = h
-        out[i] = (fun(v + e) - fun(v - e)) / (2.0 * h)
+        e[i] = 1e-6
+        out[i] = (fun(v + e) - fun(v - e)) / 2e-6
     return out

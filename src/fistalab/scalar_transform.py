@@ -280,58 +280,57 @@ def _ex43(ell: float) -> Scenario:
     )
 
 
-def _ex44(ell: float) -> Scenario:
-    return Scenario(
-        name="ex44-sinh",
-        start=1,
-        phi=lambda k: np.float64(k) ** 2,
-        expected_limit=math.pi / math.sinh(math.pi),
-        provenance="h is the partial product of j^2/(1+j^2), whose limit is the "
-        "reciprocal of the classical Euler product for sinh(pi)/pi; g is "
-        "identically 0, so limit transfer fails when sum 1/phi converges",
-        g_closed=lambda k: np.zeros(k.shape),
-        h_seed=1.0,
+# scenarios whose limit is their own, not a free ell
+_FIXED_LIMIT = {
+    scenario.name: scenario
+    for scenario in (
+        Scenario(
+            name="ex44-sinh",
+            start=1,
+            phi=lambda k: np.float64(k) ** 2,
+            expected_limit=math.pi / math.sinh(math.pi),
+            provenance="h is the partial product of j^2/(1+j^2), whose limit is the "
+            "reciprocal of the classical Euler product for sinh(pi)/pi; g is "
+            "identically 0, so limit transfer fails when sum 1/phi converges",
+            g_closed=lambda k: np.zeros(k.shape),
+            h_seed=1.0,
+        ),
+        Scenario(
+            name="linf-plus",
+            start=1,
+            phi=np.float64,
+            expected_limit=math.inf,
+            provenance="g_k = k grows without bound and the averaged h follows, "
+            "clearing any fixed hurdle",
+            g_closed=np.float64,
+            h_seed=0.0,
+        ),
+        Scenario(
+            name="linf-minus",
+            start=1,
+            phi=np.float64,
+            expected_limit=-math.inf,
+            provenance="negation of the unbounded-growth scenario",
+            g_closed=lambda k: -np.float64(k),
+            h_seed=0.0,
+        ),
     )
-
-
-def _linf_plus(ell: float) -> Scenario:
-    return Scenario(
-        name="linf-plus",
-        start=1,
-        phi=np.float64,
-        expected_limit=math.inf,
-        provenance="g_k = k grows without bound and the averaged h follows, "
-        "clearing any fixed hurdle",
-        g_closed=np.float64,
-        h_seed=0.0,
-    )
-
-
-def _linf_minus(ell: float) -> Scenario:
-    return Scenario(
-        name="linf-minus",
-        start=1,
-        phi=np.float64,
-        expected_limit=-math.inf,
-        provenance="negation of the unbounded-growth scenario",
-        g_closed=lambda k: -np.float64(k),
-        h_seed=0.0,
-    )
-
-
-_SCENARIOS = {
-    "ex42": _ex42,
-    "ex43": _ex43,
-    "ex44-sinh": _ex44,
-    "linf-plus": _linf_plus,
-    "linf-minus": _linf_minus,
 }
+_FREE_LIMIT = {"ex42": _ex42, "ex43": _ex43}
 
-SCENARIO_NAMES = tuple(sorted(_SCENARIOS))
+SCENARIO_NAMES = tuple(sorted([*_FIXED_LIMIT, *_FREE_LIMIT]))
 
 
 def get_scenario(name: str, ell: float = 1.0) -> Scenario:
-    """Look up a bundled scenario; ``ell`` sets the limit where it is free."""
-    if name not in _SCENARIOS:
+    """Look up a bundled scenario; ``ell`` sets the limit of ``ex42`` and ``ex43``.
+
+    The other scenarios have a limit of their own, so for them any ``ell``
+    but 1.0 is a ``ValueError``.
+    """
+    if name in _FREE_LIMIT:
+        return _FREE_LIMIT[name](ell)
+    if name not in _FIXED_LIMIT:
         raise KeyError(f"unknown scenario {name!r}; known: {list(SCENARIO_NAMES)}")
-    return _SCENARIOS[name](ell)
+    if ell != 1.0:
+        raise ValueError(f"scenario {name!r} has a fixed limit; ell must be 1.0, got {ell!r}")
+    return _FIXED_LIMIT[name]

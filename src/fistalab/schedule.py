@@ -190,9 +190,6 @@ class Schedule:
         view.flags.writeable = False
         return view
 
-    def t(self, k: int) -> float:
-        return float(self.prefix(k)[k])
-
 
 @dataclass(frozen=True)
 class TkBoundsReport:

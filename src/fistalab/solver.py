@@ -1,4 +1,4 @@
-"""Proximal gradient operator, plain and accelerated runs, and their traces.
+"""Plain and accelerated proximal gradient runs and their traces.
 
 A run records, for every iteration k: the step parameter t_k, the main
 iterate x_k, the extrapolation point y_k, the auxiliary point
@@ -14,10 +14,11 @@ sequences together and the per-step sufficient-decrease inequality.
 
 There is one iteration core. FISTA runs it with a certified schedule, PGM
 with t_k = 1 for every k, and Nesterov's accelerated gradient is FISTA
-with g = 0; the loop and :func:`t_operator` share one proximal gradient
-step. The core aborts with :class:`NonFiniteIterateError` at the first
-non-finite extrapolation point y_{k+1} (a non-finite x_{k+1} always makes
-y_{k+1} non-finite too). One loop, in ``_run``, walks a run's rows: it
+with g = 0; each step is one proximal gradient step from y_k (a PGM run's
+x_1 is that step from x_0). The core aborts with
+:class:`NonFiniteIterateError` at the first non-finite extrapolation
+point y_{k+1} (a non-finite x_{k+1} always makes y_{k+1} non-finite too).
+One loop, in ``_run``, walks a run's rows: it
 checks finiteness once per block of ``_BLOCK`` rows, so at most
 ``_BLOCK - 1`` steps past that row are computed, on non-finite input, and
 discarded (one of them raising still reports that row), then builds the
@@ -68,7 +69,6 @@ __all__ = [
     "Trace",
     "NonFiniteIterateError",
     "MissingSnapshotError",
-    "t_operator",
     "pgm_run",
     "fista_run",
     "nesterov_run",
@@ -434,14 +434,6 @@ def _step_map(problem: CompositeProblem):
     return step_map
 
 
-def t_operator(problem: CompositeProblem, y) -> Vector:
-    """One proximal gradient step: prox of g after an explicit gradient step.
-
-    Uses the canonical step 1/beta for both the gradient move and the prox.
-    """
-    return _step_map(problem)(as_vector(y, problem.dim))
-
-
 def _first_nonfinite_row(window: RowWindow, lo: int, hi: int) -> Optional[int]:
     """The first of rows lo+1..hi whose y is not finite, or None."""
     finite = np.isfinite(window.y(lo + 1, hi + 1)).all(axis=1)
@@ -705,7 +697,7 @@ def pgm_run(
     csv_sink: Optional[CsvSink] = None,
     analyses: Optional[AnalysisStream] = None,
 ) -> Trace:
-    """Plain proximal gradient run: x_{k+1} = T(x_k), recorded like a trace.
+    """Plain proximal gradient run, recorded like a trace: x_{k+1} is one proximal gradient step from x_k.
 
     Stored with t_k = 1 for every row, which makes the extrapolation point
     coincide with the iterate and keeps all structural identities valid.

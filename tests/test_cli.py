@@ -119,8 +119,16 @@ class TestRun:
         assert not (tmp_path / "out").exists()
 
     def test_unknown_family_exits_two(self, tmp_path):
-        cfg = write_config(tmp_path, problem={"family": "mystery"})
-        assert run_config(cfg, output_dir=tmp_path / "out") == 2
+        # the feasibility line and the quadratic spectrum are fixed, so a config that sets them is refused
+        for problem in [
+            {"family": "mystery"},
+            {"family": "feasibility", "params": {"offset": 2.0}},
+            {"family": "feasibility", "params": {"membership_tol": 1e-6}},
+            {"family": "quadratic", "params": {"cond": 5.0}},
+        ]:
+            cfg = write_config(tmp_path, problem=problem)
+            assert run_config(cfg, output_dir=tmp_path / "out") == 2, problem
+            assert not (tmp_path / "out").exists(), problem
 
     def test_missing_config_exits_two(self, tmp_path):
         assert run_config(tmp_path / "nope.json", output_dir=tmp_path / "out") == 2

@@ -261,6 +261,11 @@ class TestScenarios:
 
     def test_ell_parameter_shifts_the_limit(self):
         assert get_scenario("ex42", ell=5.0).h_values(3)[0] == pytest.approx(4.0)
+        for name in SCENARIO_NAMES:
+            assert get_scenario(name, 1.0).name == name
+        for name in ("ex44-sinh", "linf-plus", "linf-minus"):
+            with pytest.raises(ValueError, match="fixed limit"):
+                get_scenario(name, ell=5.0)
 
 
 class TestArrayEvaluation:

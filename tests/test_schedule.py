@@ -87,7 +87,6 @@ class TestScheduleObject:
         first = sched.prefix(10)
         again = sched.prefix(5)
         assert np.array_equal(first[:6], again)
-        assert sched.t(3) == first[3]
 
     def test_prefix_is_a_read_only_view_of_the_cache(self):
         sched = Schedule("bt")

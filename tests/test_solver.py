@@ -25,13 +25,12 @@ from fistalab import (
     pgm_run,
     random_quadratic,
     soft_threshold,
-    t_operator,
     zero_part,
 )
 from fistalab._sink import CsvSink
 from fistalab.checks import AnalysisStream
 from fistalab.problem import _objective_rows
-from fistalab.solver import _BLOCK, _CSV_CHUNK, _ROW_COLUMNS
+from fistalab.solver import _BLOCK, _CSV_CHUNK, _ROW_COLUMNS, RowWindow, _empty_trace, _fill_rows
 
 S_REFS = [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]]
 
@@ -42,19 +41,25 @@ def feas_trace():
 
 
 class TestOperator:
+    """One proximal gradient step is a one-step PGM run's x_1."""
+
+    @staticmethod
+    def step(problem, y):
+        return pgm_run(problem, y, 1).xs[1]
+
     def test_gradient_inactive_then_projection(self, feas):
-        assert np.allclose(t_operator(feas, [5.0, 0.0]), [3.0, -2.0], atol=1e-14)
+        assert np.allclose(self.step(feas, [5.0, 0.0]), [3.0, -2.0], atol=1e-14)
 
     def test_gradient_active_then_projection(self, feas):
         # gradient step moves (3,-2) to (3,0), the line projection gives (2,-1)
-        assert np.allclose(t_operator(feas, [3.0, -2.0]), [2.0, -1.0], atol=1e-14)
+        assert np.allclose(self.step(feas, [3.0, -2.0]), [2.0, -1.0], atol=1e-14)
 
     def test_exact_gradient_step_minimizes(self):
         f = SmoothPart(
             value=lambda x: 0.5 * np.sum(x * x, axis=-1), gradient=lambda x: x, beta=1.0
         )
         problem = CompositeProblem(f=f, g=zero_part(), dim=3)
-        assert np.array_equal(t_operator(problem, [4.0, -1.0, 7.0]), [0.0, 0.0, 0.0])
+        assert np.array_equal(self.step(problem, [4.0, -1.0, 7.0]), [0.0, 0.0, 0.0])
 
 
 class TestPgm:
@@ -756,6 +761,24 @@ class TestCsvStream:
             with pytest.raises(OSError):
                 os.fstat(fd)
         assert list(tmp_path.iterdir()) == []
+
+
+class TestObjectiveLookBack:
+    @pytest.mark.parametrize("dim", [512, 700])
+    def test_short_last_chunk_is_bit_equal_to_one_evaluation(self, dim):
+        # a BLAS-backed F may round the rows of a call of 1-3 rows differently;
+        # on these rows, F over the last chunk's own rows alone differs at
+        # (dim, tail) = (512, 3) and (700, 1) on OpenBLAS
+        problem = random_quadratic(dim=dim, seed=1)
+        every = np.random.default_rng(2).standard_normal((_CSV_CHUNK + 8, dim))
+        for tail in (1, 3, 8):
+            rows = _CSV_CHUNK + tail
+            xs = every[:rows].copy()
+            trace = _empty_trace(problem, np.ones(rows), "pgm", "constant-1", None, 1)
+            window = RowWindow(xs, xs.copy(), np.empty_like(xs))
+            _fill_rows(trace, window, problem, 0, _CSV_CHUNK)
+            _fill_rows(trace, window, problem, _CSV_CHUNK, rows)
+            assert trace.F_x.tobytes() == _objective_rows(problem, xs).tobytes(), tail
 
 
 class TestPartialTraceMemory:
