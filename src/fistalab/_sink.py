@@ -14,26 +14,10 @@ import numpy as np
 
 from .solver import _csv_chunk, write_atomically
 
-__all__ = ["CsvSink", "spare_cpu"]
+__all__ = ["CsvSink"]
 
 
-def spare_cpu() -> bool:
-    """True when a forked writer can run beside this process: fork exists and two CPUs are usable.
-
-    On a single usable CPU the writer would only take turns with the solver.
-    Measured on ``fistalab run configs/fig1.json`` pinned to one CPU of a
-    2-vCPU Xeon VM (Python 3.11, numpy 2.4, one BLAS thread), 12
-    alternating pairs: 2.16 s median wall with the writer forked, 2.16 s
-    with ``trace.csv`` written after the run, each faster in 6 pairs.
-    """
-    if not hasattr(os, "fork"):
-        return False
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) > 1
-    return (os.cpu_count() or 1) > 1
-
-
-_HEAD = np.dtype(np.int64).itemsize * 2  # a message starts with (first row, row count)
+_HEAD = np.dtype(np.int64).itemsize  # a message starts with its row count
 _FAILED = 255  # the writer's exit status for a failure without an errno (errnos stay below it)
 
 
@@ -44,32 +28,36 @@ def _write_all(fd: int, data: bytes) -> None:
         view = view[os.write(fd, view) :]
 
 
-def _writer_main(read_fd: int, path: Path, header: str, columns: int) -> None:
+def _writer_main(read_fd: int, path: Path, header: str) -> None:
     """Body of the forked writer; it leaves only through ``os._exit``, and calls no BLAS.
 
-    Reads (first row, row count) heads, each followed by that many rows of
-    ``columns`` float64 values, and writes their CSV text through
-    :func:`~fistalab.solver.write_atomically`. A negative row count is the
-    end marker: the file is renamed onto ``path``. At end of input without
+    Reads row-count heads, each followed by that many rows of float64
+    values, one per column of ``header`` after ``k``, and writes their CSV
+    text through :func:`~fistalab.solver.write_atomically`, numbering the
+    rows from 0 in the order they arrive. A negative row count is the end
+    marker: the file is renamed onto ``path``. At end of input without
     it, the file is removed and the writer exits 0. A failure prints
     nothing: the writer exits with the ``OSError``'s errno, or with
     ``_FAILED`` for any other failure, and :meth:`CsvSink.close` reports it.
     """
+    columns = header.count(",")
 
     def write(tmp: Path) -> None:
         with os.fdopen(read_fd, "rb") as pipe, open(tmp, "w") as out:
             out.write(header + "\n")
+            start = 0
             while True:
                 head = pipe.read(_HEAD)
                 if len(head) < _HEAD:
                     raise EOFError
-                start, rows = np.frombuffer(head, dtype=np.int64).tolist()
+                rows = int(np.frombuffer(head, dtype=np.int64)[0])
                 if rows < 0:
                     return
                 data = pipe.read(rows * columns * 8)
                 if len(data) < rows * columns * 8:
                     raise EOFError
                 out.write(_csv_chunk(np.frombuffer(data, dtype=np.float64).reshape(rows, columns), start))
+                start += rows
 
     code = _FAILED
     try:
@@ -90,18 +78,18 @@ class CsvSink:
     """Streams ``trace.csv`` from a forked writer while a run iterates; the file appears only when committed.
 
     Pass one to a runner (``csv_sink=``): it calls :meth:`start` once with
-    the header and :meth:`send` once per ``_CSV_CHUNK`` rows. :meth:`start`
-    forks a writer process that formats the chunks while the run goes on,
-    so use a sink only where :func:`spare_cpu` holds; elsewhere write
-    ``trace.csv`` after the run (:meth:`~fistalab.solver.Trace.save`). A
-    fork that fails raises its ``OSError``. The writer creates the target
-    directory where it is missing and puts the rows in a temporary file
-    there. :meth:`commit` has it renamed onto ``path``; leaving the
-    ``with`` block without a commit removes it, so a failed run leaves the
-    previous ``trace.csv`` as it was. The ``with`` block always reaps the
-    writer, and a writer that fails (say, on an output path below a
-    regular file) is an ``OSError``: the writer's own, errno and all, with
-    ``path`` as its file name.
+    the header and :meth:`send` once per ``_CSV_CHUNK`` rows, in row order.
+    :meth:`start` forks a writer process that formats the chunks while the
+    run goes on, on one CPU or many, so a sink needs ``os.fork``; where it
+    is missing, write ``trace.csv`` after the run
+    (:meth:`~fistalab.solver.Trace.save`). A fork that fails raises its
+    ``OSError``. The writer creates the target directory where it is
+    missing and puts the rows in a temporary file there. :meth:`commit`
+    has it renamed onto ``path``; leaving the ``with`` block without a
+    commit removes it, so a failed run leaves the previous ``trace.csv`` as
+    it was. The ``with`` block always reaps the writer, and a writer that
+    fails (say, on an output path below a regular file) is an ``OSError``:
+    the writer's own, errno and all, with ``path`` as its file name.
     """
 
     def __init__(self, path):
@@ -115,8 +103,8 @@ class CsvSink:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def start(self, header: str, columns: int) -> None:
-        """Fork the writer and begin the file with ``header``; every later chunk has ``columns`` float columns."""
+    def start(self, header: str) -> None:
+        """Fork the writer and begin the file with ``header``; each chunk fills its columns after ``k``."""
         if self._pipe is not None:
             raise ValueError("this CsvSink is already streaming a run")
         read_fd, write_fd = os.pipe()
@@ -128,17 +116,17 @@ class CsvSink:
             raise
         if pid == 0:
             os.close(write_fd)
-            _writer_main(read_fd, self.path, header, columns)
+            _writer_main(read_fd, self.path, header)
         os.close(read_fd)
         self._pid, self._pipe = pid, write_fd
 
-    def send(self, table: np.ndarray, start: int) -> None:
-        """Append the float rows ``table``, whose first row is numbered ``start``."""
-        _write_all(self._pipe, np.array([start, len(table)], dtype=np.int64).tobytes() + table.tobytes())
+    def send(self, table: np.ndarray) -> None:
+        """Append the float rows ``table``, numbered on from the rows sent before."""
+        _write_all(self._pipe, np.int64(len(table)).tobytes() + table.tobytes())
 
     def commit(self) -> None:
         """Finish the file and have the writer rename it onto ``path``."""
-        _write_all(self._pipe, np.array([0, -1], dtype=np.int64).tobytes())
+        _write_all(self._pipe, np.int64(-1).tobytes())
         self.close()
 
     def close(self) -> None:

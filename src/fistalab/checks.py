@@ -7,9 +7,10 @@ exact identities scale with max(1, magnitude of the participating terms)
 so that genuine violations stand out from accumulated roundoff on long
 runs. A non-finite residual or scale makes the reported value NaN, and a
 check passes only on a finite value: nothing passes vacuously. Nor does a
-check with nothing to check: no probe direction (:func:`_directions`
-chooses them for every check) or no sampled step is a ValueError at set-up,
-as is a tail verdict's window or tolerance out of range.
+check with nothing to check: a trace of fewer than two rows, no probe
+direction (:func:`_directions` chooses them for every check) or no sampled
+step is a ValueError at set-up, as is a tail verdict's window or tolerance
+out of range.
 
 Every check is a fold over the rows, in blocks of ``_CSV_CHUNK``: set up
 before the first row (every probe draw from the rng happens there, in
@@ -144,9 +145,10 @@ class _Fold:
     """One named check as a fold over a run's rows.
 
     It is built before the first row from the trace (its metadata and its
-    not yet filled columns; ``len(trace)`` is the planned row count), the
-    problem, the shared ``rng`` (every draw happens here), ``x0`` and the
-    check's parameters as keyword-only arguments. ``update(trace, window,
+    not yet filled columns; ``len(trace)`` is the planned row count, at
+    least two, so the first block holds rows 0 and 1), the problem, the
+    shared ``rng`` (every draw happens here), ``x0`` and the check's
+    parameters as keyword-only arguments. ``update(trace, window,
     lo, hi)`` then sees rows lo..hi, for consecutive blocks of
     ``_CSV_CHUNK`` rows, once the trace's columns for them are filled;
     ``window`` holds their x, y and z rows and row lo - 1 (and the three
@@ -173,8 +175,6 @@ class _Structural(_Fold):
         zdef_scale = np.maximum(1.0, np.abs(1.0 - t[lo:hi]) * norm_x[lo:hi] + t[lo:hi] * norm_y)
         self.zdef = _max(self.zdef, _worst(trace.res_zdef[lo:hi], zdef_scale))
         p = max(lo, 1)  # rows k >= 1, each with row k - 1
-        if p == hi:
-            return
         prev = slice(p - 1, hi - 1)
         recur_res = z_recursion(t[prev], window.x(p - 1, hi), window.z(p, hi))
         recur_scale = np.maximum(1.0, t[prev] * (norm_x[prev] + norm_x[p:hi]) + norm_x[prev])
@@ -214,10 +214,9 @@ class _MomentumIdentity(_Fold):
         phi = trace.ts[p - 1 : hi - 1] - 1.0
         for i, d in enumerate(self.directions):
             h = _products(window.x, lo, hi, d)
-            if p < hi:
-                g = forward_transform(h if lo == 0 else np.concatenate(([self.h_last[i]], h)), phi)
-                residual = np.abs(g - _products(window.z, lo, hi, d)[p - lo :])
-                self.worst[i] = _max(self.worst[i], float(np.max(residual)))
+            g = forward_transform(h if lo == 0 else np.concatenate(([self.h_last[i]], h)), phi)
+            residual = np.abs(g - _products(window.z, lo, hi, d)[p - lo :])
+            self.worst[i] = _max(self.worst[i], float(np.max(residual)))
             self.h_last[i] = h[-1]
 
     def result(self):
@@ -248,8 +247,6 @@ class _RateBound(_Fold):
         if lo == 0:
             self.slack = self.tol * np.maximum(1.0, trace.beta * trace.norm_x[0] ** 2)
         p = max(lo, 1)
-        if p == hi:
-            return
         k = np.arange(p, hi, dtype=float)
         bound = 2.0 * trace.beta * self.d0**2 / (k + 1.0) ** 2 + self.slack
         self.excess = _max(self.excess, _worst(trace.delta[p:hi] - bound))
@@ -279,12 +276,9 @@ class _XiMonotone(_Fold):
         columns = trace.xi.shape[1]
         self.max_inc = [-math.inf] * columns
         self.neg = [-math.inf] * columns  # the largest -xi_k
-        self.xi1 = None
 
     def update(self, trace, window, lo, hi):
         p = max(lo, 1)  # xi is defined from k = 1
-        if p == hi:
-            return
         if p == 1:
             self.xi1 = [float(v) for v in trace.xi[1]]
         step = max(lo, 2)  # xi_k - xi_{k-1} from k = 2
@@ -455,8 +449,6 @@ class _XiDifference(_Fold):
 
     def update(self, trace, window, lo, hi):
         p = max(lo, 1)
-        if p == hi:
-            return
         if p == 1:
             self.xi1 = trace.xi[1].copy()
         for (i, j), tail in zip(self.pairs, self.tails):
@@ -594,8 +586,9 @@ class AnalysisStream:
     draw from ``rng`` happens there, and :meth:`update` once per
     ``_CSV_CHUNK`` rows. After a run that did not abort, :meth:`results`
     gives what :meth:`fold` gives on the full trace. A bad entry is a
-    ValueError here (see :func:`_entries`), and so is an unknown or
-    missing parameter in :meth:`start`, before the first row.
+    ValueError here (see :func:`_entries`), and so are a trace of fewer
+    than two rows and an unknown or missing parameter in :meth:`start`,
+    before the first row.
     """
 
     def __init__(self, problem: CompositeProblem, analyses, rng):
@@ -605,6 +598,8 @@ class AnalysisStream:
         self._folds = []
 
     def start(self, trace: Trace, x0: np.ndarray) -> None:
+        if len(trace) < 2:
+            raise ValueError(f"checks need a trace of at least 2 rows, got {len(trace)}")
         self._folds = []
         with _errstate():
             for name, params in self.entries:

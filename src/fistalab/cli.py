@@ -20,7 +20,7 @@ its trace CSV byte for byte.
 builds it (:class:`~fistalab.checks.AnalysisStream`), so it keeps x, y and
 z only in a window of a few thousand rows and at the snapshot rows, and
 formats trace.csv in a forked writer process while the solver iterates
-where a second CPU is usable, and after the run otherwise. Every
+wherever ``os.fork`` exists, and after the run where it is missing. Every
 artifact is written under a temporary name in the output directory and
 renamed into place, trace.csv first and report.json last, so a crash
 never leaves a half-written file; a run that fails before writing its
@@ -36,6 +36,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -139,22 +140,22 @@ def run_config(config_path, output_dir=None, seed=None) -> int:
     The checks are set up before the first row (every probe draw from the
     seeded rng happens there, in analysis order) and folded over the rows
     as the run builds them, so the run holds no full x, y or z arrays; a
-    bad check parameter fails before the run. Where a second CPU is
-    usable, a forked writer formats trace.csv while the solver iterates
-    (see :class:`~fistalab._sink.CsvSink`); otherwise trace.csv is
-    formatted after the run. The artifacts follow the checks in
-    the order trace.csv, snapshots.json, report.json, each written under a
-    temporary name and renamed, so every file is replaced whole. A run that
-    fails before writing its artifacts leaves the previous ones as they
-    were; one that fails while writing them may leave the newer files next
-    to older ones.
+    bad check parameter fails before the run. Wherever ``os.fork``
+    exists, a forked writer formats trace.csv while the solver iterates
+    (see :class:`~fistalab._sink.CsvSink`), on one CPU or many; where it
+    is missing, trace.csv is formatted after the run. The artifacts
+    follow the checks in the order trace.csv, snapshots.json,
+    report.json, each written under a temporary name and renamed, so
+    every file is replaced whole. A run that fails before writing its
+    artifacts leaves the previous ones as they were; one that fails while
+    writing them may leave the newer files next to older ones.
 
     ``output_dir`` and ``seed``, where given, replace the config's keys and
     are checked as they are. The first artifact write creates the output
-    directory: the forked writer's start, after every check is set up, or
-    the writes after the run. So a run that fails at set-up creates no
-    directory, and an unusable output path (one below a regular file) is
-    reported only there, as exit 2.
+    directory: the forked writer's start, after every check is set up, or,
+    where ``os.fork`` is missing, the writes after the run. So a run that
+    fails at set-up creates no directory, and an unusable output path (one
+    below a regular file) is reported only there, as exit 2.
     """
     path = Path(config_path)
     aborted = None
@@ -167,9 +168,9 @@ def run_config(config_path, output_dir=None, seed=None) -> int:
         seed = cfg.get("seed", 0)
 
         # imported only here: without cached bytecode, compiling it slows every other command
-        from ._sink import CsvSink, spare_cpu
+        from ._sink import CsvSink
 
-        sink = CsvSink(out / "trace.csv") if spare_cpu() else None
+        sink = CsvSink(out / "trace.csv") if hasattr(os, "fork") else None
         with sink or contextlib.nullcontext():
             analyses = AnalysisStream(problem, cfg.get("analyses", []), np.random.default_rng(seed))
             common = dict(

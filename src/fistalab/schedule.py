@@ -119,16 +119,17 @@ def validate_schedule(ts) -> ScheduleReport:
 
 
 class Schedule:
-    """Lazily extended, certified prefix of a step-parameter sequence.
+    """Certified prefix of a step-parameter sequence, cached for its longest request.
 
     ``rule`` is "bt" (quadratic recursion at equality, through
     :func:`bt_next`), "linear" ((k + 2) / 2 growth, through
     :func:`linear_half`), or "explicit" with at least two user-supplied
-    values. Every extension certifies the whole new prefix with
-    :func:`validate_schedule`, so an instance only ever holds an admissible
-    prefix; a violation, or asking for more terms than an explicit rule
-    provides, is a :class:`ScheduleError`. Extension is single-writer; an
-    already generated prefix may be shared read-only.
+    values. A request past the cached prefix generates the whole new one
+    from t_0 = 1 and certifies it with :func:`validate_schedule`, so an
+    instance only ever holds an admissible prefix; a violation, or asking
+    for more terms than an explicit rule provides, is a
+    :class:`ScheduleError`. Generation is single-writer; an already
+    generated prefix may be shared read-only.
     """
 
     def __init__(self, rule: str = "bt", values=None):
@@ -145,18 +146,16 @@ class Schedule:
         else:
             raise ValueError(f"unknown schedule rule {rule!r}")
         self.rule = rule
-        self._ts = np.empty(0) if self._explicit is not None else np.ones(1)  # t_0 = 1
+        self._ts = np.empty(0)
 
     def _generate(self, k_max: int) -> np.ndarray:
         """t_0..t_{k_max}, or as many of them as an explicit rule has."""
         if self._explicit is not None:
             return self._explicit[: k_max + 1]
-        have = self._ts.size
         ts = np.empty(k_max + 1)
-        ts[:have] = self._ts
-        t = float(self._ts[-1])
+        ts[0] = t = 1.0  # t_0 = 1
         # a few thousand terms at a time, so the Python floats never pile up
-        for lo in range(have, k_max + 1, 4096):
+        for lo in range(1, k_max + 1, 4096):
             hi = min(lo + 4096, k_max + 1)
             if self.rule == "linear":
                 new = [linear_half(k) for k in range(lo, hi)]
@@ -169,7 +168,7 @@ class Schedule:
         return ts
 
     def prefix(self, k_max: int) -> np.ndarray:
-        """Return t_0..t_{k_max} as a read-only view of the cache, extending it as needed."""
+        """Return t_0..t_{k_max} as a read-only view of the cache, generated anew past its end."""
         if k_max < 0:
             raise ValueError("k_max must be nonnegative")
         if self._ts.size <= k_max:

@@ -24,12 +24,12 @@ checks finiteness once per block of ``_BLOCK`` rows, so at most
 discarded (one of them raising still reports that row), then builds the
 derived columns of each ``_CSV_CHUNK`` rows the check has cleared. Given a
 :class:`~fistalab._sink.CsvSink`, each chunk also goes to a forked writer
-process that formats it beside the loop. ``fistalab run`` passes one where
-a second CPU is usable; without one, the CSV is formatted after the run by
-:meth:`Trace.to_csv`. The writer's rows go to a temporary file that is
-renamed onto ``trace.csv`` only once the run is committed, and
-:meth:`Trace.save` writes its files the same way, so a crash never leaves
-a half-written artifact.
+process that formats it beside the loop. ``fistalab run`` passes one
+wherever ``os.fork`` exists, on one CPU or many; where it is missing, the
+CSV is formatted after the run by :meth:`Trace.to_csv`. The writer's rows
+go to a temporary file that is renamed onto ``trace.csv`` only once the
+run is committed, and :meth:`Trace.save` writes its files the same way, so
+a crash never leaves a half-written artifact.
 
 Memory. A library run returns every row of x, y and z, so it holds
 O(rows x dim) floats. Given its checks (``analyses=``, an
@@ -615,8 +615,7 @@ def _run(
     if streamed:
         analyses.start(trace, x0)  # every probe draw, before the first row
     if csv_sink is not None:
-        header = trace._csv_header()
-        csv_sink.start(",".join(header), len(header) - 1)
+        csv_sink.start(",".join(trace._csv_header()))
     step_map = _step_map(problem)
     steps = ts.size - 1
     built = 0
@@ -633,7 +632,7 @@ def _run(
                 top = min(built + _CSV_CHUNK, rows)
                 _fill_rows(trace, window, problem, built, top)
                 if csv_sink is not None:
-                    csv_sink.send(trace._csv_table(built, top), built)
+                    csv_sink.send(trace._csv_table(built, top))
                 if streamed:
                     analyses.update(trace, window, built, top)
                     first = -(-built // snapshot_every) * snapshot_every

@@ -172,10 +172,10 @@ class TestRun:
         assert steps == []
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("usable", [{0, 1}, {0}], ids=["forked", "one-cpu"])
-    def test_mistyped_check_parameter_exits_two_and_keeps_the_artifacts(self, usable, tmp_path, monkeypatch, capsys):
+    def test_mistyped_check_parameter_exits_two_and_keeps_the_artifacts(
+        self, trace_writer, tmp_path, monkeypatch, capsys
+    ):
         # an unknown key used to be dropped: span ran at its default tol and passed
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: usable)
         out = tmp_path / "out"
         span = {"name": "span", "directions": [[1.0, -1.0]]}
         assert run_config(write_config(tmp_path, iterations=2000, analyses=[span]), output_dir=out) == 0
@@ -601,23 +601,40 @@ class TestValidate:
 class TestAtomicArtifacts:
     ARTIFACTS = ("trace.csv", "snapshots.json", "report.json")
 
-    def test_one_cpu_writes_the_same_artifacts_without_forking(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path, iterations=6000, analyses=["structural"])
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        assert run_config(cfg, output_dir=tmp_path / "forked") == 0
+    @pytest.fixture(scope="class")
+    def forked_run(self, tmp_path_factory):
+        """Two configs and the artifacts ``fistalab run`` writes for them with the forked writer."""
+        where = tmp_path_factory.mktemp("forked-run")
+        configs = [
+            write_config(where, iterations=6000, analyses=["structural"]).rename(where / f"{name}.json")
+            for name in ("first", "second")
+        ]
+        assert main(["run", *map(str, configs), "--output-dir", str(where / "out")]) == 0
+        return configs, {
+            (c.stem, name): (where / "out" / c.stem / name).read_bytes() for c in configs for name in self.ARTIFACTS
+        }
 
-        def fork():
-            raise AssertionError("a run on one CPU forked")
+    def test_each_writer_path_writes_the_forked_bytes(self, trace_writer, forked_run, tmp_path, monkeypatch):
+        # wherever os.fork exists a run forks its writer, one per config, whatever the CPU count;
+        # where it is missing, the run forks nothing and writes trace.csv after the run
+        configs, want = forked_run
+        forks = []
+        if trace_writer == "forked":
+            real_fork = os.fork
 
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        monkeypatch.setattr(os, "fork", fork)
-        assert run_config(cfg, output_dir=tmp_path / "one-cpu") == 0
-        for name in self.ARTIFACTS:
-            assert (tmp_path / "one-cpu" / name).read_bytes() == (tmp_path / "forked" / name).read_bytes(), name
+            def fork():
+                pid = real_fork()
+                if pid:
+                    forks.append(pid)
+                return pid
 
-    @pytest.mark.parametrize("usable", [{0, 1}, {0}], ids=["forked", "one-cpu"])
-    def test_failed_run_leaves_previous_artifacts(self, usable, tmp_path, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: usable)
+            monkeypatch.setattr(os, "fork", fork)
+        out = tmp_path / "out"
+        assert main(["run", *map(str, configs), "--output-dir", str(out)]) == 0
+        assert len(forks) == (len(configs) if trace_writer == "forked" else 0)
+        assert {(stem, name): (out / stem / name).read_bytes() for stem, name in want} == want
+
+    def test_failed_run_leaves_previous_artifacts(self, trace_writer, tmp_path, monkeypatch):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, iterations=6000, analyses=["structural"])
         assert run_config(cfg, output_dir=out) == 0
@@ -642,20 +659,13 @@ class TestAtomicArtifacts:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.parametrize(
-        "usable, message",
-        [
-            ({0, 1}, "error: [Errno 20] Not a directory: '{out}/trace.csv'"),
-            ({0}, "error: cannot write artifacts: [Errno 20] Not a directory: '{out}'"),
-        ],
-        ids=["forked", "one-cpu"],
-    )
-    def test_output_dir_below_a_file_exits_two_and_leaves_the_file(
-        self, usable, message, tmp_path, monkeypatch, capfd
-    ):
+    def test_output_dir_below_a_file_exits_two_and_leaves_the_file(self, trace_writer, tmp_path, capfd):
         # reported at the first artifact write: the writer's start, or the writes after the run;
         # either way as one line, the forked writer printing nothing of its own
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: usable)
+        message = {
+            "forked": "error: [Errno 20] Not a directory: '{out}/trace.csv'",
+            "no-fork": "error: cannot write artifacts: [Errno 20] Not a directory: '{out}'",
+        }[trace_writer]
         blocker = tmp_path / "blocker"
         blocker.write_bytes(b"not a directory\n")
         cfg = write_config(tmp_path, iterations=50, analyses=["structural"])
@@ -675,10 +685,8 @@ class TestAtomicArtifacts:
         assert (tmp_path / "out" / "trace.csv").read_bytes() == want
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(self.ARTIFACTS)
 
-    @pytest.mark.parametrize("usable", [{0, 1}, {0}], ids=["forked", "one-cpu"])
-    def test_report_write_failure_replaces_only_the_earlier_files(self, usable, tmp_path, monkeypatch):
+    def test_report_write_failure_replaces_only_the_earlier_files(self, trace_writer, tmp_path, monkeypatch):
         # each file is replaced whole, but a failure after the first rename leaves a mix
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: usable)
         out, want = tmp_path / "out", tmp_path / "want"
         assert run_config(write_config(tmp_path, iterations=50, analyses=["structural"]), output_dir=out) == 0
         before = (out / "report.json").read_bytes()

@@ -6,7 +6,8 @@ x, y and z of a library run at once. ``fistalab run`` folds the same checks
 over blocks of rows while the run goes and keeps only a window of rows. Its
 report.json must hold exactly the reference's results on the library run,
 and its trace.csv and snapshots.json must be the bytes that the library run
-saves, both with the forked CSV writer and on one CPU.
+saves, both with the forked CSV writer and, with ``os.fork`` hidden, with
+trace.csv written after the run.
 
 With several BLAS threads, OpenBLAS splits one matrix-vector product over
 many rows among the threads and rounds the rows next to each split
@@ -47,7 +48,7 @@ from fistalab import (
 from fistalab import cli
 from fistalab.checks import _FOLDS, ANALYSES, AnalysisStream, CheckResult
 from fistalab.problem import CompositeProblem, eval_F
-from fistalab.solver import _CSV_CHUNK, RowWindow
+from fistalab.solver import _CSV_CHUNK, _ROW_COLUMNS, RowWindow
 
 REPO = Path(__file__).resolve().parent.parent
 IDENTITY_TOL = 1e-9
@@ -382,7 +383,6 @@ C = _CSV_CHUNK
 # the checks that read only scalar columns and x_0, which a streamed or reloaded trace keeps
 SCALAR_ONLY = ("rate_bound", "xi_monotone", "gap_decay", "bounded_iterates", "xi_difference")
 ROWS = [C - 1, C, C + 1, 2 * C + 2]
-USABLE_CPUS = {"forked": {0, 1}, "one-cpu": {0}}
 
 
 def case_config(family: str, dim: int, rows: int) -> dict:
@@ -457,12 +457,12 @@ def library_artifacts(cfg: dict, workdir: Path, abort_row=None) -> dict:
     return {"checks": checks, **{name: (workdir / name).read_bytes() for name in ("trace.csv", "snapshots.json")}}
 
 
-def compare_run(cfg: dict, usable: set, workdir: Path, want: dict, abort_row=None) -> list:
-    """Run ``cfg`` through ``fistalab run`` on ``usable`` CPUs; returns every difference from ``want``."""
+def compare_run(cfg: dict, workdir: Path, want: dict, abort_row=None) -> list:
+    """Run ``cfg`` through ``fistalab run``; returns every difference from ``want``."""
     workdir.mkdir(parents=True)
     config = workdir / "config.json"
     config.write_text(json.dumps(cfg))
-    with mock.patch.object(os, "sched_getaffinity", lambda pid: usable), mock.patch.object(
+    with mock.patch.object(
         cli, "build_problem", lambda *args: case_problem(cfg, abort_row)
     ), contextlib.redirect_stdout(io.StringIO()):
         code = cli.run_config(config, output_dir=workdir)
@@ -483,15 +483,17 @@ def compare_run(cfg: dict, usable: set, workdir: Path, want: dict, abort_row=Non
 
 
 def wide_cases(dim: int, paths: list) -> list:
-    """Every difference over the quadratic cases of one dim; run with one BLAS thread."""
+    """Every difference over the quadratic cases of one dim on each writer path; run with one BLAS thread."""
     problems = []
     with tempfile.TemporaryDirectory() as tmp:
         for rows in ROWS:
             cfg = case_config("quadratic", dim, rows)
             want = library_artifacts(cfg, Path(tmp) / f"{rows}-library")
             for path in paths:
-                usable = USABLE_CPUS[path]
-                case = compare_run(cfg, usable, Path(tmp) / f"{rows}-{path}", want)
+                with pytest.MonkeyPatch.context() as mp:
+                    if path == "no-fork":  # as the trace_writer fixture does
+                        mp.delattr(os, "fork")
+                    case = compare_run(cfg, Path(tmp) / f"{rows}-{path}", want)
                 problems.extend(f"quadratic dim {dim}, {rows} rows, {path}: {p}" for p in case)
     return problems
 
@@ -500,24 +502,22 @@ def wide_cases(dim: int, paths: list) -> list:
 
 
 class TestStreamedChecks:
-    @pytest.mark.parametrize("path", sorted(USABLE_CPUS))
     @pytest.mark.parametrize("rows", ROWS)
     @pytest.mark.parametrize("family", ["feasibility", "l1_quadratic"])
-    def test_report_and_artifacts_equal_the_whole_array_reference(self, family, rows, path, tmp_path):
+    def test_report_and_artifacts_equal_the_whole_array_reference(self, family, rows, trace_writer, tmp_path):
         cfg = case_config(family, 6, rows)
         want = library_artifacts(cfg, tmp_path)
-        assert compare_run(cfg, USABLE_CPUS[path], tmp_path / "run", want) == []
+        assert compare_run(cfg, tmp_path / "run", want) == []
 
-    @pytest.mark.parametrize("path", sorted(USABLE_CPUS))
     @pytest.mark.parametrize("row", [C + 100, 2 * C + 1])
-    def test_abort_inside_a_block_writes_the_library_partial_trace(self, row, path, tmp_path):
+    def test_abort_inside_a_block_writes_the_library_partial_trace(self, row, trace_writer, tmp_path):
         cfg = case_config("feasibility", 2, 3 * C)
         want = library_artifacts(cfg, tmp_path, row)
-        assert compare_run(cfg, USABLE_CPUS[path], tmp_path / "run", want, row) == []
+        assert compare_run(cfg, tmp_path / "run", want, row) == []
 
     # the two paths differ only in who writes trace.csv, which dim 2, 6 and 64 cover;
     # at dim 512 every step is a dense 512 x 512 product, so it takes the forked one only
-    @pytest.mark.parametrize("dim, paths", [(64, ["forked", "one-cpu"]), (512, ["forked"])])
+    @pytest.mark.parametrize("dim, paths", [(64, ["forked", "no-fork"]), (512, ["forked"])])
     def test_wide_dims_on_one_blas_thread(self, dim, paths):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")]))
         env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -608,6 +608,18 @@ class TestFoldReads:
                 assert first - lo >= (-4 if hi - lo == 1 else -1), f"rows {lo}..{hi} read from row {first}"
                 assert max(b for _, b in window.reads) <= hi
         assert stream.results()
+
+    @pytest.mark.parametrize("name", sorted(_FOLDS))
+    def test_each_fold_refuses_a_one_row_trace(self, name):
+        # one row has no step to check: without the refusal, structural and rate_bound pass at -inf
+        cfg = case_config("feasibility", 2, 11)
+        problem = build_problem("feasibility", {})
+        trace = fista_run(problem, cfg["x0"], "bt", cfg["iterations"], s_refs=cfg["s_refs"])
+        kept = {f: getattr(trace, f)[:1] for f in _ROW_COLUMNS if getattr(trace, f) is not None}
+        one_row = dataclasses.replace(trace, **kept)
+        [entry] = [a for a in cfg["analyses"] if (a if isinstance(a, str) else a["name"]) == name]
+        with pytest.raises(ValueError, match="at least 2 rows, got 1$"):
+            AnalysisStream(problem, [entry], np.random.default_rng(cfg["seed"])).fold(one_row)
 
 
 if __name__ == "__main__":
