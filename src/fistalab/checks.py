@@ -7,10 +7,11 @@ exact identities scale with max(1, magnitude of the participating terms)
 so that genuine violations stand out from accumulated roundoff on long
 runs. A non-finite residual or scale makes the reported value NaN, and a
 check passes only on a finite value: nothing passes vacuously. Nor does a
-check with nothing to check: a trace of fewer than two rows, no probe
-direction (:func:`_directions` chooses them for every check) or no sampled
-step is a ValueError at set-up, as is a tail verdict's window or tolerance
-out of range.
+check with nothing to check: a trace of fewer than two rows (three for
+``xi_monotone``, which compares steps), no probe direction
+(:func:`_directions` chooses them for every check) or no sampled step is a
+ValueError at set-up, as is a tail verdict's window or tolerance out of
+range.
 
 Every check is a fold over the rows, in blocks of ``_CSV_CHUNK``: set up
 before the first row (every probe draw from the rng happens there, in
@@ -271,7 +272,8 @@ class _XiMonotone(_Fold):
     def __init__(self, trace, problem, rng, x0):
         if trace.xi is None:
             raise ValueError("xi_monotone needs xi columns (known optimal value and s_refs)")
-        self.rows = len(trace)
+        if len(trace) < 3:
+            raise ValueError(f"xi_monotone needs at least 3 rows (two steps), got {len(trace)}")
         self.start_bounds = [0.5 * trace.beta * float(np.sum((x0 - s) ** 2)) + 1e-9 for s in trace.s_refs]
         columns = trace.xi.shape[1]
         self.max_inc = [-math.inf] * columns
@@ -283,7 +285,7 @@ class _XiMonotone(_Fold):
             self.xi1 = [float(v) for v in trace.xi[1]]
         step = max(lo, 2)  # xi_k - xi_{k-1} from k = 2
         for j in range(trace.xi.shape[1]):
-            if step < hi:
+            if step < hi:  # the rows 0..1 of a run aborted at row 1 hold no step
                 self.max_inc[j] = _max(self.max_inc[j], _worst(np.diff(trace.xi[step - 1 : hi, j])))
             self.neg[j] = _max(self.neg[j], _worst(-trace.xi[p:hi, j]))
 
@@ -291,7 +293,7 @@ class _XiMonotone(_Fold):
         out = []
         for j, (xi1, start_bound) in enumerate(zip(self.xi1, self.start_bounds)):
             step_tol = 1e-9 * max(1.0, xi1)
-            max_inc = self.max_inc[j] if self.rows > 2 else 0.0
+            max_inc = self.max_inc[j]
             excess = _worst(xi1 - start_bound)
             min_xi = -self.neg[j]
             out.append(CheckResult(f"xi-monotone[s{j}]", max_inc <= step_tol, max_inc, tol=step_tol))

@@ -106,6 +106,8 @@ def _load_config(path: Path, overrides=None) -> dict:
     algorithm = raw.get("algorithm", "fista")
     if algorithm not in _ALGORITHMS:
         raise ConfigError(f"algorithm must be one of {_ALGORITHMS}, got {algorithm!r}")
+    if algorithm == "pgm" and "schedule" in raw:
+        raise ConfigError("algorithm 'pgm' takes no 'schedule'")
     if algorithm != "pgm" and "schedule" not in raw:
         raise ConfigError(f"algorithm {algorithm!r} needs a 'schedule'")
     schedule = raw.get("schedule", "bt")

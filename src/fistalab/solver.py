@@ -18,11 +18,11 @@ with g = 0; each step is one proximal gradient step from y_k (a PGM run's
 x_1 is that step from x_0). The core aborts with
 :class:`NonFiniteIterateError` at the first non-finite extrapolation
 point y_{k+1} (a non-finite x_{k+1} always makes y_{k+1} non-finite too).
-One loop, in ``_run``, walks a run's rows: it
-checks finiteness once per block of ``_BLOCK`` rows, so at most
-``_BLOCK - 1`` steps past that row are computed, on non-finite input, and
-discarded (one of them raising still reports that row), then builds the
-derived columns of each ``_CSV_CHUNK`` rows the check has cleared. Given a
+One loop, in ``_run``, walks a run's rows, one chunk of ``_CSV_CHUNK``
+rows per pass: it steps to the end of the chunk and checks finiteness
+once, so at most ``_CSV_CHUNK - 1`` steps past that row are computed, on
+non-finite input, and discarded (one of them raising still reports that
+row), then builds the derived columns of the chunk up to that row. Given a
 :class:`~fistalab._sink.CsvSink`, each chunk also goes to a forked writer
 process that formats it beside the loop. ``fistalab run`` passes one
 wherever ``os.fork`` exists, on one CPU or many; where it is missing, the
@@ -35,11 +35,11 @@ Memory. A library run returns every row of x, y and z, so it holds
 O(rows x dim) floats. Given its checks (``analyses=``, an
 :class:`~fistalab.checks.AnalysisStream`), a run folds them over each chunk
 as it is built and keeps vector rows only where something still reads
-them: a window of about two chunks plus one finiteness block (the carried
-row and the objective's window), the snapshot rows, and what the checks
-sample. Its trace then carries no per-row vectors, only the snapshot
-rows, so vectors take O(chunk x dim) memory; the scalar columns stay full
-length, O(rows).
+them: a window of two chunks and one row (the chunk being built, and the
+objective's window before it, which ends with the carried row), the
+snapshot rows, and what the checks sample. Its trace then carries no
+per-row vectors, only the snapshot rows, so vectors take O(chunk x dim)
+memory; the scalar columns stay full length, O(rows).
 
 Traces are columnar (one array per column) and immutable once produced.
 CSV export uses 17 significant digits and a fixed header, so rerunning a
@@ -76,11 +76,10 @@ __all__ = [
 
 
 _CSV_CHUNK = 4096
-_BLOCK = 1024
-# rows a streamed run holds: C + 1 rows before the chunk being built (the
-# objective's window), that chunk, and the finiteness block the loop may
-# run ahead of it
-_WINDOW = 2 * _CSV_CHUNK + _BLOCK
+# rows a streamed run holds: the chunk being built and the C + 1 rows before
+# it, which hold the objective's window over a short chunk (up to C rows
+# back) and the carried row lo - 1
+_WINDOW = 2 * _CSV_CHUNK + 1
 
 # (CSV header, Trace field) of each scalar column, in CSV order after "k";
 # "xi_s" heads one column xi_s0, xi_s1, ... per reference point
@@ -446,9 +445,9 @@ def _iterate(step_map, ts: np.ndarray, window: RowWindow, lo: int, hi: int) -> O
     """Steps lo..hi - 1 of the two-sequence recursion, from row lo of ``window`` into rows lo + 1..hi.
 
     Returns the first of those rows whose y is not finite, or None. The y
-    rows are checked once, after the block, so the steps past that row are
-    computed and discarded; a step that raises after a non-finite row
-    reports that row instead. The block starts from copies of row lo's x
+    rows are checked once, after the last step, so the steps past that row
+    are computed and discarded; a step that raises after a non-finite row
+    reports that row instead. The steps start from copies of row lo's x
     and y, so a ``step_map`` that writes into its argument cannot change a
     stored row.
     """
@@ -595,11 +594,12 @@ def _run(
 ) -> Trace:
     """The one iteration core behind every public runner, and the one loop over a run's rows.
 
-    Each pass runs one block of ``_BLOCK`` steps (:func:`_iterate`), then
-    builds each whole chunk ``[k*C, (k+1)*C)`` (C = ``_CSV_CHUNK``) of the
-    rows found finite: fills its columns, sends it to ``csv_sink``, folds
-    ``analyses`` over it and keeps its snapshot rows. The last pass builds
-    the short last chunk too; the others then slide a streamed window.
+    Each pass is one chunk ``[lo, hi) = [k*C, (k+1)*C)`` (C = ``_CSV_CHUNK``,
+    the last one short): it slides a streamed window past the rows nothing
+    reads any more, steps from row lo - 1 to row hi - 1 (:func:`_iterate`),
+    then builds the chunk up to its first non-finite row, if any: fills its
+    columns, sends it to ``csv_sink``, folds ``analyses`` over it and keeps
+    its snapshot rows.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -617,40 +617,34 @@ def _run(
     if csv_sink is not None:
         csv_sink.start(",".join(trace._csv_header()))
     step_map = _step_map(problem)
-    steps = ts.size - 1
-    built = 0
     snapshots = []
     # a non-finite value ends the run as NonFiniteIterateError and stays in
     # the trace, so numpy's overflow and invalid-value warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, steps, _BLOCK):
-            hi = min(lo + _BLOCK, steps)
-            bad_row = _iterate(step_map, ts, window, lo, hi)
-            rows = hi + 1 if bad_row is None else bad_row + 1
-            last = hi == steps or bad_row is not None
-            while rows - built >= _CSV_CHUNK or (last and built < rows):
-                top = min(built + _CSV_CHUNK, rows)
-                _fill_rows(trace, window, problem, built, top)
-                if csv_sink is not None:
-                    csv_sink.send(trace._csv_table(built, top))
-                if streamed:
-                    analyses.update(trace, window, built, top)
-                    first = -(-built // snapshot_every) * snapshot_every
-                    snapshots.append(window.snapshots(built, top, range(first, top, snapshot_every)))
-                built = top
-            if last:
-                break
+        for lo in range(0, ts.size, _CSV_CHUNK):
+            hi = min(lo + _CSV_CHUNK, ts.size)
             if streamed:
-                window.slide(max(built - _CSV_CHUNK - 1, 0), rows)
+                window.slide(max(lo - _CSV_CHUNK - 1, 0), lo)
+            bad_row = _iterate(step_map, ts, window, max(lo - 1, 0), hi - 1)
+            top = hi if bad_row is None else bad_row + 1
+            _fill_rows(trace, window, problem, lo, top)
+            if csv_sink is not None:
+                csv_sink.send(trace._csv_table(lo, top))
+            if streamed:
+                analyses.update(trace, window, lo, top)
+                first = -(-lo // snapshot_every) * snapshot_every
+                snapshots.append(window.snapshots(lo, top, range(first, top, snapshot_every)))
+            if bad_row is not None:
+                break
     if streamed:
-        if (rows - 1) % snapshot_every:
-            snapshots.append(window.snapshots(rows - 1, rows, [rows - 1]))
+        if (top - 1) % snapshot_every:
+            snapshots.append(window.snapshots(top - 1, top, [top - 1]))
         trace.snapshots = np.concatenate(snapshots)
     else:
         trace.xs, trace.ys, trace.zs = window.xs, window.ys, window.zs
     if bad_row is not None:
         # copies, so the partial trace does not hold the whole preallocation
-        kept = {name: getattr(trace, name)[:rows].copy() for name in _ROW_COLUMNS if getattr(trace, name) is not None}
+        kept = {name: getattr(trace, name)[:top].copy() for name in _ROW_COLUMNS if getattr(trace, name) is not None}
         raise NonFiniteIterateError(bad_row, dataclasses.replace(trace, **kept))
     return trace
 

@@ -220,11 +220,13 @@ class TestRun:
             ({"s_refs": 5}, "s_refs"),
             ({"output_dir": 7}, "output_dir"),
             ({"iterations": True}, "iterations"),
+            ({"algorithm": "pgm", "schedule": "linear"}, "algorithm 'pgm' takes no 'schedule'"),
         ],
-        ids=["family", "schedule", "x0", "s_refs", "output_dir", "iterations"],
+        ids=["family", "schedule", "x0", "s_refs", "output_dir", "iterations", "pgm-schedule"],
     )
     def test_malformed_config_value_exits_two_before_any_output(self, override, key, tmp_path, capsys):
-        # the first five used to end in a traceback with exit 1; a bool iterations ran one step
+        # the first five used to end in a traceback with exit 1; a bool iterations ran one step;
+        # a pgm schedule was ignored, and the report said constant-1
         cfg = write_config(tmp_path, **override)
         out = None if "output_dir" in override else tmp_path / "out"
         assert run_config(cfg, output_dir=out) == 2
@@ -233,17 +235,19 @@ class TestRun:
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     @pytest.mark.parametrize(
-        "entry, message",
+        "entry, iterations, message",
         [
-            ({"name": "momentum_identity", "count": 0}, "momentum_identity needs count >= 1, got 0"),
-            ({"name": "sufficient_decrease", "points": 0}, "sufficient_decrease needs points >= 1, got 0"),
+            ({"name": "momentum_identity", "count": 0}, 2000, "momentum_identity needs count >= 1, got 0"),
+            ({"name": "sufficient_decrease", "points": 0}, 2000, "sufficient_decrease needs points >= 1, got 0"),
+            ("xi_monotone", 1, "xi_monotone needs at least 3 rows (two steps), got 2"),
         ],
-        ids=["count", "points"],
+        ids=["count", "points", "xi-one-step"],
     )
     def test_check_with_nothing_to_check_exits_two_before_the_first_step(
-        self, entry, message, tmp_path, monkeypatch, capsys
+        self, entry, iterations, message, tmp_path, monkeypatch, capsys
     ):
-        # count 0 used to check nothing and pass; points 0 failed only after the whole run
+        # count 0 used to check nothing and pass; points 0 failed only after the whole run;
+        # xi_monotone on one step had no step k >= 2 to compare and passed at 0.0
         feas = feasibility_problem()
         steps = []
 
@@ -253,7 +257,7 @@ class TestRun:
 
         counted = dataclasses.replace(feas, f=dataclasses.replace(feas.f, gradient=gradient))
         monkeypatch.setattr(cli, "build_problem", lambda family, params: counted)
-        cfg = write_config(tmp_path, iterations=2000, analyses=["structural", entry])
+        cfg = write_config(tmp_path, iterations=iterations, analyses=["structural", entry])
         assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert steps == []

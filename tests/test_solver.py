@@ -30,7 +30,7 @@ from fistalab import (
 from fistalab._sink import CsvSink
 from fistalab.checks import AnalysisStream
 from fistalab.problem import _objective_rows
-from fistalab.solver import _BLOCK, _CSV_CHUNK, _ROW_COLUMNS, RowWindow, _empty_trace, _fill_rows
+from fistalab.solver import _CSV_CHUNK, _ROW_COLUMNS, RowWindow, _empty_trace, _fill_rows
 
 S_REFS = [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]]
 
@@ -294,12 +294,12 @@ def counting_feasibility(bad_call=None, raise_on_nonfinite=False, error=None, be
 
 
 class TestBlockBoundaryAbort:
-    ITERATIONS = 2 * _BLOCK + 300  # two full blocks and a partial one
+    ITERATIONS = 2 * _CSV_CHUNK + 300  # two full chunks and a partial one
     X0 = np.array([5.0, 0.0])
 
     @pytest.mark.parametrize("beta", [1.0, 2.0])
     @pytest.mark.parametrize("raise_on_nonfinite", [False, True])
-    @pytest.mark.parametrize("row", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 100])
+    @pytest.mark.parametrize("row", [1, _CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1, 2 * _CSV_CHUNK + 100])
     def test_abort_row_and_vectors_match_per_row_loop(self, row, raise_on_nonfinite, beta):
         ts = Schedule(rule="bt").prefix(self.ITERATIONS)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -348,7 +348,7 @@ class TestBlockBoundaryAbort:
         assert trace.xs.tobytes() == xs.tobytes()
         assert trace.ys.tobytes() == ys.tobytes()
 
-    @pytest.mark.parametrize("call", [1, _BLOCK, _BLOCK + 1])
+    @pytest.mark.parametrize("call", [1, _CSV_CHUNK, _CSV_CHUNK + 1])
     def test_step_error_on_finite_rows_propagates_unchanged(self, call):
         error = KeyError("prox failed")
         with pytest.raises(KeyError) as info:

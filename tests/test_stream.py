@@ -509,7 +509,8 @@ class TestStreamedChecks:
         want = library_artifacts(cfg, tmp_path)
         assert compare_run(cfg, tmp_path / "run", want) == []
 
-    @pytest.mark.parametrize("row", [C + 100, 2 * C + 1])
+    # C - 1 and C: the last row of one pass and the first of the next; 1: a first chunk with no xi step
+    @pytest.mark.parametrize("row", [1, C - 1, C, C + 100, 2 * C + 1])
     def test_abort_inside_a_block_writes_the_library_partial_trace(self, row, trace_writer, tmp_path):
         cfg = case_config("feasibility", 2, 3 * C)
         want = library_artifacts(cfg, tmp_path, row)
