@@ -285,8 +285,7 @@ class _XiMonotone(_Fold):
             self.xi1 = [float(v) for v in trace.xi[1]]
         step = max(lo, 2)  # xi_k - xi_{k-1} from k = 2
         for j in range(trace.xi.shape[1]):
-            if step < hi:  # the rows 0..1 of a run aborted at row 1 hold no step
-                self.max_inc[j] = _max(self.max_inc[j], _worst(np.diff(trace.xi[step - 1 : hi, j])))
+            self.max_inc[j] = _max(self.max_inc[j], _worst(np.diff(trace.xi[step - 1 : hi, j])))
             self.neg[j] = _max(self.neg[j], _worst(-trace.xi[p:hi, j]))
 
     def result(self):
@@ -586,11 +585,11 @@ class AnalysisStream:
     Pass one to a runner (``analyses=``). The runner calls :meth:`start`
     once before the first row, which sets up every check in order, so every
     draw from ``rng`` happens there, and :meth:`update` once per
-    ``_CSV_CHUNK`` rows. After a run that did not abort, :meth:`results`
-    gives what :meth:`fold` gives on the full trace. A bad entry is a
-    ValueError here (see :func:`_entries`), and so are a trace of fewer
-    than two rows and an unknown or missing parameter in :meth:`start`,
-    before the first row.
+    ``_CSV_CHUNK`` rows, except over the chunk where the run aborts. After
+    a run that did not abort, :meth:`results` gives what :meth:`fold` gives
+    on the full trace. A bad entry is a ValueError here (see
+    :func:`_entries`), and so are a trace of fewer than two rows and an
+    unknown or missing parameter in :meth:`start`, before the first row.
     """
 
     def __init__(self, problem: CompositeProblem, analyses, rng):

@@ -3,7 +3,18 @@
 The maps the solver calls every iteration (``project_hyperplane``,
 ``soft_threshold``, ``half_sq_dist_grad``) convert their input with
 ``np.asarray`` and do not check it: the solver checks the iterates once
-per block of rows.
+per chunk of rows.
+
+``_UNIT_FORWARD`` maps a gradient callable to a fused form of its forward
+step y - 1.0 * gradient(y). The solver takes the fused form when the smooth
+part's gradient *is* a key and the step 1/beta is 1; any other gradient,
+including a wrapper around a key, or any other step, keeps the generic form.
+Its one entry is the orthant: y - (y - max(y, 0)) is max(y, 0) bit for bit
+at every finite y. A y_i > 0, subnormals included, gives y_i - (+0.0) = y_i;
+a y_i < 0 gives y_i - y_i = +0.0; and +-0.0 give +0.0, since numpy's
+max(-0.0, 0.0) is +0.0. So fig1's step map drops two subtractions and a
+product per row. The forms differ only at y_i = +-inf (NaN against +inf or
+0.0), a point whose row has already aborted the run.
 """
 
 from __future__ import annotations
@@ -67,3 +78,12 @@ def half_sq_dist_grad(x) -> Vector:
     """
     v = np.asarray(x, dtype=float)
     return v - np.maximum(v, 0.0)
+
+
+def _orthant_step(y) -> Vector:
+    """y - half_sq_dist_grad(y) fused: the orthant projection max(y, 0)."""
+    return np.maximum(y, 0.0)
+
+
+# gradient -> its forward step at step 1 in one pass, bit-equal at every finite y
+_UNIT_FORWARD = {half_sq_dist_grad: _orthant_step}

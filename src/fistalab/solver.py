@@ -35,11 +35,12 @@ Memory. A library run returns every row of x, y and z, so it holds
 O(rows x dim) floats. Given its checks (``analyses=``, an
 :class:`~fistalab.checks.AnalysisStream`), a run folds them over each chunk
 as it is built and keeps vector rows only where something still reads
-them: a window of two chunks and one row (the chunk being built, and the
-objective's window before it, which ends with the carried row), the
-snapshot rows, and what the checks sample. Its trace then carries no
-per-row vectors, only the snapshot rows, so vectors take O(chunk x dim)
-memory; the scalar columns stay full length, O(rows).
+them: a window of two chunks (the chunk being built, and the objective's
+window before it, which ends with the carried row), the snapshot rows,
+and what the checks sample. Its trace then carries no per-row vectors,
+only the snapshot rows, so vectors take O(chunk x dim) memory; the scalar
+columns stay full length, O(rows). A run that aborts folds nothing over
+its last chunk, since no caller reads the checks of an aborted run.
 
 Traces are columnar (one array per column) and immutable once produced.
 CSV export uses 17 significant digits and a fixed header, so rerunning a
@@ -59,6 +60,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 import numpy as np
 
 from .problem import CompositeProblem, Vector, _objective_rows, as_vector
+from .prox import _UNIT_FORWARD
 from .schedule import Schedule
 
 if TYPE_CHECKING:
@@ -76,10 +78,10 @@ __all__ = [
 
 
 _CSV_CHUNK = 4096
-# rows a streamed run holds: the chunk being built and the C + 1 rows before
-# it, which hold the objective's window over a short chunk (up to C rows
-# back) and the carried row lo - 1
-_WINDOW = 2 * _CSV_CHUNK + 1
+# rows a streamed run holds: the chunk being built and the C rows before it,
+# which hold the objective's window over a short chunk (up to C rows back)
+# and the carried row lo - 1
+_WINDOW = 2 * _CSV_CHUNK
 
 # (CSV header, Trace field) of each scalar column, in CSV order after "k";
 # "xi_s" heads one column xi_s0, xi_s1, ... per reference point
@@ -421,14 +423,30 @@ class Trace:
 def _step_map(problem: CompositeProblem):
     """y -> prox of g after an explicit gradient step, both with step 1/beta.
 
-    The returned map does not check its input; callers validate once.
+    Chosen once per run. Where the step is 1 and the gradient is a key of
+    :data:`~fistalab.prox._UNIT_FORWARD` (the orthant's
+    ``half_sq_dist_grad``, fig1's f), the gradient step is that key's fused
+    form, ``max(y, 0)``, which is bit-equal to ``y - 1.0 * grad(y)`` at every
+    finite y (see :mod:`fistalab.prox`); a row where they differ holds an
+    infinite y and has already aborted the run. The key is the gradient
+    callable itself, so a problem whose gradient was replaced, or whose beta
+    is not 1, takes the generic step. The returned map does not check its
+    input; callers validate once.
     """
     step = 1.0 / problem.f.beta
     grad = problem.f.gradient
     prox = problem.g.prox
+    forward = next((fused for key, fused in _UNIT_FORWARD.items() if key is grad), None)
 
-    def step_map(y: Vector) -> Vector:
-        return np.asarray(prox(y - step * grad(y), step), dtype=float)
+    if step == 1.0 and forward is not None:
+
+        def step_map(y: Vector) -> Vector:
+            return np.asarray(prox(forward(y), step), dtype=float)
+
+    else:
+
+        def step_map(y: Vector) -> Vector:
+            return np.asarray(prox(y - step * grad(y), step), dtype=float)
 
     return step_map
 
@@ -598,8 +616,8 @@ def _run(
     the last one short): it slides a streamed window past the rows nothing
     reads any more, steps from row lo - 1 to row hi - 1 (:func:`_iterate`),
     then builds the chunk up to its first non-finite row, if any: fills its
-    columns, sends it to ``csv_sink``, folds ``analyses`` over it and keeps
-    its snapshot rows.
+    columns, sends it to ``csv_sink``, keeps its snapshot rows and, unless
+    the run aborts in it, folds ``analyses`` over it.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -624,14 +642,15 @@ def _run(
         for lo in range(0, ts.size, _CSV_CHUNK):
             hi = min(lo + _CSV_CHUNK, ts.size)
             if streamed:
-                window.slide(max(lo - _CSV_CHUNK - 1, 0), lo)
+                window.slide(max(lo - _CSV_CHUNK, 0), lo)
             bad_row = _iterate(step_map, ts, window, max(lo - 1, 0), hi - 1)
             top = hi if bad_row is None else bad_row + 1
             _fill_rows(trace, window, problem, lo, top)
             if csv_sink is not None:
                 csv_sink.send(trace._csv_table(lo, top))
             if streamed:
-                analyses.update(trace, window, lo, top)
+                if bad_row is None:  # no caller reads the checks of an aborted run
+                    analyses.update(trace, window, lo, top)
                 first = -(-lo // snapshot_every) * snapshot_every
                 snapshots.append(window.snapshots(lo, top, range(first, top, snapshot_every)))
             if bad_row is not None:

@@ -20,6 +20,7 @@ from fistalab import (
     eval_F,
     feasibility_problem,
     fista_run,
+    half_sq_dist_grad,
     l1_quadratic,
     nesterov_run,
     pgm_run,
@@ -30,6 +31,7 @@ from fistalab import (
 from fistalab._sink import CsvSink
 from fistalab.checks import AnalysisStream
 from fistalab.problem import _objective_rows
+from fistalab.prox import _UNIT_FORWARD
 from fistalab.solver import _CSV_CHUNK, _ROW_COLUMNS, RowWindow, _empty_trace, _fill_rows
 
 S_REFS = [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]]
@@ -354,6 +356,30 @@ class TestBlockBoundaryAbort:
         with pytest.raises(KeyError) as info:
             fista_run(counting_feasibility(call, error=error), self.X0, "bt", self.ITERATIONS)
         assert info.value is error
+
+
+class TestFusedForwardStep:
+    @pytest.mark.parametrize("runner", [pgm_run, functools.partial(fista_run, schedule="bt")])
+    def test_taken_only_for_the_registered_gradient_at_step_one(self, runner, monkeypatch):
+        """A fused step that raises surfaces on a beta = 1 feasibility run, and only there.
+
+        That the fused step's rows, abort row and partial trace are bit-equal
+        to the generic per-row loop is what ``TestBlockBoundaryAbort``'s
+        ``beta = 1.0`` cases compare, against ``per_row_iterate``.
+        """
+
+        def refuse(y):
+            raise RuntimeError("fused step taken")
+
+        monkeypatch.setitem(_UNIT_FORWARD, half_sq_dist_grad, refuse)
+        feas = feasibility_problem()
+        with pytest.raises(RuntimeError, match="fused step taken"):
+            runner(feas, [5.0, 0.0], iterations=10)
+        halved = dataclasses.replace(feas, f=dataclasses.replace(feas.f, beta=2.0))
+        wrapped = functools.wraps(half_sq_dist_grad)(lambda y: half_sq_dist_grad(y))
+        rewrapped = dataclasses.replace(feas, f=dataclasses.replace(feas.f, gradient=wrapped))
+        for problem in (halved, rewrapped):
+            assert len(runner(problem, [5.0, 0.0], iterations=10)) == 11
 
 
 class TestAbortOnNonFinite:
