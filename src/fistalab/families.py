@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .problem import CompositeProblem, NonsmoothPart, SmoothPart, SolutionInfo, Vector
-from .prox import AffineHyperplane, half_sq_dist_grad, project_hyperplane, soft_threshold
+from .prox import _UNIT_LINES, AffineHyperplane, half_sq_dist_grad, project_hyperplane, soft_threshold
 
 __all__ = [
     "zero_part",
@@ -65,6 +65,7 @@ def feasibility_problem() -> CompositeProblem:
         return np.where((gap <= 1e-9 * scale) & (gap < math.inf), 0.0, math.inf)
 
     g = NonsmoothPart(value=line_indicator, prox=lambda v, step: project_hyperplane(plane, v))
+    _UNIT_LINES[g.prox] = plane.offset  # the solver's plane step
 
     a = np.array([0.0, 1.0])
     b = np.array([1.0, 0.0])

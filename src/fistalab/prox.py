@@ -5,20 +5,17 @@ The maps the solver calls every iteration (``project_hyperplane``,
 ``np.asarray`` and do not check it: the solver checks the iterates once
 per chunk of rows.
 
-``_UNIT_FORWARD`` maps a gradient callable to a fused form of its forward
-step y - 1.0 * gradient(y). The solver takes the fused form when the smooth
-part's gradient *is* a key and the step 1/beta is 1; any other gradient,
-including a wrapper around a key, or any other step, keeps the generic form.
-Its one entry is the orthant: y - (y - max(y, 0)) is max(y, 0) bit for bit
-at every finite y. A y_i > 0, subnormals included, gives y_i - (+0.0) = y_i;
-a y_i < 0 gives y_i - y_i = +0.0; and +-0.0 give +0.0, since numpy's
-max(-0.0, 0.0) is +0.0. So fig1's step map drops two subtractions and a
-product per row. The forms differ only at y_i = +-inf (NaN against +inf or
-0.0), a point whose row has already aborted the run.
+``_UNIT_LINES`` maps each prox that projects onto a line x1 + x2 = offset
+in the plane, as ``feasibility_problem`` builds it, to that offset. The
+solver steps a run on Python floats when its g.prox is such a key, its
+gradient is ``half_sq_dist_grad`` and its step 1/beta is 1 (fig1's step,
+see :mod:`fistalab.solver`). Both are keyed by identity, so a wrapper
+around either callable, or any other step, keeps the numpy step.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,10 +77,5 @@ def half_sq_dist_grad(x) -> Vector:
     return v - np.maximum(v, 0.0)
 
 
-def _orthant_step(y) -> Vector:
-    """y - half_sq_dist_grad(y) fused: the orthant projection max(y, 0)."""
-    return np.maximum(y, 0.0)
-
-
-# gradient -> its forward step at step 1 in one pass, bit-equal at every finite y
-_UNIT_FORWARD = {half_sq_dist_grad: _orthant_step}
+# prox map onto a line x1 + x2 = offset -> offset (see the module docstring)
+_UNIT_LINES = weakref.WeakKeyDictionary()

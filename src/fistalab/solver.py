@@ -15,9 +15,12 @@ sequences together and the per-step sufficient-decrease inequality.
 There is one iteration core. FISTA runs it with a certified schedule, PGM
 with t_k = 1 for every k, and Nesterov's accelerated gradient is FISTA
 with g = 0; each step is one proximal gradient step from y_k (a PGM run's
-x_1 is that step from x_0). The core aborts with
-:class:`NonFiniteIterateError` at the first non-finite extrapolation
-point y_{k+1} (a non-finite x_{k+1} always makes y_{k+1} non-finite too).
+x_1 is that step from x_0). A run steps in numpy, except fig1's step
+(``feasibility_problem`` at step 1), which it takes on Python floats with
+no numpy call per row, bit-equal to the numpy step (``_plane_steps``).
+The core aborts with :class:`NonFiniteIterateError` at the first
+non-finite extrapolation point y_{k+1} (a non-finite x_{k+1} always makes
+y_{k+1} non-finite too).
 One loop, in ``_run``, walks a run's rows, one chunk of ``_CSV_CHUNK``
 rows per pass: it steps to the end of the chunk and checks finiteness
 once, so at most ``_CSV_CHUNK - 1`` steps past that row are computed, on
@@ -55,12 +58,13 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from types import FunctionType
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from .problem import CompositeProblem, Vector, _objective_rows, as_vector
-from .prox import _UNIT_FORWARD
+from .prox import _UNIT_LINES, half_sq_dist_grad
 from .schedule import Schedule
 
 if TYPE_CHECKING:
@@ -420,35 +424,87 @@ class Trace:
         )
 
 
-def _step_map(problem: CompositeProblem):
-    """y -> prox of g after an explicit gradient step, both with step 1/beta.
+def _numpy_steps(problem: CompositeProblem):
+    """The generic chunk stepper: per row, prox(y - grad(y)/beta) and the momentum step in numpy.
 
-    Chosen once per run. Where the step is 1 and the gradient is a key of
-    :data:`~fistalab.prox._UNIT_FORWARD` (the orthant's
-    ``half_sq_dist_grad``, fig1's f), the gradient step is that key's fused
-    form, ``max(y, 0)``, which is bit-equal to ``y - 1.0 * grad(y)`` at every
-    finite y (see :mod:`fistalab.prox`); a row where they differ holds an
-    infinite y and has already aborted the run. The key is the gradient
-    callable itself, so a problem whose gradient was replaced, or whose beta
-    is not 1, takes the generic step. The returned map does not check its
-    input; callers validate once.
+    It does not check its input: the run checks each chunk's y rows once.
+    A step that raises after a non-finite y row ends the chunk, and
+    :func:`_iterate` reports that row; after finite rows it propagates.
     """
     step = 1.0 / problem.f.beta
     grad = problem.f.gradient
     prox = problem.g.prox
-    forward = next((fused for key, fused in _UNIT_FORWARD.items() if key is grad), None)
 
-    if step == 1.0 and forward is not None:
+    def steps(x: Vector, y: Vector, momentum: list, xs: np.ndarray, ys: np.ndarray, i: int) -> None:
+        start = i
+        try:
+            for m in momentum:
+                x_next = np.asarray(prox(y - step * grad(y), step), dtype=float)
+                y = x_next + m * (x_next - x)
+                x = x_next
+                xs[i] = x
+                ys[i] = y
+                i += 1
+        except Exception:
+            if np.isfinite(ys[start:i]).all():
+                raise
 
-        def step_map(y: Vector) -> Vector:
-            return np.asarray(prox(forward(y), step), dtype=float)
+    return steps
 
-    else:
 
-        def step_map(y: Vector) -> Vector:
-            return np.asarray(prox(y - step * grad(y), step), dtype=float)
+def _plane_steps(offset: float):
+    """fig1's chunk stepper on Python floats: x = P_H(max(y, 0)) with H = {x1 + x2 = offset}.
 
-    return step_map
+    It makes no numpy call per row, and each row is bit-equal to the numpy
+    step's wherever y is finite, since each operation is the one numpy
+    makes: ``max(y, 0)`` is ``y - 1.0 * half_sq_dist_grad(y)``, written so
+    that -0.0 gives +0.0 and NaN stays NaN as in ``np.maximum`` (Python's
+    ``max`` keeps -0.0); with the normal (1, 1), <n, v> is v0 + v1 exactly
+    and ||n||^2 is 2.0. The forms differ only past an infinite y, a row
+    that has already aborted the run. Python float arithmetic overflows to
+    inf or NaN without raising, so the chunk's one finiteness scan finds
+    the abort row. Rows go straight into the window, through flat
+    memoryviews of its C-contiguous arrays, so the stepper holds no buffer.
+    """
+
+    def steps(x: Vector, y: Vector, momentum: list, xs: np.ndarray, ys: np.ndarray, i: int) -> None:
+        x0, x1 = x.tolist()
+        y0, y1 = y.tolist()
+        flat_x, flat_y = xs.data.cast("B").cast("d"), ys.data.cast("B").cast("d")
+        j = 2 * i  # the first coordinate of row i
+        for m in momentum:
+            v0 = y0 if y0 > 0.0 else (0.0 if y0 <= 0.0 else y0)
+            v1 = y1 if y1 > 0.0 else (0.0 if y1 <= 0.0 else y1)
+            shift = (v0 + v1 - offset) / 2.0
+            n0 = v0 - shift
+            n1 = v1 - shift
+            y0 = n0 + m * (n0 - x0)
+            y1 = n1 + m * (n1 - x1)
+            x0 = n0
+            x1 = n1
+            flat_x[j] = x0
+            flat_x[j + 1] = x1
+            flat_y[j] = y0
+            flat_y[j + 1] = y1
+            j += 2
+
+    return steps
+
+
+def _chunk_steps(problem: CompositeProblem):
+    """The run's chunk stepper, chosen once: :func:`_plane_steps` or :func:`_numpy_steps`.
+
+    The plane step is taken where g.prox is a key of
+    :data:`~fistalab.prox._UNIT_LINES`, the gradient *is*
+    ``half_sq_dist_grad`` and 1/beta is 1, so a replaced or wrapped
+    gradient or prox, or another beta, takes the numpy step.
+    """
+    prox = problem.g.prox
+    # a plain function hashes and compares by identity and takes a weak reference
+    offset = _UNIT_LINES.get(prox) if isinstance(prox, FunctionType) else None
+    if offset is not None and problem.f.gradient is half_sq_dist_grad and 1.0 / problem.f.beta == 1.0:
+        return _plane_steps(offset)
+    return _numpy_steps(problem)
 
 
 def _first_nonfinite_row(window: RowWindow, lo: int, hi: int) -> Optional[int]:
@@ -459,34 +515,23 @@ def _first_nonfinite_row(window: RowWindow, lo: int, hi: int) -> Optional[int]:
     return lo + 1 + int(np.argmin(finite))
 
 
-def _iterate(step_map, ts: np.ndarray, window: RowWindow, lo: int, hi: int) -> Optional[int]:
+def _iterate(steps, ts: np.ndarray, window: RowWindow, lo: int, hi: int) -> Optional[int]:
     """Steps lo..hi - 1 of the two-sequence recursion, from row lo of ``window`` into rows lo + 1..hi.
 
-    Returns the first of those rows whose y is not finite, or None. The y
-    rows are checked once, after the last step, so the steps past that row
-    are computed and discarded; a step that raises after a non-finite row
-    reports that row instead. The steps start from copies of row lo's x
-    and y, so a ``step_map`` that writes into its argument cannot change a
-    stored row.
+    ``steps`` is the run's chunk stepper (:func:`_chunk_steps`):
+    ``steps(x, y, momentum, xs, ys, i)`` takes one step from x and y per
+    momentum value and writes the new rows into ``xs`` and ``ys`` from
+    index i on. Returns the first of rows lo + 1..hi whose y is not
+    finite, or None. The y rows are checked once, after the last step, so
+    the steps past that row are computed and discarded; a step that raises
+    after a non-finite row reports that row instead. The steps start from
+    copies of row lo's x and y, so a gradient or prox that writes into its
+    argument cannot change a stored row.
     """
     x = window.x(lo, lo + 1)[0].copy()
     y = window.y(lo, lo + 1)[0].copy()
-    xs, ys = window.xs, window.ys
-    i = lo + 1 - window.base  # where row lo + 1 goes
-    momentum = (ts[lo:hi] - 1.0) / ts[lo + 1 : hi + 1]
-    try:
-        for m in momentum.tolist():
-            x_next = step_map(y)
-            y = x_next + m * (x_next - x)
-            x = x_next
-            xs[i] = x
-            ys[i] = y
-            i += 1
-    except Exception:
-        bad_row = _first_nonfinite_row(window, lo, i + window.base - 1)
-        if bad_row is None:
-            raise
-        return bad_row
+    momentum = ((ts[lo:hi] - 1.0) / ts[lo + 1 : hi + 1]).tolist()
+    steps(x, y, momentum, window.xs, window.ys, lo + 1 - window.base)
     return _first_nonfinite_row(window, lo, hi)
 
 
@@ -614,7 +659,8 @@ def _run(
 
     Each pass is one chunk ``[lo, hi) = [k*C, (k+1)*C)`` (C = ``_CSV_CHUNK``,
     the last one short): it slides a streamed window past the rows nothing
-    reads any more, steps from row lo - 1 to row hi - 1 (:func:`_iterate`),
+    reads any more, steps from row lo - 1 to row hi - 1 (:func:`_iterate`,
+    with the stepper :func:`_chunk_steps` chose once for the run),
     then builds the chunk up to its first non-finite row, if any: fills its
     columns, sends it to ``csv_sink``, keeps its snapshot rows and, unless
     the run aborts in it, folds ``analyses`` over it.
@@ -634,7 +680,7 @@ def _run(
         analyses.start(trace, x0)  # every probe draw, before the first row
     if csv_sink is not None:
         csv_sink.start(",".join(trace._csv_header()))
-    step_map = _step_map(problem)
+    steps = _chunk_steps(problem)
     snapshots = []
     # a non-finite value ends the run as NonFiniteIterateError and stays in
     # the trace, so numpy's overflow and invalid-value warnings are noise
@@ -643,7 +689,7 @@ def _run(
             hi = min(lo + _CSV_CHUNK, ts.size)
             if streamed:
                 window.slide(max(lo - _CSV_CHUNK, 0), lo)
-            bad_row = _iterate(step_map, ts, window, max(lo - 1, 0), hi - 1)
+            bad_row = _iterate(steps, ts, window, max(lo - 1, 0), hi - 1)
             top = hi if bad_row is None else bad_row + 1
             _fill_rows(trace, window, problem, lo, top)
             if csv_sink is not None:

@@ -10,7 +10,6 @@ from fistalab import (
     project_orthant,
     soft_threshold,
 )
-from fistalab.prox import _UNIT_FORWARD
 
 LINE = AffineHyperplane(normal=np.ones(2), offset=1.0)
 
@@ -121,34 +120,6 @@ class TestHalfSqDistGrad:
             grad = half_sq_dist_grad(x)
             assert np.linalg.norm(fd - grad) <= 1e-5 * max(1.0, np.linalg.norm(grad))
             kept += 1
-
-
-class TestUnitForwardStep:
-    """The fused orthant step max(y, 0) against the generic y - 1.0 * grad(y) the solver otherwise forms."""
-
-    fused = staticmethod(_UNIT_FORWARD[half_sq_dist_grad])
-
-    @staticmethod
-    def generic(y):
-        return y - 1.0 * half_sq_dist_grad(y)
-
-    def test_bit_equal_on_zeros_subnormals_and_extremes(self):
-        y = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-320, -1e-320, 1e308, -1e308])
-        fused, generic = self.fused(y), self.generic(y)
-        assert fused.tobytes() == generic.tobytes()  # sign bits included
-        assert not np.signbit(fused[1])  # -0.0 steps to +0.0 on both sides
-
-    def test_bit_equal_on_random_normals(self, rng):
-        y = rng.standard_normal(100_000)
-        assert self.fused(y).tobytes() == self.generic(y).tobytes()
-
-    def test_differs_only_at_infinities(self):
-        # an infinite y_i is reachable only from a row that has already aborted the run
-        y = np.array([np.inf, -np.inf])
-        with np.errstate(invalid="ignore"):
-            generic = self.generic(y)
-        assert np.isnan(generic).all()
-        assert self.fused(y).tolist() == [np.inf, 0.0]
 
 
 class TestProjectionProperties:

@@ -31,8 +31,18 @@ from fistalab import (
 from fistalab._sink import CsvSink
 from fistalab.checks import AnalysisStream
 from fistalab.problem import _objective_rows
-from fistalab.prox import _UNIT_FORWARD
-from fistalab.solver import _CSV_CHUNK, _ROW_COLUMNS, RowWindow, _empty_trace, _fill_rows
+from fistalab import solver
+from fistalab.solver import (
+    _CSV_CHUNK,
+    _ROW_COLUMNS,
+    RowWindow,
+    _chunk_steps,
+    _empty_trace,
+    _fill_rows,
+    _iterate,
+    _numpy_steps,
+    _plane_steps,
+)
 
 S_REFS = [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]]
 
@@ -358,28 +368,122 @@ class TestBlockBoundaryAbort:
         assert info.value is error
 
 
-class TestFusedForwardStep:
-    @pytest.mark.parametrize("runner", [pgm_run, functools.partial(fista_run, schedule="bt")])
-    def test_taken_only_for_the_registered_gradient_at_step_one(self, runner, monkeypatch):
-        """A fused step that raises surfaces on a beta = 1 feasibility run, and only there.
+@dataclasses.dataclass
+class CallableProx:
+    """A prox map as a callable object."""
 
-        That the fused step's rows, abort row and partial trace are bit-equal
-        to the generic per-row loop is what ``TestBlockBoundaryAbort``'s
-        ``beta = 1.0`` cases compare, against ``per_row_iterate``.
+    prox: object
+
+    def __call__(self, v, step):
+        return self.prox(v, step)
+
+
+def plane_x(y, offset):
+    """x of one plane-kernel step from y (momentum 0)."""
+    xs, ys = np.empty((2, 2, 2))
+    _plane_steps(offset)(np.zeros(2), np.asarray(y, dtype=float), [0.0], xs, ys, 1)
+    return xs[1]
+
+
+class TestPlaneKernel:
+    """fig1's chunk stepper on Python floats against the numpy step that every other problem takes."""
+
+    ITERATIONS = 2 * _CSV_CHUNK + 300  # two full chunks and a partial one
+    RUNNERS = [pgm_run, functools.partial(fista_run, schedule="bt")]
+
+    @staticmethod
+    def kernel_max(c):
+        """The kernel's max(c, 0), read off x0 of one step on the line through (max(c, 0), 0).
+
+        That line's offset makes the shift +0.0, so x0 = max(c, 0) - 0.0
+        keeps the max's sign bit. For a NaN c the line is x1 + x2 = 0, so
+        x0 is NaN only if the max is.
         """
+        offset = float(np.nan_to_num(np.maximum(c, 0.0)))
+        return plane_x([c, 0.0], offset)[0]
 
-        def refuse(y):
-            raise RuntimeError("fused step taken")
+    def test_max_keeps_numpy_sign_bits_on_zeros_subnormals_and_extremes(self):
+        for c in [0.0, -0.0, 5e-324, -5e-324, 1e-320, -1e-320, 1e308, -1e308]:
+            assert np.float64(self.kernel_max(c)).tobytes() == np.maximum(c, 0.0).tobytes(), c
+        assert math.copysign(1.0, self.kernel_max(-0.0)) == 1.0  # -0.0 steps to +0.0
+        assert math.isnan(self.kernel_max(math.nan))  # NaN stays NaN, as with np.maximum
 
-        monkeypatch.setitem(_UNIT_FORWARD, half_sq_dist_grad, refuse)
+    def test_max_is_numpys_on_random_normals(self, rng):
+        cs = rng.standard_normal(100_000)
+        got = np.array([self.kernel_max(c) for c in cs.tolist()])
+        assert got.tobytes() == np.maximum(cs, 0.0).tobytes()
+
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_taken_only_for_the_registered_step(self, runner, monkeypatch):
+        """A kernel that raises surfaces on a beta = 1 feasibility run, and only there."""
+
+        def refuse(offset):
+            def steps(*args):
+                raise RuntimeError("plane kernel taken")
+
+            return steps
+
+        monkeypatch.setattr(solver, "_plane_steps", refuse)
         feas = feasibility_problem()
-        with pytest.raises(RuntimeError, match="fused step taken"):
+        with pytest.raises(RuntimeError, match="plane kernel taken"):
             runner(feas, [5.0, 0.0], iterations=10)
         halved = dataclasses.replace(feas, f=dataclasses.replace(feas.f, beta=2.0))
         wrapped = functools.wraps(half_sq_dist_grad)(lambda y: half_sq_dist_grad(y))
         rewrapped = dataclasses.replace(feas, f=dataclasses.replace(feas.f, gradient=wrapped))
-        for problem in (halved, rewrapped):
+        reproxed = dataclasses.replace(
+            feas, g=dataclasses.replace(feas.g, prox=functools.wraps(feas.g.prox)(lambda v, step: feas.g.prox(v, step)))
+        )
+        # a dataclass instance compares by value, so it is unhashable and no registry key
+        unhashable = dataclasses.replace(feas, g=dataclasses.replace(feas.g, prox=CallableProx(feas.g.prox)))
+        for problem in (halved, rewrapped, reproxed, unhashable):
             assert len(runner(problem, [5.0, 0.0], iterations=10)) == 11
+
+    @pytest.mark.parametrize("runner", RUNNERS)
+    @pytest.mark.parametrize("x0", [[5.0, 0.0], [-0.0, 1.0], [1e-320, -3.0], [1e300, -1e300]])
+    def test_rows_bit_equal_to_the_numpy_loop(self, runner, x0):
+        trace = runner(feasibility_problem(), x0, iterations=self.ITERATIONS)
+        with np.errstate(over="ignore", invalid="ignore"):
+            xs, ys, bad_row = per_row_iterate(feasibility_problem(), np.array(x0), trace.ts)
+        assert bad_row is None
+        assert trace.xs.tobytes() == xs.tobytes()
+        assert trace.ys.tobytes() == ys.tobytes()
+
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_overflow_aborts_at_row_one_as_the_numpy_loop(self, runner):
+        x0 = np.array([1e308, 1e308])  # x1 + x2 overflows in the first step
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NonFiniteIterateError) as info:
+                runner(feasibility_problem(), x0, iterations=self.ITERATIONS)
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        partial = info.value.trace
+        with np.errstate(over="ignore", invalid="ignore"):
+            xs, ys, bad_row = per_row_iterate(feasibility_problem(), x0, partial.ts)
+        assert info.value.row == bad_row == 1
+        assert partial.xs.tobytes() == xs.tobytes()
+        assert partial.ys.tobytes() == ys.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("lo", [_CSV_CHUNK - 2, _CSV_CHUNK - 1, _CSV_CHUNK])
+    def test_iterate_from_a_nonfinite_row_reports_it_with_both_steppers(self, lo, bad):
+        feas = feasibility_problem()
+        trace = fista_run(feas, [5.0, 0.0], "bt", self.ITERATIONS)
+        hi = lo + _CSV_CHUNK
+        kept = {}
+        for name, steps in (("plane", _chunk_steps(feas)), ("numpy", _numpy_steps(feas))):
+            window = RowWindow(trace.xs.copy(), trace.ys.copy(), trace.zs.copy())
+            window.ys[lo, 0] = bad
+            with np.errstate(over="ignore", invalid="ignore"):
+                kept[name] = (_iterate(steps, trace.ts, window, lo, hi), window.xs[: lo + 2], window.ys[: lo + 2])
+        (plane_row, plane_xs, plane_ys), (numpy_row, numpy_xs, numpy_ys) = kept["plane"], kept["numpy"]
+        assert plane_row == numpy_row == lo + 1
+        assert plane_xs[: lo + 1].tobytes() == numpy_xs[: lo + 1].tobytes() == trace.xs[: lo + 1].tobytes()
+        assert plane_ys[: lo].tobytes() == numpy_ys[: lo].tobytes() == trace.ys[: lo].tobytes()
+        if math.isnan(bad):  # from a NaN the two forms make the same NaN rows
+            assert plane_xs.tobytes() == numpy_xs.tobytes()
+            assert plane_ys.tobytes() == numpy_ys.tobytes()
+        else:  # from an infinity they differ, past a row that has already aborted
+            assert not np.isfinite(plane_ys[lo + 1]).all() and not np.isfinite(numpy_ys[lo + 1]).all()
 
 
 class TestAbortOnNonFinite:
