@@ -19,10 +19,9 @@ its trace CSV byte for byte.
 ``run`` folds the configured checks over each block of rows as the solver
 builds it (:class:`~fistalab.checks.AnalysisStream`), so it keeps x, y and
 z only in a window of a few thousand rows and at the snapshot rows, and
-formats trace.csv in a forked writer process while the solver iterates
-wherever ``os.fork`` exists, and after the run where it is missing. Every
-artifact is written under a temporary name in the output directory and
-renamed into place, trace.csv first and report.json last, so a crash
+formats trace.csv after the run (:meth:`~fistalab.solver.Trace.save`).
+Every artifact is written under a temporary name in the output directory
+and renamed into place, trace.csv first and report.json last, so a crash
 never leaves a half-written file; a run that fails before writing its
 artifacts leaves the previous ones as they were. ``--output-dir`` and
 ``--seed`` are checked as the config keys they replace, and the output
@@ -33,10 +32,8 @@ set-up leaves nothing on disk.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -142,22 +139,19 @@ def run_config(config_path, output_dir=None, seed=None) -> int:
     The checks are set up before the first row (every probe draw from the
     seeded rng happens there, in analysis order) and folded over the rows
     as the run builds them, so the run holds no full x, y or z arrays; a
-    bad check parameter fails before the run. Wherever ``os.fork``
-    exists, a forked writer formats trace.csv while the solver iterates
-    (see :class:`~fistalab._sink.CsvSink`), on one CPU or many; where it
-    is missing, trace.csv is formatted after the run. The artifacts
-    follow the checks in the order trace.csv, snapshots.json,
-    report.json, each written under a temporary name and renamed, so
-    every file is replaced whole. A run that fails before writing its
-    artifacts leaves the previous ones as they were; one that fails while
-    writing them may leave the newer files next to older ones.
+    bad check parameter fails before the run. After the run,
+    :meth:`~fistalab.solver.Trace.save` writes trace.csv and
+    snapshots.json, then report.json follows, each written under a
+    temporary name and renamed, so every file is replaced whole. A run
+    that fails before writing its artifacts leaves the previous ones as
+    they were; one that fails while writing them may leave the newer files
+    next to older ones.
 
     ``output_dir`` and ``seed``, where given, replace the config's keys and
-    are checked as they are. The first artifact write creates the output
-    directory: the forked writer's start, after every check is set up, or,
-    where ``os.fork`` is missing, the writes after the run. So a run that
-    fails at set-up creates no directory, and an unusable output path (one
-    below a regular file) is reported only there, as exit 2.
+    are checked as they are. The first artifact write, after the run,
+    creates the output directory. So a run that fails at set-up creates no
+    directory, and an unusable output path (one below a regular file) is
+    reported only there, as exit 2.
     """
     path = Path(config_path)
     aborted = None
@@ -168,30 +162,21 @@ def run_config(config_path, output_dir=None, seed=None) -> int:
         algorithm = cfg.get("algorithm", "fista")
         out = Path(cfg["output_dir"])
         seed = cfg.get("seed", 0)
-
-        # imported only here: without cached bytecode, compiling it slows every other command
-        from ._sink import CsvSink
-
-        sink = CsvSink(out / "trace.csv") if hasattr(os, "fork") else None
-        with sink or contextlib.nullcontext():
-            analyses = AnalysisStream(problem, cfg.get("analyses", []), np.random.default_rng(seed))
-            common = dict(
-                s_refs=cfg.get("s_refs", ()),
-                snapshot_every=cfg.get("snapshot_every", 1),
-                csv_sink=sink,
-                analyses=analyses,
-            )
-            try:
-                if algorithm == "pgm":
-                    trace = pgm_run(problem, cfg["x0"], cfg["iterations"], **common)
-                else:
-                    runner = fista_run if algorithm == "fista" else nesterov_run
-                    trace = runner(problem, cfg["x0"], cfg["schedule"], cfg["iterations"], **common)
-                results = analyses.results()
-            except NonFiniteIterateError as exc:
-                trace, aborted, results = exc.trace, exc, []
-            if sink is not None:
-                sink.commit()
+        analyses = AnalysisStream(problem, cfg.get("analyses", []), np.random.default_rng(seed))
+        common = dict(
+            s_refs=cfg.get("s_refs", ()),
+            snapshot_every=cfg.get("snapshot_every", 1),
+            analyses=analyses,
+        )
+        try:
+            if algorithm == "pgm":
+                trace = pgm_run(problem, cfg["x0"], cfg["iterations"], **common)
+            else:
+                runner = fista_run if algorithm == "fista" else nesterov_run
+                trace = runner(problem, cfg["x0"], cfg["schedule"], cfg["iterations"], **common)
+            results = analyses.results()
+        except NonFiniteIterateError as exc:
+            trace, aborted, results = exc.trace, exc, []
     except (ConfigError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -211,12 +196,7 @@ def run_config(config_path, output_dir=None, seed=None) -> int:
     if aborted is not None:
         report["aborted_at_row"] = aborted.row
     try:
-        trace_path = out / "trace.csv"
-        if sink is None:
-            write_atomically(trace_path, trace.to_csv)
-        snapshots_path = write_atomically(
-            out / "snapshots.json", lambda tmp: tmp.write_text(strict_json(trace.snapshot_payload()))
-        )
+        saved = trace.save(out)
         report_path = write_atomically(out / "report.json", lambda tmp: tmp.write_text(strict_json(report)))
     except OSError as exc:
         print(f"error: cannot write artifacts: {exc}", file=sys.stderr)
@@ -228,7 +208,7 @@ def run_config(config_path, output_dir=None, seed=None) -> int:
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"[{status}] {r.claim}: {r.residual_or_oscillation!r}")
-    print(f"artifacts: {trace_path}, {snapshots_path}, {report_path}")
+    print(f"artifacts: {saved['trace']}, {saved['snapshots']}, {report_path}")
     if failing:
         print(f"FAILED checks: {', '.join(failing)}")
         return 1

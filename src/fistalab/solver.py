@@ -25,14 +25,10 @@ One loop, in ``_run``, walks a run's rows, one chunk of ``_CSV_CHUNK``
 rows per pass: it steps to the end of the chunk and checks finiteness
 once, so at most ``_CSV_CHUNK - 1`` steps past that row are computed, on
 non-finite input, and discarded (one of them raising still reports that
-row), then builds the derived columns of the chunk up to that row. Given a
-:class:`~fistalab._sink.CsvSink`, each chunk also goes to a forked writer
-process that formats it beside the loop. ``fistalab run`` passes one
-wherever ``os.fork`` exists, on one CPU or many; where it is missing, the
-CSV is formatted after the run by :meth:`Trace.to_csv`. The writer's rows
-go to a temporary file that is renamed onto ``trace.csv`` only once the
-run is committed, and :meth:`Trace.save` writes its files the same way, so
-a crash never leaves a half-written artifact.
+row), then builds the derived columns of the chunk up to that row. The
+CSV is formatted after the run, by :meth:`Trace.to_csv`, and
+:meth:`Trace.save` writes each file under a temporary name and renames it
+into place, so a crash never leaves a half-written artifact.
 
 Memory. A library run returns every row of x, y and z, so it holds
 O(rows x dim) floats. Given its checks (``analyses=``, an
@@ -68,7 +64,6 @@ from .prox import _UNIT_LINES, half_sq_dist_grad
 from .schedule import Schedule
 
 if TYPE_CHECKING:
-    from ._sink import CsvSink
     from .checks import AnalysisStream
 
 __all__ = [
@@ -82,6 +77,10 @@ __all__ = [
 
 
 _CSV_CHUNK = 4096
+# rows per _csv_chunk call in Trace.to_csv: on fig1's 1e5-row trace, 4096-row
+# calls peaked at 5.2 MiB of temporaries under tracemalloc and 512-row calls
+# at 0.7 MiB, which keeps the formatter below the run's own memory peak
+_CSV_BLOCK = 512
 # rows a streamed run holds: the chunk being built and the C rows before it,
 # which hold the objective's window over a short chunk (up to C rows back)
 # and the carried row lo - 1
@@ -330,15 +329,14 @@ class Trace:
     def to_csv(self, path) -> Path:
         """Write the scalar columns with fixed 17-significant-digit formatting.
 
-        Rows are formatted ``_CSV_CHUNK`` at a time by the formatter that a
-        :class:`~fistalab._sink.CsvSink` uses too, and written straight into
-        the open file.
+        Rows are formatted ``_CSV_BLOCK`` at a time and written straight
+        into the open file, so the text of one block is held at a time.
         """
         path = Path(path)
         with path.open("w") as out:
             out.write(",".join(self._csv_header()) + "\n")
-            for start in range(0, len(self), _CSV_CHUNK):
-                out.write(_csv_chunk(self._csv_table(start, start + _CSV_CHUNK), start))
+            for start in range(0, len(self), _CSV_BLOCK):
+                out.write(_csv_chunk(self._csv_table(start, start + _CSV_BLOCK), start))
         return path
 
     def snapshot_payload(self) -> dict:
@@ -652,7 +650,6 @@ def _run(
     schedule_id: str,
     s_refs: Sequence,
     snapshot_every: int,
-    csv_sink: Optional[CsvSink],
     analyses: Optional[AnalysisStream],
 ) -> Trace:
     """The one iteration core behind every public runner, and the one loop over a run's rows.
@@ -662,8 +659,8 @@ def _run(
     reads any more, steps from row lo - 1 to row hi - 1 (:func:`_iterate`,
     with the stepper :func:`_chunk_steps` chose once for the run),
     then builds the chunk up to its first non-finite row, if any: fills its
-    columns, sends it to ``csv_sink``, keeps its snapshot rows and, unless
-    the run aborts in it, folds ``analyses`` over it.
+    columns, keeps its snapshot rows and, unless the run aborts in it, folds
+    ``analyses`` over it.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -678,8 +675,6 @@ def _run(
     trace = _empty_trace(problem, ts, kind, schedule_id, refs, snapshot_every)
     if streamed:
         analyses.start(trace, x0)  # every probe draw, before the first row
-    if csv_sink is not None:
-        csv_sink.start(",".join(trace._csv_header()))
     steps = _chunk_steps(problem)
     snapshots = []
     # a non-finite value ends the run as NonFiniteIterateError and stays in
@@ -692,8 +687,6 @@ def _run(
             bad_row = _iterate(steps, ts, window, max(lo - 1, 0), hi - 1)
             top = hi if bad_row is None else bad_row + 1
             _fill_rows(trace, window, problem, lo, top)
-            if csv_sink is not None:
-                csv_sink.send(trace._csv_table(lo, top))
             if streamed:
                 if bad_row is None:  # no caller reads the checks of an aborted run
                     analyses.update(trace, window, lo, top)
@@ -722,7 +715,6 @@ def fista_run(
     s_refs: Sequence = (),
     snapshot_every: int = 1,
     *,
-    csv_sink: Optional[CsvSink] = None,
     analyses: Optional[AnalysisStream] = None,
 ) -> Trace:
     """Accelerated proximal gradient run with a full diagnostic trace.
@@ -733,16 +725,14 @@ def fista_run(
     be minimizers when the optimal value is known; each contributes an xi
     column to the trace. A non-finite iterate aborts the run with
     :class:`NonFiniteIterateError`, the offending row retained in the
-    attached partial trace. Given a fresh ``csv_sink``, the CSV rows
-    are streamed to it as the run goes, up to the offending row on an
-    abort; the sink's commit puts the CSV in place. Given ``analyses``,
-    their checks are folded over the rows as the run goes (read them with
-    its ``results``), and the trace keeps no per-row vectors, only its
-    snapshot rows; without, it keeps every row of x, y and z.
+    attached partial trace. Given ``analyses``, their checks are folded
+    over the rows as the run goes (read them with its ``results``), and the
+    trace keeps no per-row vectors, only its snapshot rows; without, it
+    keeps every row of x, y and z.
     """
     sched = _coerce_schedule(schedule)
     ts = sched.prefix(iterations)  # raises ScheduleError before any iteration
-    return _run(problem, x0, iterations, ts, "fista", sched.rule, s_refs, snapshot_every, csv_sink, analyses)
+    return _run(problem, x0, iterations, ts, "fista", sched.rule, s_refs, snapshot_every, analyses)
 
 
 def pgm_run(
@@ -752,7 +742,6 @@ def pgm_run(
     s_refs: Sequence = (),
     snapshot_every: int = 1,
     *,
-    csv_sink: Optional[CsvSink] = None,
     analyses: Optional[AnalysisStream] = None,
 ) -> Trace:
     """Plain proximal gradient run, recorded like a trace: x_{k+1} is one proximal gradient step from x_k.
@@ -761,7 +750,7 @@ def pgm_run(
     coincide with the iterate and keeps all structural identities valid.
     """
     ts = np.ones(iterations + 1)
-    return _run(problem, x0, iterations, ts, "pgm", "constant-1", s_refs, snapshot_every, csv_sink, analyses)
+    return _run(problem, x0, iterations, ts, "pgm", "constant-1", s_refs, snapshot_every, analyses)
 
 
 def _require_zero_g(problem: CompositeProblem, x0: Vector) -> None:
@@ -783,7 +772,6 @@ def nesterov_run(
     s_refs: Sequence = (),
     snapshot_every: int = 1,
     *,
-    csv_sink: Optional[CsvSink] = None,
     analyses: Optional[AnalysisStream] = None,
 ) -> Trace:
     """Accelerated gradient descent: the g = 0 special case, by its own name.
@@ -795,4 +783,4 @@ def nesterov_run(
     _require_zero_g(problem, x0)
     sched = _coerce_schedule(schedule)
     ts = sched.prefix(iterations)
-    return _run(problem, x0, iterations, ts, "nesterov", sched.rule, s_refs, snapshot_every, csv_sink, analyses)
+    return _run(problem, x0, iterations, ts, "nesterov", sched.rule, s_refs, snapshot_every, analyses)

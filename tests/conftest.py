@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 
@@ -23,11 +21,3 @@ def any_problem(request):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
-
-
-@pytest.fixture(params=["forked", "no-fork"])
-def trace_writer(request, monkeypatch):
-    """The trace.csv writer path of ``fistalab run``: a forked writer, or, with ``os.fork`` hidden, after the run."""
-    if request.param == "no-fork":
-        monkeypatch.delattr(os, "fork")
-    return request.param

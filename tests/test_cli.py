@@ -172,9 +172,7 @@ class TestRun:
         assert steps == []
         assert not (tmp_path / "out").exists()
 
-    def test_mistyped_check_parameter_exits_two_and_keeps_the_artifacts(
-        self, trace_writer, tmp_path, monkeypatch, capsys
-    ):
+    def test_mistyped_check_parameter_exits_two_and_keeps_the_artifacts(self, tmp_path, monkeypatch, capsys):
         # an unknown key used to be dropped: span ran at its default tol and passed
         out = tmp_path / "out"
         span = {"name": "span", "directions": [[1.0, -1.0]]}
@@ -401,16 +399,6 @@ class TestRun:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "False"
 
-    def test_import_leaves_csv_writer_unloaded(self):
-        # only `run` needs it; without cached bytecode every command would compile it
-        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-        probe = "import sys, fistalab.cli; print('fistalab._sink' in sys.modules)"
-        done = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "False"
-
 
 class TestNumericalAbort:
     def overflowing_config(self, tmp_path):
@@ -606,9 +594,9 @@ class TestAtomicArtifacts:
     ARTIFACTS = ("trace.csv", "snapshots.json", "report.json")
 
     @pytest.fixture(scope="class")
-    def forked_run(self, tmp_path_factory):
-        """Two configs and the artifacts ``fistalab run`` writes for them with the forked writer."""
-        where = tmp_path_factory.mktemp("forked-run")
+    def first_run(self, tmp_path_factory):
+        """Two configs and the artifacts one ``fistalab run`` of both writes."""
+        where = tmp_path_factory.mktemp("first-run")
         configs = [
             write_config(where, iterations=6000, analyses=["structural"]).rename(where / f"{name}.json")
             for name in ("first", "second")
@@ -618,27 +606,13 @@ class TestAtomicArtifacts:
             (c.stem, name): (where / "out" / c.stem / name).read_bytes() for c in configs for name in self.ARTIFACTS
         }
 
-    def test_each_writer_path_writes_the_forked_bytes(self, trace_writer, forked_run, tmp_path, monkeypatch):
-        # wherever os.fork exists a run forks its writer, one per config, whatever the CPU count;
-        # where it is missing, the run forks nothing and writes trace.csv after the run
-        configs, want = forked_run
-        forks = []
-        if trace_writer == "forked":
-            real_fork = os.fork
-
-            def fork():
-                pid = real_fork()
-                if pid:
-                    forks.append(pid)
-                return pid
-
-            monkeypatch.setattr(os, "fork", fork)
+    def test_rerun_writes_the_same_bytes(self, first_run, tmp_path):
+        configs, want = first_run
         out = tmp_path / "out"
         assert main(["run", *map(str, configs), "--output-dir", str(out)]) == 0
-        assert len(forks) == (len(configs) if trace_writer == "forked" else 0)
         assert {(stem, name): (out / stem / name).read_bytes() for stem, name in want} == want
 
-    def test_failed_run_leaves_previous_artifacts(self, trace_writer, tmp_path, monkeypatch):
+    def test_failed_run_leaves_previous_artifacts(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, iterations=6000, analyses=["structural"])
         assert run_config(cfg, output_dir=out) == 0
@@ -663,13 +637,9 @@ class TestAtomicArtifacts:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_output_dir_below_a_file_exits_two_and_leaves_the_file(self, trace_writer, tmp_path, capfd):
-        # reported at the first artifact write: the writer's start, or the writes after the run;
-        # either way as one line, the forked writer printing nothing of its own
-        message = {
-            "forked": "error: [Errno 20] Not a directory: '{out}/trace.csv'",
-            "no-fork": "error: cannot write artifacts: [Errno 20] Not a directory: '{out}'",
-        }[trace_writer]
+    def test_output_dir_below_a_file_exits_two_and_leaves_the_file(self, tmp_path, capfd):
+        # reported as one line at the first artifact write, after the run
+        message = "error: cannot write artifacts: [Errno 20] Not a directory: '{out}'"
         blocker = tmp_path / "blocker"
         blocker.write_bytes(b"not a directory\n")
         cfg = write_config(tmp_path, iterations=50, analyses=["structural"])
@@ -678,8 +648,7 @@ class TestAtomicArtifacts:
         assert blocker.read_bytes() == b"not a directory\n"
         assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
-    def test_abort_streams_the_partial_trace(self, tmp_path):
-        # the whole partial trace goes through the sink; save adds only the JSON files
+    def test_abort_saves_the_partial_trace(self, tmp_path):
         cfg = write_config(tmp_path, x0=[1.7e308, 1.7e308], iterations=10, analyses=[])
         assert run_config(cfg, output_dir=tmp_path / "out") == 3
         with pytest.raises(NonFiniteIterateError) as caught:
@@ -689,7 +658,7 @@ class TestAtomicArtifacts:
         assert (tmp_path / "out" / "trace.csv").read_bytes() == want
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(self.ARTIFACTS)
 
-    def test_report_write_failure_replaces_only_the_earlier_files(self, trace_writer, tmp_path, monkeypatch):
+    def test_report_write_failure_replaces_only_the_earlier_files(self, tmp_path, monkeypatch):
         # each file is replaced whole, but a failure after the first rename leaves a mix
         out, want = tmp_path / "out", tmp_path / "want"
         assert run_config(write_config(tmp_path, iterations=50, analyses=["structural"]), output_dir=out) == 0

@@ -1,8 +1,7 @@
 import dataclasses
-import errno
 import functools
 import math
-import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,7 +27,6 @@ from fistalab import (
     soft_threshold,
     zero_part,
 )
-from fistalab._sink import CsvSink
 from fistalab.checks import AnalysisStream
 from fistalab.problem import _objective_rows
 from fistalab import solver
@@ -37,6 +35,7 @@ from fistalab.solver import (
     _ROW_COLUMNS,
     RowWindow,
     _chunk_steps,
+    _csv_chunk,
     _empty_trace,
     _fill_rows,
     _iterate,
@@ -758,7 +757,7 @@ def whole_array_columns(problem, ts, xs, ys, s_refs):
 
 @functools.lru_cache(maxsize=None)
 def stream_problem(name):
-    """(problem, x0, s_refs) for the streamed-CSV cases."""
+    """(problem, x0, s_refs) for the CSV export cases."""
     if name == "feasibility":
         return feasibility_problem(), [5.0, 0.0], S_REFS
     if name == "l1_quadratic":
@@ -768,94 +767,44 @@ def stream_problem(name):
     return problem, np.random.default_rng(4).standard_normal(512), [problem.solution.s_ref]
 
 
-def counted_forks(monkeypatch) -> list:
-    """Record the pid of every ``os.fork`` from now on."""
-    real_fork, pids = os.fork, []
-
-    def fork():
-        pid = real_fork()
-        pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
-
-
-def streamed(tmp_path, run):
-    """Run ``run(csv_sink=...)`` into a committed sink; returns (trace or error, CSV bytes)."""
-    with CsvSink(tmp_path / "trace.csv") as sink:
-        try:
-            outcome = run(csv_sink=sink)
-        except NonFiniteIterateError as exc:
-            outcome = exc
-        sink.commit()
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv"]
-    return outcome, (tmp_path / "trace.csv").read_bytes()
-
-
-class TestCsvStream:
+class TestCsvExport:
     ROWS = [_CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1, 2 * _CSV_CHUNK + 2]
 
     @pytest.mark.parametrize("rows", ROWS)
     @pytest.mark.parametrize("name", ["feasibility", "l1_quadratic", "quadratic"])
-    def test_stream_equals_to_csv_and_whole_array_columns(self, name, rows, monkeypatch, tmp_path):
+    def test_csv_and_columns_equal_whole_array_ones(self, name, rows, tmp_path):
         problem, x0, s_refs = stream_problem(name)
-        forks = counted_forks(monkeypatch)
-        (tmp_path / "stream").mkdir()
-        trace, text = streamed(
-            tmp_path / "stream", lambda **kw: fista_run(problem, x0, "bt", rows - 1, s_refs=s_refs, **kw)
-        )
-        assert len(forks) == 1
+        trace = fista_run(problem, x0, "bt", rows - 1, s_refs=s_refs)
         assert len(trace) == rows
-        assert text == trace.to_csv(tmp_path / "whole.csv").read_bytes()
-        # without a sink, the run returns the same trace, and forks nothing
-        plain = fista_run(problem, x0, "bt", rows - 1, s_refs=s_refs)
-        assert len(forks) == 1
         want = whole_array_columns(problem, trace.ts, trace.xs, trace.ys, trace.s_refs)
-        for column in _ROW_COLUMNS:
-            values = getattr(trace, column)
-            if values is not None:
-                assert values.tobytes() == getattr(plain, column).tobytes(), column
         for column, values in want.items():
             assert getattr(trace, column).tobytes() == values.tobytes(), column
+        # to_csv formats _CSV_BLOCK rows per call: the text of one call over every row
+        whole = ",".join(trace._csv_header()) + "\n" + _csv_chunk(trace._csv_table(0, rows), 0)
+        assert trace.to_csv(tmp_path / "trace.csv").read_text() == whole
 
     @pytest.mark.parametrize("row", [_CSV_CHUNK + 100, 2 * _CSV_CHUNK + 1])
-    def test_abort_inside_a_block_streams_the_partial_trace(self, row, tmp_path):
-        problem = counting_feasibility(row)
-        (tmp_path / "stream").mkdir()
-        error, text = streamed(
-            tmp_path / "stream",
-            lambda **kw: fista_run(problem, [5.0, 0.0], "bt", 3 * _CSV_CHUNK, s_refs=S_REFS, **kw),
-        )
-        assert isinstance(error, NonFiniteIterateError) and error.row == row
-        assert len(error.trace) == row + 1
-        assert text == error.trace.to_csv(tmp_path / "whole.csv").read_bytes()
+    def test_abort_inside_a_block_keeps_the_rows_before_it(self, row, tmp_path):
+        with pytest.raises(NonFiniteIterateError) as caught:
+            fista_run(counting_feasibility(row), [5.0, 0.0], "bt", 3 * _CSV_CHUNK, s_refs=S_REFS)
+        error = caught.value
+        assert error.row == row and len(error.trace) == row + 1
+        partial = error.trace.to_csv(tmp_path / "partial.csv").read_text().splitlines()
+        clean = fista_run(feasibility_problem(), [5.0, 0.0], "bt", 3 * _CSV_CHUNK, s_refs=S_REFS)
+        whole = clean.to_csv(tmp_path / "whole.csv").read_text().splitlines()
+        assert len(partial) == row + 2 and partial[-1].startswith(f"{row},") and ",nan," in partial[-1]
+        assert partial[: row + 1] == whole[: row + 1]
 
-    def test_uncommitted_stream_leaves_no_file(self, tmp_path):
-        (tmp_path / "trace.csv").write_text("previous\n")
-        with CsvSink(tmp_path / "trace.csv") as sink:
-            fista_run(feasibility_problem(), [5.0, 0.0], "bt", _CSV_CHUNK + 10, csv_sink=sink)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv"]
-        assert (tmp_path / "trace.csv").read_text() == "previous\n"
-
-    @pytest.mark.parametrize("where", ["formatting", "renaming"])
-    def test_writer_failure_is_an_os_error(self, where, monkeypatch, tmp_path):
-        def broken(*args):
-            raise MemoryError(f"{where} failed")
-
-        # the forked writer inherits the patch; a rename fails after the end marker,
-        # so only the writer's exit status reports it
-        if where == "formatting":
-            monkeypatch.setattr("fistalab._sink._csv_chunk", broken)
-        else:
-            monkeypatch.setattr(os, "replace", broken)
-        (tmp_path / "trace.csv").write_text("previous\n")
-        with pytest.raises(OSError):
-            with CsvSink(tmp_path / "trace.csv") as sink:
-                fista_run(feasibility_problem(), [5.0, 0.0], "bt", 3 * _CSV_CHUNK, csv_sink=sink)
-                sink.commit()
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv"]
-        assert (tmp_path / "trace.csv").read_text() == "previous\n"
+    def test_to_csv_holds_one_block_of_text_at_a_time(self, tmp_path):
+        # on this trace, 4096-row calls peaked at 4.5 MiB and 512-row calls at 0.6 MiB
+        trace = fista_run(feasibility_problem(), [5.0, 0.0], "bt", 2 * _CSV_CHUNK + 100, s_refs=S_REFS)
+        tracemalloc.start()
+        try:
+            trace.to_csv(tmp_path / "trace.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     @pytest.mark.parametrize("rows", ROWS)
     def test_objective_calls_cover_a_whole_chunk(self, rows):
@@ -870,27 +819,6 @@ class TestCsvStream:
         problem = dataclasses.replace(feas, g=dataclasses.replace(feas.g, value=value))
         fista_run(problem, [5.0, 0.0], "bt", rows - 1)
         assert sizes and all(size >= _CSV_CHUNK or size == rows for size in sizes), sizes
-
-    def test_failed_fork_closes_the_pipe(self, monkeypatch, tmp_path):
-        real_pipe, pipes = os.pipe, []
-
-        def pipe():
-            pipes.extend(real_pipe())
-            return pipes[-2], pipes[-1]
-
-        def fork():
-            raise BlockingIOError(errno.EAGAIN, "fork: no process ids left")
-
-        monkeypatch.setattr(os, "pipe", pipe)
-        monkeypatch.setattr(os, "fork", fork)
-        with pytest.raises(OSError):
-            with CsvSink(tmp_path / "trace.csv") as sink:
-                fista_run(feasibility_problem(), [5.0, 0.0], "bt", 50, csv_sink=sink)
-        assert len(pipes) == 2
-        for fd in pipes:
-            with pytest.raises(OSError):
-                os.fstat(fd)
-        assert list(tmp_path.iterdir()) == []
 
 
 class TestObjectiveLookBack:

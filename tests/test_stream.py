@@ -6,15 +6,14 @@ x, y and z of a library run at once. ``fistalab run`` folds the same checks
 over blocks of rows while the run goes and keeps only a window of rows. Its
 report.json must hold exactly the reference's results on the library run,
 and its trace.csv and snapshots.json must be the bytes that the library run
-saves, both with the forked CSV writer and, with ``os.fork`` hidden, with
-trace.csv written after the run.
+saves.
 
 With several BLAS threads, OpenBLAS splits one matrix-vector product over
 many rows among the threads and rounds the rows next to each split
 differently from a product over one block of them, so at dim 64 and 512 the
 reference itself depends on the thread count. Those cases run in a child
 process with one BLAS thread, as the benchmark runs fistalab:
-``python tests/test_stream.py DIM PATH...``.
+``python tests/test_stream.py DIM``.
 """
 
 import contextlib
@@ -482,19 +481,15 @@ def compare_run(cfg: dict, workdir: Path, want: dict, abort_row=None) -> list:
     return problems
 
 
-def wide_cases(dim: int, paths: list) -> list:
-    """Every difference over the quadratic cases of one dim on each writer path; run with one BLAS thread."""
+def wide_cases(dim: int) -> list:
+    """Every difference over the quadratic cases of one dim; run with one BLAS thread."""
     problems = []
     with tempfile.TemporaryDirectory() as tmp:
         for rows in ROWS:
             cfg = case_config("quadratic", dim, rows)
             want = library_artifacts(cfg, Path(tmp) / f"{rows}-library")
-            for path in paths:
-                with pytest.MonkeyPatch.context() as mp:
-                    if path == "no-fork":  # as the trace_writer fixture does
-                        mp.delattr(os, "fork")
-                    case = compare_run(cfg, Path(tmp) / f"{rows}-{path}", want)
-                problems.extend(f"quadratic dim {dim}, {rows} rows, {path}: {p}" for p in case)
+            case = compare_run(cfg, Path(tmp) / f"{rows}-run", want)
+            problems.extend(f"quadratic dim {dim}, {rows} rows: {p}" for p in case)
     return problems
 
 
@@ -504,26 +499,24 @@ def wide_cases(dim: int, paths: list) -> list:
 class TestStreamedChecks:
     @pytest.mark.parametrize("rows", ROWS)
     @pytest.mark.parametrize("family", ["feasibility", "l1_quadratic"])
-    def test_report_and_artifacts_equal_the_whole_array_reference(self, family, rows, trace_writer, tmp_path):
+    def test_report_and_artifacts_equal_the_whole_array_reference(self, family, rows, tmp_path):
         cfg = case_config(family, 6, rows)
         want = library_artifacts(cfg, tmp_path)
         assert compare_run(cfg, tmp_path / "run", want) == []
 
     # C - 1 and C: the last row of one pass and the first of the next; 1: a first chunk with no xi step
     @pytest.mark.parametrize("row", [1, C - 1, C, C + 100, 2 * C + 1])
-    def test_abort_inside_a_block_writes_the_library_partial_trace(self, row, trace_writer, tmp_path):
+    def test_abort_inside_a_block_writes_the_library_partial_trace(self, row, tmp_path):
         cfg = case_config("feasibility", 2, 3 * C)
         want = library_artifacts(cfg, tmp_path, row)
         assert compare_run(cfg, tmp_path / "run", want, row) == []
 
-    # the two paths differ only in who writes trace.csv, which dim 2, 6 and 64 cover;
-    # at dim 512 every step is a dense 512 x 512 product, so it takes the forked one only
-    @pytest.mark.parametrize("dim, paths", [(64, ["forked", "no-fork"]), (512, ["forked"])])
-    def test_wide_dims_on_one_blas_thread(self, dim, paths):
+    @pytest.mark.parametrize("dim", [64, 512])
+    def test_wide_dims_on_one_blas_thread(self, dim):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")]))
         env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
         done = subprocess.run(
-            [sys.executable, __file__, str(dim), *paths], env=env, capture_output=True, text=True, timeout=600
+            [sys.executable, __file__, str(dim)], env=env, capture_output=True, text=True, timeout=600
         )
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout) == []
@@ -624,4 +617,4 @@ class TestFoldReads:
 
 
 if __name__ == "__main__":
-    print(json.dumps(wide_cases(int(sys.argv[1]), sys.argv[2:])))
+    print(json.dumps(wide_cases(int(sys.argv[1]))))
