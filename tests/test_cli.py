@@ -12,7 +12,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fistalab import NonFiniteIterateError, NonsmoothPart, Trace, cli, feasibility_problem, fista_run
+from fistalab import (
+    NonFiniteIterateError,
+    NonsmoothPart,
+    Trace,
+    cli,
+    feasibility_problem,
+    fista_run,
+    nesterov_run,
+    pgm_run,
+)
 from fistalab.cli import main, repro_fig1, run_config
 
 REPO = Path(__file__).resolve().parent.parent
@@ -657,6 +666,46 @@ class TestAtomicArtifacts:
         want = caught.value.trace.to_csv(tmp_path / "whole.csv").read_bytes()
         assert (tmp_path / "out" / "trace.csv").read_bytes() == want
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(self.ARTIFACTS)
+
+    @pytest.mark.parametrize(
+        "algorithm, family, x0",
+        [
+            ("fista", "feasibility", [5.0, 0.0]),
+            ("pgm", "feasibility", [5.0, 0.0]),
+            ("nesterov", "quadratic", [1.0, -2.0, 3.0]),
+            ("fista", "feasibility", [1.7e308, 1.7e308]),  # aborts at row 1
+        ],
+        ids=["fista", "pgm", "nesterov", "abort"],
+    )
+    def test_run_forks_no_process_and_saves_the_library_trace(self, algorithm, family, x0, tmp_path, monkeypatch):
+        params = {"dim": 3, "seed": 0} if family == "quadratic" else {}
+        problem = cli.build_problem(family, params)
+        s_refs = [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]] if family == "feasibility" else [problem.solution.s_ref.tolist()]
+        cfg = write_config(
+            tmp_path, problem={"family": family, "params": params}, algorithm=algorithm, x0=x0, s_refs=s_refs,
+            iterations=700, analyses=["structural"],
+        )
+        if algorithm == "pgm":
+            raw = json.loads(cfg.read_text())
+            del raw["schedule"]
+            cfg.write_text(json.dumps(raw))
+        try:
+            if algorithm == "pgm":
+                trace = pgm_run(problem, x0, 700, s_refs=s_refs)
+            else:
+                runner = fista_run if algorithm == "fista" else nesterov_run
+                trace = runner(problem, x0, "bt", 700, s_refs=s_refs)
+        except NonFiniteIterateError as exc:
+            trace = exc.trace
+        trace.save(tmp_path / "want")
+
+        def fork():
+            raise AssertionError("fistalab run forked a process")
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert run_config(cfg, output_dir=tmp_path / "out") == (3 if x0[0] > 1e300 else 0)
+        for name in ("trace.csv", "snapshots.json"):
+            assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "want" / name).read_bytes(), name
 
     def test_report_write_failure_replaces_only_the_earlier_files(self, tmp_path, monkeypatch):
         # each file is replaced whole, but a failure after the first rename leaves a mix

@@ -1,8 +1,10 @@
 import dataclasses
+import errno
 import functools
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from fistalab.checks import AnalysisStream
 from fistalab.problem import _objective_rows
 from fistalab import solver
 from fistalab.solver import (
+    _CSV_BLOCK,
     _CSV_CHUNK,
     _ROW_COLUMNS,
     RowWindow,
@@ -783,6 +786,14 @@ class TestCsvExport:
         whole = ",".join(trace._csv_header()) + "\n" + _csv_chunk(trace._csv_table(0, rows), 0)
         assert trace.to_csv(tmp_path / "trace.csv").read_text() == whole
 
+    @pytest.mark.parametrize("rows", [2, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1, 2 * _CSV_BLOCK + 1])
+    @pytest.mark.parametrize("name", ["feasibility", "l1_quadratic", "quadratic"])
+    def test_block_edges_equal_the_per_row_writer(self, name, rows, tmp_path):
+        problem, x0, s_refs = stream_problem(name)
+        trace = fista_run(problem, x0, "bt", rows - 1, s_refs=s_refs)
+        assert len(trace) == rows
+        assert trace.to_csv(tmp_path / "trace.csv").read_text() == per_row_csv(trace)
+
     @pytest.mark.parametrize("row", [_CSV_CHUNK + 100, 2 * _CSV_CHUNK + 1])
     def test_abort_inside_a_block_keeps_the_rows_before_it(self, row, tmp_path):
         with pytest.raises(NonFiniteIterateError) as caught:
@@ -819,6 +830,54 @@ class TestCsvExport:
         problem = dataclasses.replace(feas, g=dataclasses.replace(feas.g, value=value))
         fista_run(problem, [5.0, 0.0], "bt", rows - 1)
         assert sizes and all(size >= _CSV_CHUNK or size == rows for size in sizes), sizes
+
+
+class TestSave:
+    """``Trace.save`` is the one writer of trace.csv and snapshots.json."""
+
+    @pytest.mark.parametrize("runner", [fista_run, pgm_run, nesterov_run], ids=lambda r: r.__name__)
+    def test_writes_to_csv_and_the_snapshot_payload(self, runner, tmp_path):
+        if runner is nesterov_run:  # it needs g = 0
+            problem = random_quadratic(dim=3, seed=0)
+            x0, s_refs = [1.0, -2.0, 3.0], [problem.solution.s_ref]
+        else:
+            problem, x0, s_refs = feasibility_problem(), [5.0, 0.0], S_REFS
+        args = (600,) if runner is pgm_run else ("bt", 600)
+        trace = runner(problem, x0, *args, s_refs=s_refs, snapshot_every=7)
+        out = tmp_path / "out"
+        assert trace.save(out) == {"trace": out / "trace.csv", "snapshots": out / "snapshots.json"}
+        assert sorted(p.name for p in out.iterdir()) == ["snapshots.json", "trace.csv"]
+        assert (out / "trace.csv").read_bytes() == trace.to_csv(tmp_path / "want.csv").read_bytes()
+        assert (out / "snapshots.json").read_text() == solver.strict_json(trace.snapshot_payload())
+
+    @pytest.mark.parametrize("bad_block", [0, 1, 2])
+    def test_failed_format_leaves_the_previous_files(self, bad_block, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        fista_run(feasibility_problem(), [5.0, 0.0], "bt", 100, s_refs=S_REFS).save(out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        trace = fista_run(feasibility_problem(), [5.0, 0.0], "bt", 2 * _CSV_BLOCK + 100, s_refs=S_REFS)
+        starts, chunk = [], solver._csv_chunk
+
+        def failing_chunk(table, start):
+            starts.append(start)
+            if len(starts) == bad_block + 1:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return chunk(table, start)
+
+        monkeypatch.setattr(solver, "_csv_chunk", failing_chunk)
+        with pytest.raises(OSError, match="No space left"):
+            trace.save(out)
+        assert starts == [k * _CSV_BLOCK for k in range(bad_block + 1)]
+        # no temporary file is left, and neither artifact is replaced
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_formats_through_to_csv(self, tmp_path, monkeypatch):
+        # a profiler times the formatter by wrapping Trace.to_csv, so save must call it
+        paths, to_csv = [], Trace.to_csv
+        monkeypatch.setattr(Trace, "to_csv", lambda self, path: paths.append(Path(path)) or to_csv(self, path))
+        trace = fista_run(feasibility_problem(), [5.0, 0.0], "bt", 10)
+        trace.save(tmp_path)
+        assert len(paths) == 1 and paths[0].parent == tmp_path and paths[0].name.endswith(".tmp")
 
 
 class TestObjectiveLookBack:
