@@ -407,7 +407,7 @@ class _BoundedIterates(_Fold):
         self.sup_z = _max(self.sup_z, float(np.max(trace.norm_z[lo:hi])))
 
     def result(self):
-        cap = max(self.norm_x0, self.sup_z) + 1e-8
+        cap = _max(self.norm_x0, self.sup_z) + 1e-8
         excess = _worst(self.sup_x - cap)
         return [
             CheckResult(

@@ -207,26 +207,24 @@ def check_lipschitz(problem: CompositeProblem, samples) -> LipschitzReport:
 
     Coincident pairs are skipped; the check passes when the largest ratio
     ``||grad f(u) - grad f(v)|| / ||u - v||`` does not exceed
-    ``beta * (1 + 1e-8)``.
+    ``beta * (1 + 1e-8)``; a NaN or infinite ratio makes it fail.
     """
     beta = problem.f.beta
-    max_ratio = 0.0
-    used = 0
+    ratios = []
     for u, v in samples:
         uu = as_vector(u, problem.dim)
         vv = as_vector(v, problem.dim)
         gap = float(np.linalg.norm(uu - vv))
         if gap == 0.0:
             continue
-        ratio = float(np.linalg.norm(problem.f.gradient(uu) - problem.f.gradient(vv))) / gap
-        max_ratio = max(max_ratio, ratio)
-        used += 1
-    if used == 0:
+        ratios.append(float(np.linalg.norm(problem.f.gradient(uu) - problem.f.gradient(vv))) / gap)
+    if not ratios:
         raise ValueError("no usable sample pairs (empty list or all pairs coincident)")
+    max_ratio = float(np.max(ratios))
     return LipschitzReport(
         beta=beta,
         max_ratio=max_ratio,
-        pairs_used=used,
+        pairs_used=len(ratios),
         passed=max_ratio <= beta * (1.0 + 1e-8),
     )
 

@@ -12,7 +12,8 @@ quadratic residual necessarily grows like eps * t^2 in double precision.
 
 Both conditions and their tolerances live in :func:`validate_schedule`
 alone: a :class:`Schedule` generates the terms it is asked for and
-certifies the whole prefix with one call to it.
+certifies the whole prefix with one call to it. Each kind of violation is
+one (k, residual) record array: no Python object per failing index.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
 
 GROWTH_TOL = 1e-9
 QUADRATIC_TOL = 1e-9
+_VIOLATION = np.dtype([("k", np.intp), ("residual", np.float64)])  # unpacks as (k, residual)
 
 
 class ScheduleError(ValueError):
@@ -55,6 +57,17 @@ def linear_half(k: int) -> float:
     return 1.0 if k == 0 else 0.5 * (k + 2)
 
 
+def _violations(failed: np.ndarray, residual: np.ndarray, scale=None, first_k=0) -> np.ndarray:
+    """(first_k + i, residual[i] / scale[i]) records at each position i where ``failed`` holds."""
+    i = np.flatnonzero(failed)
+    out = np.empty(i.size, _VIOLATION)
+    np.add(i, first_k, out=out["k"])
+    out["residual"] = residual[i]
+    if scale is not None:  # in place: no quotient array beside the two gathered ones
+        out["residual"] /= scale[i]
+    return out
+
+
 @dataclass(frozen=True)
 class ScheduleReport:
     """Certification result for a step-parameter prefix.
@@ -62,7 +75,7 @@ class ScheduleReport:
     Residuals follow the sign convention "nonnegative means satisfied":
     ``growth_residuals[k] = t_k - (k+2)/2`` (0 index: -|t_0 - 1|) and
     ``quadratic_residuals[k] = t_k^2 - t_{k+1}^2 + t_{k+1}``. Violations
-    list (index, scaled residual) pairs beyond the scaled tolerances, the
+    are (k, scaled residual) record arrays beyond the scaled tolerances, the
     growth scale being (k+2)/2 >= 1 and the quadratic one max(1, t_k^2);
     ``quadratic_scaled_abs_max`` is the largest |residual| / max(1, t_k^2),
     the quantity that stays near eps when the recursion holds at equality.
@@ -70,13 +83,13 @@ class ScheduleReport:
 
     growth_residuals: np.ndarray
     quadratic_residuals: np.ndarray
-    growth_violations: list
-    quadratic_violations: list
+    growth_violations: np.ndarray
+    quadratic_violations: np.ndarray
     quadratic_scaled_abs_max: float
 
     @property
     def valid(self) -> bool:
-        return not self.growth_violations and not self.quadratic_violations
+        return self.growth_violations.size == 0 and self.quadratic_violations.size == 0
 
 
 def validate_schedule(ts) -> ScheduleReport:
@@ -84,8 +97,8 @@ def validate_schedule(ts) -> ScheduleReport:
 
     Requires at least two entries; a non-finite entry or t_0 != 1 (to
     1e-12) is a :class:`ScheduleError`. Growth residuals are scaled by
-    (k+2)/2 >= 1, quadratic ones by max(1, t_k^2). An empty violation list
-    in the report means the prefix is admissible.
+    (k+2)/2 >= 1, quadratic ones by max(1, t_k^2). Empty violation arrays
+    in the report mean the prefix is admissible.
     """
     arr = np.asarray(ts, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
@@ -101,19 +114,12 @@ def validate_schedule(ts) -> ScheduleReport:
     sq = arr**2
     quad = sq[:-1] - sq[1:] + arr[1:]
     quad_scale = np.maximum(1.0, sq[:-1])  # explicit schedules may hold t < 1
-
-    growth_violations = [
-        (int(k), float(growth[k] / half[k])) for k in np.nonzero(growth < -GROWTH_TOL * half)[0]
-    ]
-    quadratic_violations = [
-        (int(k), float(quad[k] / quad_scale[k]))
-        for k in np.nonzero(quad < -QUADRATIC_TOL * quad_scale)[0]
-    ]
+    del sq  # one array fewer beside the violation temporaries
     return ScheduleReport(
         growth_residuals=growth,
         quadratic_residuals=quad,
-        growth_violations=growth_violations,
-        quadratic_violations=quadratic_violations,
+        growth_violations=_violations(growth < -GROWTH_TOL * half, growth, half),
+        quadratic_violations=_violations(quad < -QUADRATIC_TOL * quad_scale, quad, quad_scale),
         quadratic_scaled_abs_max=float(np.max(np.abs(quad) / quad_scale)),
     )
 
@@ -122,7 +128,7 @@ class Schedule:
     """Certified prefix of a step-parameter sequence, cached for its longest request.
 
     ``rule`` is "bt" (quadratic recursion at equality, through
-    :func:`bt_next`), "linear" ((k + 2) / 2 growth, through
+    :func:`bt_next`), "linear" ((k + 2) / 2 growth, the values of
     :func:`linear_half`), or "explicit" with at least two user-supplied
     values. A request past the cached prefix generates the whole new one
     from t_0 = 1 and certifies it with :func:`validate_schedule`, so an
@@ -149,22 +155,19 @@ class Schedule:
         self._ts = np.empty(0)
 
     def _generate(self, k_max: int) -> np.ndarray:
-        """t_0..t_{k_max}, or as many of them as an explicit rule has."""
+        """t_0..t_{k_max}, or as many as an explicit rule has; "linear" halves exact integers
+        as :func:`linear_half` does, and "bt" writes each :func:`bt_next` term into the array."""
         if self._explicit is not None:
             return self._explicit[: k_max + 1]
+        if self.rule == "linear":
+            ts = np.arange(2, k_max + 3) / 2.0
+            ts[0] = 1.0
+            return ts
         ts = np.empty(k_max + 1)
-        ts[0] = t = 1.0  # t_0 = 1
-        # a few thousand terms at a time, so the Python floats never pile up
-        for lo in range(1, k_max + 1, 4096):
-            hi = min(lo + 4096, k_max + 1)
-            if self.rule == "linear":
-                new = [linear_half(k) for k in range(lo, hi)]
-            else:
-                new = []
-                for _ in range(lo, hi):
-                    t = bt_next(t)
-                    new.append(t)
-            ts[lo:hi] = new
+        out = memoryview(ts)
+        t = out[0] = 1.0
+        for k in range(1, k_max + 1):
+            t = out[k] = bt_next(t)
         return ts
 
     def prefix(self, k_max: int) -> np.ndarray:
@@ -194,18 +197,19 @@ class Schedule:
 class TkBoundsReport:
     """Bounds 1 <= t_k - 1 <= k for k >= 2, plus divergence evidence.
 
-    ``inv_partial_sums[i]`` is the running sum of 1/(t_k - 1) over
-    k = 2 .. 2 + i; the total diverges like the harmonic series for any
-    admissible schedule.
+    Violations are (k, residual) record arrays: t_k - 2 below -1e-9 or NaN,
+    and k - (t_k - 1) below -1e-9 k. ``inv_partial_sums[i]`` is the running
+    sum of 1/(t_k - 1) over k = 2 .. 2 + i; the total diverges like the
+    harmonic series for any admissible schedule.
     """
 
-    lower_violations: list
-    upper_violations: list
+    lower_violations: np.ndarray
+    upper_violations: np.ndarray
     inv_partial_sums: np.ndarray
 
     @property
     def valid(self) -> bool:
-        return not self.lower_violations and not self.upper_violations
+        return self.lower_violations.size == 0 and self.upper_violations.size == 0
 
     @property
     def total(self) -> float:
@@ -213,7 +217,7 @@ class TkBoundsReport:
 
 
 def check_tk_bounds(ts) -> TkBoundsReport:
-    """Verify the two-sided bounds on t_k - 1 from index 2 onward."""
+    """Verify the bounds on t_k - 1 from index 2 onward; a NaN term fails the lower one."""
     arr = np.asarray(ts, dtype=float)
     if arr.ndim != 1 or arr.size < 3:
         raise ValueError("need at least t_0..t_2 to check the bounds")
@@ -222,12 +226,9 @@ def check_tk_bounds(ts) -> TkBoundsReport:
     tol = 1e-9
     low = tm1 - 1.0
     up = ks - tm1
-    lower = [(int(ks[i]), float(low[i])) for i in np.nonzero(low < -tol)[0]]
-    upper = [(int(ks[i]), float(up[i])) for i in np.nonzero(up < -tol * ks)[0]]
+    # violations before the reciprocals, so their temporaries and ``inv`` are never alive together
+    lower = _violations(~(low >= -tol), low, first_k=2)
+    upper = _violations(up < -tol * ks, up, first_k=2)
     # reciprocals are divergence evidence; meaningless where the lower bound fails
     inv = np.divide(1.0, tm1, out=np.full(tm1.shape, np.nan), where=tm1 > 0)
-    return TkBoundsReport(
-        lower_violations=lower,
-        upper_violations=upper,
-        inv_partial_sums=np.cumsum(inv, out=inv),
-    )
+    return TkBoundsReport(lower, upper, inv_partial_sums=np.cumsum(inv, out=inv))

@@ -565,6 +565,32 @@ class TestBcchDemo:
         assert capsys.readouterr().out == reference["lab"]["stdout"][f"bcch-demo {name} 1000000"]
 
 
+# stdout of ``validate <name> 1000`` as it read while the certifier held a Python tuple per violation
+VALIDATE_1000 = {
+    "linear": (
+        "schedule linear: 1001 terms, final t = 501\n"
+        "  growth residual min = 0, violations = 0\n"
+        "  quadratic residual min = 0.25, scaled |residual| max = 0.25, violations = 0\n"
+        "  bounds 1 <= t_k - 1 <= k: lower violations = 0, upper violations = 0\n"
+        "  sum over k=2..1000 of 1/(t_k - 1) = 12.9709\n"
+        "  verdict: VALID\n"
+    ),
+    "constant-ones": (
+        "schedule constant-ones: 1001 terms, final t = 1\n"
+        "  growth residual min = -500, violations = 1000\n"
+        "  quadratic residual min = 1, scaled |residual| max = 1, violations = 0\n"
+        "  bounds 1 <= t_k - 1 <= k: lower violations = 999, upper violations = 0\n"
+        "  sum over k=2..1000 of 1/(t_k - 1) = nan\n"
+        "  growth violated at k=1 (scaled residual -0.333)\n"
+        "  growth violated at k=2 (scaled residual -0.5)\n"
+        "  growth violated at k=3 (scaled residual -0.6)\n"
+        "  growth violated at k=4 (scaled residual -0.667)\n"
+        "  growth violated at k=5 (scaled residual -0.714)\n"
+        "  verdict: INVALID\n"
+    ),
+}
+
+
 class TestValidate:
     @pytest.mark.parametrize("name", ["bt", "linear"])
     def test_valid_schedules(self, name, capsys):
@@ -586,6 +612,11 @@ class TestValidate:
         reference = json.loads((REPO / "perfbench" / "reference.json").read_text())
         assert main(["validate", "bt", "1000000"]) == 0
         assert capsys.readouterr().out == reference["lab"]["stdout"]["validate bt 1000000"]
+
+    @pytest.mark.parametrize("name, code", [("linear", 0), ("constant-ones", 1)])
+    def test_thousand_terms_print_the_pinned_report(self, name, code, capsys):
+        assert main(["validate", name, "1000"]) == code
+        assert capsys.readouterr().out == VALIDATE_1000[name]
 
     def test_validate_peak_scratch_per_term(self, capsys):
         # 8.13 arrays of K + 1 doubles at the peak; computing (k+2)/2 and t^2 twice reads 9.13

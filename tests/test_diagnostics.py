@@ -279,6 +279,18 @@ class TestNoVacuousPass:
             assert not results[claim].passed, claim
             assert math.isnan(results[claim].residual_or_oscillation), claim
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_bounded_iterates_fails_on_a_non_finite_sup_z(self, value):
+        # Python's max(||x_0||, nan) kept ||x_0||, so a NaN sup ||z_k|| used to pass
+        trace = fista_run(feasibility_problem(), [5.0, 0.0], "bt", 50)
+        norm_z = trace.norm_z.copy()
+        norm_z[25] = value
+        (result,) = ANALYSES["bounded_iterates"](
+            dataclasses.replace(trace, norm_z=norm_z), None, {}, np.random.default_rng(0)
+        )
+        assert not result.passed
+        assert math.isnan(result.residual_or_oscillation)
+
     def test_nonfinite_values_serialize_as_tagged_null(self, feas_trace):
         results = self.run(with_inf_row(feas_trace, 7))
         payload = results["bounded-iterates"].to_json()

@@ -202,6 +202,21 @@ class TestLipschitz:
         with pytest.raises(ValueError):
             check_lipschitz(problem, [(u, u)])
 
+    @pytest.mark.parametrize("nan_first", [False, True])
+    def test_nan_quotient_fails(self, nan_first):
+        # the gradient is NaN beyond x_0 = 1.5, so one of the two pairs has a NaN quotient
+        f = SmoothPart(
+            value=lambda x: 0.5 * np.sum(x * x, axis=-1),
+            gradient=lambda x: np.full_like(x, math.nan) if x[0] > 1.5 else x,
+            beta=1.0,
+        )
+        problem = CompositeProblem(f=f, g=zero_part(), dim=2)
+        pairs = [(np.zeros(2), np.ones(2)), (np.full(2, 2.0), np.full(2, 3.0))]
+        report = check_lipschitz(problem, pairs[::-1] if nan_first else pairs)
+        assert math.isnan(report.max_ratio)
+        assert report.pairs_used == 2
+        assert not report.passed
+
 
 class TestGradientOracle:
     def test_gradient_matches_finite_differences(self, any_problem, rng):

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from fistalab import (
 from fistalab.schedule import GROWTH_TOL, QUADRATIC_TOL
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+VIOLATION = np.dtype([("k", np.intp), ("residual", np.float64)])
 
 
 class TestBtNext:
@@ -64,7 +67,7 @@ class TestValidateSchedule:
         report = validate_schedule([1.0, 1.0, 1.0])
         assert not report.valid
         assert report.growth_violations[0][0] == 1  # 1 < 3/2
-        assert not report.quadratic_violations
+        assert report.quadratic_violations.size == 0
 
     def test_linear_prefix_valid(self):
         # oracle: (k+2)^2/4 - ((k+3)^2/4 - (k+3)/2) = 1/4 for k >= 1,
@@ -151,6 +154,15 @@ class TestCertifiedPrefix:
         sched.prefix(10)
         assert np.array_equal(sched.prefix(5000), [linear_half(k) for k in range(5001)])
 
+    @pytest.mark.parametrize("rule", ["bt", "linear"])
+    def test_prefix_bytes_equal_the_per_term_loop_past_two_blocks(self, rule):
+        # 2 * 4096 + 3 terms crossed the old generator's 4096-term chunks twice
+        k_max = 2 * 4096 + 3
+        terms = [1.0]
+        for k in range(1, k_max + 1):
+            terms.append(bt_next(terms[-1]) if rule == "bt" else linear_half(k))
+        assert Schedule(rule).prefix(k_max).tobytes() == np.array(terms).tobytes()
+
     def test_perturbed_explicit_names_the_reports_first_k(self):
         rng = np.random.default_rng(2024)
         base = Schedule("bt").prefix(60)
@@ -221,14 +233,50 @@ class TestTkBounds:
                 if k - v < -1e-9 * max(1.0, float(k))
             ]
             report = check_tk_bounds(ts)
-            assert report.lower_violations == lower
-            assert report.upper_violations == upper
+            assert report.lower_violations.tolist() == lower
+            assert report.upper_violations.tolist() == upper
             seen["lower"] += len(lower)
             seen["upper"] += len(upper)
         assert min(seen.values()) > 20
 
+    def test_nan_term_is_a_lower_violation(self):
+        # NaN compares false against both bounds, which used to pass the prefix
+        report = check_tk_bounds([1.0, 1.5, math.nan, 2.5])
+        assert not report.valid
+        assert report.lower_violations["k"].tolist() == [2]
+        assert np.isnan(report.lower_violations["residual"]).all()
+        assert report.upper_violations.size == 0
+
+
+class TestViolationArrays:
+    """A prefix that fails at every index holds arrays, not a Python object per index."""
+
+    @pytest.mark.parametrize("certify", [validate_schedule, check_tk_bounds])
+    def test_million_ones_peak(self, certify):
+        ts = np.ones(10**6)
+        tracemalloc.start()
+        try:
+            report = certify(ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not report.valid
+        assert peak <= 80 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_records_read_as_k_residual_pairs(self):
+        report = validate_schedule(np.ones(8))
+        assert report.growth_violations.dtype == VIOLATION
+        assert [int(k) for k, _ in report.growth_violations[:5]] == [1, 2, 3, 4, 5]
+        assert report.growth_violations[0][1] == -1.0 / 3.0
+        assert len(check_tk_bounds(np.ones(8)).lower_violations) == 6
+
 
 # ---- the certifier as it stood before each quantity was computed once -------
+
+
+def records(pairs) -> np.ndarray:
+    """The (k, residual) pairs as the report holds them: one record array."""
+    return np.array(list(pairs), dtype=VIOLATION)
 
 
 def reference_validate_schedule(ts) -> ScheduleReport:
@@ -248,14 +296,14 @@ def reference_validate_schedule(ts) -> ScheduleReport:
     return ScheduleReport(
         growth_residuals=growth,
         quadratic_residuals=quad,
-        growth_violations=[
+        growth_violations=records(
             (int(k), float(growth[k] / growth_scale[k]))
             for k in np.nonzero(growth < -GROWTH_TOL * growth_scale)[0]
-        ],
-        quadratic_violations=[
+        ),
+        quadratic_violations=records(
             (int(k), float(quad[k] / quad_scale[k]))
             for k in np.nonzero(quad < -QUADRATIC_TOL * quad_scale)[0]
-        ],
+        ),
         quadratic_scaled_abs_max=float(np.max(np.abs(quad) / quad_scale)),
     )
 
@@ -272,7 +320,9 @@ def reference_check_tk_bounds(ts) -> TkBoundsReport:
     lower = [(int(ks[i]), float(low[i])) for i in np.nonzero(low < -tol)[0]]
     upper = [(int(ks[i]), float(up[i])) for i in np.nonzero(up < -tol * np.maximum(1.0, ks))[0]]
     inv = np.where(tm1 > 0, 1.0 / np.where(tm1 > 0, tm1, 1.0), np.nan)
-    return TkBoundsReport(lower_violations=lower, upper_violations=upper, inv_partial_sums=np.cumsum(inv))
+    return TkBoundsReport(
+        lower_violations=records(lower), upper_violations=records(upper), inv_partial_sums=np.cumsum(inv)
+    )
 
 
 def same_report(got, want) -> None:
@@ -311,15 +361,18 @@ class TestCertifierMatchesTheReference:
 
     def test_inputs_exercise_every_branch(self):
         reports = [(validate_schedule(ts), check_tk_bounds(ts)) for _, ts in certifier_inputs()]
-        assert sum(bool(v.growth_violations) for v, _ in reports) > 10
-        assert sum(bool(v.quadratic_violations) for v, _ in reports) > 10
-        assert sum(bool(b.lower_violations) for _, b in reports) > 5
-        assert sum(bool(b.upper_violations) for _, b in reports) > 10
+        assert sum(v.growth_violations.size > 0 for v, _ in reports) > 10
+        assert sum(v.quadratic_violations.size > 0 for v, _ in reports) > 10
+        assert sum(b.lower_violations.size > 0 for _, b in reports) > 5
+        assert sum(b.upper_violations.size > 0 for _, b in reports) > 10
         assert any(np.isnan(b.inv_partial_sums).any() for _, b in reports)
 
     @pytest.mark.parametrize("values", [[math.inf, 1.0, 2.0], [1.0, 1.5, math.nan], [1.0, 2.0, -math.inf, 3.0]])
     def test_tk_bounds_on_non_finite_terms(self, values):
-        same_report(check_tk_bounds(values), reference_check_tk_bounds(values))
+        want = reference_check_tk_bounds(values)
+        if math.isnan(values[2]):  # the reference passed a NaN term; it is a lower violation
+            want = dataclasses.replace(want, lower_violations=records([(2, math.nan)]))
+        same_report(check_tk_bounds(values), want)
 
     @pytest.mark.parametrize(
         "values",
