@@ -325,7 +325,8 @@ class _SufficientDecrease(_Fold):
         self.tol = float(tol)
         self.beta = trace.beta
         rows = len(trace)
-        self.ks = np.unique(np.linspace(0, rows - 2, min(points, rows - 1)).astype(int))
+        ks = np.linspace(0, rows - 2, min(points, rows - 1)).astype(int)
+        self.ks = ks[np.diff(ks, prepend=-1) != 0]  # nondecreasing, so np.unique without its numpy.ma import
         step = 1.0 / self.beta
         spread = max(1.0, float(np.linalg.norm(x0)))
         self.probes = []

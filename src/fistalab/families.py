@@ -7,11 +7,13 @@ solver evaluates the objective over thousands of trace rows in one call.
 from __future__ import annotations
 
 import math
+import sys
+from numbers import Integral, Real
 
 import numpy as np
 
 from .problem import CompositeProblem, NonsmoothPart, SmoothPart, SolutionInfo, Vector
-from .prox import _UNIT_LINES, AffineHyperplane, half_sq_dist_grad, project_hyperplane, soft_threshold
+from .prox import _unit_line_prox, half_sq_dist_grad, soft_threshold
 
 __all__ = [
     "zero_part",
@@ -29,6 +31,22 @@ def zero_part() -> NonsmoothPart:
         value=lambda x: np.zeros(np.shape(x)[:-1]),
         prox=lambda v, step: np.asarray(v, dtype=float),
     )
+
+
+# family parameter -> (what it must be, test); a bool is no number here, as for config keys
+_PARAMS = {
+    "dim": ("an integer >= 1", lambda v: isinstance(v, Integral) and v >= 1),
+    "seed": ("an integer >= 0", lambda v: isinstance(v, Integral) and v >= 0),
+    "lam": ("a finite real >= 0", lambda v: isinstance(v, Real) and 0 <= v <= sys.float_info.max),
+}
+
+
+def _check_params(family: str, **params) -> None:
+    """Refuse a family parameter of the wrong kind or range, naming the family and the key."""
+    for key, value in params.items():
+        want, ok = _PARAMS[key]
+        if isinstance(value, bool) or not ok(value):
+            raise ValueError(f"bad parameters for family {family!r}: {key!r} is {value!r}, not {want}")
 
 
 def _project_segment(a: Vector, b: Vector, x: Vector) -> Vector:
@@ -50,8 +68,6 @@ def feasibility_problem() -> CompositeProblem:
     max(1, ||x||_1), so that iterates produced in floating point still
     evaluate to a finite objective.
     """
-    plane = AffineHyperplane(normal=np.ones(2), offset=1.0)
-
     f = SmoothPart(
         value=lambda x: 0.5 * np.sum(np.minimum(x, 0.0) ** 2, axis=-1),
         gradient=half_sq_dist_grad,
@@ -64,8 +80,7 @@ def feasibility_problem() -> CompositeProblem:
         # an overflowed gap is inf and so is the scale; that point is off the line
         return np.where((gap <= 1e-9 * scale) & (gap < math.inf), 0.0, math.inf)
 
-    g = NonsmoothPart(value=line_indicator, prox=lambda v, step: project_hyperplane(plane, v))
-    _UNIT_LINES[g.prox] = plane.offset  # the solver's plane step
+    g = NonsmoothPart(value=line_indicator, prox=_unit_line_prox)
 
     a = np.array([0.0, 1.0])
     b = np.array([1.0, 0.0])
@@ -83,8 +98,7 @@ def random_quadratic(dim: int = 8, seed: int = 0) -> CompositeProblem:
     Eigenvalues are spread geometrically in [1/10, 1], so beta = 1 exactly
     by construction and the problem is (1/10)-strongly convex.
     """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    _check_params("quadratic", dim=dim, seed=seed)
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
     eigs = np.geomspace(0.1, 1.0, dim)
@@ -115,8 +129,7 @@ def l1_quadratic(dim: int = 6, lam: float = 0.3, seed: int = 0) -> CompositeProb
     minimizer is the soft threshold of c at lam and the optimal value is
     available in closed form.
     """
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    _check_params("l1_quadratic", dim=dim, lam=lam, seed=seed)
     rng = np.random.default_rng(seed)
     c = 2.0 * rng.normal(size=dim)
     xstar = soft_threshold(c, lam)

@@ -5,17 +5,16 @@ The maps the solver calls every iteration (``project_hyperplane``,
 ``np.asarray`` and do not check it: the solver checks the iterates once
 per chunk of rows.
 
-``_UNIT_LINES`` maps each prox that projects onto a line x1 + x2 = offset
-in the plane, as ``feasibility_problem`` builds it, to that offset. The
-solver steps a run on Python floats when its g.prox is such a key, its
-gradient is ``half_sq_dist_grad`` and its step 1/beta is 1 (fig1's step,
-see :mod:`fistalab.solver`). Both are keyed by identity, so a wrapper
-around either callable, or any other step, keeps the numpy step.
+``_unit_line_prox`` is fig1's prox, the projection onto the line
+x1 + x2 = 1 that ``feasibility_problem`` uses. The solver steps a run on
+Python floats when its g.prox *is* that function, its gradient *is*
+``half_sq_dist_grad`` and 1/beta is 1 (see :mod:`fistalab.solver`), so a
+wrapper around either callable, or any other step, keeps the numpy step.
 """
 
 from __future__ import annotations
 
-import weakref
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,5 +76,12 @@ def half_sq_dist_grad(x) -> Vector:
     return v - np.maximum(v, 0.0)
 
 
-# prox map onto a line x1 + x2 = offset -> offset (see the module docstring)
-_UNIT_LINES = weakref.WeakKeyDictionary()
+@functools.cache
+def _unit_line() -> AffineHyperplane:
+    """The line x1 + x2 = 1, built on first use: numpy work at import costs every command about 0.3 MB of RSS."""
+    return AffineHyperplane(normal=np.ones(2), offset=1.0)
+
+
+def _unit_line_prox(v, step) -> Vector:
+    """Projection onto the line x1 + x2 = 1, for any step: fig1's prox (see the module docstring)."""
+    return project_hyperplane(_unit_line(), v)

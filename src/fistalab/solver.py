@@ -54,13 +54,12 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from types import FunctionType
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from .problem import CompositeProblem, Vector, _objective_rows, as_vector
-from .prox import _UNIT_LINES, half_sq_dist_grad
+from .prox import _unit_line, _unit_line_prox, half_sq_dist_grad
 from .schedule import Schedule
 
 if TYPE_CHECKING:
@@ -492,16 +491,13 @@ def _plane_steps(offset: float):
 def _chunk_steps(problem: CompositeProblem):
     """The run's chunk stepper, chosen once: :func:`_plane_steps` or :func:`_numpy_steps`.
 
-    The plane step is taken where g.prox is a key of
-    :data:`~fistalab.prox._UNIT_LINES`, the gradient *is*
-    ``half_sq_dist_grad`` and 1/beta is 1, so a replaced or wrapped
-    gradient or prox, or another beta, takes the numpy step.
+    The plane step is taken where g.prox *is* fig1's
+    :func:`~fistalab.prox._unit_line_prox`, the gradient *is*
+    ``half_sq_dist_grad`` and 1/beta is 1; ``is`` neither hashes nor raises,
+    so any other callable (a wrapped one included) or beta takes the numpy step.
     """
-    prox = problem.g.prox
-    # a plain function hashes and compares by identity and takes a weak reference
-    offset = _UNIT_LINES.get(prox) if isinstance(prox, FunctionType) else None
-    if offset is not None and problem.f.gradient is half_sq_dist_grad and 1.0 / problem.f.beta == 1.0:
-        return _plane_steps(offset)
+    if problem.g.prox is _unit_line_prox and problem.f.gradient is half_sq_dist_grad and 1.0 / problem.f.beta == 1.0:
+        return _plane_steps(_unit_line().offset)
     return _numpy_steps(problem)
 
 

@@ -399,6 +399,40 @@ class TestRun:
         assert caught.value.code == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "family, params, key",
+        [
+            ("quadratic", {"dim": 3, "seed": True}, "seed"),
+            ("quadratic", {"dim": 3, "seed": -1}, "seed"),
+            ("quadratic", {"dim": True}, "dim"),
+            ("l1_quadratic", {"lam": math.inf}, "lam"),
+        ],
+        ids=["seed-true", "seed-negative", "dim-true", "lam-infinite"],
+    )
+    def test_bad_family_parameter_names_the_family_and_the_key(self, family, params, key, tmp_path, capsys):
+        # each used to run, or to fail inside numpy or the problem with no key named
+        cfg = write_config(tmp_path, problem={"family": family, "params": params}, x0=[1.0, 2.0, 3.0], s_refs=[])
+        assert run_config(cfg, output_dir=tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad parameters for family {family!r}: {key!r} is {params[key]!r}, not "), err
+        assert not (tmp_path / "out").exists()
+
+    def test_sufficient_decrease_run_leaves_numpy_ma_unloaded(self, tmp_path):
+        # np.unique without return_inverse imports numpy.ma on its first call
+        cfg = write_config(tmp_path, iterations=50, analyses=["sufficient_decrease"])
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        probe = (
+            "import sys; from fistalab.cli import main; "
+            "code = main(['run', sys.argv[1], '--output-dir', sys.argv[2]]); "
+            "print(code, 'numpy.ma' in sys.modules)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe, str(cfg), str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 False"
+
     def test_import_leaves_process_pool_unloaded(self):
         env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
         probe = "import sys, fistalab.cli; print('concurrent.futures' in sys.modules)"

@@ -21,7 +21,7 @@ from fistalab import (
     verdict,
     xi_difference,
 )
-from fistalab.checks import ANALYSES, AnalysisStream
+from fistalab.checks import _FOLDS, ANALYSES, AnalysisStream
 
 
 def synthetic_trace(xs, ts):
@@ -492,6 +492,20 @@ class TestAnalysisParameters:
         stream = AnalysisStream(feasibility_problem(), [{"name": "sufficient_decrease", "points": 0}], None)
         with pytest.raises(ValueError, match="sufficient_decrease needs points >= 1, got 0"):
             stream.start(feas_trace, feas_trace.xs[0])
+
+    @pytest.mark.parametrize("rows", [2, 3, 7, 101, 102, 1000, 100_001])
+    @pytest.mark.parametrize("points", [1, 2, 5, 99, 100, 101, 5000])
+    def test_sufficient_decrease_steps_are_npuniques(self, rows, points):
+        # the steps drop adjacent repeats of a nondecreasing grid instead of calling np.unique
+        class Rows:
+            beta = 1.0
+
+            def __len__(self):
+                return rows
+
+        fold = _FOLDS["sufficient_decrease"](Rows(), feasibility_problem(), None, np.zeros(2), probes=0, points=points)
+        want = np.unique(np.linspace(0, rows - 2, min(points, rows - 1)).astype(int))
+        assert fold.ks.dtype == want.dtype and fold.ks.tolist() == want.tolist()
 
     @pytest.mark.parametrize("name", ["cluster_products", "xi_difference", "span"])
     def test_window_that_is_not_an_integer_fails_at_set_up(self, name, feas_trace):

@@ -10,6 +10,7 @@ from fistalab import (
     project_orthant,
     soft_threshold,
 )
+from fistalab.prox import _unit_line_prox
 
 LINE = AffineHyperplane(normal=np.ones(2), offset=1.0)
 
@@ -75,6 +76,15 @@ class TestProxIndicator:
         prox = feasibility_problem().g.prox  # the line indicator's prox
         for step in (1.0, 0.01):
             assert np.allclose(prox([5.0, 0.0], step), [3.0, -2.0], atol=1e-14)
+
+    def test_unit_line_prox_is_the_line_projection_bit_for_bit(self, rng):
+        edge = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e308, -1e308]
+        vs = [np.array([a, b]) for a in edge for b in edge] + list(rng.standard_normal((1000, 2)))
+        for v in vs:
+            for step in (1.0, 0.01):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got, want = _unit_line_prox(v, step), project_hyperplane(LINE, v)
+                assert got.tobytes() == want.tobytes(), v
 
     def test_output_feasible(self, rng):
         for _ in range(20):

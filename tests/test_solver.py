@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from fistalab import (
+    AffineHyperplane,
     CompositeProblem,
     MissingSnapshotError,
     NonFiniteIterateError,
@@ -25,6 +26,7 @@ from fistalab import (
     l1_quadratic,
     nesterov_run,
     pgm_run,
+    project_hyperplane,
     random_quadratic,
     soft_threshold,
     zero_part,
@@ -416,8 +418,8 @@ class TestPlaneKernel:
         assert got.tobytes() == np.maximum(cs, 0.0).tobytes()
 
     @pytest.mark.parametrize("runner", RUNNERS)
-    def test_taken_only_for_the_registered_step(self, runner, monkeypatch):
-        """A kernel that raises surfaces on a beta = 1 feasibility run, and only there."""
+    def test_taken_only_for_fig1s_step(self, runner, monkeypatch):
+        """A kernel that raises surfaces on every beta = 1 feasibility run, and only there."""
 
         def refuse(offset):
             def steps(*args):
@@ -426,18 +428,23 @@ class TestPlaneKernel:
             return steps
 
         monkeypatch.setattr(solver, "_plane_steps", refuse)
-        feas = feasibility_problem()
-        with pytest.raises(RuntimeError, match="plane kernel taken"):
-            runner(feas, [5.0, 0.0], iterations=10)
+        feas, again = feasibility_problem(), feasibility_problem()
+        assert again.g.prox is feas.g.prox  # one module-level prox, not one per problem
+        for problem in (feas, again):
+            with pytest.raises(RuntimeError, match="plane kernel taken"):
+                runner(problem, [5.0, 0.0], iterations=10)
         halved = dataclasses.replace(feas, f=dataclasses.replace(feas.f, beta=2.0))
         wrapped = functools.wraps(half_sq_dist_grad)(lambda y: half_sq_dist_grad(y))
         rewrapped = dataclasses.replace(feas, f=dataclasses.replace(feas.f, gradient=wrapped))
         reproxed = dataclasses.replace(
             feas, g=dataclasses.replace(feas.g, prox=functools.wraps(feas.g.prox)(lambda v, step: feas.g.prox(v, step)))
         )
-        # a dataclass instance compares by value, so it is unhashable and no registry key
+        # another function onto the same line is not fig1's prox
+        line = AffineHyperplane(normal=np.ones(2), offset=1.0)
+        sameline = dataclasses.replace(feas, g=dataclasses.replace(feas.g, prox=lambda v, step: project_hyperplane(line, v)))
+        # a dataclass instance compares by value, so it is unhashable; `is` neither hashes nor raises
         unhashable = dataclasses.replace(feas, g=dataclasses.replace(feas.g, prox=CallableProx(feas.g.prox)))
-        for problem in (halved, rewrapped, reproxed, unhashable):
+        for problem in (halved, rewrapped, reproxed, sameline, unhashable):
             assert len(runner(problem, [5.0, 0.0], iterations=10)) == 11
 
     @pytest.mark.parametrize("runner", RUNNERS)
