@@ -2,16 +2,16 @@
 
 Each check turns one inequality or identity satisfied by the solver
 sequences into a pass/fail judgment with an explicit residual and, where a
-convergence proxy is involved, its window and tolerance. Tolerances on
-exact identities scale with max(1, magnitude of the participating terms)
-so that genuine violations stand out from accumulated roundoff on long
-runs. A non-finite residual or scale makes the reported value NaN, and a
-check passes only on a finite value: nothing passes vacuously. Nor does a
-check with nothing to check: a trace of fewer than two rows (three for
-``xi_monotone``, which compares steps), no probe direction
-(:func:`_directions` chooses them for every check) or no sampled step is a
-ValueError at set-up, as is a tail verdict's window or tolerance out of
-range.
+convergence proxy is involved, its window and tolerance. The identity and
+inequality checks run at the roundoff tolerance ``IDENTITY_TOL``, scaled by
+max(1, magnitude of the participating terms) so that genuine violations
+stand out from accumulated roundoff on long runs. A non-finite residual or
+scale makes the reported value NaN, and a check passes only on a finite
+value: nothing passes vacuously. Nor does a check with nothing to check: a
+trace of fewer than two rows (three for ``xi_monotone``, which compares
+steps) or no probe direction (:func:`_directions` chooses them for every
+check) is a ValueError at set-up, as is a tail verdict's window or
+tolerance out of range.
 
 Every check is a fold over the rows, in blocks of ``_CSV_CHUNK``: set up
 before the first row (every probe draw from the rng happens there, in
@@ -24,10 +24,11 @@ the fold's own block, which splits the one whole-array product ``v @ d``
 at multiples of ``_CSV_CHUNK`` from row 0. ``fistalab run`` folds the
 checks as the run builds each block (:class:`AnalysisStream`), so it
 never holds every row of x, y and z; ``ANALYSES[name]`` and
-:meth:`AnalysisStream.fold` run the same fold over a stored trace. A
-check's parameters are its fold's keyword arguments, each default written
-once, in the fold's signature; an unknown, missing or mistyped one is a
-ValueError before the first row.
+:meth:`AnalysisStream.fold` run the same fold over a stored trace. Only
+the tail verdicts and ``final_point`` take parameters, as their right
+values depend on the run or the problem: their folds' keyword arguments,
+each default written once, in the fold's signature; an unknown, missing or
+mistyped one is a ValueError before the first row.
 """
 
 from __future__ import annotations
@@ -149,8 +150,8 @@ class _Fold:
     not yet filled columns; ``len(trace)`` is the planned row count, at
     least two, so the first block holds rows 0 and 1), the problem, the
     shared ``rng`` (every draw happens here), ``x0`` and the check's
-    parameters as keyword-only arguments. ``update(trace, window,
-    lo, hi)`` then sees rows lo..hi, for consecutive blocks of
+    parameters, if any, as keyword-only arguments. ``update(trace,
+    window, lo, hi)`` then sees rows lo..hi, for consecutive blocks of
     ``_CSV_CHUNK`` rows, once the trace's columns for them are filled;
     ``window`` holds their x, y and z rows and row lo - 1 (and the three
     before it, for :func:`_products`' widening of a one-row block).
@@ -166,8 +167,7 @@ class _Fold:
 class _Structural(_Fold):
     """Rowwise residuals of the three identities tying x, y, z together."""
 
-    def __init__(self, trace, problem, rng, x0, *, tol=IDENTITY_TOL):
-        self.tol = float(tol)
+    def __init__(self, trace, problem, rng, x0):
         self.zdef = self.recur = self.convex = -math.inf
 
     def update(self, trace, window, lo, hi):
@@ -184,7 +184,7 @@ class _Structural(_Fold):
         self.convex = _max(self.convex, _worst(trace.res_convex[p:hi], convex_scale))
 
     def result(self):
-        tol = self.tol
+        tol = IDENTITY_TOL
         return [
             CheckResult("z-definition", self.zdef <= tol, self.zdef, tol=tol),
             CheckResult("z-recursion", self.recur <= tol, self.recur, tol=tol),
@@ -193,18 +193,15 @@ class _Structural(_Fold):
 
 
 class _MomentumIdentity(_Fold):
-    """Scalar momentum identity along ``count`` >= 1 probe directions (linear in d).
+    """Scalar momentum identity along 3 probe directions (linear in d).
 
     With h_k = <x_k, d>, the forward transform of h by phi = t - 1 must equal
     <z_k, d> for every k >= 1. The reference pairs come first, then seeded
-    standard normal draws up to ``count``.
+    standard normal draws up to 3.
     """
 
-    def __init__(self, trace, problem, rng, x0, *, tol=IDENTITY_TOL, count=3):
-        if count < 1:
-            raise ValueError(f"momentum_identity needs count >= 1, got {count!r}")
-        self.tol = float(tol)
-        self.directions = _directions(trace, x0.size, rng=rng, count=count)
+    def __init__(self, trace, problem, rng, x0):
+        self.directions = _directions(trace, x0.size, rng=rng, count=3)
         self.worst = [-math.inf] * len(self.directions)
         self.h_last = [None] * len(self.directions)  # h_{lo-1}, the last h of the previous block
         self.sup_x = -math.inf
@@ -224,7 +221,7 @@ class _MomentumIdentity(_Fold):
         out = []
         for i, (d, residual) in enumerate(zip(self.directions, self.worst)):
             worst = _worst(residual, np.maximum(1.0, np.linalg.norm(d) * self.sup_x))
-            out.append(CheckResult(f"momentum-identity[d{i}]", worst <= self.tol, worst, tol=self.tol))
+            out.append(CheckResult(f"momentum-identity[d{i}]", worst <= IDENTITY_TOL, worst, tol=IDENTITY_TOL))
         return out
 
 
@@ -236,17 +233,16 @@ class _RateBound(_Fold):
 
     vectors = False
 
-    def __init__(self, trace, problem, rng, x0, *, tol=IDENTITY_TOL):
+    def __init__(self, trace, problem, rng, x0):
         if trace.delta is None or problem.solution is None:
             raise ValueError("rate_bound needs a problem with known optimal value")
-        self.tol = float(tol)
         self.d0 = problem.solution.distance(x0)
         self.surrogate = not problem.solution.exact_distance
         self.excess = -math.inf
 
     def update(self, trace, window, lo, hi):
         if lo == 0:
-            self.slack = self.tol * np.maximum(1.0, trace.beta * trace.norm_x[0] ** 2)
+            self.slack = IDENTITY_TOL * np.maximum(1.0, trace.beta * trace.norm_x[0] ** 2)
         p = max(lo, 1)
         k = np.arange(p, hi, dtype=float)
         bound = 2.0 * trace.beta * self.d0**2 / (k + 1.0) ** 2 + self.slack
@@ -258,7 +254,7 @@ class _RateBound(_Fold):
                 "rate-bound",
                 self.excess <= 0.0,
                 self.excess,
-                tol=self.tol,
+                tol=IDENTITY_TOL,
                 details={"per_s_surrogate": self.surrogate},
             )
         ]
@@ -309,28 +305,34 @@ class _XiMonotone(_Fold):
         return out
 
 
+def _spaced_steps(rows: int, count: int) -> np.ndarray:
+    """min(count, rows - 1) evenly spaced steps over 0..rows - 2, increasing.
+
+    The linspace step (rows - 2) / (count - 1) is at least one, so the
+    truncated steps never repeat and need no np.unique (which imports
+    numpy.ma).
+    """
+    return np.linspace(0, rows - 2, min(count, rows - 1)).astype(int)
+
+
 class _SufficientDecrease(_Fold):
     """Per-step decrease inequality against random feasible probe points.
 
     Probes are generated through the prox map, which lands them in the
     domain of g. A probe that is not finite or has no finite objective
     value is skipped; with no usable probe left, or a non-finite slack, the
-    reported value is NaN and the check fails. The steps k checked are
-    about ``points`` >= 1 evenly spaced ones; only their rows are kept.
+    reported value is NaN and the check fails. It draws 20 probes and
+    checks min(100, rows - 1) evenly spaced steps k, at least one apart;
+    only their rows are kept.
     """
 
-    def __init__(self, trace, problem, rng, x0, *, probes=20, points=100, tol=IDENTITY_TOL):
-        if points < 1:
-            raise ValueError(f"sufficient_decrease needs points >= 1, got {points!r}")
-        self.tol = float(tol)
+    def __init__(self, trace, problem, rng, x0):
         self.beta = trace.beta
-        rows = len(trace)
-        ks = np.linspace(0, rows - 2, min(points, rows - 1)).astype(int)
-        self.ks = ks[np.diff(ks, prepend=-1) != 0]  # nondecreasing, so np.unique without its numpy.ma import
+        self.ks = _spaced_steps(len(trace), 100)
         step = 1.0 / self.beta
         spread = max(1.0, float(np.linalg.norm(x0)))
         self.probes = []
-        for _ in range(probes):
+        for _ in range(20):
             probe = np.asarray(problem.g.prox(x0 + spread * rng.standard_normal(problem.dim), step), dtype=float)
             if not np.isfinite(probe).all():
                 continue
@@ -356,7 +358,7 @@ class _SufficientDecrease(_Fold):
             slack = F_probe - F_next - 0.5 * self.beta * (d_next - d_y)
             worst_per_probe.append(np.min(slack))
         worst = -_worst(-np.array(worst_per_probe)) if worst_per_probe else math.nan
-        return [CheckResult("sufficient-decrease", worst >= -self.tol, worst, tol=self.tol)]
+        return [CheckResult("sufficient-decrease", worst >= -IDENTITY_TOL, worst, tol=IDENTITY_TOL)]
 
 
 class _GapDecay(_Fold):
@@ -364,8 +366,7 @@ class _GapDecay(_Fold):
 
     vectors = False
 
-    def __init__(self, trace, problem, rng, x0, *, tol=IDENTITY_TOL):
-        self.tol = float(tol)
+    def __init__(self, trace, problem, rng, x0):
         self.rows = len(trace)
         self.decile = self.rows // 10
         self.excess = self.first = self.last = -math.inf
@@ -379,7 +380,7 @@ class _GapDecay(_Fold):
             self.last = _max(self.last, float(np.max(trace.gap_xy[max(lo, self.rows - self.decile) : hi])))
 
     def result(self):
-        out = [CheckResult("gap-bound", self.excess <= self.tol, self.excess, tol=self.tol)]
+        out = [CheckResult("gap-bound", self.excess <= IDENTITY_TOL, self.excess, tol=IDENTITY_TOL)]
         if self.rows >= 50:
             first, last = self.first, self.last
             out.append(

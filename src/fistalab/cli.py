@@ -11,7 +11,8 @@ Subcommands:
   validate <schedule> <K>  certify a named step-parameter schedule prefix
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
-configuration error, 3 numerical abort (a non-finite iterate; the partial
+configuration error (a size too large to allocate and an unusable output
+directory included), 3 numerical abort (a non-finite iterate; the partial
 trace and a report with ``aborted_at_row`` are still written). Runs are
 deterministic for a fixed config and seed; rerunning a config reproduces
 its trace CSV byte for byte.
@@ -177,7 +178,7 @@ def run_config(config_path, output_dir=None, seed=None) -> int:
             results = analyses.results()
         except NonFiniteIterateError as exc:
             trace, aborted, results = exc.trace, exc, []
-    except (ConfigError, ValueError, KeyError, OSError) as exc:
+    except (ConfigError, ValueError, KeyError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -384,13 +385,17 @@ def main(argv=None) -> int:
             outs = _output_dirs(args.configs, args.output_dir)
             return max([run_config(c, out, args.seed) for c, out in zip(args.configs, outs)])
         if args.command == "repro-fig1":
-            repro_fig1(args.output_dir)
+            try:
+                repro_fig1(args.output_dir)
+            except OSError as exc:
+                print(f"error: cannot write artifacts: {exc}", file=sys.stderr)
+                return 2
             return 0
         if args.command == "bcch-demo":
             return bcch_demo(args.name, args.K)
         if args.command == "validate":
             return validate_command(args.name, args.K)
-    except ValueError as exc:  # a ConfigError is one
+    except (ValueError, MemoryError) as exc:  # a ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

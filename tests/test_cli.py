@@ -63,6 +63,21 @@ def write_config(path: Path, **overrides) -> Path:
     return target
 
 
+@pytest.fixture
+def steps(monkeypatch):
+    """One entry per gradient call of the feasibility problem every ``run_config`` builds."""
+    feas = feasibility_problem()
+    calls = []
+
+    def gradient(x):
+        calls.append(1)
+        return feas.f.gradient(x)
+
+    counted = dataclasses.replace(feas, f=dataclasses.replace(feas.f, gradient=gradient))
+    monkeypatch.setattr(cli, "build_problem", lambda family, params: counted)
+    return calls
+
+
 class TestRun:
     def test_successful_run_writes_artifacts(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -163,39 +178,22 @@ class TestRun:
         ],
         ids=["window", "cluster-tol", "cluster-tol-nan", "span-tol", "span-tol-nan", "xi-difference-tol"],
     )
-    def test_bad_check_parameter_fails_before_the_first_step(self, entry, message, tmp_path, monkeypatch, capsys):
+    def test_bad_check_parameter_fails_before_the_first_step(self, entry, message, tmp_path, steps, capsys):
         # the checks are set up before the run, so a window longer than half the run costs no step;
         # a bad tol used to be caught by the verdict after the whole run, leaving an empty directory
-        feas = feasibility_problem()
-        steps = []
-
-        def gradient(x):
-            steps.append(1)
-            return feas.f.gradient(x)
-
-        counted = dataclasses.replace(feas, f=dataclasses.replace(feas.f, gradient=gradient))
-        monkeypatch.setattr(cli, "build_problem", lambda family, params: counted)
         cfg = write_config(tmp_path, analyses=[entry])
         assert run_config(cfg, output_dir=tmp_path / "out") == 2
         assert message in capsys.readouterr().err
         assert steps == []
         assert not (tmp_path / "out").exists()
 
-    def test_mistyped_check_parameter_exits_two_and_keeps_the_artifacts(self, tmp_path, monkeypatch, capsys):
+    def test_mistyped_check_parameter_exits_two_and_keeps_the_artifacts(self, tmp_path, steps, capsys):
         # an unknown key used to be dropped: span ran at its default tol and passed
         out = tmp_path / "out"
         span = {"name": "span", "directions": [[1.0, -1.0]]}
         assert run_config(write_config(tmp_path, iterations=2000, analyses=[span]), output_dir=out) == 0
         before = {p.name: p.read_bytes() for p in out.iterdir()}
-        feas = feasibility_problem()
-        steps = []
-
-        def gradient(x):
-            steps.append(1)
-            return feas.f.gradient(x)
-
-        counted = dataclasses.replace(feas, f=dataclasses.replace(feas.f, gradient=gradient))
-        monkeypatch.setattr(cli, "build_problem", lambda family, params: counted)
+        steps.clear()
         mistyped = write_config(tmp_path, iterations=2000, analyses=[{**span, "tolerance": 1e-30}])
         assert run_config(mistyped, output_dir=out) == 2
         err = capsys.readouterr().err
@@ -207,9 +205,9 @@ class TestRun:
     @pytest.mark.parametrize(
         "entry",
         [
-            {"name": "structural", "tol": "1e-3"},
+            {"name": "cluster_products", "tol": "1e-3"},
             {"name": "span", "directions": [[1.0, -1.0]], "tol": "1e-3"},
-            {"name": "momentum_identity", "count": True},
+            {"name": "cluster_products", "tol": True},
         ],
     )
     def test_check_parameter_of_the_wrong_type_exits_two_before_any_output(self, entry, tmp_path, capsys):
@@ -243,30 +241,42 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "entry, iterations, message",
-        [
-            ({"name": "momentum_identity", "count": 0}, 2000, "momentum_identity needs count >= 1, got 0"),
-            ({"name": "sufficient_decrease", "points": 0}, 2000, "sufficient_decrease needs points >= 1, got 0"),
-            ("xi_monotone", 1, "xi_monotone needs at least 3 rows (two steps), got 2"),
-        ],
-        ids=["count", "points", "xi-one-step"],
+        [("xi_monotone", 1, "xi_monotone needs at least 3 rows (two steps), got 2")],
+        ids=["xi-one-step"],
     )
     def test_check_with_nothing_to_check_exits_two_before_the_first_step(
-        self, entry, iterations, message, tmp_path, monkeypatch, capsys
+        self, entry, iterations, message, tmp_path, steps, capsys
     ):
-        # count 0 used to check nothing and pass; points 0 failed only after the whole run;
         # xi_monotone on one step had no step k >= 2 to compare and passed at 0.0
-        feas = feasibility_problem()
-        steps = []
-
-        def gradient(x):
-            steps.append(1)
-            return feas.f.gradient(x)
-
-        counted = dataclasses.replace(feas, f=dataclasses.replace(feas.f, gradient=gradient))
-        monkeypatch.setattr(cli, "build_problem", lambda family, params: counted)
         cfg = write_config(tmp_path, iterations=iterations, analyses=["structural", entry])
         assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+        assert steps == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "name, key, value",
+        [
+            ("structural", "tol", 1e300),
+            ("momentum_identity", "tol", 1e-3),
+            ("momentum_identity", "count", 3),
+            ("rate_bound", "tol", 1e-3),
+            ("sufficient_decrease", "tol", 1e-3),
+            ("sufficient_decrease", "probes", 5),
+            ("sufficient_decrease", "points", 100),
+            ("gap_decay", "tol", 1e-3),
+        ],
+    )
+    def test_fixed_check_constant_in_a_config_exits_two_before_the_first_step(
+        self, name, key, value, tmp_path, steps, capsys
+    ):
+        # the identity and inequality checks run at IDENTITY_TOL, 3 directions, 20 probes and
+        # 100 steps; a structural tol of 1e300 used to pass any finite residual
+        cfg = write_config(tmp_path, analyses=["structural", {"name": name, key: value}])
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: bad parameters for analysis {name!r}: " in err
+        assert f"unexpected keyword argument {key!r}" in err
         assert steps == []
         assert not (tmp_path / "out").exists()
 
@@ -286,7 +296,7 @@ class TestRun:
 
     def test_seed_override_changes_probe_draws_not_trace(self, tmp_path):
         cfg = write_config(
-            tmp_path, analyses=["structural", {"name": "sufficient_decrease", "probes": 5}]
+            tmp_path, analyses=["structural", "sufficient_decrease"]
         )
         assert run_config(cfg, output_dir=tmp_path / "a", seed=1) == 0
         assert run_config(cfg, output_dir=tmp_path / "b", seed=2) == 0
@@ -562,6 +572,12 @@ class TestReproFig1:
         assert old.read_text() == "previous\n"
         assert [p.name for p in tmp_path.iterdir()] == ["fig1_points.dat"]
 
+    def test_unusable_output_dir_exits_two(self, tmp_path, capsys):
+        # a directory below a regular file used to end in a NotADirectoryError traceback and exit 1
+        (tmp_path / "F").write_text("")
+        assert main(["repro-fig1", "--output-dir", str(tmp_path / "F" / "sub")]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write artifacts: ")
+
 
 class TestBcchDemo:
     def test_sinh_scenario(self, capsys):
@@ -662,6 +678,27 @@ class TestValidate:
         finally:
             tracemalloc.stop()
         assert peak <= 8.5 * 8 * (count + 1), f"peak {peak / (8 * (count + 1)):.2f} arrays"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "bt", "{big}"],
+        ["validate", "linear", "{big}"],
+        ["bcch-demo", "ex42", "{big}"],
+        ["run", "{config}", "--output-dir", "{out}"],
+    ],
+    ids=["validate-bt", "validate-linear", "bcch-demo", "run"],
+)
+def test_size_too_large_to_allocate_exits_two(argv, tmp_path, capsys):
+    # numpy refuses the 73 TiB array at once, allocating nothing; its MemoryError used to
+    # end in a traceback and exit 1, which means INVALID for validate and a failed check for run
+    big = 10**13
+    config = write_config(tmp_path, iterations=big)
+    args = [a.format(big=big, config=config, out=tmp_path / "out") for a in argv]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: Unable to allocate ")
+    assert not (tmp_path / "out").exists()
 
 
 class TestAtomicArtifacts:

@@ -21,7 +21,7 @@ from fistalab import (
     verdict,
     xi_difference,
 )
-from fistalab.checks import _FOLDS, ANALYSES, AnalysisStream
+from fistalab.checks import _FOLDS, ANALYSES, AnalysisStream, _spaced_steps
 
 
 def synthetic_trace(xs, ts):
@@ -115,9 +115,7 @@ class TestMomentumIdentity:
 
     def test_check_probes_pair_then_seeded_draws(self, feas_trace):
         # two s_refs give one pair direction; the rest are standard normal draws
-        results = ANALYSES["momentum_identity"](
-            feas_trace, None, {"count": 3}, np.random.default_rng(3)
-        )
+        results = ANALYSES["momentum_identity"](feas_trace, None, {}, np.random.default_rng(3))
         draws = np.random.default_rng(3)
         s0, s1 = feas_trace.s_refs
         directions = [s0 - s1, draws.standard_normal(2), draws.standard_normal(2)]
@@ -125,12 +123,6 @@ class TestMomentumIdentity:
         for r, d in zip(results, directions, strict=True):
             scale = max(1.0, float(np.linalg.norm(d)) * sup_x)
             assert r.residual_or_oscillation == momentum_identity_residual(feas_trace, d) / scale
-
-    @pytest.mark.parametrize("count", [0, -2])
-    def test_count_below_one_is_rejected(self, count, feas_trace):
-        # a count of 0 used to check nothing and pass; -2 dropped directions from the end
-        with pytest.raises(ValueError, match=rf"momentum_identity needs count >= 1, got {count}"):
-            ANALYSES["momentum_identity"](feas_trace, None, {"count": count}, np.random.default_rng(3))
 
     @pytest.mark.parametrize("run", ["pgm", "t0-below-one"])
     def test_fold_equals_the_residual_where_phi_is_zero_or_negative(self, run):
@@ -145,7 +137,7 @@ class TestMomentumIdentity:
             ts[0] = 1.0 - 1e-13
             trace = fista_run(feas, [5.0, 0.0], ts, 5000, s_refs=refs)
         assert np.min(trace.ts[:-1] - 1.0) <= 0.0
-        results = ANALYSES["momentum_identity"](trace, None, {"count": 3}, np.random.default_rng(3))
+        results = ANALYSES["momentum_identity"](trace, None, {}, np.random.default_rng(3))
         draws = np.random.default_rng(3)
         s0, s1 = trace.s_refs
         directions = [s0 - s1, draws.standard_normal(2), draws.standard_normal(2)]
@@ -303,9 +295,9 @@ class TestNoVacuousPass:
         }
         json.dumps([r.to_json() for r in results.values()], allow_nan=False)
 
-    def sufficient_decrease(self, trace, probes=20):
+    def sufficient_decrease(self, trace, problem=None):
         check = ANALYSES["sufficient_decrease"]
-        (result,) = check(trace, feasibility_problem(), {"probes": probes}, np.random.default_rng(0))
+        (result,) = check(trace, problem or feasibility_problem(), {}, np.random.default_rng(0))
         return result
 
     def test_sufficient_decrease_passes_with_probes(self, feas_trace):
@@ -314,7 +306,10 @@ class TestNoVacuousPass:
         assert math.isfinite(result.residual_or_oscillation)
 
     def test_sufficient_decrease_without_probes_fails(self, feas_trace):
-        result = self.sufficient_decrease(feas_trace, probes=0)
+        # every probe is drawn through g's prox; a prox that gives NaN leaves no usable probe
+        feas = feasibility_problem()
+        nan_prox = dataclasses.replace(feas.g, prox=lambda v, step: np.full(np.shape(v), np.nan))
+        result = self.sufficient_decrease(feas_trace, dataclasses.replace(feas, g=nan_prox))
         assert not result.passed
         assert math.isnan(result.residual_or_oscillation)
 
@@ -475,11 +470,11 @@ class TestAnalysisParameters:
     @pytest.mark.parametrize(
         "entry, key",
         [
-            ({"name": "structural", "tol": "1e-3"}, "tol"),
+            ({"name": "cluster_products", "tol": "1e-3"}, "tol"),
             ({"name": "span", "directions": PROBE, "tol": "1e-3"}, "tol"),
             ({"name": "span", "directions": [[1.0, None]]}, "directions"),
-            ({"name": "momentum_identity", "count": "3"}, "count"),
-            ({"name": "momentum_identity", "count": True}, "count"),
+            ({"name": "cluster_products", "window": "100"}, "window"),
+            ({"name": "cluster_products", "tol": True}, "tol"),
         ],
     )
     def test_value_that_is_not_a_real_number_fails_before_the_fold(self, entry, key):
@@ -487,25 +482,23 @@ class TestAnalysisParameters:
         with pytest.raises(ValueError, match=rf"bad parameters for analysis '{entry['name']}': '{key}' is "):
             AnalysisStream(feasibility_problem(), [entry], np.random.default_rng(0))
 
-    def test_sufficient_decrease_without_points_fails_at_set_up(self, feas_trace):
-        # points = 0 used to run the whole fold and then fail on numpy's empty minimum
-        stream = AnalysisStream(feasibility_problem(), [{"name": "sufficient_decrease", "points": 0}], None)
-        with pytest.raises(ValueError, match="sufficient_decrease needs points >= 1, got 0"):
-            stream.start(feas_trace, feas_trace.xs[0])
-
     @pytest.mark.parametrize("rows", [2, 3, 7, 101, 102, 1000, 100_001])
     @pytest.mark.parametrize("points", [1, 2, 5, 99, 100, 101, 5000])
     def test_sufficient_decrease_steps_are_npuniques(self, rows, points):
-        # the steps drop adjacent repeats of a nondecreasing grid instead of calling np.unique
+        # min(points, rows - 1) steps over 0..rows - 2 lie at least one apart, so none repeats
+        # and no np.unique (which imports numpy.ma) is needed; the fold takes 100 of them
         class Rows:
             beta = 1.0
 
             def __len__(self):
                 return rows
 
-        fold = _FOLDS["sufficient_decrease"](Rows(), feasibility_problem(), None, np.zeros(2), probes=0, points=points)
+        ks = _spaced_steps(rows, points)
         want = np.unique(np.linspace(0, rows - 2, min(points, rows - 1)).astype(int))
-        assert fold.ks.dtype == want.dtype and fold.ks.tolist() == want.tolist()
+        assert ks.dtype == want.dtype and ks.tolist() == want.tolist()
+        assert (np.diff(ks) > 0).all()
+        fold = _FOLDS["sufficient_decrease"](Rows(), feasibility_problem(), np.random.default_rng(0), np.zeros(2))
+        assert fold.ks.dtype == ks.dtype and fold.ks.tolist() == _spaced_steps(rows, 100).tolist()
 
     @pytest.mark.parametrize("name", ["cluster_products", "xi_difference", "span"])
     def test_window_that_is_not_an_integer_fails_at_set_up(self, name, feas_trace):
@@ -517,7 +510,7 @@ class TestAnalysisParameters:
     @pytest.mark.parametrize(
         "entry, message",
         [
-            ({"name": "structural", "tol": [1e-3]}, r"analysis 'structural': float\(\) argument"),
+            ({"name": "cluster_products", "tol": [1e-3]}, r"analysis 'cluster_products': float\(\) argument"),
             ({"name": "span", "tol": [1e-3]}, r"analysis 'span': float\(\) argument"),
             ({"name": "final_point", "target": [0.0, 1.0], "tol": [1e-3]}, r"analysis 'final_point': float\(\) argument"),
             ({"name": "final_point", "target": [0.0, 1.0, 0.0], "tol": 1e-3}, "expected dimension 2, got 3"),
