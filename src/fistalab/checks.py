@@ -9,9 +9,9 @@ stand out from accumulated roundoff on long runs. A non-finite residual or
 scale makes the reported value NaN, and a check passes only on a finite
 value: nothing passes vacuously. Nor does a check with nothing to check: a
 trace of fewer than two rows (three for ``xi_monotone``, which compares
-steps) or no probe direction (:func:`_directions` chooses them for every
-check) is a ValueError at set-up, as is a tail verdict's window or
-tolerance out of range.
+steps) or no probe direction, or a zero one (:func:`_directions`), is a
+ValueError at set-up, as is a tail verdict's window or tolerance out of
+range.
 
 Every check is a fold over the rows, in blocks of ``_CSV_CHUNK``: set up
 before the first row (every probe draw from the rng happens there, in
@@ -39,8 +39,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .diagnostics import check_tail, orthonormal_span_basis, tail_verdict
-from .problem import CompositeProblem, as_vector, eval_F
+from .diagnostics import _RANK_TOL, check_tail, orthonormal_span_basis, tail_verdict
+from .problem import CompositeProblem, _objective_rows, as_vector
 from .scalar_transform import forward_transform
 from .solver import _CSV_CHUNK, RowWindow, Trace, tag_nonfinite, z_recursion
 
@@ -128,18 +128,25 @@ class _Tail:
         )
 
 
-def _directions(trace: Trace, dim: int, directions=None, rng=None, count=None) -> list:
+def _directions(name: str, trace: Trace, dim: int, directions=None, rng=None, count=None) -> list:
     """Probe directions of size ``dim``, at least one: the given ones, else s_i - s_j for every
-    pair i < j of s_refs, then standard normal draws from ``rng`` up to ``count``."""
+    pair i < j of s_refs, then standard normal draws from ``rng`` up to ``count``; a zero one
+    (to span's rank tolerance) is a ValueError naming check ``name``."""
     if directions is None:
         refs = () if trace.s_refs is None else trace.s_refs
-        directions = [refs[i] - refs[j] for i in range(len(refs)) for j in range(i + 1, len(refs))]
-        while count is not None and len(directions) < count:
-            directions.append(rng.standard_normal(dim))
-        directions = directions[:count]
-    directions = [as_vector(d, dim) for d in directions]
+        named = {f"s{i} - s{j}": refs[i] - refs[j] for i in range(len(refs)) for j in range(i + 1, len(refs))}
+    else:
+        named = {f"d{i}": as_vector(d, dim) for i, d in enumerate(directions)}
+    for label, d in named.items():
+        norm = float(np.linalg.norm(d))
+        if not norm > _RANK_TOL * max(1.0, norm):
+            raise ValueError(f"{name}: direction {label} has norm {norm:g}, below the rank tolerance")
+    directions = list(named.values())
+    while count is not None and len(directions) < count:
+        directions.append(rng.standard_normal(dim))
+    directions = directions[:count]
     if not directions:
-        raise ValueError("check needs explicit directions or at least two s_refs")
+        raise ValueError(f"{name} needs explicit directions or at least two s_refs")
     return directions
 
 
@@ -201,7 +208,7 @@ class _MomentumIdentity(_Fold):
     """
 
     def __init__(self, trace, problem, rng, x0):
-        self.directions = _directions(trace, x0.size, rng=rng, count=3)
+        self.directions = _directions("momentum_identity", trace, x0.size, rng=rng, count=3)
         self.worst = [-math.inf] * len(self.directions)
         self.h_last = [None] * len(self.directions)  # h_{lo-1}, the last h of the previous block
         self.sup_x = -math.inf
@@ -319,9 +326,10 @@ class _SufficientDecrease(_Fold):
     """Per-step decrease inequality against random feasible probe points.
 
     Probes are generated through the prox map, which lands them in the
-    domain of g. A probe that is not finite or has no finite objective
-    value is skipped; with no usable probe left, or a non-finite slack, the
-    reported value is NaN and the check fails. It draws 20 probes and
+    domain of g. A probe that is not finite or whose objective value is
+    not finite (+inf, or NaN where f overflows) is skipped; with no usable
+    probe left, or a non-finite slack, the reported value is NaN and the
+    check fails. It draws 20 probes and
     checks min(100, rows - 1) evenly spaced steps k, at least one apart;
     only their rows are kept.
     """
@@ -336,7 +344,7 @@ class _SufficientDecrease(_Fold):
             probe = np.asarray(problem.g.prox(x0 + spread * rng.standard_normal(problem.dim), step), dtype=float)
             if not np.isfinite(probe).all():
                 continue
-            F_probe = eval_F(problem, probe)
+            F_probe = float(_objective_rows(problem, as_vector(probe, problem.dim)[None, :], strict=False)[0])
             if not np.isfinite(F_probe):
                 continue  # prox should land in dom g; stay safe regardless
             self.probes.append((probe, F_probe))
@@ -424,10 +432,10 @@ class _BoundedIterates(_Fold):
 class _ClusterProducts(_Fold):
     """Verdicts on <x_k, d> for each probe direction d, by default w1 - w2 for every pair of reference solutions."""
 
-    claim = "cluster-product[d{}]"
+    name, claim = "cluster_products", "cluster-product[d{}]"
 
     def __init__(self, trace, problem, rng, x0, *, window=100, tol=1e-6, directions=None):
-        self.directions = _directions(trace, x0.size, directions)
+        self.directions = _directions(self.name, trace, x0.size, directions)
         self.tails = [_Tail(window, len(trace), float(tol)) for _ in self.directions]
 
     def update(self, trace, window, lo, hi):
@@ -446,6 +454,7 @@ class _XiDifference(_Fold):
     def __init__(self, trace, problem, rng, x0, *, window=100, tol=1e-6):
         if trace.xi is None or trace.xi.shape[1] < 2:
             raise ValueError("xi_difference needs at least two xi columns")
+        _directions("xi_difference", trace, x0.size)  # refuses a repeated reference point
         m = trace.xi.shape[1]
         self.pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
         self.tails = [_Tail(window, len(trace) - 1, float(tol)) for _ in self.pairs]
@@ -468,10 +477,10 @@ class _XiDifference(_Fold):
 class _Span(_ClusterProducts):
     """Projection onto span of probe directions: projector laws, then cluster-product verdicts on its basis."""
 
-    claim = "span-coefficient[{}]"
+    name, claim = "span", "span-coefficient[{}]"
 
     def __init__(self, trace, problem, rng, x0, *, window=100, tol=1e-6, directions=None):
-        basis = orthonormal_span_basis(_directions(trace, x0.size, directions))
+        basis = orthonormal_span_basis(_directions(self.name, trace, x0.size, directions))
         proj = basis.T @ basis
         idem = 0.0
         adj = 0.0

@@ -30,6 +30,7 @@ __all__ = [
 
 DEFAULT_WINDOW = 100
 DEFAULT_TOL = 1e-6
+_RANK_TOL = 1e-10  # a vector within _RANK_TOL * max(1, ||v||) of a span adds no rank to it
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,7 +157,7 @@ def orthonormal_span_basis(vectors: Sequence) -> np.ndarray:
             for b in basis:
                 r -= (r @ b) * b
         norm = float(np.linalg.norm(r))
-        if norm > 1e-10 * max(1.0, float(np.linalg.norm(v))):
+        if norm > _RANK_TOL * max(1.0, float(np.linalg.norm(v))):
             basis.append(r / norm)
     if not basis:
         raise ValueError("spanning set has no vector above the rank tolerance")

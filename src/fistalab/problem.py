@@ -163,21 +163,22 @@ def _part_values(value, xs: np.ndarray, part: str) -> np.ndarray:
     return vals
 
 
-def _objective_rows(problem: CompositeProblem, xs: np.ndarray) -> np.ndarray:
+def _objective_rows(problem: CompositeProblem, xs: np.ndarray, strict: bool = True) -> np.ndarray:
     """F = f + g on every row of the finite ``(n, dim)`` array ``xs``.
 
     Rows where g = +inf give +inf without evaluating f there, so no inf
-    arithmetic is ever performed. NaN from either part is a hard error.
+    arithmetic is ever performed. NaN from either part is a hard error, or,
+    with ``strict`` false, that row's value.
     """
     gv = _part_values(problem.g.value, xs, "nonsmooth part")
-    if np.isnan(gv).any():
+    if strict and np.isnan(gv).any():
         raise ValueError("nonsmooth part evaluated to NaN")
     out = np.full(xs.shape[0], math.inf)
     dom = gv != math.inf
     if dom.any():
         inside = xs if dom.all() else xs[dom]
         out[dom] = _part_values(problem.f.value, inside, "smooth part") + gv[dom]
-        if np.isnan(out).any():
+        if strict and np.isnan(out).any():
             raise ValueError("objective evaluated to NaN")
     return out
 

@@ -11,9 +11,10 @@ Violation checks use residuals scaled by max(1, t^2) because the raw
 quadratic residual necessarily grows like eps * t^2 in double precision.
 
 Both conditions and their tolerances live in :func:`validate_schedule`
-alone: a :class:`Schedule` generates the terms it is asked for and
-certifies the whole prefix with one call to it. Each kind of violation is
-one (k, residual) record array: no Python object per failing index.
+alone: :meth:`Schedule.prefix` generates the terms it is asked for and
+certifies them with one call to it on every request; nothing is cached.
+Each kind of violation is one (k, residual) record array: no Python
+object per failing index.
 """
 
 from __future__ import annotations
@@ -125,34 +126,23 @@ def validate_schedule(ts) -> ScheduleReport:
 
 
 class Schedule:
-    """Certified prefix of a step-parameter sequence, cached for its longest request.
+    """A step-parameter sequence, certified prefix by prefix.
 
-    ``rule`` is "bt" (quadratic recursion at equality, through
-    :func:`bt_next`), "linear" ((k + 2) / 2 growth, the values of
-    :func:`linear_half`), or "explicit" with at least two user-supplied
-    values. A request past the cached prefix generates the whole new one
-    from t_0 = 1 and certifies it with :func:`validate_schedule`, so an
-    instance only ever holds an admissible prefix; a violation, or asking
-    for more terms than an explicit rule provides, is a
-    :class:`ScheduleError`. Generation is single-writer; an already
-    generated prefix may be shared read-only.
+    ``spec`` is what a config's ``schedule`` key holds: "bt" (quadratic
+    recursion at equality, through :func:`bt_next`), "linear" ((k + 2) / 2
+    growth, the values of :func:`linear_half`), or a sequence of at least
+    two terms, kept as a read-only copy under ``rule`` "explicit".
     """
 
-    def __init__(self, rule: str = "bt", values=None):
-        if rule in ("bt", "linear"):
-            if values is not None:
-                raise ValueError(f"rule {rule!r} does not take explicit values")
-            self._explicit = None
-        elif rule == "explicit":
-            if values is None:
-                raise ValueError("explicit rule needs values")
-            self._explicit = np.array(values, dtype=float)
+    def __init__(self, spec):
+        self.rule, self._explicit = spec, None
+        if not isinstance(spec, str):
+            self.rule, self._explicit = "explicit", np.array(spec, dtype=float)
             if self._explicit.ndim != 1 or self._explicit.size < 2:
-                raise ValueError("explicit values must be a 1-D sequence of at least two terms")
-        else:
-            raise ValueError(f"unknown schedule rule {rule!r}")
-        self.rule = rule
-        self._ts = np.empty(0)
+                raise ValueError("an explicit schedule must be a 1-D sequence of at least two terms")
+            self._explicit.flags.writeable = False
+        elif spec not in ("bt", "linear"):
+            raise ValueError(f"unknown schedule rule {spec!r}")
 
     def _generate(self, k_max: int) -> np.ndarray:
         """t_0..t_{k_max}, or as many as an explicit rule has; "linear" halves exact integers
@@ -171,26 +161,24 @@ class Schedule:
         return ts
 
     def prefix(self, k_max: int) -> np.ndarray:
-        """Return t_0..t_{k_max} as a read-only view of the cache, generated anew past its end."""
+        """t_0..t_{k_max}, generated from t_0 = 1 and certified with :func:`validate_schedule`.
+
+        A violation, or asking for more terms than an explicit rule has, is
+        a :class:`ScheduleError`. An explicit prefix is a read-only view.
+        """
         if k_max < 0:
             raise ValueError("k_max must be nonnegative")
-        if self._ts.size <= k_max:
-            ts = self._generate(max(k_max, 1))
-            report = validate_schedule(ts)
-            if not report.valid:
-                k, condition = min(
-                    [(k, "growth") for k, _ in report.growth_violations[:1]]
-                    + [(k + 1, "quadratic") for k, _ in report.quadratic_violations[:1]]
-                )
-                raise ScheduleError(f"{condition} condition violated at k={k}: t={float(ts[k])}")
-            if ts.size <= k_max:
-                raise ScheduleError(
-                    f"explicit schedule has {ts.size} entries; index {ts.size} requested"
-                )
-            self._ts = ts
-        view = self._ts[: k_max + 1]
-        view.flags.writeable = False
-        return view
+        ts = self._generate(max(k_max, 1))
+        report = validate_schedule(ts)
+        if not report.valid:
+            k, condition = min(
+                [(k, "growth") for k, _ in report.growth_violations[:1]]
+                + [(k + 1, "quadratic") for k, _ in report.quadratic_violations[:1]]
+            )
+            raise ScheduleError(f"{condition} condition violated at k={k}: t={float(ts[k])}")
+        if ts.size <= k_max:
+            raise ScheduleError(f"explicit schedule has {ts.size} entries; index {ts.size} requested")
+        return ts[: k_max + 1]
 
 
 @dataclass(frozen=True)

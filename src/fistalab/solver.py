@@ -20,7 +20,8 @@ x_1 is that step from x_0). A run steps in numpy, except fig1's step
 no numpy call per row, bit-equal to the numpy step (``_plane_steps``).
 The core aborts with :class:`NonFiniteIterateError` at the first
 non-finite extrapolation point y_{k+1} (a non-finite x_{k+1} always makes
-y_{k+1} non-finite too).
+y_{k+1} non-finite too), or at an earlier row whose objective value is NaN
+at a finite x (f overflowing to inf - inf, say).
 One loop, in ``_run``, walks a run's rows, one chunk of ``_CSV_CHUNK``
 rows per pass: it steps to the end of the chunk and checks finiteness
 once, so at most ``_CSV_CHUNK - 1`` steps past that row are computed, on
@@ -234,14 +235,14 @@ class RowWindow:
 
 
 class NonFiniteIterateError(RuntimeError):
-    """An iteration produced a non-finite point.
+    """An iteration produced a non-finite point, or an objective value of NaN at a finite one.
 
     The partial trace, including the offending row, is attached for
     diagnosis.
     """
 
-    def __init__(self, row: int, trace: "Trace"):
-        super().__init__(f"non-finite iterate at row {row}")
+    def __init__(self, row: int, trace: "Trace", what: str = "non-finite iterate"):
+        super().__init__(f"{what} at row {row}")
         self.row = row
         self.trace = trace
 
@@ -572,7 +573,7 @@ def _empty_trace(
     )
 
 
-def _fill_rows(trace: Trace, window: RowWindow, problem: CompositeProblem, lo: int, hi: int) -> None:
+def _fill_rows(trace: Trace, window: RowWindow, problem: CompositeProblem, lo: int, hi: int) -> Optional[int]:
     """Compute the derived columns of rows lo..hi in place from the x and y rows of ``window``.
 
     Every column is row-local or reads row k - 1 too, so row lo - 1 is
@@ -581,7 +582,7 @@ def _fill_rows(trace: Trace, window: RowWindow, problem: CompositeProblem, lo: i
     ``_CSV_CHUNK`` finite rows, or over every row up to ``hi`` when there
     are fewer: a BLAS-backed objective may round a handful of rows
     differently, so this keeps each F bit equal to one evaluation over the
-    whole trace.
+    whole trace. Returns the first of rows lo..hi whose F is NaN, or None.
     """
     beta = trace.beta
     w = max(lo - 1, 0)
@@ -594,7 +595,7 @@ def _fill_rows(trace: Trace, window: RowWindow, problem: CompositeProblem, lo: i
     f_rows = window.x(f_lo, hi)
     finite = np.isfinite(f_rows).all(axis=1)
     F = np.full(hi - f_lo, np.nan)  # an aborted row stays NaN
-    F[finite] = _objective_rows(problem, f_rows[finite])
+    F[finite] = _objective_rows(problem, f_rows[finite], strict=False)
     trace.F_x[lo:hi] = F[lo - f_lo :]
     if trace.delta is not None:
         trace.delta[lo:hi] = trace.F_x[lo:hi] - trace.mu
@@ -627,14 +628,8 @@ def _fill_rows(trace: Trace, window: RowWindow, problem: CompositeProblem, lo: i
     trace.gap_xy[lo:hi] = np.linalg.norm(ys[new] - xs[new], axis=1)
     trace.norm_x[lo:hi] = np.linalg.norm(xs[new], axis=1)
     trace.norm_z[lo:hi] = np.linalg.norm(zs[new], axis=1)
-
-
-def _coerce_schedule(schedule) -> Schedule:
-    if isinstance(schedule, Schedule):
-        return schedule
-    if isinstance(schedule, str):
-        return Schedule(rule=schedule)
-    return Schedule(rule="explicit", values=schedule)
+    nan_F = np.isnan(trace.F_x[lo:hi])
+    return lo + int(np.argmax(nan_F)) if nan_F.any() else None
 
 
 def _run(
@@ -673,6 +668,7 @@ def _run(
         analyses.start(trace, x0)  # every probe draw, before the first row
     steps = _chunk_steps(problem)
     snapshots = []
+    what = "non-finite iterate"
     # a non-finite value ends the run as NonFiniteIterateError and stays in
     # the trace, so numpy's overflow and invalid-value warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
@@ -682,7 +678,9 @@ def _run(
                 window.slide(max(lo - _CSV_CHUNK, 0), lo)
             bad_row = _iterate(steps, ts, window, max(lo - 1, 0), hi - 1)
             top = hi if bad_row is None else bad_row + 1
-            _fill_rows(trace, window, problem, lo, top)
+            nan_row = _fill_rows(trace, window, problem, lo, top)
+            if nan_row is not None and nan_row != bad_row:  # a NaN F at a finite x, before any bad y
+                bad_row, top, what = nan_row, nan_row + 1, "objective evaluated to NaN"
             if streamed:
                 if bad_row is None:  # no caller reads the checks of an aborted run
                     analyses.update(trace, window, lo, top)
@@ -699,7 +697,7 @@ def _run(
     if bad_row is not None:
         # copies, so the partial trace does not hold the whole preallocation
         kept = {name: getattr(trace, name)[:top].copy() for name in _ROW_COLUMNS if getattr(trace, name) is not None}
-        raise NonFiniteIterateError(bad_row, dataclasses.replace(trace, **kept))
+        raise NonFiniteIterateError(bad_row, dataclasses.replace(trace, **kept), what)
     return trace
 
 
@@ -715,18 +713,18 @@ def fista_run(
 ) -> Trace:
     """Accelerated proximal gradient run with a full diagnostic trace.
 
-    The schedule (a :class:`Schedule`, a rule name, or an explicit value
-    sequence) is certified over 0..iterations before the first step; the
-    extrapolation point starts at x0. Reference points in ``s_refs`` must
-    be minimizers when the optimal value is known; each contributes an xi
-    column to the trace. A non-finite iterate aborts the run with
-    :class:`NonFiniteIterateError`, the offending row retained in the
-    attached partial trace. Given ``analyses``, their checks are folded
+    The schedule (a :class:`Schedule`, or its ``spec``: a rule name or an
+    explicit value sequence) is certified over 0..iterations before the
+    first step; the extrapolation point starts at x0. Reference points in
+    ``s_refs`` must be minimizers when the optimal value is known; each
+    contributes an xi column to the trace. A non-finite iterate, or a NaN
+    objective value, aborts the run with :class:`NonFiniteIterateError`,
+    the offending row retained in the attached partial trace. Given ``analyses``, their checks are folded
     over the rows as the run goes (read them with its ``results``), and the
     trace keeps no per-row vectors, only its snapshot rows; without, it
     keeps every row of x, y and z.
     """
-    sched = _coerce_schedule(schedule)
+    sched = schedule if isinstance(schedule, Schedule) else Schedule(schedule)
     ts = sched.prefix(iterations)  # raises ScheduleError before any iteration
     return _run(problem, x0, iterations, ts, "fista", sched.rule, s_refs, snapshot_every, analyses)
 
@@ -777,6 +775,6 @@ def nesterov_run(
     """
     x0 = as_vector(x0, problem.dim)
     _require_zero_g(problem, x0)
-    sched = _coerce_schedule(schedule)
+    sched = schedule if isinstance(schedule, Schedule) else Schedule(schedule)
     ts = sched.prefix(iterations)
     return _run(problem, x0, iterations, ts, "nesterov", sched.rule, s_refs, snapshot_every, analyses)

@@ -15,6 +15,7 @@ import pytest
 from fistalab import (
     NonFiniteIterateError,
     NonsmoothPart,
+    Schedule,
     Trace,
     cli,
     feasibility_problem,
@@ -142,6 +143,16 @@ class TestRun:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_schedule_list_object_and_config_array_give_one_trace(self, tmp_path):
+        values = Schedule("bt").prefix(50).tolist()
+        cfg = write_config(tmp_path, schedule=values, iterations=50, analyses=["structural"])
+        assert run_config(cfg, output_dir=tmp_path / "out") == 0
+        from_config = Trace.load(tmp_path / "out")
+        for spec in (values, Schedule(values)):
+            trace = fista_run(feasibility_problem(), [5.0, 0.0], spec, 50, s_refs=[[0.0, 1.0]])
+            assert trace.schedule_id == from_config.schedule_id == "explicit"
+            assert trace.ts.tobytes() == from_config.ts.tobytes()
+
     def test_unknown_family_exits_two(self, tmp_path):
         # the feasibility line and the quadratic spectrum are fixed, so a config that sets them is refused
         for problem in [
@@ -251,6 +262,28 @@ class TestRun:
         cfg = write_config(tmp_path, iterations=iterations, analyses=["structural", entry])
         assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+        assert steps == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "s_refs, entry, message",
+        [
+            (None, {"name": "cluster_products", "directions": [[0.0, 0.0]]}, "cluster_products: direction d0"),
+            ([[0.5, 0.5], [0.5, 0.5]], "xi_difference", "xi_difference: direction s0 - s1"),
+            ([[0.5, 0.5], [0.5, 0.5]], "cluster_products", "cluster_products: direction s0 - s1"),
+            ([[0.5, 0.5], [0.5, 0.5]], "momentum_identity", "momentum_identity: direction s0 - s1"),
+        ],
+        ids=["zero-direction", "xi-difference", "cluster-products", "momentum-identity"],
+    )
+    def test_zero_direction_or_repeated_reference_point_exits_two_before_the_first_step(
+        self, s_refs, entry, message, tmp_path, steps, capsys
+    ):
+        # every product along a zero direction, and every xi difference of one point, is
+        # exactly 0.0, so each of these checks used to pass
+        repeated = {} if s_refs is None else {"s_refs": s_refs}
+        cfg = write_config(tmp_path, iterations=300, analyses=["structural", entry], **repeated)
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+        assert f"error: {message} has norm 0, below the rank tolerance" in capsys.readouterr().err
         assert steps == []
         assert not (tmp_path / "out").exists()
 
@@ -476,6 +509,30 @@ class TestNumericalAbort:
         rows = (tmp_path / "out" / "trace.csv").read_text().strip().split("\n")
         assert len(rows) == 3  # header, row 0, offending row 1
         assert (tmp_path / "out" / "snapshots.json").exists()
+
+    @pytest.mark.parametrize(
+        "x0, analyses",
+        [
+            ([1e200, 1e200], ["structural"]),
+            ([1e155, 1e155], ["sufficient_decrease"]),
+            ([1e170, 1e170], ["sufficient_decrease"]),
+        ],
+    )
+    def test_nan_objective_at_a_finite_start_exits_three_at_row_zero(self, x0, analyses, tmp_path, capsys):
+        # f overflows to inf - inf at x0; this used to exit 2 as a configuration error and write nothing
+        problem = {"family": "quadratic", "params": {"dim": 2}}
+        cfg = write_config(tmp_path, problem=problem, x0=x0, iterations=10, s_refs=[], analyses=analyses)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_config(cfg, output_dir=tmp_path / "out") == 3
+        err_lines = capsys.readouterr().err.splitlines()
+        assert [line for line in err_lines if line.startswith("error:")] == [
+            f"error: objective evaluated to NaN at row 0; partial trace saved to {tmp_path / 'out'}"
+        ]
+        report = strict_json((tmp_path / "out" / "report.json").read_text())
+        assert report["aborted_at_row"] == 0 and report["checks"] == []
+        rows = (tmp_path / "out" / "trace.csv").read_text().strip().split("\n")
+        assert len(rows) == 2  # header and row 0
 
     def test_main_returns_three(self, tmp_path):
         cfg = self.overflowing_config(tmp_path)

@@ -221,10 +221,11 @@ def cluster_products(trace, pairs, window, tol):
 
 
 class TestClusterProducts:
-    def test_identical_pair_trivially_converges(self, feas_trace):
+    def test_identical_pair_is_refused(self, feas_trace):
+        # its products are all 0.0, so the verdict used to pass at any tol
         w = np.array([0.3, 0.7])
-        results = cluster_products(feas_trace, [(w, w)], window=50, tol=0.0)
-        assert [r.passed for r in results] == [True]
+        with pytest.raises(ValueError, match="cluster_products: direction d0 has norm 0, below the rank tolerance"):
+            cluster_products(feas_trace, [(w, w)], window=50, tol=0.0)
 
     def test_segment_endpoints_converge(self, feas_trace):
         results = cluster_products(
@@ -313,6 +314,20 @@ class TestNoVacuousPass:
         assert not result.passed
         assert math.isnan(result.residual_or_oscillation)
 
+    def test_sufficient_decrease_skips_a_probe_whose_value_is_nan(self, feas_trace):
+        # eval_F raised on a NaN probe value, which failed the set-up of the whole run
+        feas = feasibility_problem()
+        value = feas.f.value
+        nan_far_out = lambda x: np.where(x[..., 0] > 2.0, np.nan, value(x))  # noqa: E731
+        problem = dataclasses.replace(feas, f=dataclasses.replace(feas.f, value=nan_far_out))
+        stream = AnalysisStream(problem, ["sufficient_decrease"], np.random.default_rng(0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (result,) = stream.fold(feas_trace)
+        kept = [probe for probe, _ in stream._folds[0].probes]
+        assert 0 < len(kept) < 20 and all(probe[0] <= 2.0 for probe in kept)
+        assert result.passed and math.isfinite(result.residual_or_oscillation)
+
     def test_overflowing_start_fails_momentum_and_rate_checks(self):
         # ||x_0|| = inf: the momentum scale ||d|| sup ||x_k|| and the rate bound are infinite
         problem = l1_quadratic(dim=2)
@@ -383,9 +398,11 @@ NONFINITE_CASES = {
         {"z-definition", "z-recursion", "convex-combination"},
         {"z-definition", "z-recursion", "convex-combination"},
     ),
+    # the overflowing start repeats l1's one minimizer as s0 and s1, which a check that
+    # compares them refuses at set-up (a str entry: the ValueError's message)
     "momentum_identity": (
         {},
-        {"momentum-identity[d0]", "momentum-identity[d1]", "momentum-identity[d2]"},
+        "momentum_identity: direction s0 - s1 has norm 0",
         {"momentum-identity[d0]", "momentum-identity[d1]", "momentum-identity[d2]"},
     ),
     "rate_bound": ({}, {"rate-bound"}, {"rate-bound"}),
@@ -404,7 +421,11 @@ NONFINITE_CASES = {
         {"cluster-product[d0]"},
         {"cluster-product[d0]"},
     ),
-    "xi_difference": ({"window": 20, "tol": 1.0}, set(), {"xi-difference[s0,s1]"}),
+    "xi_difference": (
+        {"window": 20, "tol": 1.0},
+        "xi_difference: direction s0 - s1 has norm 0",
+        {"xi-difference[s0,s1]"},
+    ),
     # the unit basis vector keeps <x_0, b> finite at the overflowing start
     "span": ({"directions": PROBE, "window": 20, "tol": 1.0}, set(), {"span-coefficient[0]"}),
     "final_point": ({"tol": 1e-3}, set(), set()),
@@ -435,10 +456,14 @@ class TestNonFiniteInputTable:
         params = dict(params, name=name)
         if name == "final_point":
             params["target"] = trace.xs[-1].tolist()
+        expected = {"finite": set(), "overflow": fail_overflow, "inf-row": fail_inf_row}[case]
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=expected):
+                AnalysisStream(problem, [params], np.random.default_rng(0)).fold(trace)
+            return
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             results = AnalysisStream(problem, [params], np.random.default_rng(0)).fold(trace)
-        expected = {"finite": set(), "overflow": fail_overflow, "inf-row": fail_inf_row}[case]
         assert {r.claim for r in results if not r.passed} == expected
         for r in results:
             numbers = [r.residual_or_oscillation, r.tol, *r.details.values()]

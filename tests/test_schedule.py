@@ -85,21 +85,20 @@ class TestValidateSchedule:
 
 
 class TestScheduleObject:
-    def test_prefix_is_cached_and_consistent(self):
+    def test_prefix_is_consistent(self):
         sched = Schedule("bt")
         first = sched.prefix(10)
         again = sched.prefix(5)
         assert np.array_equal(first[:6], again)
 
-    def test_prefix_is_a_read_only_view_of_the_cache(self):
-        sched = Schedule("bt")
-        first = sched.prefix(10)
-        again = sched.prefix(5)
-        assert np.shares_memory(first, again)
-        for ts in (first, again):
-            with pytest.raises(ValueError):
-                ts[1] = 0.0
-        assert sched.prefix(20)[:11].tobytes() == first.tobytes()
+    def test_writing_into_an_explicit_prefix_cannot_change_a_later_one(self):
+        values = np.array([1.0, 1.6, 2.1, 2.6])
+        sched = Schedule(values)
+        values[1] = 0.0  # the schedule holds its own copy
+        first = sched.prefix(3)
+        with pytest.raises(ValueError):
+            first[1] = 0.0
+        assert sched.prefix(3).tolist() == [1.0, 1.6, 2.1, 2.6]
 
     def test_growth_witnesses_divergence(self):
         for rule in ("bt", "linear"):
@@ -112,24 +111,25 @@ class TestScheduleObject:
         assert np.all(np.diff(ts) > 0)
 
     def test_explicit_rule_validates_on_extension(self):
-        good = Schedule("explicit", values=[1.0, 1.6, 2.1, 2.6])
+        good = Schedule([1.0, 1.6, 2.1, 2.6])
         assert good.prefix(3)[3] == 2.6
-        bad = Schedule("explicit", values=[1.0, 1.0, 1.0])
+        bad = Schedule([1.0, 1.0, 1.0])
         with pytest.raises(ScheduleError):
             bad.prefix(2)
 
     def test_explicit_rule_exhaustion(self):
-        sched = Schedule("explicit", values=[1.0, 1.7])
+        sched = Schedule([1.0, 1.7])
         with pytest.raises(ScheduleError):
             sched.prefix(5)
 
     def test_unknown_rule(self):
-        with pytest.raises(ValueError):
-            Schedule("cosine")
+        for spec in ("cosine", "explicit"):  # a sequence, not the name "explicit", makes an explicit rule
+            with pytest.raises(ValueError, match=f"unknown schedule rule '{spec}'"):
+                Schedule(spec)
 
     def test_explicit_rule_needs_two_terms(self):
         with pytest.raises(ValueError):
-            Schedule("explicit", values=[1.0])
+            Schedule([1.0])
 
 
 def first_violation(report: ScheduleReport) -> int:
@@ -145,7 +145,7 @@ class TestCertifiedPrefix:
         for _ in range(100_000):
             chain.append(bt_next(chain[-1]))
         sched = Schedule("bt")
-        head = sched.prefix(1000)  # extending a cached prefix continues the chain
+        head = sched.prefix(1000)  # a shorter prefix is the head of a longer one
         assert np.array_equal(sched.prefix(100_000), np.array(chain))
         assert np.array_equal(head, np.array(chain[:1001]))
 
@@ -172,7 +172,7 @@ class TestCertifiedPrefix:
             picks = rng.integers(1, ts.size, size=int(rng.integers(1, 4)))
             ts[picks] *= rng.uniform(0.5, 1.5, size=picks.size)
             report = validate_schedule(ts)
-            sched = Schedule("explicit", values=ts)
+            sched = Schedule(ts)
             if report.valid:
                 assert np.array_equal(sched.prefix(ts.size - 1), ts)
                 continue
@@ -189,11 +189,11 @@ class TestCertifiedPrefix:
     )
     def test_bad_terms_are_schedule_errors(self, values, message):
         with pytest.raises(ScheduleError, match=message):
-            Schedule("explicit", values=values).prefix(1)
+            Schedule(values).prefix(1)
 
     def test_explicit_too_short(self):
         with pytest.raises(ScheduleError, match="has 2 entries; index 2 requested"):
-            Schedule("explicit", values=[1.0, 1.5]).prefix(5)
+            Schedule([1.0, 1.5]).prefix(5)
 
 
 class TestTkBounds:

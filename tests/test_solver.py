@@ -317,7 +317,7 @@ class TestBlockBoundaryAbort:
     @pytest.mark.parametrize("raise_on_nonfinite", [False, True])
     @pytest.mark.parametrize("row", [1, _CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1, 2 * _CSV_CHUNK + 100])
     def test_abort_row_and_vectors_match_per_row_loop(self, row, raise_on_nonfinite, beta):
-        ts = Schedule(rule="bt").prefix(self.ITERATIONS)
+        ts = Schedule("bt").prefix(self.ITERATIONS)
         with np.errstate(over="ignore", invalid="ignore"):
             expected = per_row_iterate(
                 counting_feasibility(row, raise_on_nonfinite, beta=beta), self.X0, ts
@@ -336,7 +336,7 @@ class TestBlockBoundaryAbort:
 
     @pytest.mark.parametrize("beta", [1.0, 2.0])
     def test_unpoisoned_run_matches_per_row_loop(self, beta):
-        ts = Schedule(rule="bt").prefix(self.ITERATIONS)
+        ts = Schedule("bt").prefix(self.ITERATIONS)
         xs, ys, bad_row = per_row_iterate(counting_feasibility(beta=beta), self.X0, ts)
         trace = fista_run(counting_feasibility(beta=beta), self.X0, "bt", self.ITERATIONS)
         assert bad_row is None
@@ -351,7 +351,7 @@ class TestBlockBoundaryAbort:
             return feas.f.gradient(v)
 
         problem = dataclasses.replace(feas, f=dataclasses.replace(feas.f, gradient=gradient))
-        ts = Schedule(rule="bt").prefix(self.ITERATIONS)
+        ts = Schedule("bt").prefix(self.ITERATIONS)
         step = 1.0 / problem.f.beta
         xs, ys = np.empty((2, ts.size, 2))
         xs[0] = ys[0] = self.X0
@@ -534,6 +534,38 @@ class TestAbortOnNonFinite:
         partial = info.value.trace
         assert partial.xs[:, 0].tolist() == [big, -big]
         assert partial.ys[0, 0] == big and np.isnan(partial.ys[1, 0])
+
+    def test_nan_objective_at_a_finite_start_aborts_at_row_zero(self):
+        # (x - c) * ((x - c) @ a) overflows to inf - inf; this used to raise ValueError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteIterateError, match="^objective evaluated to NaN at row 0$") as info:
+                fista_run(random_quadratic(dim=2), [1e200, 1e200], "bt", 10)
+        assert info.value.row == 0
+        partial = info.value.trace
+        assert len(partial) == 1 and np.isnan(partial.F_x[0])
+        assert np.isfinite(partial.xs).all() and np.isfinite(partial.ys).all()
+
+    @pytest.mark.parametrize("row", [1, _CSV_CHUNK, _CSV_CHUNK + 904])
+    @pytest.mark.parametrize("streamed", [False, True])
+    def test_nan_objective_aborts_at_the_first_row_whose_F_is_nan(self, row, streamed):
+        feas = feasibility_problem()
+        clean = fista_run(feas, [5.0, 0.0], "bt", 6000)
+        target = clean.xs[row]
+        first = int(np.argmax((clean.xs == target).all(axis=1)))
+        value = feas.f.value
+        nan_at_target = lambda x: np.where((x == target).all(axis=-1), np.nan, value(x))  # noqa: E731
+        poisoned = dataclasses.replace(feas, f=dataclasses.replace(feas.f, value=nan_at_target))
+        analyses = AnalysisStream(poisoned, ["structural"], np.random.default_rng(0)) if streamed else None
+        with pytest.raises(NonFiniteIterateError, match=f"^objective evaluated to NaN at row {first}$") as info:
+            fista_run(poisoned, [5.0, 0.0], "bt", 6000, analyses=analyses)
+        partial = info.value.trace
+        assert info.value.row == first and len(partial) == first + 1
+        assert partial.ts.tobytes() == clean.ts[: first + 1].tobytes()
+        assert partial.F_x[:first].tobytes() == clean.F_x[:first].tobytes()
+        assert np.isnan(partial.F_x[first])
+        if not streamed:
+            assert partial.xs.tobytes() == clean.xs[: first + 1].tobytes()
 
     def test_divergence_through_soft_threshold(self):
         # f = 2 ||x||^2 has a 4-Lipschitz gradient; declaring beta = 1 makes the
