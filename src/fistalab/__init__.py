@@ -32,13 +32,7 @@ from .problem import (
     eval_F,
     finite_difference_gradient,
 )
-from .prox import (
-    AffineHyperplane,
-    half_sq_dist_grad,
-    project_hyperplane,
-    project_orthant,
-    soft_threshold,
-)
+from .prox import half_sq_dist_grad, soft_threshold
 from .scalar_transform import (
     DivergenceWitness,
     Scenario,

@@ -24,11 +24,11 @@ the fold's own block, which splits the one whole-array product ``v @ d``
 at multiples of ``_CSV_CHUNK`` from row 0. ``fistalab run`` folds the
 checks as the run builds each block (:class:`AnalysisStream`), so it
 never holds every row of x, y and z; ``ANALYSES[name]`` and
-:meth:`AnalysisStream.fold` run the same fold over a stored trace. Only
-the tail verdicts and ``final_point`` take parameters, as their right
-values depend on the run or the problem: their folds' keyword arguments,
-each default written once, in the fold's signature; an unknown, missing or
-mistyped one is a ValueError before the first row.
+:meth:`AnalysisStream.fold` run the same fold over a stored trace that
+does. Only the tail verdicts and ``final_point`` take parameters, as
+their right values depend on the run or the problem: their folds' keyword
+arguments, each default written once, in the fold's signature; an
+unknown, missing or mistyped one is a ValueError before the first row.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 from .diagnostics import _RANK_TOL, check_tail, orthonormal_span_basis, tail_verdict
 from .problem import CompositeProblem, _objective_rows, as_vector
 from .scalar_transform import forward_transform
-from .solver import _CSV_CHUNK, RowWindow, Trace, tag_nonfinite, z_recursion
+from .solver import _CSV_CHUNK, RowWindow, Trace, _row_norms, tag_nonfinite, z_recursion
 
 __all__ = ["CheckResult", "ANALYSES", "AnalysisStream"]
 
@@ -165,8 +165,6 @@ class _Fold:
     ``result()`` gives the results.
     """
 
-    vectors = True  # it reads x, y or z rows, not only the scalar columns and x_0
-
 
 # ---- identity checks --------------------------------------------------------
 
@@ -179,7 +177,7 @@ class _Structural(_Fold):
 
     def update(self, trace, window, lo, hi):
         t, norm_x = trace.ts, trace.norm_x
-        norm_y = np.linalg.norm(window.y(lo, hi), axis=1)
+        norm_y = _row_norms(window.y(lo, hi))
         zdef_scale = np.maximum(1.0, np.abs(1.0 - t[lo:hi]) * norm_x[lo:hi] + t[lo:hi] * norm_y)
         self.zdef = _max(self.zdef, _worst(trace.res_zdef[lo:hi], zdef_scale))
         p = max(lo, 1)  # rows k >= 1, each with row k - 1
@@ -238,8 +236,6 @@ class _MomentumIdentity(_Fold):
 class _RateBound(_Fold):
     """Objective gap against the accelerated 1/(k+1)^2 guarantee, k >= 1."""
 
-    vectors = False
-
     def __init__(self, trace, problem, rng, x0):
         if trace.delta is None or problem.solution is None:
             raise ValueError("rate_bound needs a problem with known optimal value")
@@ -269,8 +265,6 @@ class _RateBound(_Fold):
 
 class _XiMonotone(_Fold):
     """Monotone decay, initial bound, and nonnegativity of each xi column."""
-
-    vectors = False
 
     def __init__(self, trace, problem, rng, x0):
         if trace.xi is None:
@@ -372,8 +366,6 @@ class _SufficientDecrease(_Fold):
 class _GapDecay(_Fold):
     """Extrapolation gap bounded by (||z|| + ||x||) / t and decaying."""
 
-    vectors = False
-
     def __init__(self, trace, problem, rng, x0):
         self.rows = len(trace)
         self.decile = self.rows // 10
@@ -404,8 +396,6 @@ class _GapDecay(_Fold):
 
 class _BoundedIterates(_Fold):
     """sup ||x_k|| within max(||x_0||, sup ||z_k||), the convex-combination bound."""
-
-    vectors = False
 
     def __init__(self, trace, problem, rng, x0):
         self.sup_x = self.sup_z = -math.inf
@@ -448,8 +438,6 @@ class _ClusterProducts(_Fold):
 
 class _XiDifference(_Fold):
     """Verdicts on xi(s_i) - xi(s_j) from k = 1; the gap terms cancel pairwise."""
-
-    vectors = False
 
     def __init__(self, trace, problem, rng, x0, *, window=100, tol=1e-6):
         if trace.xi is None or trace.xi.shape[1] < 2:
@@ -630,12 +618,10 @@ class AnalysisStream:
             return [r for fold in self._folds for r in fold.result()]
 
     def fold(self, trace: Trace) -> list:
-        """The results over a stored trace, in the blocks a run folds; MissingSnapshotError if a check lacks rows."""
-        if trace.snapshots is None or any(_FOLDS[name].vectors for name, _ in self.entries):
-            trace.require_vectors()
-        window = RowWindow(trace.xs, trace.ys, trace.zs) if trace.has_full_vectors else None
-        x0 = trace.snapshots[0, 0] if window is None else trace.xs[0]  # row 0 is always a snapshot row
-        self.start(trace, x0)
+        """The results over a stored trace, in the blocks a run folds; MissingSnapshotError without every row's x, y and z."""
+        trace.require_vectors()
+        window = RowWindow(trace.xs, trace.ys, trace.zs)
+        self.start(trace, trace.xs[0])
         for lo in range(0, len(trace), _CSV_CHUNK):
             self.update(trace, window, lo, min(lo + _CSV_CHUNK, len(trace)))
         return self.results()

@@ -60,7 +60,6 @@ class ConvergenceVerdict:
     tail_oscillation: float
     window: int
     tol: float
-    finite_tail: bool = True
 
 
 def verdict(seq: ScalarSeq, window: int = DEFAULT_WINDOW, tol: float = DEFAULT_TOL) -> ConvergenceVerdict:
@@ -68,7 +67,7 @@ def verdict(seq: ScalarSeq, window: int = DEFAULT_WINDOW, tol: float = DEFAULT_T
 
     Requires 2 <= window <= len(seq) / 2 so the tail is a genuine tail, and
     tol >= 0. A non-finite value in the window yields a not-converged
-    verdict with the ``finite_tail`` flag cleared, never an exception.
+    verdict with a NaN limit estimate, never an exception.
     """
     check_tail(window, len(seq), tol)
     return tail_verdict(seq.values[-window:], tol)
@@ -100,7 +99,6 @@ def tail_verdict(tail: np.ndarray, tol: float) -> ConvergenceVerdict:
             tail_oscillation=math.inf,
             window=window,
             tol=tol,
-            finite_tail=False,
         )
     oscillation = float(tail.max() - tail.min())
     return ConvergenceVerdict(

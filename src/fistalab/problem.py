@@ -8,9 +8,9 @@ functions are supported through extended-real values (``math.inf``), so
 Value protocol: ``SmoothPart.value`` and ``NonsmoothPart.value`` map an
 array of shape ``(..., dim)`` to an array of shape ``(...)``, one value per
 row, so thousands of trace rows are evaluated in one call (reduce with
-``axis=-1``, index with ``x[..., i]``, compare with ``np.maximum``). A
-scalar result is taken as the same value for every row. Gradients and prox
-maps take one 1-D vector.
+``axis=-1``, index with ``x[..., i]``, compare with ``np.maximum``); a
+result of any other shape, a scalar included, is a ValueError naming the
+part. Gradients and prox maps take one 1-D vector.
 
 Inputs are validated once, at the boundary: ``as_vector`` checks shape and
 finiteness in the public entry points (``eval_F``, the solver runs,
@@ -150,14 +150,6 @@ def _part_values(value, xs: np.ndarray, part: str) -> np.ndarray:
             f"{part} value failed on a {xs.shape} array ({exc}); "
             "value callables map (..., dim) to (...)"
         ) from exc
-    if vals.ndim == 0:
-        # a constant; a value that sums over every row also gives a scalar,
-        # so it must agree with the first row evaluated alone
-        if n > 1:
-            first = np.asarray(value(xs[:1]), dtype=float).reshape(())
-            if not np.array_equal(first, vals, equal_nan=True):
-                raise ValueError(f"{part} value gave one scalar for {n} rows")
-        return np.full(n, float(vals))
     if vals.shape != (n,):
         raise ValueError(f"{part} value has shape {vals.shape}, expected ({n},)")
     return vals

@@ -60,7 +60,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 import numpy as np
 
 from .problem import CompositeProblem, Vector, _objective_rows, as_vector
-from .prox import _unit_line, _unit_line_prox, half_sq_dist_grad
+from .prox import _unit_line_prox, half_sq_dist_grad
 from .schedule import Schedule
 
 if TYPE_CHECKING:
@@ -183,6 +183,25 @@ def _csv_chunk(table: np.ndarray, start: int) -> str:
     return (row_format * len(table)) % tuple(cells.ravel().tolist())
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """||v_k|| of each row of ``v``: ``np.linalg.norm(v, axis=1)``, except where that overflows.
+
+    np.linalg.norm squares without scaling, so there a finite row above
+    about 1.3e154 reads inf; such a row is recomputed as m ||v_k / m|| with
+    m = max |v_k,i|, and every other norm keeps its bits. The first pass's
+    overflow is not warned of: it is repaired, or the norm is inf.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(v, axis=1)
+    over = np.isinf(norms)
+    if over.any():
+        over[over] = np.isfinite(v[over]).all(axis=1)
+        rows = v[over]
+        m = np.abs(rows).max(axis=1)
+        norms[over] = m * np.linalg.norm(rows / m[:, None], axis=1)
+    return norms
+
+
 def z_recursion(t_prev: np.ndarray, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """||z_k - ((1 - t_{k-1}) x_{k-1} + t_{k-1} x_k)|| for consecutive rows.
 
@@ -191,7 +210,7 @@ def z_recursion(t_prev: np.ndarray, xs: np.ndarray, zs: np.ndarray) -> np.ndarra
     """
     t_prev = t_prev[:, None]
     predicted = (1.0 - t_prev) * xs[:-1] + t_prev * xs[1:]
-    return np.linalg.norm(zs - predicted, axis=1)
+    return _row_norms(zs - predicted)
 
 
 class RowWindow:
@@ -450,43 +469,39 @@ def _numpy_steps(problem: CompositeProblem):
     return steps
 
 
-def _plane_steps(offset: float):
-    """fig1's chunk stepper on Python floats: x = P_H(max(y, 0)) with H = {x1 + x2 = offset}.
+def _plane_steps(x: Vector, y: Vector, momentum: list, xs: np.ndarray, ys: np.ndarray, i: int) -> None:
+    """fig1's chunk stepper on Python floats: x = P_H(max(y, 0)) with H = {x1 + x2 = 1}.
 
     It makes no numpy call per row, and each row is bit-equal to the numpy
     step's wherever y is finite, since each operation is the one numpy
     makes: ``max(y, 0)`` is ``y - 1.0 * half_sq_dist_grad(y)``, written so
     that -0.0 gives +0.0 and NaN stays NaN as in ``np.maximum`` (Python's
-    ``max`` keeps -0.0); with the normal (1, 1), <n, v> is v0 + v1 exactly
-    and ||n||^2 is 2.0. The forms differ only past an infinite y, a row
+    ``max`` keeps -0.0), and the projection is ``_unit_line_prox``'s
+    v - (v0 + v1 - 1) / 2. The forms differ only past an infinite y, a row
     that has already aborted the run. Python float arithmetic overflows to
     inf or NaN without raising, so the chunk's one finiteness scan finds
     the abort row. Rows go straight into the window, through flat
     memoryviews of its C-contiguous arrays, so the stepper holds no buffer.
     """
-
-    def steps(x: Vector, y: Vector, momentum: list, xs: np.ndarray, ys: np.ndarray, i: int) -> None:
-        x0, x1 = x.tolist()
-        y0, y1 = y.tolist()
-        flat_x, flat_y = xs.data.cast("B").cast("d"), ys.data.cast("B").cast("d")
-        j = 2 * i  # the first coordinate of row i
-        for m in momentum:
-            v0 = y0 if y0 > 0.0 else (0.0 if y0 <= 0.0 else y0)
-            v1 = y1 if y1 > 0.0 else (0.0 if y1 <= 0.0 else y1)
-            shift = (v0 + v1 - offset) / 2.0
-            n0 = v0 - shift
-            n1 = v1 - shift
-            y0 = n0 + m * (n0 - x0)
-            y1 = n1 + m * (n1 - x1)
-            x0 = n0
-            x1 = n1
-            flat_x[j] = x0
-            flat_x[j + 1] = x1
-            flat_y[j] = y0
-            flat_y[j + 1] = y1
-            j += 2
-
-    return steps
+    x0, x1 = x.tolist()
+    y0, y1 = y.tolist()
+    flat_x, flat_y = xs.data.cast("B").cast("d"), ys.data.cast("B").cast("d")
+    j = 2 * i  # the first coordinate of row i
+    for m in momentum:
+        v0 = y0 if y0 > 0.0 else (0.0 if y0 <= 0.0 else y0)
+        v1 = y1 if y1 > 0.0 else (0.0 if y1 <= 0.0 else y1)
+        shift = (v0 + v1 - 1.0) / 2.0
+        n0 = v0 - shift
+        n1 = v1 - shift
+        y0 = n0 + m * (n0 - x0)
+        y1 = n1 + m * (n1 - x1)
+        x0 = n0
+        x1 = n1
+        flat_x[j] = x0
+        flat_x[j + 1] = x1
+        flat_y[j] = y0
+        flat_y[j + 1] = y1
+        j += 2
 
 
 def _chunk_steps(problem: CompositeProblem):
@@ -498,7 +513,7 @@ def _chunk_steps(problem: CompositeProblem):
     so any other callable (a wrapped one included) or beta takes the numpy step.
     """
     if problem.g.prox is _unit_line_prox and problem.f.gradient is half_sq_dist_grad and 1.0 / problem.f.beta == 1.0:
-        return _plane_steps(_unit_line().offset)
+        return _plane_steps
     return _numpy_steps(problem)
 
 
@@ -530,10 +545,18 @@ def _iterate(steps, ts: np.ndarray, window: RowWindow, lo: int, hi: int) -> Opti
     return _first_nonfinite_row(window, lo, hi)
 
 
+def _argument(name: str, value, dim: int) -> Vector:
+    """``as_vector(value, dim)``, its error (of the same class) prefixed with the argument's name."""
+    try:
+        return as_vector(value, dim)
+    except ValueError as exc:
+        raise type(exc)(f"{name}: {exc}") from None
+
+
 def _validate_s_refs(problem: CompositeProblem, s_refs) -> Optional[np.ndarray]:
     if s_refs is None or len(s_refs) == 0:
         return None
-    refs = np.array([as_vector(s, problem.dim) for s in s_refs])
+    refs = np.array([_argument(f"s_refs[{i}]", s, problem.dim) for i, s in enumerate(s_refs)])
     sol = problem.solution
     if sol is not None:
         for s, excess in zip(refs, _objective_rows(problem, refs) - sol.mu):
@@ -612,22 +635,22 @@ def _fill_rows(trace: Trace, window: RowWindow, problem: CompositeProblem, lo: i
     # z definition recomputed through a different grouping of the same
     # affine combination; nonzero residual is pure floating-point noise.
     regrouped = xs[new] + ts[new, None] * (ys[new] - xs[new])
-    trace.res_zdef[lo:hi] = np.linalg.norm(zs[new] - regrouped, axis=1)
+    trace.res_zdef[lo:hi] = _row_norms(zs[new] - regrouped)
 
     t_prev = ts[:-1, None]
     combo = (1.0 - 1.0 / t_prev) * xs[:-1] + zs[1:] / t_prev
-    trace.res_convex[pairs] = np.linalg.norm(xs[1:] - combo, axis=1)
+    trace.res_convex[pairs] = _row_norms(xs[1:] - combo)
 
-    dx = np.linalg.norm(xs[1:] - xs[:-1], axis=1)
-    dy = np.linalg.norm(xs[:-1] - ys[:-1], axis=1)
+    dx = _row_norms(xs[1:] - xs[:-1])
+    dy = _row_norms(xs[:-1] - ys[:-1])
     prev_F = trace.F_x[w : hi - 1]
     slack = prev_F - trace.F_x[pairs] - 0.5 * beta * (dx**2 - dy**2)
     slack[~np.isfinite(prev_F)] = np.nan
     trace.res_suffdec[pairs] = slack
 
-    trace.gap_xy[lo:hi] = np.linalg.norm(ys[new] - xs[new], axis=1)
-    trace.norm_x[lo:hi] = np.linalg.norm(xs[new], axis=1)
-    trace.norm_z[lo:hi] = np.linalg.norm(zs[new], axis=1)
+    trace.gap_xy[lo:hi] = _row_norms(ys[new] - xs[new])
+    trace.norm_x[lo:hi] = _row_norms(xs[new])
+    trace.norm_z[lo:hi] = _row_norms(zs[new])
     nan_F = np.isnan(trace.F_x[lo:hi])
     return lo + int(np.argmax(nan_F)) if nan_F.any() else None
 
@@ -657,7 +680,7 @@ def _run(
         raise ValueError("iterations must be >= 1")
     if snapshot_every < 1:
         raise ValueError("snapshot_every must be >= 1")
-    x0 = as_vector(x0, problem.dim)
+    x0 = _argument("x0", x0, problem.dim)
     refs = _validate_s_refs(problem, s_refs)
     streamed = analyses is not None
     held = min(ts.size, _WINDOW) if streamed else ts.size
@@ -773,7 +796,7 @@ def nesterov_run(
     Probes g at a few points and rejects problems whose nonsmooth part is
     not identically zero; otherwise identical to :func:`fista_run`.
     """
-    x0 = as_vector(x0, problem.dim)
+    x0 = _argument("x0", x0, problem.dim)
     _require_zero_g(problem, x0)
     sched = schedule if isinstance(schedule, Schedule) else Schedule(schedule)
     ts = sched.prefix(iterations)

@@ -354,12 +354,43 @@ class TestRun:
         cfg = write_config(tmp_path, schedule=[1.0, 1.6], iterations=10, analyses=[])
         assert run_config(cfg, output_dir=tmp_path / "out") == 2
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"x0": []}, "x0: expected a 1-D vector with >= 1 coordinate, got shape (0,)"),
+            ({"x0": [[5.0, 0.0]]}, "x0: expected a 1-D vector with >= 1 coordinate, got shape (1, 2)"),
+            ({"x0": [5.0]}, "x0: expected dimension 2, got 1"),
+            ({"s_refs": [0.5, 0.5]}, "s_refs[0]: expected a 1-D vector with >= 1 coordinate, got shape ()"),
+        ],
+        ids=["x0-empty", "x0-nested", "x0-short", "s_refs-flat"],
+    )
+    def test_bad_vector_names_the_key_before_any_output(self, override, message, tmp_path, capsys):
+        cfg = write_config(tmp_path, **override)
+        assert run_config(cfg, output_dir=tmp_path / "out") == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_large_finite_start_passes_on_scaled_norms(self, tmp_path, capsys):
+        # ||x_0|| = 1.4e154 squared overflows: unscaled norms read inf and five checks failed with NaN
+        cfg = write_config(
+            tmp_path,
+            problem={"family": "quadratic", "params": {"dim": 2}},
+            x0=[1e154, 1e154],
+            iterations=300,
+            s_refs=[],
+            analyses=["structural", "bounded_iterates", "gap_decay"],
+        )
+        assert run_config(cfg, output_dir=tmp_path / "out") == 0
+        report = strict_json((tmp_path / "out" / "report.json").read_text())
+        assert report["all_pass"] and len(report["checks"]) == 6
+        assert Trace.load(tmp_path / "out").norm_x[0] == pytest.approx(math.sqrt(2.0) * 1e154, rel=1e-15)
+
     def test_overflowing_start_fails_instead_of_passing(self, tmp_path, capsys):
-        # ||x_0|| overflows to inf, so every scale built from it is infinite
+        # ||x_0|| = 2.1e308 overflows to inf even scaled, so every scale built from it is infinite
         cfg = write_config(
             tmp_path,
             problem={"family": "l1_quadratic", "params": {"dim": 2}},
-            x0=[1e308, -1e308],
+            x0=[1.5e308, -1.5e308],
             iterations=200,
             s_refs=[],
             analyses=["structural", "bounded_iterates", "gap_decay"],

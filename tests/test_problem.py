@@ -113,14 +113,15 @@ class TestRowEvaluator:
         with pytest.raises(ValueError, match="objective evaluated to NaN"):
             eval_F(nan_f, [1.0, 2.0])
 
-    def test_constant_value_is_broadcast(self):
+    def test_constant_value_is_an_error_naming_the_part(self):
+        # one value per row: a scalar is not taken as a constant
         problem = CompositeProblem(
             f=identity_quadratic().f,
             g=NonsmoothPart(value=lambda x: 0.0, prox=lambda v, s: v),
             dim=2,
         )
-        rows = np.arange(8.0).reshape(4, 2)
-        assert np.array_equal(_objective_rows(problem, rows), 0.5 * np.sum(rows**2, axis=1))
+        with pytest.raises(ValueError, match=r"^nonsmooth part value has shape \(\), expected \(4,\)$"):
+            _objective_rows(problem, np.arange(8.0).reshape(4, 2))
 
     @pytest.mark.parametrize(
         "value, part",

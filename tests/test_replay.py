@@ -2,7 +2,10 @@
 
 The replay patches names that ``fistalab.cli`` imports (``get_scenario``,
 ``verdict``, the ``Scenario`` fields, ``ANALYSES[name]``), so a rename there
-breaks it. This runs it traced on a tiny op list.
+breaks it. This runs it traced on a tiny op list. Its counted wrappers
+around fig1's callables are not fig1's prox and gradient, so the replay
+steps fig1 in numpy, where ``fistalab run`` takes the plane step: the two
+trace.csv files must still be the same bytes.
 """
 
 import json
@@ -10,6 +13,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from fistalab.cli import run_config
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = ("ex42", "ex43", "ex44-sinh", "linf-minus", "linf-plus")
@@ -44,3 +49,7 @@ def test_traced_replay_runs_every_op_without_problems(tmp_path):
     assert set(result["problems"]) == {"fig1"} | {" ".join(argv) for argv in lab}
     assert all(found == [] for found in result["problems"].values()), result["problems"]
     assert result["metrics"]["scalar_transform.witness_s"] > 0
+    # one prox call per step (the numpy step) and one per sufficient_decrease probe
+    assert result["metrics"]["families.prox_calls"] == 3000 + 20
+    assert run_config(tmp_path / "fig1.json", output_dir=tmp_path / "run") == 0
+    assert (tmp_path / "out" / "fig1" / "trace.csv").read_bytes() == (tmp_path / "run" / "trace.csv").read_bytes()

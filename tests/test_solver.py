@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from fistalab import (
-    AffineHyperplane,
     CompositeProblem,
+    DimensionMismatchError,
     MissingSnapshotError,
     NonFiniteIterateError,
     NonsmoothPart,
@@ -26,13 +26,13 @@ from fistalab import (
     l1_quadratic,
     nesterov_run,
     pgm_run,
-    project_hyperplane,
     random_quadratic,
     soft_threshold,
     zero_part,
 )
 from fistalab.checks import AnalysisStream
 from fistalab.problem import _objective_rows
+from fistalab.prox import _unit_line_prox
 from fistalab import solver
 from fistalab.solver import (
     _CSV_BLOCK,
@@ -46,6 +46,7 @@ from fistalab.solver import (
     _iterate,
     _numpy_steps,
     _plane_steps,
+    _row_norms,
 )
 
 S_REFS = [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]]
@@ -382,11 +383,17 @@ class CallableProx:
         return self.prox(v, step)
 
 
-def plane_x(y, offset):
+def plane_x(y):
     """x of one plane-kernel step from y (momentum 0)."""
     xs, ys = np.empty((2, 2, 2))
-    _plane_steps(offset)(np.zeros(2), np.asarray(y, dtype=float), [0.0], xs, ys, 1)
+    _plane_steps(np.zeros(2), np.asarray(y, dtype=float), [0.0], xs, ys, 1)
     return xs[1]
+
+
+def numpy_x(y):
+    """x of one numpy step from y at step 1, the step every other problem takes."""
+    y = np.asarray(y, dtype=float)
+    return _unit_line_prox(y - 1.0 * half_sq_dist_grad(y), 1.0)
 
 
 class TestPlaneKernel:
@@ -397,35 +404,32 @@ class TestPlaneKernel:
 
     @staticmethod
     def kernel_max(c):
-        """The kernel's max(c, 0), read off x0 of one step on the line through (max(c, 0), 0).
+        """The kernel's max(c, 0) for |c| below 2**-53, read off x0 of one step from (c, 1).
 
-        That line's offset makes the shift +0.0, so x0 = max(c, 0) - 0.0
-        keeps the max's sign bit. For a NaN c the line is x1 + x2 = 0, so
-        x0 is NaN only if the max is.
+        There max(c, 0) + 1 - 1 is +0.0, so the shift is +0.0 and
+        x0 = max(c, 0) - 0.0 keeps the max's sign bit. For a NaN c, x0 is
+        NaN only if the max is.
         """
-        offset = float(np.nan_to_num(np.maximum(c, 0.0)))
-        return plane_x([c, 0.0], offset)[0]
+        return plane_x([c, 1.0])[0]
 
-    def test_max_keeps_numpy_sign_bits_on_zeros_subnormals_and_extremes(self):
-        for c in [0.0, -0.0, 5e-324, -5e-324, 1e-320, -1e-320, 1e308, -1e308]:
+    def test_max_keeps_numpy_sign_bits_on_zeros_subnormals_and_nan(self):
+        for c in [0.0, -0.0, 5e-324, -5e-324, 1e-320, -1e-320]:
             assert np.float64(self.kernel_max(c)).tobytes() == np.maximum(c, 0.0).tobytes(), c
         assert math.copysign(1.0, self.kernel_max(-0.0)) == 1.0  # -0.0 steps to +0.0
         assert math.isnan(self.kernel_max(math.nan))  # NaN stays NaN, as with np.maximum
 
-    def test_max_is_numpys_on_random_normals(self, rng):
-        cs = rng.standard_normal(100_000)
-        got = np.array([self.kernel_max(c) for c in cs.tolist()])
-        assert got.tobytes() == np.maximum(cs, 0.0).tobytes()
+    def test_step_is_numpys_on_edges_and_random_normals(self, rng):
+        edge = [0.0, -0.0, 5e-324, -5e-324, 1e-320, -1e-320, 1.0, 1e308, -1e308]
+        ys = [np.array([a, b]) for a in edge for b in edge] + list(rng.standard_normal((20_000, 2)))
+        for y in ys:
+            assert plane_x(y).tobytes() == numpy_x(y).tobytes(), y
 
     @pytest.mark.parametrize("runner", RUNNERS)
     def test_taken_only_for_fig1s_step(self, runner, monkeypatch):
         """A kernel that raises surfaces on every beta = 1 feasibility run, and only there."""
 
-        def refuse(offset):
-            def steps(*args):
-                raise RuntimeError("plane kernel taken")
-
-            return steps
+        def refuse(*args):
+            raise RuntimeError("plane kernel taken")
 
         monkeypatch.setattr(solver, "_plane_steps", refuse)
         feas, again = feasibility_problem(), feasibility_problem()
@@ -440,8 +444,7 @@ class TestPlaneKernel:
             feas, g=dataclasses.replace(feas.g, prox=functools.wraps(feas.g.prox)(lambda v, step: feas.g.prox(v, step)))
         )
         # another function onto the same line is not fig1's prox
-        line = AffineHyperplane(normal=np.ones(2), offset=1.0)
-        sameline = dataclasses.replace(feas, g=dataclasses.replace(feas.g, prox=lambda v, step: project_hyperplane(line, v)))
+        sameline = dataclasses.replace(feas, g=dataclasses.replace(feas.g, prox=lambda v, step: v - (v[0] + v[1] - 1.0) / 2.0))
         # a dataclass instance compares by value, so it is unhashable; `is` neither hashes nor raises
         unhashable = dataclasses.replace(feas, g=dataclasses.replace(feas.g, prox=CallableProx(feas.g.prox)))
         for problem in (halved, rewrapped, reproxed, sameline, unhashable):
@@ -507,7 +510,7 @@ class TestAbortOnNonFinite:
             return np.full_like(v, np.nan) if hits["n"] == 3 else v
 
         problem = CompositeProblem(
-            f=f, g=NonsmoothPart(value=lambda x: 0.0, prox=poisoned_prox), dim=2
+            f=f, g=NonsmoothPart(value=lambda x: np.zeros(x.shape[:-1]), prox=poisoned_prox), dim=2
         )
         with pytest.raises(NonFiniteIterateError) as info:
             fista_run(problem, [1.0, 1.0], "bt", 10)
@@ -590,7 +593,27 @@ class TestAbortOnNonFinite:
         assert np.isnan(partial.F_x[-1])
 
 
+def test_row_norms_rescale_only_finite_rows_that_overflow(rng):
+    small = rng.standard_normal((200, 3)) * 10.0 ** rng.uniform(-300, 150, (200, 1))
+    big = np.array([[1e154, 1e154, 0.0], [1e300, -1e300, 1e300], [1.5e308, 1.5e308, 0.0], [np.inf, 0.0, 0.0], [np.nan, 1e200, 1e200]])
+    with np.errstate(over="ignore"):  # 2.1e308 is above the largest float
+        got = _row_norms(np.vstack([small, big]))
+    assert got[:200].tobytes() == np.linalg.norm(small, axis=1).tobytes()
+    assert got[200] == pytest.approx(math.sqrt(2.0) * 1e154, rel=1e-15)
+    assert got[201] == pytest.approx(math.sqrt(3.0) * 1e300, rel=1e-15)
+    assert list(got[202:204]) == [math.inf, math.inf]
+    assert math.isnan(got[204])
+
+
 class TestTraceContainer:
+    def test_bad_vector_error_names_the_argument_and_keeps_its_class(self, feas):
+        with pytest.raises(DimensionMismatchError, match=r"^x0: expected dimension 2, got 1$"):
+            fista_run(feas, [5.0], "bt", 10)
+        with pytest.raises(DimensionMismatchError, match=r"^x0: expected dimension 2, got 3$"):
+            nesterov_run(random_quadratic(dim=2), [5.0, 0.0, 1.0], "bt", 10)
+        with pytest.raises(DimensionMismatchError, match=r"^s_refs\[1\]: expected dimension 2, got 3$"):
+            pgm_run(feas, [5.0, 0.0], 10, s_refs=[[0.5, 0.5], [1.0, 0.0, 0.0]])
+
     def test_iterations_bounds_validated(self, feas):
         with pytest.raises(ValueError):
             fista_run(feas, [5.0, 0.0], "bt", 0)

@@ -379,8 +379,6 @@ def reference_analyses(trace: Trace, problem, analyses, rng) -> list:
 # ---- the cases ---------------------------------------------------------------
 
 C = _CSV_CHUNK
-# the checks that read only scalar columns and x_0, which a streamed or reloaded trace keeps
-SCALAR_ONLY = ("rate_bound", "xi_monotone", "gap_decay", "bounded_iterates", "xi_difference")
 ROWS = [C - 1, C, C + 1, 2 * C + 2]
 
 
@@ -524,38 +522,26 @@ class TestStreamedChecks:
     def test_post_hoc_checks_need_the_vectors_a_stream_drops(self):
         cfg = case_config("feasibility", 2, C + 1)
         problem = build_problem("feasibility", {})
-        names = [a if isinstance(a, str) else a["name"] for a in cfg["analyses"]]
-        scalar_only = [a for a in cfg["analyses"] if a in SCALAR_ONLY]
         stream = AnalysisStream(problem, cfg["analyses"], np.random.default_rng(0))
         trace = fista_run(problem, cfg["x0"], "bt", cfg["iterations"], s_refs=cfg["s_refs"], analyses=stream)
         assert trace.xs is None and trace.ys is None and trace.zs is None
+        assert len(cfg["analyses"]) == 11
         for entry in cfg["analyses"]:
             params = {"name": entry} if isinstance(entry, str) else dict(entry)
             name = params.pop("name")
-            if entry in scalar_only:
-                continue
             with pytest.raises(MissingSnapshotError):
                 ANALYSES[name](trace, problem, params, np.random.default_rng(0))
-        # the checks that read only scalar columns run post hoc, with the streamed results
-        streamed = {r.claim: r for r in stream.results()}
-        post_hoc = AnalysisStream(problem, scalar_only, np.random.default_rng(0)).fold(trace)
-        assert len(scalar_only) == 5 and len(names) == 11
-        assert post_hoc and all(streamed[r.claim] == r for r in post_hoc)
 
-    def test_scalar_checks_run_on_a_reloaded_trace(self, tmp_path):
-        # x_0, which rate_bound and xi_monotone read, comes from snapshot row 0
+    def test_checks_need_the_vectors_a_reloaded_trace_drops(self, tmp_path):
         problem = build_problem("feasibility", {})
         cfg = case_config("feasibility", 2, C + 1)
         trace = fista_run(problem, cfg["x0"], "bt", cfg["iterations"], s_refs=cfg["s_refs"], snapshot_every=100)
         trace.save(tmp_path)
         loaded = Trace.load(tmp_path)
         assert loaded.xs is None and loaded.snapshots is not None
-        for name in SCALAR_ONLY:
-            want, got = (
-                [r.to_json() for r in ANALYSES[name](t, problem, {}, np.random.default_rng(0))]
-                for t in (trace, loaded)
-            )
-            assert got == want, name
+        for name in ANALYSES:
+            with pytest.raises(MissingSnapshotError):
+                ANALYSES[name](loaded, problem, {}, np.random.default_rng(0))
 
     def test_streamed_run_holds_a_window_not_every_row(self, tmp_path):
         # quadratic dim 64, 5e4 iterations: the whole-array checks over the full
