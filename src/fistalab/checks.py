@@ -40,9 +40,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .diagnostics import _RANK_TOL, check_tail, orthonormal_span_basis, tail_verdict
-from .problem import CompositeProblem, _objective_rows, as_vector
+from .problem import CompositeProblem, _objective_rows, _row_norms, as_vector
 from .scalar_transform import forward_transform
-from .solver import _CSV_CHUNK, RowWindow, Trace, _row_norms, tag_nonfinite, z_recursion
+from .solver import _CSV_CHUNK, RowWindow, Trace, tag_nonfinite, z_recursion
 
 __all__ = ["CheckResult", "ANALYSES", "AnalysisStream"]
 
@@ -244,11 +244,21 @@ class _RateBound(_Fold):
         self.excess = -math.inf
 
     def update(self, trace, window, lo, hi):
-        if lo == 0:
-            self.slack = IDENTITY_TOL * np.maximum(1.0, trace.beta * trace.norm_x[0] ** 2)
+        beta, d0 = trace.beta, self.d0
         p = max(lo, 1)
         k = np.arange(p, hi, dtype=float)
-        bound = 2.0 * trace.beta * self.d0**2 / (k + 1.0) ** 2 + self.slack
+        # where a square overflows, the same value in an order that stays
+        # finite as long as the value does; an infinite one fails in _worst
+        with np.errstate(over="ignore"):
+            if lo == 0:
+                x = trace.norm_x[0]
+                self.slack = IDENTITY_TOL * np.maximum(1.0, beta * x**2)
+                if np.isinf(self.slack):
+                    self.slack = IDENTITY_TOL * beta * x * x
+            if math.isinf(2.0 * beta * d0 * d0) and math.isfinite(d0):
+                bound = 2.0 * beta * (d0 / (k + 1.0)) ** 2 + self.slack
+            else:
+                bound = 2.0 * beta * d0**2 / (k + 1.0) ** 2 + self.slack
         self.excess = _max(self.excess, _worst(trace.delta[p:hi] - bound))
 
     def result(self):

@@ -117,10 +117,11 @@ class SolutionInfo:
         return self.project is not None
 
     def distance(self, x: Vector) -> float:
-        """Distance from x to the solution set, or to s_ref as a surrogate."""
+        """Distance from x to the solution set, or to s_ref as a surrogate (:func:`_rescaled` where it overflows)."""
         v = as_vector(x)
-        target = self.project(v) if self.project is not None else self.s_ref
-        return float(np.linalg.norm(v - target))
+        gap = v - (self.project(v) if self.project is not None else self.s_ref)
+        with np.errstate(over="ignore"):
+            return float(_rescaled(np.array([np.linalg.norm(gap)]), gap[None])[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,6 +139,30 @@ class CompositeProblem:
             raise ValueError("problem dimension must be >= 1")
         if self.solution is not None and self.solution.s_ref.size != self.dim:
             raise DimensionMismatchError("solution reference point has the wrong dimension")
+
+
+def _rescaled(norms: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``norms``, the norms of ``rows``, with each inf of a finite row recomputed as m ||v / m||, m = max |v_i|.
+
+    np.linalg.norm squares without scaling, so there a finite row above
+    about 1.3e154 reads inf; every other norm keeps its bits.
+    """
+    over = np.isinf(norms)
+    if over.any():
+        over[over] = np.isfinite(rows[over]).all(axis=1)
+        big = rows[over]
+        m = np.abs(big).max(axis=1)
+        norms[over] = m * np.linalg.norm(big / m[:, None], axis=1)
+    return norms
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """||v_k|| of each row of ``v``: ``np.linalg.norm(v, axis=1)``, :func:`_rescaled` where that overflows.
+
+    The first pass's overflow is not warned of: it is repaired, or the norm is inf.
+    """
+    with np.errstate(over="ignore"):
+        return _rescaled(np.linalg.norm(v, axis=1), v)
 
 
 def _part_values(value, xs: np.ndarray, part: str) -> np.ndarray:

@@ -50,16 +50,18 @@ configuration reproduces the file byte for byte.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .problem import CompositeProblem, Vector, _objective_rows, as_vector
+from .problem import CompositeProblem, Vector, _objective_rows, _row_norms, as_vector
 from .prox import _unit_line_prox, half_sq_dist_grad
 from .schedule import Schedule
 
@@ -78,9 +80,10 @@ __all__ = [
 
 _CSV_CHUNK = 4096
 # rows per _csv_chunk call in Trace.to_csv: on fig1's 1e5-row trace, 4096-row
-# calls peaked at 5.2 MiB of temporaries under tracemalloc and 512-row calls
-# at 0.7 MiB, which keeps the formatter below the run's own memory peak
-_CSV_BLOCK = 512
+# calls peaked at 10.2 MiB of temporaries under tracemalloc, 512-row calls at
+# 1.28 MiB and 256-row calls at 0.68 MiB, which keeps the formatter below the
+# run's own memory peak; 512-row calls were 10-15% faster
+_CSV_BLOCK = 256
 # rows a streamed run holds: the chunk being built and the C rows before it,
 # which hold the objective's window over a short chunk (up to C rows back)
 # and the carried row lo - 1
@@ -164,42 +167,247 @@ def write_atomically(path, write) -> Path:
     return path
 
 
-def _csv_chunk(table: np.ndarray, start: int) -> str:
-    """CSV text of the float rows ``table``, numbered from ``start``.
+# Trace.to_csv's exact %.17g (_csv_chunk). The 17 significant digits of a
+# value x are N = round(|x| 10^(16 - E)), E its decimal exponent.
+_E_MAX = 280  # Python formats a value whose decimal exponent exceeds this
+_E_KEYS = (2 * _E_MAX + 1) * 17  # template keys of one sign: by exponent, then digit count
+# the values that have keys of their own after those of both signs; any
+# other value that Python formats has the key _OTHER
+_SPECIALS = (0.0, -0.0, math.inf, -math.inf, math.nan)
+_OTHER = 2 * _E_KEYS + len(_SPECIALS)
+# a cell is 32 bytes: the sign and any "0.000" (bytes 0-5), the digits with
+# their decimal point (6-23), the exponent (24-28), NUL padding, the separator (31)
+_CELL = 32
+_SPLIT = 134217729.0  # 2^27 + 1: Dekker's split of a double into two 26-bit halves
 
-    The ``k`` column is the row number, formatted by ``%d``. Converged float
-    columns repeat their values, so each distinct float of the chunk (by bit
-    pattern, which keeps -0.0 apart from 0.0) is formatted once with
-    ``%.17g``, and one pass of the row format places the row numbers and
-    texts into rows.
+
+class _Format:
+    """The power table and the cell templates of :func:`_csv_chunk`.
+
+    10^q, for the q = 16 - E of every decimal exponent E within 2 of 280,
+    is ``ph + pl``: ``ph`` the double nearest 10^q and ``pl`` the double
+    nearest the rest, from int arithmetic (``float`` of an int and int true
+    division round correctly; ``as_integer_ratio`` gives the remainder).
+    ``ph`` is held split in two halves too. A cell's template is built the
+    first time its key is met and kept: three rows of ``_CELL`` bytes, the
+    constant bytes and the masks of the digits before and after the
+    decimal point.
     """
-    bits, where = np.unique(table.view(np.int64), return_inverse=True)
-    text = ("%.17g\n" * len(bits)) % tuple(bits.view(float).tolist())
-    texts = np.array(text.split("\n")[:-1], dtype=object)
-    cells = np.empty((len(table), table.shape[1] + 1), dtype=object)
-    cells[:, 0] = range(start, start + len(table))
-    cells[:, 1:] = texts[where.reshape(table.shape)]
-    row_format = "%d," + ",".join(["%s"] * table.shape[1]) + "\n"
-    return (row_format * len(table)) % tuple(cells.ravel().tolist())
+
+    def __init__(self):
+        ph, pl = [], []
+        for q in range(16 - _E_MAX - 2, 16 + _E_MAX + 3):
+            if q >= 0:
+                high = float(10**q)
+                low = float(10**q - int(high))
+            else:
+                den = 10**-q
+                high = 1 / den
+                num, two = high.as_integer_ratio()  # high = num / two, two a power of 2
+                low = (two - num * den) / (two * den)
+            ph.append(high)
+            pl.append(low)
+        self.ph, self.pl = np.array(ph), np.array(pl)
+        self.ph_hi = _SPLIT * self.ph
+        self.ph_hi -= self.ph_hi - self.ph
+        self.ph_lo = self.ph - self.ph_hi
+        self.tid = np.full(_OTHER + 1, -1, np.int32)
+        self.rows = []
+        self.lock = threading.Lock()
+        # N's digit pairs: 5 of N // 10^8 (the first is one digit), 4 of N % 10^8
+        self.pair_high = np.array([10**8, 10**6, 10**4, 100, 1], np.int32)[:, None]
+        self.pair_low = np.array([10**6, 10**4, 100, 1], np.int32)[:, None]
+        # the digit count up to the tens and to the ones of each pair (pair 0's tens is 0)
+        self.tens_at = 2 * np.arange(9, dtype=np.int8)[:, None]
+        self.ones_at = self.tens_at + 1
+        self.const = self.before = self.after = np.zeros((0, _CELL // 8), np.uint64)
+
+    def scaled(self, a: np.ndarray, E: np.ndarray):
+        """``h + l`` = a 10^(16 - E): h = fl(a ph), l the rest, within 2^-47 of it near [10^16, 10^17]."""
+        at = _E_MAX + 2 - E
+        ph_hi, ph_lo = np.take(self.ph_hi, at), np.take(self.ph_lo, at)
+        h = a * np.take(self.ph, at)
+        a_hi = _SPLIT * a
+        a_hi -= a_hi - a
+        a_lo = a - a_hi
+        l = a_hi * ph_hi
+        l -= h
+        l += a_hi * ph_lo
+        l += a_lo * ph_hi
+        l += a_lo * ph_lo  # a ph - h, exactly (Dekker)
+        l += a * np.take(self.pl, at)
+        return h, l
+
+    def decimal(self, values: np.ndarray):
+        """N, E and the values that Python formats (``slow``) of each of ``values``."""
+        a = np.abs(values)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            E = np.log10(a)
+        np.floor(E, out=E)
+        fast = np.abs(E) <= _E_MAX + 1  # False at 0, inf and NaN
+        a[~fast] = 2.0  # any value in the table's range
+        E[~fast] = 0.0
+        E = E.astype(np.intp)
+        h, l = self.scaled(a, E)
+        # floor(log10) is one off next to a power of 10: step E once where h + l
+        # leaves [10^16, 10^17). A value on the edge may seem to leave it again
+        # by l's error, and either side then gives the same N after the carry
+        moved = np.flatnonzero((h <= 1e16) | (h >= 1e17))
+        hm, lm = h[moved], l[moved]
+        up = (hm > 1e17) | ((hm == 1e17) & (lm >= 0))
+        step = up.view(np.int8) - ((hm < 1e16) | ((hm == 1e16) & (lm < 0))).view(np.int8)
+        moved = moved[step != 0]
+        if moved.size:
+            E[moved] += step[step != 0]
+            h[moved], l[moved] = self.scaled(a[moved], E[moved])
+        r = np.rint(l)
+        slow = np.abs(l - r) >= 0.5 - 2.0**-40  # too near a tie for l's error
+        slow |= ~fast
+        N = h.astype(np.int64)
+        N += r.astype(np.int64)
+        carry = N == 10**17  # rounded up into the next decade
+        N[carry] = 10**16
+        E += carry
+        slow |= np.abs(E) > _E_MAX
+        return N, E, slow
+
+    def templates(self, key: np.ndarray) -> np.ndarray:
+        """The template row of each key; the keys not met before get theirs.
+
+        Rows are only appended, and a key's ``tid`` entry is set after the
+        arrays that hold its row, so a concurrent reader sees built rows only.
+        """
+        tid = np.take(self.tid, key)
+        if (tid < 0).any():
+            with self.lock:
+                new = sorted(set(key[np.take(self.tid, key) < 0].tolist()))  # np.unique would import numpy.ma
+                rows = self.rows + [_template(k) for k in new]
+                table = np.frombuffer(b"".join(rows), np.uint64).reshape(len(rows), 3, _CELL // 8)
+                self.const, self.before, self.after = (np.ascontiguousarray(table[:, i]) for i in range(3))
+                self.tid[new] = np.arange(len(self.rows), len(rows))
+                self.rows = rows
+            tid = np.take(self.tid, key)
+        return tid
+
+    def digit_bytes(self, N: np.ndarray):
+        """The significant digit count of each N in [10^16, 10^17), and its 17 digits as ASCII.
+
+        Returns ``(digits, cells, shifted)``: ``cells`` holds digit j at byte
+        6 + j of a ``_CELL``-byte row, ``shifted`` at byte 7 + j (the digits
+        after a decimal point). Trailing zeros do not count as significant.
+        """
+        n = N.size
+        high, low = np.divmod(N, 10**8)
+        pairs = np.empty((9, n), np.int32)
+        np.floor_divide(high.astype(np.int32), self.pair_high, out=pairs[:5])
+        np.floor_divide(low.astype(np.int32), self.pair_low, out=pairs[5:])
+        pairs[1:5] -= 100 * pairs[:4]
+        pairs[6:] -= 100 * pairs[5:8]
+        ascii = pairs.astype(np.uint16)
+        tens = ascii // 10
+        ascii -= 10 * tens  # the ones
+        digits = np.maximum(((ascii != 0) * self.ones_at).max(axis=0), ((tens != 0) * self.tens_at).max(axis=0))
+        ascii <<= 8
+        ascii |= tens
+        ascii |= 0x3030  # the pair's two ASCII digits, as a little-endian uint16
+        shifted = np.zeros((n, _CELL // 2), "<u2")
+        shifted[:, 3:12] = ascii.T
+        cells = np.zeros((n, _CELL), np.uint8)
+        cells[:, 6:23] = shifted.view(np.uint8)[:, 7:24]
+        return digits, cells, shifted
+
+    def cells(self, values: np.ndarray) -> np.ndarray:
+        """The ``%.17g`` of each of ``values``, one ``_CELL``-byte row each, NUL-padded, without separators."""
+        N, E, slow = self.decimal(values)
+        digits, cells, shifted = self.digit_bytes(N)
+        key = (E + _E_MAX) * 17 + digits - 1
+        key += np.signbit(values) * _E_KEYS
+        key[slow] = _OTHER
+        special = np.flatnonzero(~np.isfinite(values) | (values == 0))
+        x = values[special]
+        code = np.signbit(x) + 2 * np.isinf(x)  # the index in _SPECIALS
+        code[np.isnan(x)] = 4
+        key[special] = 2 * _E_KEYS + code
+        tid = self.templates(key)
+        words, after = cells.view(np.uint64), shifted.view(np.uint64)
+        words &= np.take(self.before, tid, axis=0)
+        after &= np.take(self.after, tid, axis=0)
+        words |= after
+        words |= np.take(self.const, tid, axis=0)
+        for i in np.flatnonzero(key == _OTHER).tolist():
+            text = b"%.17g" % values[i]
+            cells[i, : len(text)] = np.frombuffer(text, np.uint8)
+        return cells
 
 
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """||v_k|| of each row of ``v``: ``np.linalg.norm(v, axis=1)``, except where that overflows.
+def _template(key: int) -> bytes:
+    """A key's constant bytes and masks of the digits before and after the point, ``_CELL`` bytes each."""
+    const, before, after = bytearray(_CELL), bytearray(_CELL), bytearray(_CELL)
+    if key >= 2 * _E_KEYS:
+        if key < _OTHER:
+            text = b"%.17g" % _SPECIALS[key - 2 * _E_KEYS]
+            const[: len(text)] = text
+        return bytes(const + before + after)
+    negative, key = divmod(key, _E_KEYS)
+    E, digits = divmod(key, 17)
+    E -= _E_MAX
+    digits += 1
+    lead, tail = b"-" if negative else b"", b""
+    if E < -4 or E >= 17:  # %g's exponent form, d.ddde+XX
+        run = 1
+        tail = b"e%+03d" % E
+    elif E < 0:
+        lead += b"0." + b"0" * (-E - 1)
+        run = digits
+    else:
+        run = E + 1  # the integer part, its zeros included
+    const[: len(lead)] = lead
+    before[6 : 6 + run] = b"\xff" * run
+    if digits > run:
+        const[6 + run] = ord(".")
+        after[7 + run : 7 + digits] = b"\xff" * (digits - run)
+    const[24 : 24 + len(tail)] = tail
+    return bytes(const + before + after)
 
-    np.linalg.norm squares without scaling, so there a finite row above
-    about 1.3e154 reads inf; such a row is recomputed as m ||v_k / m|| with
-    m = max |v_k,i|, and every other norm keeps its bits. The first pass's
-    overflow is not warned of: it is repaired, or the norm is inf.
+
+@functools.cache
+def _format() -> _Format:
+    """The one :class:`_Format`, built by the first :func:`_csv_chunk` call."""
+    return _Format()
+
+
+def _csv_chunk(table: np.ndarray, start: int) -> bytes:
+    """CSV text of the float rows ``table``, numbered from ``start``, as ASCII bytes.
+
+    Every cell is Python's ``%.17g``, made exactly over numpy arrays. The
+    ``k`` column is formatted as one more float column: ``%.17g`` of an
+    integer below 2^53 is its ``%d``.
+
+    The digits. E = floor(log10 |x|), moved by one where it is off. y =
+    |x| 10^(16 - E) is h + l, where h = fl(|x| ph) with |x| ph - h exact
+    by Dekker's two-product, and l adds |x| pl (see :class:`_Format`); N =
+    h + rint(l) lies in [10^16, 10^17], and 10^17 is carried to 10^16 at
+    E + 1. l is within about 2^-47 of y - h: the rounding of pl, of |x| pl
+    and of the sum, each below 2^-49. So rint(l) rounds y correctly
+    wherever l lies more than 2^-40 from a half-integer, and byte-equality
+    rests on that margin. Python's ``%.17g``, the one reference formatter,
+    formats every other value: 0, -0, inf, -inf, NaN (each once, into its
+    template), the values within 2^-40 of a tie and those with |E| > 280,
+    where 10^(16 - E) leaves the table and pl can be subnormal.
+
+    The text. N's 17 digits come as ASCII pairs, and each cell is the
+    template of its (sign, E, significant digit count), which sets ``%g``'s
+    fixed or exponent form and drops the trailing zeros, with the digits
+    masked in. The cells' NUL padding is dropped in one pass.
     """
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(v, axis=1)
-    over = np.isinf(norms)
-    if over.any():
-        over[over] = np.isfinite(v[over]).all(axis=1)
-        rows = v[over]
-        m = np.abs(rows).max(axis=1)
-        norms[over] = m * np.linalg.norm(rows / m[:, None], axis=1)
-    return norms
+    rows, cols = table.shape[0], table.shape[1] + 1
+    values = np.empty((rows, cols))
+    values[:, 0] = np.arange(start, start + rows)
+    values[:, 1:] = table
+    cells = _format().cells(values.reshape(-1)).reshape(rows, cols, _CELL)
+    cells[:, :, -1] = np.frombuffer(b"," * (cols - 1) + b"\n", np.uint8)
+    flat = cells.reshape(-1)
+    return flat[flat != 0].tobytes()
 
 
 def z_recursion(t_prev: np.ndarray, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -349,11 +557,12 @@ class Trace:
         """Write the scalar columns with fixed 17-significant-digit formatting.
 
         Rows are formatted ``_CSV_BLOCK`` at a time and written straight
-        into the open file, so the text of one block is held at a time.
+        into the file, opened in binary mode, so the text of one block is
+        held at a time.
         """
         path = Path(path)
-        with path.open("w") as out:
-            out.write(",".join(self._csv_header()) + "\n")
+        with path.open("wb") as out:
+            out.write((",".join(self._csv_header()) + "\n").encode())
             for start in range(0, len(self), _CSV_BLOCK):
                 out.write(_csv_chunk(self._csv_table(start, start + _CSV_BLOCK), start))
         return path

@@ -385,6 +385,25 @@ class TestRun:
         assert report["all_pass"] and len(report["checks"]) == 6
         assert Trace.load(tmp_path / "out").norm_x[0] == pytest.approx(math.sqrt(2.0) * 1e154, rel=1e-15)
 
+    def test_large_finite_start_passes_the_rate_bound(self, tmp_path, capsys):
+        # d0 = ||x_0 - s|| = 1.4e154: its unscaled norm and its square read inf, and rate-bound failed with NaN
+        cfg = write_config(
+            tmp_path,
+            problem={"family": "quadratic", "params": {"dim": 2}},
+            x0=[1e154, 1e154],
+            iterations=300,
+            s_refs=[],
+            analyses=["rate_bound", "sufficient_decrease", "momentum_identity"],
+        )
+        assert run_config(cfg, output_dir=tmp_path / "out") == 1
+        report = strict_json((tmp_path / "out" / "report.json").read_text())
+        checks = {c["claim"]: c for c in report["checks"]}
+        assert checks["rate-bound"]["pass"] is True
+        assert -math.inf < checks["rate-bound"]["residual_or_oscillation"] < 0.0
+        # no probe keeps a finite objective there: a failure, not a pass (out of scope here)
+        assert checks["sufficient-decrease"]["pass"] is False
+        assert all(c["pass"] for claim, c in checks.items() if claim.startswith("momentum-identity"))
+
     def test_overflowing_start_fails_instead_of_passing(self, tmp_path, capsys):
         # ||x_0|| = 2.1e308 overflows to inf even scaled, so every scale built from it is infinite
         cfg = write_config(

@@ -18,6 +18,7 @@ from fistalab import (
     momentum_identity_residual,
     orthonormal_span_basis,
     pgm_run,
+    random_quadratic,
     verdict,
     xi_difference,
 )
@@ -346,6 +347,22 @@ class TestNoVacuousPass:
         for result in results:
             assert not result.passed, result.claim
             assert math.isnan(result.residual_or_oscillation), result.claim
+
+    def test_rate_bound_with_an_infinite_slack_fails(self):
+        # from ||x_0|| = 1.4e154 the bound and its slack are finite in a scaled order; with ||x_0|| read as
+        # 1e160 the slack 1e-9 beta ||x_0||^2 = 1e311 really is infinite
+        problem = random_quadratic(dim=2)
+        trace = fista_run(problem, [1e154, 1e154], "bt", 300)
+        norm_x = trace.norm_x.copy()
+        norm_x[0] = 1e160
+        results = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for case in (trace, dataclasses.replace(trace, norm_x=norm_x)):
+                results += AnalysisStream(problem, ["rate_bound"], np.random.default_rng(0)).fold(case)
+        finite, infinite = results
+        assert finite.passed and math.isfinite(finite.residual_or_oscillation)
+        assert not infinite.passed and math.isnan(infinite.residual_or_oscillation)
 
     def test_sufficient_decrease_nan_slack_fails(self, feas_trace):
         F_x = feas_trace.F_x.copy()

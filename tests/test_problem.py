@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,17 @@ class TestVectors:
     def test_beta_must_be_positive(self):
         with pytest.raises(ValueError):
             SmoothPart(value=lambda x: 0.0, gradient=lambda x: x, beta=0.0)
+
+
+class TestSolutionDistance:
+    def test_rescales_only_where_the_norm_overflows(self):
+        sol = random_quadratic(dim=2).solution
+        for x in ([1.0, 2.0], [1e150, -3e150]):
+            assert sol.distance(x) == float(np.linalg.norm(np.asarray(x) - sol.s_ref))  # the same bits
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sol.distance([1e200, 1e200]) == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+            assert sol.distance([1.5e308, 1.5e308]) == math.inf  # 2.1e308 exceeds the largest float
 
 
 class TestLipschitz:

@@ -2,6 +2,10 @@ import dataclasses
 import errno
 import functools
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -845,7 +849,7 @@ class TestCsvExport:
         for column, values in want.items():
             assert getattr(trace, column).tobytes() == values.tobytes(), column
         # to_csv formats _CSV_BLOCK rows per call: the text of one call over every row
-        whole = ",".join(trace._csv_header()) + "\n" + _csv_chunk(trace._csv_table(0, rows), 0)
+        whole = ",".join(trace._csv_header()) + "\n" + _csv_chunk(trace._csv_table(0, rows), 0).decode()
         assert trace.to_csv(tmp_path / "trace.csv").read_text() == whole
 
     @pytest.mark.parametrize("rows", [2, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1, 2 * _CSV_BLOCK + 1])
@@ -854,6 +858,13 @@ class TestCsvExport:
         problem, x0, s_refs = stream_problem(name)
         trace = fista_run(problem, x0, "bt", rows - 1, s_refs=s_refs)
         assert len(trace) == rows
+        assert trace.to_csv(tmp_path / "trace.csv").read_text() == per_row_csv(trace)
+
+    @pytest.mark.parametrize("rows", [2, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1, 2 * _CSV_BLOCK + 1])
+    def test_large_finite_start_equals_the_per_row_writer(self, rows, tmp_path):
+        # F(x_0) = 3.8e307: the cells with a decimal exponent above 280 are Python's %.17g
+        trace = fista_run(random_quadratic(dim=2), [1e154, 1e154], "bt", rows - 1)
+        assert len(trace) == rows and trace.F_x[0] > 1e307
         assert trace.to_csv(tmp_path / "trace.csv").read_text() == per_row_csv(trace)
 
     @pytest.mark.parametrize("row", [_CSV_CHUNK + 100, 2 * _CSV_CHUNK + 1])
@@ -869,7 +880,7 @@ class TestCsvExport:
         assert partial[: row + 1] == whole[: row + 1]
 
     def test_to_csv_holds_one_block_of_text_at_a_time(self, tmp_path):
-        # on this trace, 4096-row calls peaked at 4.5 MiB and 512-row calls at 0.6 MiB
+        # on this trace, 4096-row calls peaked at 10.2 MiB, 512-row calls at 1.3 MiB and 256-row calls at 0.64 MiB
         trace = fista_run(feasibility_problem(), [5.0, 0.0], "bt", 2 * _CSV_CHUNK + 100, s_refs=S_REFS)
         tracemalloc.start()
         try:
@@ -892,6 +903,87 @@ class TestCsvExport:
         problem = dataclasses.replace(feas, g=dataclasses.replace(feas.g, value=value))
         fista_run(problem, [5.0, 0.0], "bt", rows - 1)
         assert sizes and all(size >= _CSV_CHUNK or size == rows for size in sizes), sizes
+
+
+def percent_17g(table: np.ndarray, start: int) -> bytes:
+    """Reference: Python's %.17g of every cell, after the row number."""
+    rows = table.tolist()
+    return "".join(f"{start + k}," + ",".join("%.17g" % v for v in row) + "\n" for k, row in enumerate(rows)).encode()
+
+
+class TestExactFormat:
+    """``_csv_chunk`` makes Python's ``%.17g`` over numpy arrays, byte for byte."""
+
+    @staticmethod
+    def values() -> np.ndarray:
+        rng = np.random.default_rng(28)
+        powers = np.concatenate([[float(f"1e{q}") for q in range(-323, 309)], np.ldexp(1.0, np.arange(-1074, 1024))])
+        edges = [
+            *(0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, 2.2250738585072014e-308),
+            *(1.7976931348623157e308, 0.5, 2.5, 1e16, 1e17, 2.0**53, 2.0**53 + 2.0, 12345678901234567.0),
+            9.9999999999999996e-281,  # log10 reads -280, and y = h + l has h = 10^16 and l < 0
+            *(1e-243, 1e-176, 1e-79),  # each is below its power of 10, and its 17 digits carry into it
+            *(9.99e279, 1e280, 9.999999999999999e280, 1e281, -3.3e281),  # either side of |E| = 280
+            *(1e-280, 9.99e-281, 1.5e-281, -2.5e-280),
+        ]
+        sets = [
+            rng.integers(0, 2**64, 60_000, dtype=np.uint64).view(np.float64),  # every kind of double
+            rng.standard_normal(30_000) * 10.0 ** rng.integers(-30, 30, 30_000),
+            np.concatenate([powers, np.nextafter(powers, np.inf), np.nextafter(powers, 0.0)]),
+            -powers,
+            rng.integers(-(2**40), 2**40, 20_000) / 8.0,
+            rng.integers(10**14, 10**15, 5_000) + rng.integers(0, 8, 5_000) / 8.0,  # many 18-digit ties
+            rng.integers(1, 2**52, 10_000, dtype=np.uint64).view(np.float64),  # subnormals
+            rng.random(10_000) * 10.0 ** rng.integers(276, 286, 10_000) * rng.choice([-1.0, 1.0], 10_000),
+            rng.random(10_000) * 10.0 ** -rng.integers(276, 286, 10_000),
+            edges,
+        ]
+        values = np.concatenate(sets)
+        return np.concatenate([values, np.zeros(-values.size % 8)]).reshape(-1, 8)
+
+    def test_matches_percent_17g_byte_for_byte(self):
+        table = self.values()
+        for start in range(0, len(table), _CSV_BLOCK):
+            block = table[start : start + _CSV_BLOCK]
+            got, want = _csv_chunk(block, start).split(b"\n"), percent_17g(block, start).split(b"\n")
+            assert got == want, next((a, b) for a, b in zip(got, want) if a != b)
+
+    def test_k_is_the_row_number(self):
+        assert _csv_chunk(np.array([[0.25], [-0.0]]), 99_999_999) == b"99999999,0.25\n100000000,-0\n"
+
+    def test_threads_growing_the_templates_format_exactly(self, monkeypatch):
+        # every thread meets keys no template has yet, on one fresh table
+        fmt = solver._Format()
+        monkeypatch.setattr(solver, "_format", lambda: fmt)
+        rng = np.random.default_rng(6)
+        tables = [rng.standard_normal((64, 4)) * 10.0 ** rng.integers(-280, 280, (64, 4)) for _ in range(8)]
+        texts = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            work = [lambda i=i: texts.update({i: _csv_chunk(tables[i], 0)}) for i in range(8)]
+            threads = [threading.Thread(target=target) for target in work]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [texts.get(i) for i in range(8)] == [percent_17g(table, 0) for table in tables]
+
+    def test_the_power_table_is_built_by_the_first_format_call(self):
+        # importing the CLI builds nothing and loads neither fractions nor decimal
+        probe = (
+            "import sys, numpy, fistalab.cli; from fistalab import solver; "
+            "loaded = lambda: (solver._format.cache_info().currsize, 'fractions' in sys.modules, "
+            "'decimal' in sys.modules); "
+            "before = loaded(); solver._csv_chunk(numpy.ones((1, 1)), 0); print(before, loaded())"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "(0, False, False) (1, False, False)"
 
 
 class TestSave:
