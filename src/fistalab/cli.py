@@ -28,6 +28,12 @@ artifacts leaves the previous ones as they were. ``--output-dir`` and
 ``--seed`` are checked as the config keys they replace, and the output
 directory is created by the first artifact write, so a run that fails at
 set-up leaves nothing on disk.
+
+``validate`` and ``bcch-demo`` load only :mod:`~fistalab.schedule`,
+:mod:`~fistalab.scalar_transform` and :mod:`~fistalab.diagnostics`: the
+solver, the problem families and the checks are imported inside
+:func:`run_config`, the config loader and :func:`repro_fig1`, the only
+code that calls them.
 """
 
 from __future__ import annotations
@@ -40,19 +46,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import AnalysisStream, _real
 from .diagnostics import ScalarSeq, verdict
-from .families import build_problem, feasibility_problem
 from .scalar_transform import SCENARIO_NAMES, divergence_witness, get_scenario
 from .schedule import Schedule, check_tk_bounds, validate_schedule
-from .solver import (
-    NonFiniteIterateError,
-    fista_run,
-    nesterov_run,
-    pgm_run,
-    strict_json,
-    write_atomically,
-)
 
 __all__ = ["main", "run_config", "repro_fig1", "bcch_demo", "validate_command", "ConfigError"]
 
@@ -78,6 +74,8 @@ _ALGORITHMS = ("fista", "pgm", "nesterov")
 
 def _load_config(path: Path, overrides=None) -> dict:
     """The config at ``path`` with ``overrides`` (command-line values) put over its keys, checked."""
+    from .checks import _real
+
     try:
         raw = json.loads(path.read_text())
     except FileNotFoundError:
@@ -149,6 +147,10 @@ def run_config(config_path, output_dir=None, seed=None) -> int:
     directory, and an unusable output path (one below a regular file) is
     reported only there, as exit 2.
     """
+    from .checks import AnalysisStream
+    from .families import build_problem
+    from .solver import NonFiniteIterateError, fista_run, nesterov_run, pgm_run, strict_json, write_atomically
+
     path = Path(config_path)
     aborted = None
     try:
@@ -217,6 +219,9 @@ def repro_fig1(output_dir=".") -> Path:
     Two whitespace-separated columns per point, comment-separated blocks:
     the iterate path, then the endpoints of the solution segment.
     """
+    from .families import feasibility_problem
+    from .solver import fista_run, write_atomically
+
     problem = feasibility_problem()
     trace = fista_run(problem, [5.0, 0.0], "bt", 24)
     lines = ["# FISTA iterates x_0..x_24, plane feasibility demo, x0=(5,0)"]

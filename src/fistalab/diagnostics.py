@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .problem import as_vector
 from .scalar_transform import forward_transform
-from .solver import Trace
+
+if TYPE_CHECKING:
+    from .solver import Trace
 
 __all__ = [
     "ScalarSeq",
@@ -112,6 +113,8 @@ def tail_verdict(tail: np.ndarray, tol: float) -> ConvergenceVerdict:
 
 def inner_product_seq(trace: Trace, which: str, d) -> ScalarSeq:
     """The sequence <v_k, d> for v in {x, y, z} along a trace."""
+    from .problem import as_vector
+
     if which not in ("x", "y", "z"):
         raise ValueError(f"which must be one of 'x', 'y', 'z', got {which!r}")
     trace.require_vectors()
@@ -128,6 +131,8 @@ def momentum_identity_residual(trace: Trace, d) -> float:
     products are taken over every row, as :func:`inner_product_seq` takes
     them.
     """
+    from .problem import as_vector
+
     trace.require_vectors()
     dd = as_vector(d, trace.xs.shape[1])
     g = forward_transform(trace.xs @ dd, trace.ts[:-1] - 1.0)
@@ -142,6 +147,8 @@ def orthonormal_span_basis(vectors: Sequence) -> np.ndarray:
     ``1e-10 * max(1, ||v||)`` are dropped as linearly dependent; an
     input without a single independent vector is an error.
     """
+    from .problem import as_vector
+
     if len(vectors) == 0:
         raise ValueError("need at least one spanning vector")
     rows = [as_vector(v) for v in vectors]

@@ -146,7 +146,7 @@ class Schedule:
 
     def _generate(self, k_max: int) -> np.ndarray:
         """t_0..t_{k_max}, or as many as an explicit rule has; "linear" halves exact integers
-        as :func:`linear_half` does, and "bt" writes each :func:`bt_next` term into the array."""
+        as :func:`linear_half` does, and "bt" writes :func:`bt_next`'s formula into the array."""
         if self._explicit is not None:
             return self._explicit[: k_max + 1]
         if self.rule == "linear":
@@ -154,10 +154,10 @@ class Schedule:
             ts[0] = 1.0
             return ts
         ts = np.empty(k_max + 1)
-        out = memoryview(ts)
+        out, sqrt = memoryview(ts), math.sqrt
         t = out[0] = 1.0
-        for k in range(1, k_max + 1):
-            t = out[k] = bt_next(t)
+        for k in range(1, k_max + 1):  # bt_next inline: t >= 1 holds by induction from t_0 = 1
+            t = out[k] = 0.5 * (1.0 + sqrt(4.0 * t * t + 1.0))
         return ts
 
     def prefix(self, k_max: int) -> np.ndarray:

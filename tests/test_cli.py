@@ -18,6 +18,7 @@ from fistalab import (
     Schedule,
     Trace,
     cli,
+    families,
     feasibility_problem,
     fista_run,
     nesterov_run,
@@ -75,7 +76,7 @@ def steps(monkeypatch):
         return feas.f.gradient(x)
 
     counted = dataclasses.replace(feas, f=dataclasses.replace(feas.f, gradient=gradient))
-    monkeypatch.setattr(cli, "build_problem", lambda family, params: counted)
+    monkeypatch.setattr(families, "build_problem", lambda family, params: counted)
     return calls
 
 
@@ -526,6 +527,20 @@ class TestRun:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "0 False"
 
+    def test_lab_commands_leave_the_solver_unloaded(self):
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        probe = (
+            "import sys; from fistalab.cli import main; "
+            "codes = [main(['validate', 'bt', '10']), main(['bcch-demo', 'ex42', '10'])]; "
+            "print(codes, sorted(m for m in ('fistalab.solver', 'fistalab.checks', 'fistalab.families', "
+            "'fistalab.problem') if m in sys.modules))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[0, 0] []"
+
     def test_import_leaves_process_pool_unloaded(self):
         env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
         probe = "import sys, fistalab.cli; print('concurrent.futures' in sys.modules)"
@@ -846,7 +861,7 @@ class TestAtomicArtifacts:
             return feas.g.prox(v, step)
 
         failing = dataclasses.replace(feas, g=NonsmoothPart(value=feas.g.value, prox=prox))
-        monkeypatch.setattr(cli, "build_problem", lambda family, params: failing)
+        monkeypatch.setattr(families, "build_problem", lambda family, params: failing)
         assert run_config(cfg, output_dir=out) == 2
         assert calls["n"] == 5000
         assert sorted(p.name for p in out.iterdir()) == sorted(self.ARTIFACTS)
@@ -888,7 +903,7 @@ class TestAtomicArtifacts:
     )
     def test_run_forks_no_process_and_saves_the_library_trace(self, algorithm, family, x0, tmp_path, monkeypatch):
         params = {"dim": 3, "seed": 0} if family == "quadratic" else {}
-        problem = cli.build_problem(family, params)
+        problem = families.build_problem(family, params)
         s_refs = [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]] if family == "feasibility" else [problem.solution.s_ref.tolist()]
         cfg = write_config(
             tmp_path, problem={"family": family, "params": params}, algorithm=algorithm, x0=x0, s_refs=s_refs,

@@ -1,9 +1,7 @@
 """Every exported name of the package resolves."""
 
-import ast
 import importlib
 import pkgutil
-from pathlib import Path
 
 import pytest
 
@@ -20,14 +18,24 @@ def test_module_all_resolves(name):
 
 
 def test_package_imports_exist():
-    # a stale name in __init__'s imports fails the import itself; this names it
-    tree = ast.parse(Path(fistalab.__file__).read_text())
-    imported = [
-        (node.module, alias.name)
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
+    # a stale name in the lazy export table fails only on first use; this names it
+    missing = [
+        f"{mod}.{n}" for n, mod in fistalab._EXPORTS.items() if not hasattr(importlib.import_module(f"fistalab.{mod}"), n)
     ]
-    assert imported
-    missing = [f"{mod}.{n}" for mod, n in imported if not hasattr(importlib.import_module(f"fistalab.{mod}"), n)]
     assert missing == []
+
+
+def test_each_export_is_the_submodules_object_and_listed():
+    wrong = [
+        name
+        for name, mod in fistalab._EXPORTS.items()
+        if getattr(fistalab, name) is not getattr(importlib.import_module(f"fistalab.{mod}"), name)
+    ]
+    assert wrong == []
+    assert set(fistalab._EXPORTS) <= set(dir(fistalab))
+    assert sorted(fistalab.__all__) == sorted(fistalab._EXPORTS)
+
+
+def test_unknown_package_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        fistalab.no_such_name  # noqa: B018

@@ -46,7 +46,7 @@ from fistalab import (
 )
 from fistalab import cli
 from fistalab.checks import _FOLDS, ANALYSES, AnalysisStream, CheckResult
-from fistalab.problem import CompositeProblem, eval_F
+from fistalab.problem import CompositeProblem, _row_norms, eval_F
 from fistalab.solver import _CSV_CHUNK, _ROW_COLUMNS, RowWindow
 
 REPO = Path(__file__).resolve().parent.parent
@@ -101,7 +101,7 @@ def structural_check(trace: Trace, problem, params, rng) -> list:
     trace.require_vectors()
     t = trace.ts
     with np.errstate(over="ignore", invalid="ignore"):  # _worst turns inf/NaN into a failure
-        norm_y = np.linalg.norm(trace.ys, axis=1)
+        norm_y = _row_norms(trace.ys)  # rescaled where the plain norm overflows, as trace.norm_x is
 
         zdef_scale = np.maximum(1.0, np.abs(1.0 - t) * trace.norm_x + t * norm_y)
         zdef = _worst(trace.res_zdef, zdef_scale)
@@ -151,10 +151,17 @@ def rate_bound_check(trace: Trace, problem: CompositeProblem, params, rng) -> li
     trace.require_vectors()
     tol = params.get("tol", IDENTITY_TOL)
     k = np.arange(1, len(trace), dtype=float)
+    beta, x = trace.beta, trace.norm_x[0]
     with np.errstate(over="ignore", invalid="ignore"):  # _worst turns inf/NaN into a failure
         d0 = problem.solution.distance(trace.xs[0])
-        slack = tol * np.maximum(1.0, trace.beta * trace.norm_x[0] ** 2)
-        bound = 2.0 * trace.beta * d0**2 / (k + 1.0) ** 2 + slack
+        # the rescaled forms only where the plain ones overflow
+        slack = tol * np.maximum(1.0, beta * x**2)
+        if np.isinf(slack):
+            slack = tol * beta * x * x
+        if math.isinf(2.0 * beta * d0 * d0) and math.isfinite(d0):
+            bound = 2.0 * beta * (d0 / (k + 1.0)) ** 2 + slack
+        else:
+            bound = 2.0 * beta * d0**2 / (k + 1.0) ** 2 + slack
         excess = _worst(trace.delta[1:] - bound)
     return [
         CheckResult(
@@ -459,8 +466,8 @@ def compare_run(cfg: dict, workdir: Path, want: dict, abort_row=None) -> list:
     workdir.mkdir(parents=True)
     config = workdir / "config.json"
     config.write_text(json.dumps(cfg))
-    with mock.patch.object(
-        cli, "build_problem", lambda *args: case_problem(cfg, abort_row)
+    with mock.patch(
+        "fistalab.families.build_problem", lambda *args: case_problem(cfg, abort_row)
     ), contextlib.redirect_stdout(io.StringIO()):
         code = cli.run_config(config, output_dir=workdir)
     report = json.loads((workdir / "report.json").read_text())
@@ -500,6 +507,16 @@ class TestStreamedChecks:
     def test_report_and_artifacts_equal_the_whole_array_reference(self, family, rows, tmp_path):
         cfg = case_config(family, 6, rows)
         want = library_artifacts(cfg, tmp_path)
+        assert compare_run(cfg, tmp_path / "run", want) == []
+
+    def test_a_start_whose_squares_overflow_equals_the_reference(self, tmp_path):
+        # |x_0| and d0 near 1.4e154: their plain squares and the plain ||y_k|| overflow, and the
+        # checks take the rescaled forms; C + 1 rows cross a block edge
+        cfg = case_config("quadratic", 2, C + 1)
+        cfg["x0"] = [1e154, 1e154]
+        want = library_artifacts(cfg, tmp_path)
+        [rate] = [c for c in want["checks"] if c["claim"] == "rate-bound"]
+        assert rate["pass"] and math.isfinite(rate["residual_or_oscillation"])
         assert compare_run(cfg, tmp_path / "run", want) == []
 
     # C - 1 and C: the last row of one pass and the first of the next; 1: a first chunk with no xi step
