@@ -255,7 +255,7 @@ class _RateBound(_Fold):
                 self.slack = IDENTITY_TOL * np.maximum(1.0, beta * x**2)
                 if np.isinf(self.slack):
                     self.slack = IDENTITY_TOL * beta * x * x
-            if math.isinf(2.0 * beta * d0 * d0) and math.isfinite(d0):
+            if math.isfinite(d0) and (math.isinf(d0 * d0) or math.isinf(2.0 * beta * d0 * d0)):
                 bound = 2.0 * beta * (d0 / (k + 1.0)) ** 2 + self.slack
             else:
                 bound = 2.0 * beta * d0**2 / (k + 1.0) ** 2 + self.slack

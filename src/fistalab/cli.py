@@ -18,16 +18,17 @@ are still written). Runs are deterministic for a fixed config and seed;
 rerunning a config reproduces its trace CSV byte for byte.
 
 ``run`` folds the configured checks over each block of rows as the solver
-builds it (:class:`~fistalab.checks.AnalysisStream`), so it keeps x, y and
-z only in a window of a few thousand rows and at the snapshot rows, and
-formats trace.csv after the run (:meth:`~fistalab.solver.Trace.save`).
-Every artifact is written under a temporary name in the output directory
-and renamed into place, trace.csv first and report.json last, so a crash
-never leaves a half-written file; a run that fails before writing its
-artifacts leaves the previous ones as they were. ``--output-dir`` and
+builds it (:class:`~fistalab.checks.AnalysisStream`) and writes the
+block's trace.csv rows as it goes, so it keeps x, y and z and the scalar
+columns only in a window of a few thousand rows (and x, y and z at the
+snapshot rows); only the schedule's t_k stay full length. Every artifact
+is written under a temporary name in the output directory and renamed
+into place, trace.csv first (after the run) and report.json last, so a
+crash never leaves a half-written file; a run that fails before the first
+rename leaves the previous artifacts as they were. ``--output-dir`` and
 ``--seed`` are checked as the config keys they replace, and the output
-directory is created by the first artifact write, so a run that fails at
-set-up leaves nothing on disk.
+directory is created by the first chunk's trace.csv write, so a run that
+fails at set-up leaves nothing on disk.
 
 ``validate`` and ``bcch-demo`` load only :mod:`~fistalab.schedule`,
 :mod:`~fistalab.scalar_transform` and :mod:`~fistalab.diagnostics`: the
@@ -133,23 +134,34 @@ def run_config(config_path, output_dir=None, seed=None) -> int:
     The checks are set up before the first row (every probe draw from the
     seeded rng happens there, in analysis order) and folded over the rows
     as the run builds them, so the run holds no full x, y or z arrays; a
-    bad check parameter fails before the run. After the run,
-    :meth:`~fistalab.solver.Trace.save` writes trace.csv and
-    snapshots.json, then report.json follows, each written under a
-    temporary name and renamed, so every file is replaced whole. A run
-    that fails before writing its artifacts leaves the previous ones as
-    they were; one that fails while writing them may leave the newer files
-    next to older ones.
+    bad check parameter fails before the run. The run writes trace.csv
+    chunk by chunk as it builds the rows, under a temporary name, and
+    holds only a window of its scalar columns (all but the schedule ``ts``)
+    too. After the run, trace.csv is renamed into place, then snapshots.json
+    and report.json follow, each written under a temporary name and
+    renamed, so every file is replaced whole. A run that fails before its
+    first rename (during the run, a KeyboardInterrupt included) removes its
+    temporary file and leaves the previous artifacts as they were; one that
+    fails after it may leave the newer files next to older ones.
 
     ``output_dir`` and ``seed``, where given, replace the config's keys and
-    are checked as they are. The first artifact write, after the run,
-    creates the output directory. So a run that fails at set-up creates no
-    directory, and an unusable output path (one below a regular file) is
-    reported only there, as exit 2.
+    are checked as they are. The first chunk's write creates the output
+    directory. So a run that fails at set-up creates no directory, and an
+    unusable output path (one below a regular file) is reported there, as
+    exit 2. A run that fails after that leaves the directory it created,
+    without a file of its own.
     """
     from .checks import AnalysisStream
     from .families import build_problem
-    from .solver import NonFiniteIterateError, fista_run, nesterov_run, pgm_run, strict_json, write_atomically
+    from .solver import (
+        NonFiniteIterateError,
+        _replacing,
+        fista_run,
+        nesterov_run,
+        pgm_run,
+        strict_json,
+        write_atomically,
+    )
 
     path = Path(config_path)
     aborted = None
@@ -166,16 +178,26 @@ def run_config(config_path, output_dir=None, seed=None) -> int:
             snapshot_every=cfg.get("snapshot_every", 1),
             analyses=analyses,
         )
-        try:
-            if algorithm == "pgm":
-                trace = pgm_run(problem, cfg["x0"], cfg["iterations"], **common)
-            else:
-                runner = fista_run if algorithm == "fista" else nesterov_run
-                trace = runner(problem, cfg["x0"], cfg["schedule"], cfg["iterations"], **common)
-            results = analyses.results()
-        except NonFiniteIterateError as exc:
-            trace, aborted, results = exc.trace, exc, []
     except (ConfigError, ValueError, KeyError, OSError, MemoryError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+    csv_path = out / "trace.csv"
+    try:
+        with _replacing(csv_path) as tmp:
+            try:
+                if algorithm == "pgm":
+                    trace = pgm_run(problem, cfg["x0"], cfg["iterations"], **common, csv_path=tmp)
+                else:
+                    runner = fista_run if algorithm == "fista" else nesterov_run
+                    trace = runner(problem, cfg["x0"], cfg["schedule"], cfg["iterations"], **common, csv_path=tmp)
+                results = analyses.results()
+            except NonFiniteIterateError as exc:
+                trace, aborted, results = exc.trace, exc, []
+    except OSError as exc:  # the run's only file is trace.csv
+        print(f"error: cannot write artifacts: {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -194,7 +216,9 @@ def run_config(config_path, output_dir=None, seed=None) -> int:
     if aborted is not None:
         report["aborted_at_row"] = aborted.row
     try:
-        saved = trace.save(out)
+        snapshots = write_atomically(
+            out / "snapshots.json", lambda tmp: tmp.write_text(strict_json(trace.snapshot_payload()))
+        )
         report_path = write_atomically(out / "report.json", lambda tmp: tmp.write_text(strict_json(report)))
     except OSError as exc:
         print(f"error: cannot write artifacts: {exc}", file=sys.stderr)
@@ -206,7 +230,7 @@ def run_config(config_path, output_dir=None, seed=None) -> int:
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"[{status}] {r.claim}: {r.residual_or_oscillation!r}")
-    print(f"artifacts: {saved['trace']}, {saved['snapshots']}, {report_path}")
+    print(f"artifacts: {csv_path}, {snapshots}, {report_path}")
     if failing:
         print(f"FAILED checks: {', '.join(failing)}")
         return 1

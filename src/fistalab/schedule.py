@@ -37,6 +37,7 @@ __all__ = [
 
 GROWTH_TOL = 1e-9
 QUADRATIC_TOL = 1e-9
+_BLOCK = 2**14  # terms per block of the certifiers' temporaries
 _VIOLATION = np.dtype([("k", np.intp), ("residual", np.float64)])  # unpacks as (k, residual)
 
 
@@ -109,19 +110,36 @@ def validate_schedule(ts) -> ScheduleReport:
     if not np.all(np.isfinite(arr)):
         raise ScheduleError(f"t_{int(np.argmin(np.isfinite(arr)))} is not finite")
 
-    half = np.arange(2, arr.size + 2) / 2.0  # (k+2)/2 >= 1: growth offset and scale
-    growth = arr - half
-    growth[0] = -abs(arr[0] - 1.0)  # at k = 0 the condition pins t_0 = 1 exactly
-    sq = arr**2
-    quad = sq[:-1] - sq[1:] + arr[1:]
-    quad_scale = np.maximum(1.0, sq[:-1])  # explicit schedules may hold t < 1
-    del sq  # one array fewer beside the violation temporaries
+    # the residuals are filled in place, ``_BLOCK`` terms at a time, so the
+    # scales, squares and masks are never alive over the whole prefix; every
+    # value is elementwise and a maximum does not depend on order, so the
+    # blocks give the bits of one pass
+    growth, quad = np.empty(arr.size), np.empty(arr.size - 1)
+    growth_violations, quadratic_violations = [], []
+    scaled_abs_max = -math.inf
+    for lo in range(0, arr.size, _BLOCK):
+        hi = min(lo + _BLOCK, arr.size)
+        half = np.arange(lo + 2, hi + 2) / 2.0  # (k+2)/2 >= 1: growth offset and scale
+        g = np.subtract(arr[lo:hi], half, out=growth[lo:hi])
+        if lo == 0:
+            g[0] = -abs(arr[0] - 1.0)  # at k = 0 the condition pins t_0 = 1 exactly
+        growth_violations.append(_violations(g < -GROWTH_TOL * half, g, half, first_k=lo))
+        top = min(hi, arr.size - 1)  # quad_k relates t_k and t_{k+1}
+        sq = arr[lo : top + 1] ** 2
+        q = np.subtract(sq[:-1], sq[1:], out=quad[lo:top])
+        q += arr[lo + 1 : top + 1]
+        scale = np.maximum(1.0, sq[:-1])  # explicit schedules may hold t < 1
+        quadratic_violations.append(_violations(q < -QUADRATIC_TOL * scale, q, scale, first_k=lo))
+        if q.size:  # NaN once any block's is NaN, as one np.max
+            block_max = float(np.max(np.abs(q) / scale))
+            if block_max != block_max or block_max > scaled_abs_max:
+                scaled_abs_max = block_max
     return ScheduleReport(
         growth_residuals=growth,
         quadratic_residuals=quad,
-        growth_violations=_violations(growth < -GROWTH_TOL * half, growth, half),
-        quadratic_violations=_violations(quad < -QUADRATIC_TOL * quad_scale, quad, quad_scale),
-        quadratic_scaled_abs_max=float(np.max(np.abs(quad) / quad_scale)),
+        growth_violations=np.concatenate(growth_violations),
+        quadratic_violations=np.concatenate(quadratic_violations),
+        quadratic_scaled_abs_max=scaled_abs_max,
     )
 
 
@@ -209,14 +227,25 @@ def check_tk_bounds(ts) -> TkBoundsReport:
     arr = np.asarray(ts, dtype=float)
     if arr.ndim != 1 or arr.size < 3:
         raise ValueError("need at least t_0..t_2 to check the bounds")
-    ks = np.arange(2, arr.size)
-    tm1 = arr[2:] - 1.0
     tol = 1e-9
-    low = tm1 - 1.0
-    up = ks - tm1
-    # violations before the reciprocals, so their temporaries and ``inv`` are never alive together
-    lower = _violations(~(low >= -tol), low, first_k=2)
-    upper = _violations(up < -tol * ks, up, first_k=2)
-    # reciprocals are divergence evidence; meaningless where the lower bound fails
-    inv = np.divide(1.0, tm1, out=np.full(tm1.shape, np.nan), where=tm1 > 0)
-    return TkBoundsReport(lower, upper, inv_partial_sums=np.cumsum(inv, out=inv))
+    inv = np.empty(arr.size - 2)
+    lower, upper = [], []
+    # block by block, as validate_schedule: each block's running sum starts
+    # from the sum before it, added as np.cumsum adds it, so the partial
+    # sums keep the bits of one cumsum
+    for lo in range(2, arr.size, _BLOCK):
+        hi = min(lo + _BLOCK, arr.size)
+        ks = np.arange(lo, hi)
+        tm1 = arr[lo:hi] - 1.0
+        low = tm1 - 1.0
+        up = ks - tm1
+        lower.append(_violations(~(low >= -tol), low, first_k=lo))
+        upper.append(_violations(up < -tol * ks, up, first_k=lo))
+        # reciprocals are divergence evidence; meaningless where the lower bound fails
+        sums = inv[lo - 2 : hi - 2]
+        sums.fill(np.nan)
+        np.divide(1.0, tm1, out=sums, where=tm1 > 0)
+        if lo > 2:
+            sums[0] = inv[lo - 3] + sums[0]
+        np.cumsum(sums, out=sums)
+    return TkBoundsReport(np.concatenate(lower), np.concatenate(upper), inv_partial_sums=inv)

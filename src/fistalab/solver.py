@@ -26,10 +26,12 @@ One loop, in ``_run``, walks a run's rows, one chunk of ``_CSV_CHUNK``
 rows per pass: it steps to the end of the chunk and checks finiteness
 once, so at most ``_CSV_CHUNK - 1`` steps past that row are computed, on
 non-finite input, and discarded (one of them raising still reports that
-row), then builds the derived columns of the chunk up to that row. The
-CSV is formatted after the run, by :meth:`Trace.to_csv`, and
-:meth:`Trace.save` writes each file under a temporary name and renames it
-into place, so a crash never leaves a half-written artifact.
+row), then builds the derived columns of the chunk up to that row. A run
+given a CSV path formats each chunk's rows into it as it builds them;
+otherwise :meth:`Trace.to_csv` formats them after the run, through the
+same block writer, and :meth:`Trace.save` writes each file under a
+temporary name and renames it into place, so a crash never leaves a
+half-written artifact.
 
 Memory. A library run returns every row of x, y and z, so it holds
 O(rows x dim) floats. Given its checks (``analyses=``, an
@@ -38,9 +40,12 @@ as it is built and keeps vector rows only where something still reads
 them: a window of two chunks (the chunk being built, and the objective's
 window before it, which ends with the carried row), the snapshot rows,
 and what the checks sample. Its trace then carries no per-row vectors,
-only the snapshot rows, so vectors take O(chunk x dim) memory; the scalar
-columns stay full length, O(rows). A run that aborts folds nothing over
-its last chunk, since no caller reads the checks of an aborted run.
+only the snapshot rows, so vectors take O(chunk x dim) memory. The scalar
+columns stay full length, O(rows), unless the run writes its CSV as it
+goes: then every column but ``ts`` is held in the window too
+(:class:`_WindowColumn`), its rows dropped once they are in the file. A
+run that aborts folds nothing over its last chunk, since no caller reads
+the checks of an aborted run.
 
 Traces are columnar (one array per column) and immutable once produced.
 CSV export uses 17 significant digits and a fixed header, so rerunning a
@@ -49,6 +54,7 @@ configuration reproduces the file byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import json
@@ -147,23 +153,35 @@ def strict_json(payload: dict) -> str:
     return json.dumps(tag_nonfinite(payload), sort_keys=True, indent=1, allow_nan=False)
 
 
-def write_atomically(path, write) -> Path:
-    """Call ``write(temp)`` on a temporary name beside ``path``, then rename it onto ``path``.
+@contextlib.contextmanager
+def _replacing(path: Path):
+    """A temporary name beside ``path``, renamed onto ``path`` when the block ends.
 
-    Creates the parent directory first, where it is missing. The temporary
-    name carries the pid, so no other process writes it. On failure the
+    The temporary name carries the pid, so no other process writes it. If
+    the block raises (any exception, KeyboardInterrupt included), the
     temporary file is removed, so ``path`` holds either its old content or
     the complete new one, never a partial file.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        write(tmp)
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        with contextlib.suppress(OSError):  # none made, or none can be: the error to report is the first one
+            tmp.unlink()
         raise
+
+
+def write_atomically(path, write) -> Path:
+    """Call ``write(temp)`` on a temporary name beside ``path``, then rename it onto ``path``.
+
+    Creates the parent directory first, where it is missing; see
+    :func:`_replacing` for the temporary file.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with _replacing(path) as tmp:
+        write(tmp)
     return path
 
 
@@ -410,6 +428,21 @@ def _csv_chunk(table: np.ndarray, start: int) -> bytes:
     return flat[flat != 0].tobytes()
 
 
+def _write_csv_rows(out, trace: "Trace", lo: int, hi: int) -> None:
+    """Write CSV rows lo..hi of ``trace`` into the binary file ``out``, the header first where lo is 0.
+
+    The one block writer: rows go ``_CSV_BLOCK`` at a time through
+    :func:`_csv_chunk`, so the text of one block is held at a time.
+    :meth:`Trace.to_csv` writes every row in one call, and a run given a
+    CSV path writes each chunk of ``_CSV_CHUNK`` rows (a multiple of
+    ``_CSV_BLOCK``) as it builds it, in the same blocks.
+    """
+    if lo == 0:
+        out.write((",".join(trace._csv_header()) + "\n").encode())
+    for start in range(lo, hi, _CSV_BLOCK):
+        out.write(_csv_chunk(trace._csv_table(start, min(start + _CSV_BLOCK, hi)), start))
+
+
 def z_recursion(t_prev: np.ndarray, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """||z_k - ((1 - t_{k-1}) x_{k-1} + t_{k-1} x_k)|| for consecutive rows.
 
@@ -426,12 +459,20 @@ class RowWindow:
 
     A library run holds every row and ``base`` stays 0. A streamed run holds
     ``_WINDOW`` rows and :meth:`slide` drops the rows that nothing reads any
-    more. Rows are addressed by their row number k.
+    more. Rows are addressed by their row number k. A run that writes its
+    CSV as it goes holds its scalar columns here too (:meth:`column`).
     """
 
     def __init__(self, xs: np.ndarray, ys: np.ndarray, zs: np.ndarray):
         self.xs, self.ys, self.zs = xs, ys, zs
         self.base = 0
+        self.columns = []
+
+    def column(self, *tail: int) -> "_WindowColumn":
+        """A new scalar column (``tail`` its shape past the row axis) over the window's rows, slid with them."""
+        values = np.empty((self.xs.shape[0], *tail))
+        self.columns.append(values)
+        return _WindowColumn(self, values)
 
     def _rows(self, vectors: np.ndarray, lo: int, hi: int) -> np.ndarray:
         if lo < self.base:
@@ -451,14 +492,49 @@ class RowWindow:
         """Move rows first..top to the front of the arrays; rows before ``first`` are dropped."""
         shift = first - self.base
         if shift > 0:
-            for vectors in (self.xs, self.ys, self.zs):
-                vectors[: top - first] = vectors[shift : top - self.base]
+            for rows in (self.xs, self.ys, self.zs, *self.columns):
+                rows[: top - first] = rows[shift : top - self.base]
             self.base = first
 
     def snapshots(self, lo: int, hi: int, rows: Sequence) -> np.ndarray:
         """The x, y and z of each of ``rows`` (all within lo..hi), shape ``(len(rows), 3, dim)``."""
         at = np.asarray(rows, dtype=int) - lo
         return np.stack((self.x(lo, hi)[at], self.y(lo, hi)[at], self.z(lo, hi)[at]), axis=1)
+
+
+class _WindowColumn:
+    """A scalar column held in a :class:`RowWindow`: its rows from the window's ``base`` on, by row number.
+
+    It is indexed as the full column would be, for the keys that the run
+    and the checks use: a row, a slice of rows or an array of rows, each
+    maybe followed by a column index. A key that takes a row the window
+    has dropped, before ``base``, raises IndexError instead of giving
+    another row's value.
+    """
+
+    def __init__(self, window: RowWindow, values: np.ndarray):
+        self.window, self.values = window, values
+        self.ndim, self.shape = values.ndim, values.shape  # shape[0] is the rows held, not the run's rows
+
+    def _held(self, key):
+        rows, rest = (key[0], key[1:]) if isinstance(key, tuple) else (key, ())
+        base = self.window.base
+        if isinstance(rows, slice):
+            first = rows.start or 0
+            stop = None if rows.stop is None else max(rows.stop, first) - base  # an empty slice stays empty
+            rows = slice(first - base, stop, rows.step)
+        else:
+            rows = np.asarray(rows) - base
+            first = base + (int(rows.min()) if rows.size else 0)
+        if first < base:
+            raise IndexError(f"row {first} was dropped; the window starts at row {base}")
+        return (rows, *rest)
+
+    def __getitem__(self, key):
+        return self.values[self._held(key)]
+
+    def __setitem__(self, key, value):
+        self.values[self._held(key)] = value
 
 
 class NonFiniteIterateError(RuntimeError):
@@ -557,14 +633,15 @@ class Trace:
         """Write the scalar columns with fixed 17-significant-digit formatting.
 
         Rows are formatted ``_CSV_BLOCK`` at a time and written straight
-        into the file, opened in binary mode, so the text of one block is
-        held at a time.
+        into the file, opened in binary mode (:func:`_write_csv_rows`). A
+        trace whose run wrote its CSV as it went holds only a window of its
+        rows; it raises ValueError here, before the file is opened.
         """
+        if any(isinstance(getattr(self, field), _WindowColumn) for _, field in _COLUMNS):
+            raise ValueError("this trace holds a window of its rows; its run wrote trace.csv as it built them")
         path = Path(path)
         with path.open("wb") as out:
-            out.write((",".join(self._csv_header()) + "\n").encode())
-            for start in range(0, len(self), _CSV_BLOCK):
-                out.write(_csv_chunk(self._csv_table(start, start + _CSV_BLOCK), start))
+            _write_csv_rows(out, self, 0, len(self))
         return path
 
     def snapshot_payload(self) -> dict:
@@ -784,12 +861,17 @@ def _empty_trace(
     schedule_id: str,
     s_refs: Optional[np.ndarray],
     snapshot_every: int,
+    window: Optional[RowWindow] = None,
 ) -> Trace:
-    """A vector-free trace with every scalar column but ``ts`` allocated for ``ts.size`` rows and not yet filled."""
-    rows = ts.size
+    """A vector-free trace with every scalar column but ``ts`` allocated and not yet filled.
+
+    The columns have ``ts.size`` rows, or, given ``window``, hold its rows
+    (:meth:`RowWindow.column`).
+    """
     sol = problem.solution
     mu = None if sol is None else sol.mu
-    columns = {field: np.empty(rows) for _, field in _COLUMNS if field not in ("ts", "delta", "xi")}
+    column = (lambda *tail: np.empty((ts.size, *tail))) if window is None else window.column
+    columns = {field: column() for _, field in _COLUMNS if field not in ("ts", "delta", "xi")}
     return Trace(
         kind=kind,
         problem_id=problem.problem_id,
@@ -797,8 +879,8 @@ def _empty_trace(
         beta=problem.f.beta,
         mu=mu,
         ts=ts,
-        delta=None if mu is None else np.empty(rows),
-        xi=None if mu is None or s_refs is None else np.empty((rows, s_refs.shape[0])),
+        delta=None if mu is None else column(),
+        xi=None if mu is None or s_refs is None else column(s_refs.shape[0]),
         s_refs=s_refs,
         snapshot_every=snapshot_every,
         **columns,
@@ -874,6 +956,7 @@ def _run(
     s_refs: Sequence,
     snapshot_every: int,
     analyses: Optional[AnalysisStream],
+    csv_path=None,
 ) -> Trace:
     """The one iteration core behind every public runner, and the one loop over a run's rows.
 
@@ -882,8 +965,12 @@ def _run(
     reads any more, steps from row lo - 1 to row hi - 1 (:func:`_iterate`,
     with the stepper :func:`_chunk_steps` chose once for the run),
     then builds the chunk up to its first non-finite row, if any: fills its
-    columns, keeps its snapshot rows and, unless the run aborts in it, folds
-    ``analyses`` over it.
+    columns, writes their CSV rows where ``csv_path`` is given, keeps its
+    snapshot rows and, unless the run aborts in it, folds ``analyses`` over
+    it. The CSV file, and its directory where missing, is made at the first
+    chunk's write, so a run that fails at set-up makes neither; it is
+    closed when the run ends, however it ends. The scalar columns of such
+    a run, all but ``ts``, are held in the window (:meth:`RowWindow.column`).
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -895,7 +982,7 @@ def _run(
     held = min(ts.size, _WINDOW) if streamed else ts.size
     window = RowWindow(*(np.empty((held, x0.size)) for _ in range(3)))
     window.xs[0] = window.ys[0] = x0
-    trace = _empty_trace(problem, ts, kind, schedule_id, refs, snapshot_every)
+    trace = _empty_trace(problem, ts, kind, schedule_id, refs, snapshot_every, None if csv_path is None else window)
     if streamed:
         analyses.start(trace, x0)  # every probe draw, before the first row
     steps = _chunk_steps(problem)
@@ -903,7 +990,7 @@ def _run(
     what = "non-finite iterate"
     # a non-finite value ends the run as NonFiniteIterateError and stays in
     # the trace, so numpy's overflow and invalid-value warnings are noise
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), contextlib.ExitStack() as files:
         for lo in range(0, ts.size, _CSV_CHUNK):
             hi = min(lo + _CSV_CHUNK, ts.size)
             if streamed:
@@ -913,6 +1000,11 @@ def _run(
             nan_row = _fill_rows(trace, window, problem, lo, top)
             if nan_row is not None and nan_row != bad_row:  # a NaN F at a finite x, before any bad y
                 bad_row, top, what = nan_row, nan_row + 1, "objective evaluated to NaN"
+            if csv_path is not None:
+                if lo == 0:
+                    Path(csv_path).parent.mkdir(parents=True, exist_ok=True)
+                    csv = files.enter_context(open(csv_path, "wb"))
+                _write_csv_rows(csv, trace, lo, top)
             if streamed:
                 if bad_row is None:  # no caller reads the checks of an aborted run
                     analyses.update(trace, window, lo, top)
@@ -927,8 +1019,13 @@ def _run(
     else:
         trace.xs, trace.ys, trace.zs = window.xs, window.ys, window.zs
     if bad_row is not None:
-        # copies, so the partial trace does not hold the whole preallocation
-        kept = {name: getattr(trace, name)[:top].copy() for name in _ROW_COLUMNS if getattr(trace, name) is not None}
+        # copies, so the partial trace does not hold the whole preallocation;
+        # a window column stays as it is, its rows from top on never read
+        kept = {
+            name: getattr(trace, name)[:top].copy()
+            for name in _ROW_COLUMNS
+            if isinstance(getattr(trace, name), np.ndarray)
+        }
         raise NonFiniteIterateError(bad_row, dataclasses.replace(trace, **kept), what)
     return trace
 
@@ -942,6 +1039,7 @@ def fista_run(
     snapshot_every: int = 1,
     *,
     analyses: Optional[AnalysisStream] = None,
+    csv_path=None,
 ) -> Trace:
     """Accelerated proximal gradient run with a full diagnostic trace.
 
@@ -954,11 +1052,16 @@ def fista_run(
     the offending row retained in the attached partial trace. Given ``analyses``, their checks are folded
     over the rows as the run goes (read them with its ``results``), and the
     trace keeps no per-row vectors, only its snapshot rows; without, it
-    keeps every row of x, y and z.
+    keeps every row of x, y and z. Given ``csv_path``, the run writes its
+    trace.csv there chunk by chunk as it builds the rows (through the
+    aborted row, if it aborts; the file and its directory are made at the
+    first chunk), and its scalar columns other than ``ts`` hold only a
+    window of rows (:class:`_WindowColumn`), so the trace has no
+    :meth:`~Trace.to_csv`.
     """
     sched = schedule if isinstance(schedule, Schedule) else Schedule(schedule)
     ts = sched.prefix(iterations)  # raises ScheduleError before any iteration
-    return _run(problem, x0, iterations, ts, "fista", sched.rule, s_refs, snapshot_every, analyses)
+    return _run(problem, x0, iterations, ts, "fista", sched.rule, s_refs, snapshot_every, analyses, csv_path)
 
 
 def pgm_run(
@@ -969,14 +1072,16 @@ def pgm_run(
     snapshot_every: int = 1,
     *,
     analyses: Optional[AnalysisStream] = None,
+    csv_path=None,
 ) -> Trace:
     """Plain proximal gradient run, recorded like a trace: x_{k+1} is one proximal gradient step from x_k.
 
     Stored with t_k = 1 for every row, which makes the extrapolation point
     coincide with the iterate and keeps all structural identities valid.
+    ``analyses`` and ``csv_path`` are as for :func:`fista_run`.
     """
     ts = np.ones(iterations + 1)
-    return _run(problem, x0, iterations, ts, "pgm", "constant-1", s_refs, snapshot_every, analyses)
+    return _run(problem, x0, iterations, ts, "pgm", "constant-1", s_refs, snapshot_every, analyses, csv_path)
 
 
 def _require_zero_g(problem: CompositeProblem, x0: Vector) -> None:
@@ -999,6 +1104,7 @@ def nesterov_run(
     snapshot_every: int = 1,
     *,
     analyses: Optional[AnalysisStream] = None,
+    csv_path=None,
 ) -> Trace:
     """Accelerated gradient descent: the g = 0 special case, by its own name.
 
@@ -1009,4 +1115,4 @@ def nesterov_run(
     _require_zero_g(problem, x0)
     sched = schedule if isinstance(schedule, Schedule) else Schedule(schedule)
     ts = sched.prefix(iterations)
-    return _run(problem, x0, iterations, ts, "nesterov", sched.rule, s_refs, snapshot_every, analyses)
+    return _run(problem, x0, iterations, ts, "nesterov", sched.rule, s_refs, snapshot_every, analyses, csv_path)

@@ -791,7 +791,8 @@ class TestValidate:
         assert capsys.readouterr().out == VALIDATE_1000[name]
 
     def test_validate_peak_scratch_per_term(self, capsys):
-        # 8.13 arrays of K + 1 doubles at the peak; computing (k+2)/2 and t^2 twice reads 9.13
+        # 4.35 arrays of K + 1 doubles at the peak: t, the two residual columns and the partial
+        # sums, and a block's temporaries; with the certifiers' temporaries at full length, 8.13
         count = 2**18
         tracemalloc.start()
         try:
@@ -799,7 +800,7 @@ class TestValidate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8.5 * 8 * (count + 1), f"peak {peak / (8 * (count + 1)):.2f} arrays"
+        assert peak <= 4.75 * 8 * (count + 1), f"peak {peak / (8 * (count + 1)):.2f} arrays"
 
 
 @pytest.mark.parametrize(
@@ -845,23 +846,34 @@ class TestAtomicArtifacts:
         assert main(["run", *map(str, configs), "--output-dir", str(out)]) == 0
         assert {(stem, name): (out / stem / name).read_bytes() for stem, name in want} == want
 
+    @staticmethod
+    def fail_at_row_5000(monkeypatch, error: BaseException, out: Path) -> dict:
+        """Make every ``run_config`` build a problem whose prox raises ``error`` at the step that makes row 5000.
+
+        By then the run has written chunk 0 (rows 0..4095) of its trace.csv: the returned
+        dict gets the temporary file's line count at that step under "lines".
+        """
+        feas = feasibility_problem()
+        calls = {"n": 0}
+
+        def prox(v, step):
+            calls["n"] += 1
+            if calls["n"] == 5000:
+                calls["lines"] = (out / f".trace.csv.{os.getpid()}.tmp").read_bytes().count(b"\n")
+                raise error
+            return feas.g.prox(v, step)
+
+        failing = dataclasses.replace(feas, g=NonsmoothPart(value=feas.g.value, prox=prox))
+        monkeypatch.setattr(families, "build_problem", lambda family, params: failing)
+        return calls
+
     def test_failed_run_leaves_previous_artifacts(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, iterations=6000, analyses=["structural"])
         assert run_config(cfg, output_dir=out) == 0
         before = {name: (out / name).read_bytes() for name in self.ARTIFACTS}
 
-        feas = feasibility_problem()
-        calls = {"n": 0}
-
-        def prox(v, step):
-            calls["n"] += 1
-            if calls["n"] == 5000:  # the step that makes row 5000
-                raise ValueError("prox failed at row 5000")
-            return feas.g.prox(v, step)
-
-        failing = dataclasses.replace(feas, g=NonsmoothPart(value=feas.g.value, prox=prox))
-        monkeypatch.setattr(families, "build_problem", lambda family, params: failing)
+        calls = self.fail_at_row_5000(monkeypatch, ValueError("prox failed at row 5000"), out)
         assert run_config(cfg, output_dir=out) == 2
         assert calls["n"] == 5000
         assert sorted(p.name for p in out.iterdir()) == sorted(self.ARTIFACTS)
@@ -870,8 +882,37 @@ class TestAtomicArtifacts:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_interrupt_mid_stream_leaves_previous_artifacts(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, iterations=6000, analyses=["structural"])
+        assert run_config(cfg, output_dir=out) == 0
+        before = {name: (out / name).read_bytes() for name in self.ARTIFACTS}
+
+        calls = self.fail_at_row_5000(monkeypatch, KeyboardInterrupt(), out)
+        with pytest.raises(KeyboardInterrupt):
+            run_config(cfg, output_dir=out)
+        assert calls["lines"] == 1 + 4096  # the header and chunk 0 were on disk
+        assert sorted(p.name for p in out.iterdir()) == sorted(self.ARTIFACTS)
+        for name in self.ARTIFACTS:
+            assert (out / name).read_bytes() == before[name], name
+
+    @pytest.mark.parametrize("error", [ValueError("prox failed"), KeyboardInterrupt()], ids=["error", "interrupt"])
+    def test_failed_run_into_a_fresh_directory_leaves_it_empty(self, error, tmp_path, monkeypatch, capsys):
+        # the first chunk's write made the directory, which remains; its temporary file does not
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, iterations=6000, analyses=["structural"])
+        calls = self.fail_at_row_5000(monkeypatch, error, out)
+        if isinstance(error, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                run_config(cfg, output_dir=out)
+        else:
+            assert run_config(cfg, output_dir=out) == 2
+            assert capsys.readouterr().err == "error: prox failed\n"
+        assert calls["lines"] == 1 + 4096
+        assert list(out.iterdir()) == []
+
     def test_output_dir_below_a_file_exits_two_and_leaves_the_file(self, tmp_path, capfd):
-        # reported as one line at the first artifact write, after the run
+        # reported as one line at the first artifact write, the first chunk's trace.csv rows
         message = "error: cannot write artifacts: [Errno 20] Not a directory: '{out}'"
         blocker = tmp_path / "blocker"
         blocker.write_bytes(b"not a directory\n")

@@ -16,7 +16,7 @@ from fistalab import (
     linear_half,
     validate_schedule,
 )
-from fistalab.schedule import GROWTH_TOL, QUADRATIC_TOL
+from fistalab.schedule import _BLOCK, GROWTH_TOL, QUADRATIC_TOL
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 VIOLATION = np.dtype([("k", np.intp), ("residual", np.float64)])
@@ -351,6 +351,12 @@ def certifier_inputs():
         picks = rng.integers(1, ts.size, size=int(rng.integers(1, 50))) if i % 2 else slice(1, None)
         ts[picks] *= rng.uniform(0.3, 3.0, size=ts[picks].size)
         yield f"invalid-{i}", ts
+    # violations and a NaN partial sum on both sides of the certifiers' block edges
+    ts = bt[: 2 * _BLOCK + 3].copy()
+    edges = np.array([_BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK + 2, 2 * _BLOCK, 2 * _BLOCK + 1, 2 * _BLOCK + 2])
+    ts[edges] *= rng.uniform(0.3, 3.0, size=edges.size)
+    ts[_BLOCK + 1] = 0.5  # t - 1 <= 0: no reciprocal, every later partial sum NaN
+    yield "invalid-block-edges", ts
 
 
 class TestCertifierMatchesTheReference:

@@ -987,7 +987,7 @@ class TestExactFormat:
 
 
 class TestSave:
-    """``Trace.save`` is the one writer of trace.csv and snapshots.json."""
+    """``Trace.save`` writes a library trace's trace.csv and snapshots.json."""
 
     @pytest.mark.parametrize("runner", [fista_run, pgm_run, nesterov_run], ids=lambda r: r.__name__)
     def test_writes_to_csv_and_the_snapshot_payload(self, runner, tmp_path):

@@ -158,7 +158,7 @@ def rate_bound_check(trace: Trace, problem: CompositeProblem, params, rng) -> li
         slack = tol * np.maximum(1.0, beta * x**2)
         if np.isinf(slack):
             slack = tol * beta * x * x
-        if math.isinf(2.0 * beta * d0 * d0) and math.isfinite(d0):
+        if math.isfinite(d0) and (math.isinf(d0 * d0) or math.isinf(2.0 * beta * d0 * d0)):
             bound = 2.0 * beta * (d0 / (k + 1.0)) ** 2 + slack
         else:
             bound = 2.0 * beta * d0**2 / (k + 1.0) ** 2 + slack
@@ -519,6 +519,22 @@ class TestStreamedChecks:
         assert rate["pass"] and math.isfinite(rate["residual_or_oscillation"])
         assert compare_run(cfg, tmp_path / "run", want) == []
 
+    def test_a_start_whose_plain_square_overflows_at_a_small_beta_equals_the_reference(self):
+        # beta = 0.1 and d0 = 1.4e154: 2 beta d0^2 is finite but d0^2 is not, where the plain
+        # form's d0**2 raised OverflowError; f scaled by 0.1 takes the steps of the beta = 1 problem
+        problem = build_problem("quadratic", {"dim": 2, "seed": 1})
+        f = problem.f
+        small = dataclasses.replace(
+            f, value=lambda x: 0.1 * f.value(x), gradient=lambda x: 0.1 * f.gradient(x), beta=0.1
+        )
+        problem = dataclasses.replace(problem, f=small)
+        trace = fista_run(problem, [1e154, 1e154], "bt", C + 1)
+        got, want = (
+            check(trace, problem, {}, np.random.default_rng(0)) for check in (ANALYSES["rate_bound"], rate_bound_check)
+        )
+        assert [r.to_json() for r in got] == [r.to_json() for r in want]
+        assert got[0].passed and math.isfinite(got[0].residual_or_oscillation)
+
     # C - 1 and C: the last row of one pass and the first of the next; 1: a first chunk with no xi step
     @pytest.mark.parametrize("row", [1, C - 1, C, C + 100, 2 * C + 1])
     def test_abort_inside_a_block_writes_the_library_partial_trace(self, row, tmp_path):
@@ -575,6 +591,50 @@ class TestStreamedChecks:
             tracemalloc.stop()
         assert code == 0
         assert peak < 38 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+    def test_streamed_memory_does_not_grow_with_the_scalar_columns(self, tmp_path):
+        # the parent of the streamed CSV grew 96 B/row here: 11 full-length scalar columns
+        # besides ts, formatted after the run; what grows now is ts and the schedule's
+        # certificate (growth and quadratic residuals), about 11 B/row
+        peaks = {}
+        for rows in (20_001, 100_001):
+            cfg = case_config("feasibility", 2, rows)
+            cfg["snapshot_every"] = 1000
+            config = tmp_path / f"{rows}.json"
+            config.write_text(json.dumps(cfg))
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    cli.run_config(config, output_dir=tmp_path / str(rows))
+                peaks[rows] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        per_row = (peaks[100_001] - peaks[20_001]) / 80_000
+        assert per_row < 32, f"{per_row:.1f} B/row"
+
+    def test_a_run_writing_its_csv_holds_a_window_of_its_columns(self, tmp_path):
+        cfg = case_config("feasibility", 2, 3 * C)
+        problem = build_problem("feasibility", {})
+        run = dict(s_refs=cfg["s_refs"], snapshot_every=cfg["snapshot_every"])
+        library = fista_run(problem, cfg["x0"], "bt", cfg["iterations"], **run)
+        stream = AnalysisStream(problem, ["structural"], np.random.default_rng(0))
+        trace = fista_run(
+            problem, cfg["x0"], "bt", cfg["iterations"], **run, analyses=stream, csv_path=tmp_path / "trace.csv"
+        )
+        assert (tmp_path / "trace.csv").read_bytes() == library.to_csv(tmp_path / "library.csv").read_bytes()
+        # the last chunk starts at row 2C, and the window holds the C rows before it
+        last = len(trace) - 1
+        for name in _ROW_COLUMNS[1:-3]:  # every scalar column but ts
+            column, full = getattr(trace, name), getattr(library, name)
+            assert column[C:].tobytes() == full[C:].tobytes(), name
+            assert column[np.array([C, last])].tobytes() == full[[C, last]].tobytes(), name
+            for dropped in (C - 1, slice(C - 1, last), np.array([last, C - 1]), (C - 1, 0)):
+                with pytest.raises(IndexError, match=f"row {C - 1} was dropped; the window starts at row {C}$"):
+                    column[dropped]
+        with pytest.raises(ValueError, match="holds a window of its rows"):
+            trace.to_csv(tmp_path / "partial.csv")
+        assert not (tmp_path / "partial.csv").exists()
 
 
 class ReadRecorder(RowWindow):
