@@ -589,9 +589,9 @@ def _entries(analyses) -> list:
 
 
 class AnalysisStream:
-    """Named analyses folded over a run's rows as a runner builds them, or over a stored trace.
+    """Named analyses folded over a run's rows as the run builds them, or over a stored trace.
 
-    Pass one to a runner (``analyses=``). The runner calls :meth:`start`
+    ``fistalab run`` hands one to its streamed run, which calls :meth:`start`
     once before the first row, which sets up every check in order, so every
     draw from ``rng`` happens there, and :meth:`update` once per
     ``_CSV_CHUNK`` rows, except over the chunk where the run aborts. After

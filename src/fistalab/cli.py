@@ -23,12 +23,12 @@ block's trace.csv rows as it goes, so it keeps x, y and z and the scalar
 columns only in a window of a few thousand rows (and x, y and z at the
 snapshot rows); only the schedule's t_k stay full length. Every artifact
 is written under a temporary name in the output directory and renamed
-into place, trace.csv first (after the run) and report.json last, so a
-crash never leaves a half-written file; a run that fails before the first
-rename leaves the previous artifacts as they were. ``--output-dir`` and
-``--seed`` are checked as the config keys they replace, and the output
-directory is created by the first chunk's trace.csv write, so a run that
-fails at set-up leaves nothing on disk.
+into place, trace.csv first (by the run, as it ends) and report.json
+last, so a crash never leaves a half-written file; a run that fails
+before the first rename leaves the previous artifacts as they were.
+``--output-dir`` and ``--seed`` are checked as the config keys they
+replace, and the output directory is created by the first chunk's
+trace.csv write, so a run that fails at set-up leaves nothing on disk.
 
 ``validate`` and ``bcch-demo`` load only :mod:`~fistalab.schedule`,
 :mod:`~fistalab.scalar_transform` and :mod:`~fistalab.diagnostics`: the
@@ -137,12 +137,13 @@ def run_config(config_path, output_dir=None, seed=None) -> int:
     bad check parameter fails before the run. The run writes trace.csv
     chunk by chunk as it builds the rows, under a temporary name, and
     holds only a window of its scalar columns (all but the schedule ``ts``)
-    too. After the run, trace.csv is renamed into place, then snapshots.json
-    and report.json follow, each written under a temporary name and
-    renamed, so every file is replaced whole. A run that fails before its
-    first rename (during the run, a KeyboardInterrupt included) removes its
-    temporary file and leaves the previous artifacts as they were; one that
-    fails after it may leave the newer files next to older ones.
+    too. The run itself renames trace.csv into place as it ends, an abort
+    included; then snapshots.json and report.json follow, each written
+    under a temporary name and renamed, so every file is replaced whole. A
+    run that fails before that first rename (a KeyboardInterrupt included)
+    removes its temporary file and leaves the previous artifacts as they
+    were; one that fails after it may leave the newer files next to older
+    ones.
 
     ``output_dir`` and ``seed``, where given, replace the config's keys and
     are checked as they are. The first chunk's write creates the output
@@ -153,15 +154,7 @@ def run_config(config_path, output_dir=None, seed=None) -> int:
     """
     from .checks import AnalysisStream
     from .families import build_problem
-    from .solver import (
-        NonFiniteIterateError,
-        _replacing,
-        fista_run,
-        nesterov_run,
-        pgm_run,
-        strict_json,
-        write_atomically,
-    )
+    from .solver import NonFiniteIterateError, _start, write_json
 
     path = Path(config_path)
     aborted = None
@@ -169,31 +162,22 @@ def run_config(config_path, output_dir=None, seed=None) -> int:
         overrides = {"output_dir": None if output_dir is None else str(output_dir), "seed": seed}
         cfg = _load_config(path, {k: v for k, v in overrides.items() if v is not None})
         problem = build_problem(cfg["problem"]["family"], cfg["problem"].get("params"))
-        algorithm = cfg.get("algorithm", "fista")
         out = Path(cfg["output_dir"])
         seed = cfg.get("seed", 0)
         analyses = AnalysisStream(problem, cfg.get("analyses", []), np.random.default_rng(seed))
-        common = dict(
-            s_refs=cfg.get("s_refs", ()),
-            snapshot_every=cfg.get("snapshot_every", 1),
-            analyses=analyses,
-        )
     except (ConfigError, ValueError, KeyError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     csv_path = out / "trace.csv"
     try:
-        with _replacing(csv_path) as tmp:
-            try:
-                if algorithm == "pgm":
-                    trace = pgm_run(problem, cfg["x0"], cfg["iterations"], **common, csv_path=tmp)
-                else:
-                    runner = fista_run if algorithm == "fista" else nesterov_run
-                    trace = runner(problem, cfg["x0"], cfg["schedule"], cfg["iterations"], **common, csv_path=tmp)
-                results = analyses.results()
-            except NonFiniteIterateError as exc:
-                trace, aborted, results = exc.trace, exc, []
+        trace = _start(
+            cfg.get("algorithm", "fista"), problem, cfg["x0"], cfg.get("schedule"), cfg["iterations"],
+            cfg.get("s_refs", ()), cfg.get("snapshot_every", 1), stream=(analyses, csv_path),
+        )
+        results = analyses.results()
+    except NonFiniteIterateError as exc:
+        trace, aborted, results = exc.trace, exc, []
     except OSError as exc:  # the run's only file is trace.csv
         print(f"error: cannot write artifacts: {exc}", file=sys.stderr)
         return 2
@@ -216,10 +200,8 @@ def run_config(config_path, output_dir=None, seed=None) -> int:
     if aborted is not None:
         report["aborted_at_row"] = aborted.row
     try:
-        snapshots = write_atomically(
-            out / "snapshots.json", lambda tmp: tmp.write_text(strict_json(trace.snapshot_payload()))
-        )
-        report_path = write_atomically(out / "report.json", lambda tmp: tmp.write_text(strict_json(report)))
+        snapshots = write_json(out / "snapshots.json", trace.snapshot_payload())
+        report_path = write_json(out / "report.json", report)
     except OSError as exc:
         print(f"error: cannot write artifacts: {exc}", file=sys.stderr)
         return 2

@@ -26,26 +26,25 @@ One loop, in ``_run``, walks a run's rows, one chunk of ``_CSV_CHUNK``
 rows per pass: it steps to the end of the chunk and checks finiteness
 once, so at most ``_CSV_CHUNK - 1`` steps past that row are computed, on
 non-finite input, and discarded (one of them raising still reports that
-row), then builds the derived columns of the chunk up to that row. A run
-given a CSV path formats each chunk's rows into it as it builds them;
-otherwise :meth:`Trace.to_csv` formats them after the run, through the
-same block writer, and :meth:`Trace.save` writes each file under a
-temporary name and renames it into place, so a crash never leaves a
-half-written artifact.
+row), then builds the derived columns of the chunk up to that row. A
+streamed run, the one ``fistalab run`` makes, formats each chunk's rows
+into its trace.csv as it builds them; after a library run,
+:meth:`Trace.to_csv` formats them through the same block writer. Every
+artifact is written under a temporary name and renamed into place, so a
+crash never leaves a half-written one.
 
-Memory. A library run returns every row of x, y and z, so it holds
-O(rows x dim) floats. Given its checks (``analyses=``, an
-:class:`~fistalab.checks.AnalysisStream`), a run folds them over each chunk
-as it is built and keeps vector rows only where something still reads
-them: a window of two chunks (the chunk being built, and the objective's
-window before it, which ends with the carried row), the snapshot rows,
-and what the checks sample. Its trace then carries no per-row vectors,
-only the snapshot rows, so vectors take O(chunk x dim) memory. The scalar
-columns stay full length, O(rows), unless the run writes its CSV as it
-goes: then every column but ``ts`` is held in the window too
-(:class:`_WindowColumn`), its rows dropped once they are in the file. A
-run that aborts folds nothing over its last chunk, since no caller reads
-the checks of an aborted run.
+Memory. A library run (the public runners) returns every row of x, y and
+z, so it holds O(rows x dim) floats. A streamed run folds its checks (an
+:class:`~fistalab.checks.AnalysisStream`) over each chunk as it is built
+and keeps vector rows only where something still reads them: a window of
+two chunks (the chunk being built, and the objective's window before it,
+which ends with the carried row), the snapshot rows, and what the checks
+sample. Every scalar column but ``ts`` is held in the same window
+(:class:`_WindowColumn`), its rows dropped once they are in the file, and
+the trace carries no per-row vectors, only the snapshot rows, so the run
+takes O(chunk x dim) memory besides ``ts``. A run that aborts folds
+nothing over its last chunk, since no caller reads the checks of an
+aborted run.
 
 Traces are columnar (one array per column) and immutable once produced.
 CSV export uses 17 significant digits and a fixed header, so rerunning a
@@ -183,6 +182,11 @@ def write_atomically(path, write) -> Path:
     with _replacing(path) as tmp:
         write(tmp)
     return path
+
+
+def write_json(path, payload: dict) -> Path:
+    """Write ``payload`` to ``path`` as :func:`strict_json` text, through :func:`write_atomically`."""
+    return write_atomically(path, lambda tmp: tmp.write_text(strict_json(payload)))
 
 
 # Trace.to_csv's exact %.17g (_csv_chunk). The 17 significant digits of a
@@ -433,8 +437,8 @@ def _write_csv_rows(out, trace: "Trace", lo: int, hi: int) -> None:
 
     The one block writer: rows go ``_CSV_BLOCK`` at a time through
     :func:`_csv_chunk`, so the text of one block is held at a time.
-    :meth:`Trace.to_csv` writes every row in one call, and a run given a
-    CSV path writes each chunk of ``_CSV_CHUNK`` rows (a multiple of
+    :meth:`Trace.to_csv` writes every row in one call, and a streamed
+    run writes each chunk of ``_CSV_CHUNK`` rows (a multiple of
     ``_CSV_BLOCK``) as it builds it, in the same blocks.
     """
     if lo == 0:
@@ -459,8 +463,8 @@ class RowWindow:
 
     A library run holds every row and ``base`` stays 0. A streamed run holds
     ``_WINDOW`` rows and :meth:`slide` drops the rows that nothing reads any
-    more. Rows are addressed by their row number k. A run that writes its
-    CSV as it goes holds its scalar columns here too (:meth:`column`).
+    more, its scalar columns with them (:meth:`column`). Rows are
+    addressed by their row number k.
     """
 
     def __init__(self, xs: np.ndarray, ys: np.ndarray, zs: np.ndarray):
@@ -568,8 +572,8 @@ class Trace:
     so inequalities involving an infeasible starting point are skipped
     rather than fabricated.
 
-    ``xs``, ``ys`` and ``zs`` hold every row, or are None. A run that
-    streamed its checks keeps only its snapshot rows, in ``snapshots``:
+    ``xs``, ``ys`` and ``zs`` hold every row, or are None. A streamed
+    run keeps only its snapshot rows, in ``snapshots``:
     one ``(3, dim)`` entry of x, y and z per snapshot row, in row order.
     """
 
@@ -676,9 +680,7 @@ class Trace:
         outdir = Path(outdir)
         csv_path = outdir / "trace.csv"
         write_atomically(csv_path, self.to_csv)
-        json_path = write_atomically(
-            outdir / "snapshots.json", lambda tmp: tmp.write_text(strict_json(self.snapshot_payload()))
-        )
+        json_path = write_json(outdir / "snapshots.json", self.snapshot_payload())
         return {"trace": csv_path, "snapshots": json_path}
 
     @classmethod
@@ -955,22 +957,24 @@ def _run(
     schedule_id: str,
     s_refs: Sequence,
     snapshot_every: int,
-    analyses: Optional[AnalysisStream],
-    csv_path=None,
+    stream: Optional[tuple[AnalysisStream, Path]],
 ) -> Trace:
-    """The one iteration core behind every public runner, and the one loop over a run's rows.
+    """The one iteration core behind every runner, and the one loop over a run's rows.
 
     Each pass is one chunk ``[lo, hi) = [k*C, (k+1)*C)`` (C = ``_CSV_CHUNK``,
     the last one short): it slides a streamed window past the rows nothing
     reads any more, steps from row lo - 1 to row hi - 1 (:func:`_iterate`,
     with the stepper :func:`_chunk_steps` chose once for the run),
     then builds the chunk up to its first non-finite row, if any: fills its
-    columns, writes their CSV rows where ``csv_path`` is given, keeps its
-    snapshot rows and, unless the run aborts in it, folds ``analyses`` over
-    it. The CSV file, and its directory where missing, is made at the first
-    chunk's write, so a run that fails at set-up makes neither; it is
-    closed when the run ends, however it ends. The scalar columns of such
-    a run, all but ``ts``, are held in the window (:meth:`RowWindow.column`).
+    columns and, in a streamed run, writes their CSV rows, keeps its
+    snapshot rows and, unless the run aborts in it, folds the checks over
+    it. ``stream = (analyses, csv_path)`` streams the run: its scalar
+    columns but ``ts`` are held in the window (:meth:`RowWindow.column`)
+    with the vectors, and its first chunk makes the directory of
+    ``csv_path``, where missing, and a temporary file beside it
+    (:func:`_replacing`), so a run that fails at set-up makes neither. The
+    file is renamed onto ``csv_path`` when the run ends, an abort included,
+    and removed if anything else ends it.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -978,12 +982,13 @@ def _run(
         raise ValueError("snapshot_every must be >= 1")
     x0 = _argument("x0", x0, problem.dim)
     refs = _validate_s_refs(problem, s_refs)
-    streamed = analyses is not None
+    streamed = stream is not None
     held = min(ts.size, _WINDOW) if streamed else ts.size
     window = RowWindow(*(np.empty((held, x0.size)) for _ in range(3)))
     window.xs[0] = window.ys[0] = x0
-    trace = _empty_trace(problem, ts, kind, schedule_id, refs, snapshot_every, None if csv_path is None else window)
+    trace = _empty_trace(problem, ts, kind, schedule_id, refs, snapshot_every, window if streamed else None)
     if streamed:
+        analyses, csv_path = stream
         analyses.start(trace, x0)  # every probe draw, before the first row
     steps = _chunk_steps(problem)
     snapshots = []
@@ -1000,24 +1005,23 @@ def _run(
             nan_row = _fill_rows(trace, window, problem, lo, top)
             if nan_row is not None and nan_row != bad_row:  # a NaN F at a finite x, before any bad y
                 bad_row, top, what = nan_row, nan_row + 1, "objective evaluated to NaN"
-            if csv_path is not None:
-                if lo == 0:
-                    Path(csv_path).parent.mkdir(parents=True, exist_ok=True)
-                    csv = files.enter_context(open(csv_path, "wb"))
-                _write_csv_rows(csv, trace, lo, top)
             if streamed:
+                if lo == 0:
+                    csv_path.parent.mkdir(parents=True, exist_ok=True)
+                    csv = files.enter_context(open(files.enter_context(_replacing(csv_path)), "wb"))
+                _write_csv_rows(csv, trace, lo, top)
                 if bad_row is None:  # no caller reads the checks of an aborted run
                     analyses.update(trace, window, lo, top)
                 first = -(-lo // snapshot_every) * snapshot_every
                 snapshots.append(window.snapshots(lo, top, range(first, top, snapshot_every)))
             if bad_row is not None:
                 break
-    if streamed:
-        if (top - 1) % snapshot_every:
-            snapshots.append(window.snapshots(top - 1, top, [top - 1]))
-        trace.snapshots = np.concatenate(snapshots)
-    else:
-        trace.xs, trace.ys, trace.zs = window.xs, window.ys, window.zs
+        if streamed:
+            if (top - 1) % snapshot_every:
+                snapshots.append(window.snapshots(top - 1, top, [top - 1]))
+            trace.snapshots = np.concatenate(snapshots)
+        else:
+            trace.xs, trace.ys, trace.zs = window.xs, window.ys, window.zs
     if bad_row is not None:
         # copies, so the partial trace does not hold the whole preallocation;
         # a window column stays as it is, its rows from top on never read
@@ -1030,6 +1034,33 @@ def _run(
     return trace
 
 
+def _start(
+    kind: str,
+    problem: CompositeProblem,
+    x0,
+    schedule,
+    iterations: int,
+    s_refs: Sequence,
+    snapshot_every: int,
+    stream: Optional[tuple[AnalysisStream, Path]] = None,
+) -> Trace:
+    """A run of ``kind`` ("fista", "pgm" or "nesterov"): its ``ts`` and schedule name, then :func:`_run`.
+
+    PGM takes t_k = 1 and ignores ``schedule``. FISTA certifies the
+    schedule before :func:`_run` checks x0; Nesterov checks x0 and probes
+    g (:func:`_require_zero_g`) first. ``stream`` is as for :func:`_run`.
+    """
+    if kind == "pgm":
+        ts, schedule_id = np.ones(iterations + 1), "constant-1"
+    else:
+        if kind == "nesterov":
+            x0 = _argument("x0", x0, problem.dim)
+            _require_zero_g(problem, x0)
+        sched = schedule if isinstance(schedule, Schedule) else Schedule(schedule)
+        ts, schedule_id = sched.prefix(iterations), sched.rule  # raises ScheduleError before any iteration
+    return _run(problem, x0, iterations, ts, kind, schedule_id, s_refs, snapshot_every, stream)
+
+
 def fista_run(
     problem: CompositeProblem,
     x0,
@@ -1037,9 +1068,6 @@ def fista_run(
     iterations: int,
     s_refs: Sequence = (),
     snapshot_every: int = 1,
-    *,
-    analyses: Optional[AnalysisStream] = None,
-    csv_path=None,
 ) -> Trace:
     """Accelerated proximal gradient run with a full diagnostic trace.
 
@@ -1049,19 +1077,12 @@ def fista_run(
     ``s_refs`` must be minimizers when the optimal value is known; each
     contributes an xi column to the trace. A non-finite iterate, or a NaN
     objective value, aborts the run with :class:`NonFiniteIterateError`,
-    the offending row retained in the attached partial trace. Given ``analyses``, their checks are folded
-    over the rows as the run goes (read them with its ``results``), and the
-    trace keeps no per-row vectors, only its snapshot rows; without, it
-    keeps every row of x, y and z. Given ``csv_path``, the run writes its
-    trace.csv there chunk by chunk as it builds the rows (through the
-    aborted row, if it aborts; the file and its directory are made at the
-    first chunk), and its scalar columns other than ``ts`` hold only a
-    window of rows (:class:`_WindowColumn`), so the trace has no
-    :meth:`~Trace.to_csv`.
+    the offending row retained in the attached partial trace. The trace
+    keeps every row of x, y and z and of its scalar columns; fold checks
+    over it with :meth:`~fistalab.checks.AnalysisStream.fold` and write it
+    with :meth:`Trace.save`.
     """
-    sched = schedule if isinstance(schedule, Schedule) else Schedule(schedule)
-    ts = sched.prefix(iterations)  # raises ScheduleError before any iteration
-    return _run(problem, x0, iterations, ts, "fista", sched.rule, s_refs, snapshot_every, analyses, csv_path)
+    return _start("fista", problem, x0, schedule, iterations, s_refs, snapshot_every)
 
 
 def pgm_run(
@@ -1070,18 +1091,13 @@ def pgm_run(
     iterations: int,
     s_refs: Sequence = (),
     snapshot_every: int = 1,
-    *,
-    analyses: Optional[AnalysisStream] = None,
-    csv_path=None,
 ) -> Trace:
     """Plain proximal gradient run, recorded like a trace: x_{k+1} is one proximal gradient step from x_k.
 
     Stored with t_k = 1 for every row, which makes the extrapolation point
     coincide with the iterate and keeps all structural identities valid.
-    ``analyses`` and ``csv_path`` are as for :func:`fista_run`.
     """
-    ts = np.ones(iterations + 1)
-    return _run(problem, x0, iterations, ts, "pgm", "constant-1", s_refs, snapshot_every, analyses, csv_path)
+    return _start("pgm", problem, x0, None, iterations, s_refs, snapshot_every)
 
 
 def _require_zero_g(problem: CompositeProblem, x0: Vector) -> None:
@@ -1102,17 +1118,10 @@ def nesterov_run(
     iterations: int,
     s_refs: Sequence = (),
     snapshot_every: int = 1,
-    *,
-    analyses: Optional[AnalysisStream] = None,
-    csv_path=None,
 ) -> Trace:
     """Accelerated gradient descent: the g = 0 special case, by its own name.
 
     Probes g at a few points and rejects problems whose nonsmooth part is
     not identically zero; otherwise identical to :func:`fista_run`.
     """
-    x0 = _argument("x0", x0, problem.dim)
-    _require_zero_g(problem, x0)
-    sched = schedule if isinstance(schedule, Schedule) else Schedule(schedule)
-    ts = sched.prefix(iterations)
-    return _run(problem, x0, iterations, ts, "nesterov", sched.rule, s_refs, snapshot_every, analyses, csv_path)
+    return _start("nesterov", problem, x0, schedule, iterations, s_refs, snapshot_every)

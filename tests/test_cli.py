@@ -120,6 +120,13 @@ class TestRun:
         assert run_config(cfg, output_dir=tmp_path / "out") == 2
         assert "iterations" in capsys.readouterr().err
 
+    def test_nesterov_on_a_nonzero_g_exits_two_before_any_output(self, tmp_path, capsys):
+        # the feasibility family's g is the indicator of the line x1 + x2 = 1, infinite at x0 = (5, 0)
+        cfg = write_config(tmp_path, algorithm="nesterov")
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+        assert "requires g identically zero" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_key_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, wallclock=True)
         assert run_config(cfg, output_dir=tmp_path / "out") == 2

@@ -1,6 +1,7 @@
-"""Every exported name of the package resolves."""
+"""Every exported name of the package resolves, and the public runners keep their parameters."""
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -39,3 +40,11 @@ def test_each_export_is_the_submodules_object_and_listed():
 def test_unknown_package_attribute_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         fistalab.no_such_name  # noqa: B018
+
+
+@pytest.mark.parametrize("name", ["fista_run", "pgm_run", "nesterov_run"])
+def test_runners_take_only_the_run_parameters(name):
+    # a streamed run (windowed columns, trace.csv written as it goes) is fistalab run's alone
+    schedule = [] if name == "pgm_run" else ["schedule"]
+    want = ["problem", "x0", *schedule, "iterations", "s_refs", "snapshot_every"]
+    assert list(inspect.signature(getattr(fistalab, name)).parameters) == want

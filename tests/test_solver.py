@@ -51,6 +51,7 @@ from fistalab.solver import (
     _numpy_steps,
     _plane_steps,
     _row_norms,
+    _start,
 )
 
 S_REFS = [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]]
@@ -555,7 +556,7 @@ class TestAbortOnNonFinite:
 
     @pytest.mark.parametrize("row", [1, _CSV_CHUNK, _CSV_CHUNK + 904])
     @pytest.mark.parametrize("streamed", [False, True])
-    def test_nan_objective_aborts_at_the_first_row_whose_F_is_nan(self, row, streamed):
+    def test_nan_objective_aborts_at_the_first_row_whose_F_is_nan(self, row, streamed, tmp_path):
         feas = feasibility_problem()
         clean = fista_run(feas, [5.0, 0.0], "bt", 6000)
         target = clean.xs[row]
@@ -563,15 +564,18 @@ class TestAbortOnNonFinite:
         value = feas.f.value
         nan_at_target = lambda x: np.where((x == target).all(axis=-1), np.nan, value(x))  # noqa: E731
         poisoned = dataclasses.replace(feas, f=dataclasses.replace(feas.f, value=nan_at_target))
-        analyses = AnalysisStream(poisoned, ["structural"], np.random.default_rng(0)) if streamed else None
+        analyses = AnalysisStream(poisoned, ["structural"], np.random.default_rng(0))
+        stream = (analyses, tmp_path / "trace.csv") if streamed else None
         with pytest.raises(NonFiniteIterateError, match=f"^objective evaluated to NaN at row {first}$") as info:
-            fista_run(poisoned, [5.0, 0.0], "bt", 6000, analyses=analyses)
+            _start("fista", poisoned, [5.0, 0.0], "bt", 6000, (), 1, stream)
         partial = info.value.trace
         assert info.value.row == first and len(partial) == first + 1
         assert partial.ts.tobytes() == clean.ts[: first + 1].tobytes()
         assert partial.F_x[:first].tobytes() == clean.F_x[:first].tobytes()
         assert np.isnan(partial.F_x[first])
-        if not streamed:
+        if streamed:  # the aborted run's trace.csv is in place: the header and rows 0..first
+            assert (tmp_path / "trace.csv").read_bytes().count(b"\n") == first + 2
+        else:
             assert partial.xs.tobytes() == clean.xs[: first + 1].tobytes()
 
     def test_divergence_through_soft_threshold(self):
@@ -768,12 +772,11 @@ class TestSaveLoadRoundTrip:
                 assert loaded.xs is None and loaded.ys is None and loaded.zs is None, label
                 with pytest.raises(MissingSnapshotError):
                     loaded.require_vectors()
-            # a run that streams its checks keeps only the snapshot rows, and saves the same bytes
-            streamed = fista_run(
-                problem, x0, "bt", iterations, s_refs=s_refs, snapshot_every=every,
-                analyses=AnalysisStream(problem, [], rng),
-            )
-            streamed.save(tmp_path / f"{case}-streamed")
+            # a streamed run keeps only the snapshot rows, and writes the same bytes
+            streamed_csv = tmp_path / f"{case}-streamed" / "trace.csv"
+            stream = (AnalysisStream(problem, [], rng), streamed_csv)
+            streamed = _start("fista", problem, x0, "bt", iterations, s_refs, every, stream)
+            solver.write_json(streamed_csv.with_name("snapshots.json"), streamed.snapshot_payload())
             # a loaded trace saves the same two files again, sparse snapshots included
             loaded.save(tmp_path / f"{case}-again")
             for name in ("trace.csv", "snapshots.json"):

@@ -47,7 +47,7 @@ from fistalab import (
 from fistalab import cli
 from fistalab.checks import _FOLDS, ANALYSES, AnalysisStream, CheckResult
 from fistalab.problem import CompositeProblem, _row_norms, eval_F
-from fistalab.solver import _CSV_CHUNK, _ROW_COLUMNS, RowWindow
+from fistalab.solver import _CSV_CHUNK, _ROW_COLUMNS, RowWindow, _start
 
 REPO = Path(__file__).resolve().parent.parent
 IDENTITY_TOL = 1e-9
@@ -552,11 +552,11 @@ class TestStreamedChecks:
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout) == []
 
-    def test_post_hoc_checks_need_the_vectors_a_stream_drops(self):
+    def test_post_hoc_checks_need_the_vectors_a_stream_drops(self, tmp_path):
         cfg = case_config("feasibility", 2, C + 1)
         problem = build_problem("feasibility", {})
-        stream = AnalysisStream(problem, cfg["analyses"], np.random.default_rng(0))
-        trace = fista_run(problem, cfg["x0"], "bt", cfg["iterations"], s_refs=cfg["s_refs"], analyses=stream)
+        stream = (AnalysisStream(problem, cfg["analyses"], np.random.default_rng(0)), tmp_path / "trace.csv")
+        trace = _start("fista", problem, cfg["x0"], "bt", cfg["iterations"], cfg["s_refs"], 1, stream)
         assert trace.xs is None and trace.ys is None and trace.zs is None
         assert len(cfg["analyses"]) == 11
         for entry in cfg["analyses"]:
@@ -616,12 +616,10 @@ class TestStreamedChecks:
     def test_a_run_writing_its_csv_holds_a_window_of_its_columns(self, tmp_path):
         cfg = case_config("feasibility", 2, 3 * C)
         problem = build_problem("feasibility", {})
-        run = dict(s_refs=cfg["s_refs"], snapshot_every=cfg["snapshot_every"])
-        library = fista_run(problem, cfg["x0"], "bt", cfg["iterations"], **run)
-        stream = AnalysisStream(problem, ["structural"], np.random.default_rng(0))
-        trace = fista_run(
-            problem, cfg["x0"], "bt", cfg["iterations"], **run, analyses=stream, csv_path=tmp_path / "trace.csv"
-        )
+        run = (cfg["x0"], "bt", cfg["iterations"], cfg["s_refs"], cfg["snapshot_every"])
+        library = fista_run(problem, *run)
+        stream = (AnalysisStream(problem, ["structural"], np.random.default_rng(0)), tmp_path / "trace.csv")
+        trace = _start("fista", problem, *run, stream)
         assert (tmp_path / "trace.csv").read_bytes() == library.to_csv(tmp_path / "library.csv").read_bytes()
         # the last chunk starts at row 2C, and the window holds the C rows before it
         last = len(trace) - 1
