@@ -49,7 +49,10 @@ import numpy as np
 
 from .diagnostics import ScalarSeq, verdict
 from .scalar_transform import SCENARIO_NAMES, divergence_witness, get_scenario
-from .schedule import Schedule, check_tk_bounds, validate_schedule
+from .schedule import Schedule, _certify, check_tk_bounds, validate_schedule
+
+# validate folds over the certifier's blocks; the whole-array validate_schedule and
+# check_tk_bounds stay importable here because perfbench/replay.py wraps these names.
 
 __all__ = ["main", "run_config", "repro_fig1", "bcch_demo", "validate_command", "ConfigError"]
 
@@ -256,6 +259,13 @@ def bcch_demo(name: str, count: int) -> int:
     The verdicts take the last min(100, count // 2) terms and a tolerance of
     1e-2 relative to max(1, |expected limit|); scenarios with an infinite
     expected limit are judged by hurdle exceedance instead of a verdict.
+
+    One pass over the scenario's blocks keeps the last 2 * window terms of
+    h and g (the shortest sequence :func:`verdict` judges at that window)
+    and folds :func:`divergence_witness` over each block's phi, so memory
+    does not grow with count. The sums of 1/phi and 1/(1+phi) continue from
+    block to block as one ``np.cumsum`` adds; only sum log lambda, summed
+    block by block, may differ from the whole-array witness in its last bits.
     """
     try:
         scenario = get_scenario(name)
@@ -263,32 +273,38 @@ def bcch_demo(name: str, count: int) -> int:
         raise ConfigError(exc.args[0]) from None
     if count < 4:
         raise ConfigError("need at least 4 terms for a meaningful demo")
-    h = scenario.h_values(count)
-    g = scenario.g_values(count)
     win = min(100, count // 2)
+    h_tail = g_tail = np.empty(0)
+    sums = [0.0, 0.0]  # of 1/phi and 1/(1+phi)
+    chain_ok, log_weight_product = True, 0.0
+    for lo, phis, h, g in scenario.blocks(count):
+        h_tail, g_tail = np.concatenate((h_tail, h))[-2 * win :], np.concatenate((g_tail, g))[-2 * win :]
+        wit = divergence_witness(phis, phis.size, start=scenario.start + lo)
+        chain_ok &= wit.chain_ok
+        log_weight_product += wit.log_weight_product
+        for i, terms in enumerate((1.0 / phis, 1.0 / (1.0 + phis))):
+            terms[0] += sums[i]  # the witness's sums start over in each block
+            sums[i] = np.cumsum(terms)[-1]
     expected = scenario.expected_limit
     tol = 1e-2 * max(1.0, abs(expected)) if math.isfinite(expected) else 1e-2
-    gv = verdict(ScalarSeq(g), win, tol)
-    hv = verdict(ScalarSeq(h), win, tol)
 
     print(f"scenario {scenario.name}: start k={scenario.start}, {count} terms")
     print(f"  provenance: {scenario.provenance}")
-    _print_verdict("g verdict", gv)
-    _print_verdict("h verdict", hv)
-
-    wit = divergence_witness(scenario.phi, count, start=scenario.start)
+    _print_verdict("g verdict", verdict(ScalarSeq(g_tail), win, tol))
+    _print_verdict("h verdict", verdict(ScalarSeq(h_tail), win, tol))
     print(
-        f"  divergence witness: sum 1/phi = {wit.inv_phi[-1]:.6g}, "
-        f"sum 1/(1+phi) = {wit.inv_one_plus_phi[-1]:.6g}, "
-        f"chain inequality ok = {wit.chain_ok}, "
-        f"log prod lambda = {wit.log_weight_product:.6g}"
+        f"  divergence witness: sum 1/phi = {sums[0]:.6g}, "
+        f"sum 1/(1+phi) = {sums[1]:.6g}, "
+        f"chain inequality ok = {chain_ok}, "
+        f"log prod lambda = {log_weight_product:.6g}"
     )
+    h_end = h_tail[-1]
     if math.isfinite(expected):
-        print(f"  expected limit {expected:.17g}; |h_end - expected| = {abs(h[-1] - expected):.3g}")
+        print(f"  expected limit {expected:.17g}; |h_end - expected| = {abs(h_end - expected):.3g}")
     else:
         hurdle = 1e3
-        reached = h[-1] > hurdle if expected > 0 else h[-1] < -hurdle
-        print(f"  hurdle {hurdle:g}: h_end = {h[-1]:.6g}, exceeded = {reached}")
+        reached = h_end > hurdle if expected > 0 else h_end < -hurdle
+        print(f"  hurdle {hurdle:g}: h_end = {h_end:.6g}, exceeded = {reached}")
     return 0
 
 
@@ -296,7 +312,13 @@ _VALIDATE_SCHEDULES = ("bt", "linear", "constant-ones")
 
 
 def validate_command(name: str, count: int) -> int:
-    """Certify a named schedule prefix t_0..t_count; exit 1 when invalid."""
+    """Certify a named schedule prefix t_0..t_count; exit 1 when invalid.
+
+    The prefix is one full-length array; the certificate is one pass over
+    the certifier's blocks that keeps only what is printed: each block's
+    residual minima, scaled maximum and violation counts, the first 5
+    violations of each condition, and the running sum.
+    """
     if count < 3:
         raise ConfigError("need K >= 3 to exercise the index-2 bounds")
     if name in ("bt", "linear"):
@@ -305,30 +327,37 @@ def validate_command(name: str, count: int) -> int:
         ts = np.ones(count + 1)
     else:
         raise ConfigError(f"unknown schedule {name!r}; known: {_VALIDATE_SCHEDULES}")
-
-    report = validate_schedule(ts)
-    bounds = check_tk_bounds(ts)
-    print(f"schedule {name}: {count + 1} terms, final t = {ts[-1]:.17g}")
+    summary, shown = [], ([], [])
+    for lo, report, bounds in _certify(ts):
+        found = (report.growth_violations, report.quadratic_violations)
+        summary.append(
+            [
+                np.min(report.growth_residuals[1 if lo == 0 else 0 :]),  # k >= 1
+                np.min(report.quadratic_residuals),
+                report.quadratic_scaled_abs_max,
+                *(v.size for v in (*found, bounds.lower_violations, bounds.upper_violations)),
+            ]
+        )
+        for kept, violations in zip(shown, found):
+            kept.extend(violations[: 5 - len(kept)])
+    growth_min, quad_min = np.min(summary, axis=0)[:2]
+    quad_max = np.max(summary, axis=0)[2]
+    n_growth, n_quad, n_lower, n_upper = (int(n) for n in np.sum(summary, axis=0)[3:])
+    print(f"schedule {name}: {ts.size} terms, final t = {ts[-1]:.17g}")
+    print(f"  growth residual min = {growth_min:.3g}, violations = {n_growth}")
     print(
-        f"  growth residual min = {float(np.min(report.growth_residuals[1:])):.3g}, "
-        f"violations = {len(report.growth_violations)}"
+        f"  quadratic residual min = {quad_min:.3g}, "
+        f"scaled |residual| max = {quad_max:.3g}, "
+        f"violations = {n_quad}"
     )
-    print(
-        f"  quadratic residual min = {float(np.min(report.quadratic_residuals)):.3g}, "
-        f"scaled |residual| max = {report.quadratic_scaled_abs_max:.3g}, "
-        f"violations = {len(report.quadratic_violations)}"
-    )
-    print(
-        f"  bounds 1 <= t_k - 1 <= k: lower violations = {len(bounds.lower_violations)}, "
-        f"upper violations = {len(bounds.upper_violations)}"
-    )
-    print(f"  sum over k=2..{count} of 1/(t_k - 1) = {bounds.total:.6g}")
-    if report.valid and bounds.valid:
+    print(f"  bounds 1 <= t_k - 1 <= k: lower violations = {n_lower}, upper violations = {n_upper}")
+    print(f"  sum over k=2..{ts.size - 1} of 1/(t_k - 1) = {bounds.total:.6g}")
+    if n_growth + n_quad + n_lower + n_upper == 0:
         print("  verdict: VALID")
         return 0
-    for k, res in report.growth_violations[:5]:
+    for k, res in shown[0]:
         print(f"  growth violated at k={k} (scaled residual {res:.3g})")
-    for k, res in report.quadratic_violations[:5]:
+    for k, res in shown[1]:
         print(f"  quadratic violated at k={k} (scaled residual {res:.3g})")
     print("  verdict: INVALID")
     return 1

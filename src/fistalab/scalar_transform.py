@@ -24,8 +24,11 @@ running sums of 1/phi_k and 1/(1+phi_k) = 1 - lambda_k.
 
 Sequences are given by index-array callables: ``phi``, ``h_closed`` and
 ``g_closed`` map an integer array of absolute indices k to a float array
-of the same shape, and each sequence is evaluated with one such call on
-``np.arange(start, start + count)``. The indices arrive as ``int64``,
+of the same shape. The library functions call them once on
+``np.arange(start, start + count)``; a :class:`Scenario` calls them once
+per block of ``_RECURSION_CHUNK`` absolute indices (h_closed on the block
+and one index past it), in order, and builds its full-length sequences
+from those blocks. The indices arrive as ``int64``,
 whose arithmetic wraps silently (``k ** 4`` overflows past k ~ 55108), so
 a formula converts to float before any power or product, as the bundled
 ``np.float64(k) ** 2`` does. A callable that fails on an array or
@@ -238,23 +241,43 @@ class Scenario:
     g_closed: Optional[Callable[[np.ndarray], np.ndarray]] = None
     h_seed: Optional[float] = None
 
-    def h_values(self, count: int) -> np.ndarray:
-        """h over absolute indices start..start+count-1."""
+    def blocks(self, count: int):
+        """(lo, phi, h, g) on each block of ``_RECURSION_CHUNK`` of the count indices from start.
+
+        phi is evaluated once per block. With ``h_closed``, h is evaluated
+        on the block and one index past it, and g is its forward transform;
+        with ``g_closed``, h is :func:`reconstruct` of the block's g from the
+        last h of the block before (``h_seed`` first). Entry i of a block's
+        sequences is index start + lo + i.
+        """
+        h_next = self.h_seed
+        for lo in range(0, count, _RECURSION_CHUNK):
+            n = min(_RECURSION_CHUNK, count - lo)
+            phis = _phi_values(self.phi, self.start + lo, n)
+            if self.h_closed is not None:
+                h = _on_indices(self.h_closed, "h_closed", self.start + lo, n + 1)
+                yield lo, phis, h[:-1], forward_transform(h, phis)
+            else:
+                g = _on_indices(self.g_closed, "g_closed", self.start + lo, n)
+                h = reconstruct(g[: count - 1 - lo], phis, h_next, start=self.start + lo)  # to index count - 1
+                h_next = h[-1]
+                yield lo, phis, h[:n], g
+
+    def _fill(self, count: int, which: int) -> np.ndarray:
         if count < 1:
             raise ValueError("count must be >= 1")
-        if self.h_closed is not None:
-            return _on_indices(self.h_closed, "h_closed", self.start, count)
-        if count == 1:
-            return np.array([float(self.h_seed)])
-        return reconstruct(self.g_values(count - 1), self.phi, self.h_seed, start=self.start)
+        out = np.empty(count)
+        for lo, *sequences in self.blocks(count):
+            out[lo : lo + _RECURSION_CHUNK] = sequences[which]
+        return out
+
+    def h_values(self, count: int) -> np.ndarray:
+        """h over absolute indices start..start+count-1, filled from :meth:`blocks`."""
+        return self._fill(count, 1)
 
     def g_values(self, count: int) -> np.ndarray:
-        """g over absolute indices start..start+count-1."""
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        if self.g_closed is not None:
-            return _on_indices(self.g_closed, "g_closed", self.start, count)
-        return forward_transform(self.h_values(count + 1), self.phi, start=self.start)
+        """g over absolute indices start..start+count-1, filled from :meth:`blocks`."""
+        return self._fill(count, 2)
 
 
 def _ex42(ell: float) -> Scenario:

@@ -10,11 +10,14 @@ equality; the slowest admissible growth is t_k = (k + 2) / 2 for k >= 1.
 Violation checks use residuals scaled by max(1, t^2) because the raw
 quadratic residual necessarily grows like eps * t^2 in double precision.
 
-Both conditions and their tolerances live in :func:`validate_schedule`
-alone: :meth:`Schedule.prefix` generates the terms it is asked for and
-certifies them with one call to it on every request; nothing is cached.
-Each kind of violation is one (k, residual) record array: no Python
-object per failing index.
+Both conditions, the bounds 1 <= t_k - 1 <= k and their tolerances live
+in one block certifier, ``_certify``, which reports on ``_BLOCK`` terms at
+a time. :func:`validate_schedule` and :func:`check_tk_bounds` fill their
+full-length reports from its blocks; :meth:`Schedule.prefix` generates
+the terms it is asked for on every request (nothing is cached) and stops
+at the first block that violates; ``fistalab validate`` keeps only what
+it prints. Each kind of violation is one (k, residual) record array: no
+Python object per failing index.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ __all__ = [
 
 GROWTH_TOL = 1e-9
 QUADRATIC_TOL = 1e-9
-_BLOCK = 2**14  # terms per block of the certifiers' temporaries
+_BOUNDS_TOL = 1e-9  # of 1 <= t_k - 1 <= k, scaled by k on the upper side
+_BLOCK = 2**14  # terms per block of the certifier
 _VIOLATION = np.dtype([("k", np.intp), ("residual", np.float64)])  # unpacks as (k, residual)
 
 
@@ -94,6 +98,76 @@ class ScheduleReport:
         return self.growth_violations.size == 0 and self.quadratic_violations.size == 0
 
 
+def _certify(arr: np.ndarray):
+    """(lo, ScheduleReport, TkBoundsReport) on each block [lo, hi) of ``_BLOCK`` terms of ``arr``.
+
+    A block reports growth at k in [lo, hi), the quadratic condition at k in
+    [lo - 1, hi - 1) (so a violation, named by t_{k+1}, falls in the block)
+    and the bounds at k in [max(lo, 2), hi), their partial sums continuing
+    the block before as ``np.cumsum`` adds: the blocks hold the bits of one
+    whole-array pass. The caller checks ``arr``.
+    """
+    total = None
+    for lo in range(0, arr.size, _BLOCK):
+        hi = min(lo + _BLOCK, arr.size)
+        half = np.arange(lo + 2, hi + 2) / 2.0  # (k+2)/2 >= 1: growth offset and scale
+        growth = arr[lo:hi] - half
+        if lo == 0:
+            growth[0] = -abs(arr[0] - 1.0)  # at k = 0 the condition pins t_0 = 1 exactly
+        first = max(lo - 1, 0)  # quad_k relates t_k and t_{k+1}
+        sq = arr[first:hi] ** 2
+        quad = sq[:-1] - sq[1:]
+        quad += arr[first + 1 : hi]
+        scale = np.maximum(1.0, sq[:-1])  # explicit schedules may hold t < 1
+        report = ScheduleReport(
+            growth_residuals=growth,
+            quadratic_residuals=quad,
+            growth_violations=_violations(growth < -GROWTH_TOL * half, growth, half, first_k=lo),
+            quadratic_violations=_violations(quad < -QUADRATIC_TOL * scale, quad, scale, first_k=first),
+            quadratic_scaled_abs_max=float(np.max(np.abs(quad) / scale)),  # NaN if any is
+        )
+        b = max(lo, 2)
+        ks = np.arange(b, hi)
+        tm1 = arr[b:hi] - 1.0
+        low = tm1 - 1.0
+        up = ks - tm1
+        # reciprocals are divergence evidence; meaningless where the lower bound fails
+        sums = np.full(tm1.size, np.nan)
+        np.divide(1.0, tm1, out=sums, where=tm1 > 0)
+        if total is not None:
+            sums[0] = total + sums[0]
+        np.cumsum(sums, out=sums)
+        total = sums[-1] if sums.size else None
+        bounds = TkBoundsReport(
+            _violations(~(low >= -_BOUNDS_TOL), low, first_k=b),
+            _violations(up < -_BOUNDS_TOL * ks, up, first_k=b),
+            inv_partial_sums=sums,
+        )
+        yield lo, report, bounds
+
+
+def _admissible_input(ts) -> np.ndarray:
+    """``ts`` as a float array, or the error :func:`validate_schedule` documents."""
+    arr = np.asarray(ts, dtype=float)
+    if arr.ndim != 1 or arr.size < 2:
+        raise ValueError("need a sequence of at least two step parameters")
+    if abs(arr[0] - 1.0) > 1e-12:
+        raise ScheduleError(f"t_0 must equal 1, got {float(arr[0])!r}")
+    if not np.all(np.isfinite(arr)):
+        raise ScheduleError(f"t_{int(np.argmin(np.isfinite(arr)))} is not finite")
+    return arr
+
+
+def _joined(blocks: list):
+    """One report from its blocks' reports: each array field concatenated in block order, the
+    scaled maximum the largest of theirs (NaN if any is, as one ``np.max``)."""
+    fields = {}
+    for name in blocks[0].__dataclass_fields__:
+        parts = [getattr(block, name) for block in blocks]
+        fields[name] = np.concatenate(parts) if isinstance(parts[0], np.ndarray) else float(np.max(parts))
+    return type(blocks[0])(**fields)
+
+
 def validate_schedule(ts) -> ScheduleReport:
     """Check a raw sequence against both admissibility conditions.
 
@@ -102,45 +176,7 @@ def validate_schedule(ts) -> ScheduleReport:
     (k+2)/2 >= 1, quadratic ones by max(1, t_k^2). Empty violation arrays
     in the report mean the prefix is admissible.
     """
-    arr = np.asarray(ts, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ValueError("need a sequence of at least two step parameters")
-    if abs(arr[0] - 1.0) > 1e-12:
-        raise ScheduleError(f"t_0 must equal 1, got {float(arr[0])!r}")
-    if not np.all(np.isfinite(arr)):
-        raise ScheduleError(f"t_{int(np.argmin(np.isfinite(arr)))} is not finite")
-
-    # the residuals are filled in place, ``_BLOCK`` terms at a time, so the
-    # scales, squares and masks are never alive over the whole prefix; every
-    # value is elementwise and a maximum does not depend on order, so the
-    # blocks give the bits of one pass
-    growth, quad = np.empty(arr.size), np.empty(arr.size - 1)
-    growth_violations, quadratic_violations = [], []
-    scaled_abs_max = -math.inf
-    for lo in range(0, arr.size, _BLOCK):
-        hi = min(lo + _BLOCK, arr.size)
-        half = np.arange(lo + 2, hi + 2) / 2.0  # (k+2)/2 >= 1: growth offset and scale
-        g = np.subtract(arr[lo:hi], half, out=growth[lo:hi])
-        if lo == 0:
-            g[0] = -abs(arr[0] - 1.0)  # at k = 0 the condition pins t_0 = 1 exactly
-        growth_violations.append(_violations(g < -GROWTH_TOL * half, g, half, first_k=lo))
-        top = min(hi, arr.size - 1)  # quad_k relates t_k and t_{k+1}
-        sq = arr[lo : top + 1] ** 2
-        q = np.subtract(sq[:-1], sq[1:], out=quad[lo:top])
-        q += arr[lo + 1 : top + 1]
-        scale = np.maximum(1.0, sq[:-1])  # explicit schedules may hold t < 1
-        quadratic_violations.append(_violations(q < -QUADRATIC_TOL * scale, q, scale, first_k=lo))
-        if q.size:  # NaN once any block's is NaN, as one np.max
-            block_max = float(np.max(np.abs(q) / scale))
-            if block_max != block_max or block_max > scaled_abs_max:
-                scaled_abs_max = block_max
-    return ScheduleReport(
-        growth_residuals=growth,
-        quadratic_residuals=quad,
-        growth_violations=np.concatenate(growth_violations),
-        quadratic_violations=np.concatenate(quadratic_violations),
-        quadratic_scaled_abs_max=scaled_abs_max,
-    )
+    return _joined([report for _, report, _ in _certify(_admissible_input(ts))])
 
 
 class Schedule:
@@ -179,21 +215,22 @@ class Schedule:
         return ts
 
     def prefix(self, k_max: int) -> np.ndarray:
-        """t_0..t_{k_max}, generated from t_0 = 1 and certified with :func:`validate_schedule`.
+        """t_0..t_{k_max}, generated from t_0 = 1 and certified as :func:`validate_schedule` certifies.
 
         A violation, or asking for more terms than an explicit rule has, is
-        a :class:`ScheduleError`. An explicit prefix is a read-only view.
+        a :class:`ScheduleError` naming the first violating term. An explicit
+        prefix is a read-only view.
         """
         if k_max < 0:
             raise ValueError("k_max must be nonnegative")
-        ts = self._generate(max(k_max, 1))
-        report = validate_schedule(ts)
-        if not report.valid:
-            k, condition = min(
-                [(k, "growth") for k, _ in report.growth_violations[:1]]
-                + [(k + 1, "quadratic") for k, _ in report.quadratic_violations[:1]]
-            )
-            raise ScheduleError(f"{condition} condition violated at k={k}: t={float(ts[k])}")
+        ts = _admissible_input(self._generate(max(k_max, 1)))
+        for _, report, _ in _certify(ts):
+            if not report.valid:  # a block's violations name terms of the block, so this one holds the first
+                k, condition = min(
+                    [(k, "growth") for k, _ in report.growth_violations[:1]]
+                    + [(k + 1, "quadratic") for k, _ in report.quadratic_violations[:1]]
+                )
+                raise ScheduleError(f"{condition} condition violated at k={k}: t={float(ts[k])}")
         if ts.size <= k_max:
             raise ScheduleError(f"explicit schedule has {ts.size} entries; index {ts.size} requested")
         return ts[: k_max + 1]
@@ -227,25 +264,5 @@ def check_tk_bounds(ts) -> TkBoundsReport:
     arr = np.asarray(ts, dtype=float)
     if arr.ndim != 1 or arr.size < 3:
         raise ValueError("need at least t_0..t_2 to check the bounds")
-    tol = 1e-9
-    inv = np.empty(arr.size - 2)
-    lower, upper = [], []
-    # block by block, as validate_schedule: each block's running sum starts
-    # from the sum before it, added as np.cumsum adds it, so the partial
-    # sums keep the bits of one cumsum
-    for lo in range(2, arr.size, _BLOCK):
-        hi = min(lo + _BLOCK, arr.size)
-        ks = np.arange(lo, hi)
-        tm1 = arr[lo:hi] - 1.0
-        low = tm1 - 1.0
-        up = ks - tm1
-        lower.append(_violations(~(low >= -tol), low, first_k=lo))
-        upper.append(_violations(up < -tol * ks, up, first_k=lo))
-        # reciprocals are divergence evidence; meaningless where the lower bound fails
-        sums = inv[lo - 2 : hi - 2]
-        sums.fill(np.nan)
-        np.divide(1.0, tm1, out=sums, where=tm1 > 0)
-        if lo > 2:
-            sums[0] = inv[lo - 3] + sums[0]
-        np.cumsum(sums, out=sums)
-    return TkBoundsReport(np.concatenate(lower), np.concatenate(upper), inv_partial_sums=inv)
+    with np.errstate(all="ignore"):  # the growth and quadratic residuals of a non-finite term, unread
+        return _joined([bounds for _, _, bounds in _certify(arr)])

@@ -1,11 +1,15 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+import types
 import warnings
 from pathlib import Path
 
@@ -15,16 +19,24 @@ import pytest
 from fistalab import (
     NonFiniteIterateError,
     NonsmoothPart,
+    ScalarSeq,
     Schedule,
     Trace,
     cli,
+    check_tk_bounds,
+    divergence_witness,
     families,
     feasibility_problem,
     fista_run,
+    get_scenario,
     nesterov_run,
     pgm_run,
+    validate_schedule,
+    verdict,
 )
 from fistalab.cli import main, repro_fig1, run_config
+from fistalab.scalar_transform import _RECURSION_CHUNK as SCALAR_BLOCK
+from fistalab.schedule import _BLOCK as SCHEDULE_BLOCK
 
 REPO = Path(__file__).resolve().parent.parent
 FIG1_SHA256 = "e8e483ab14e58c4b7f60feebb573086b69b4d8949ece96a515e1268093aa0e44"
@@ -708,6 +720,78 @@ class TestReproFig1:
         assert capsys.readouterr().err.startswith("error: cannot write artifacts: ")
 
 
+# ---- the whole-array lab commands the block folds replaced, kept as their references
+
+EDGE_COUNTS = [SCALAR_BLOCK - 1, SCALAR_BLOCK, SCALAR_BLOCK + 1, 2 * SCALAR_BLOCK + 1]
+LOG_PROD = re.compile(r"(?<=log prod lambda = )\S+")
+
+
+def printed(command, *args) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        command(*args)
+    return out.getvalue()
+
+
+def reference_bcch_demo(name: str, count: int) -> None:
+    """``bcch-demo`` as it ran on whole arrays of h, g and the divergence witness."""
+    scenario = get_scenario(name)
+    h = scenario.h_values(count)
+    g = scenario.g_values(count)
+    win = min(100, count // 2)
+    expected = scenario.expected_limit
+    tol = 1e-2 * max(1.0, abs(expected)) if math.isfinite(expected) else 1e-2
+    gv = verdict(ScalarSeq(g), win, tol)
+    hv = verdict(ScalarSeq(h), win, tol)
+    print(f"scenario {scenario.name}: start k={scenario.start}, {count} terms")
+    print(f"  provenance: {scenario.provenance}")
+    cli._print_verdict("g verdict", gv)
+    cli._print_verdict("h verdict", hv)
+    wit = divergence_witness(scenario.phi, count, start=scenario.start)
+    print(
+        f"  divergence witness: sum 1/phi = {wit.inv_phi[-1]:.6g}, "
+        f"sum 1/(1+phi) = {wit.inv_one_plus_phi[-1]:.6g}, "
+        f"chain inequality ok = {wit.chain_ok}, "
+        f"log prod lambda = {wit.log_weight_product:.6g}"
+    )
+    if math.isfinite(expected):
+        print(f"  expected limit {expected:.17g}; |h_end - expected| = {abs(h[-1] - expected):.3g}")
+    else:
+        hurdle = 1e3
+        reached = h[-1] > hurdle if expected > 0 else h[-1] < -hurdle
+        print(f"  hurdle {hurdle:g}: h_end = {h[-1]:.6g}, exceeded = {reached}")
+
+
+def reference_certificate(name: str, ts) -> None:
+    """``validate``'s report as it was printed from full-length validate_schedule and check_tk_bounds."""
+    report = validate_schedule(ts)
+    bounds = check_tk_bounds(ts)
+    count = len(ts) - 1
+    print(f"schedule {name}: {count + 1} terms, final t = {ts[-1]:.17g}")
+    print(
+        f"  growth residual min = {float(np.min(report.growth_residuals[1:])):.3g}, "
+        f"violations = {len(report.growth_violations)}"
+    )
+    print(
+        f"  quadratic residual min = {float(np.min(report.quadratic_residuals)):.3g}, "
+        f"scaled |residual| max = {report.quadratic_scaled_abs_max:.3g}, "
+        f"violations = {len(report.quadratic_violations)}"
+    )
+    print(
+        f"  bounds 1 <= t_k - 1 <= k: lower violations = {len(bounds.lower_violations)}, "
+        f"upper violations = {len(bounds.upper_violations)}"
+    )
+    print(f"  sum over k=2..{count} of 1/(t_k - 1) = {bounds.total:.6g}")
+    if report.valid and bounds.valid:
+        print("  verdict: VALID")
+        return
+    for k, res in report.growth_violations[:5]:
+        print(f"  growth violated at k={k} (scaled residual {res:.3g})")
+    for k, res in report.quadratic_violations[:5]:
+        print(f"  quadratic violated at k={k} (scaled residual {res:.3g})")
+    print("  verdict: INVALID")
+
+
 class TestBcchDemo:
     def test_sinh_scenario(self, capsys):
         assert main(["bcch-demo", "ex44-sinh", "2000"]) == 0
@@ -742,6 +826,30 @@ class TestBcchDemo:
         reference = json.loads((REPO / "perfbench" / "reference.json").read_text())
         assert main(["bcch-demo", name, "1000000"]) == 0
         assert capsys.readouterr().out == reference["lab"]["stdout"][f"bcch-demo {name} 1000000"]
+
+    @pytest.mark.parametrize("count", EDGE_COUNTS)
+    @pytest.mark.parametrize("name", ["ex42", "ex43", "ex44-sinh", "linf-minus", "linf-plus"])
+    def test_block_edges_print_the_whole_array_report(self, name, count, capsys):
+        want = printed(reference_bcch_demo, name, count)
+        assert cli.bcch_demo(name, count) == 0
+        got = capsys.readouterr().out
+        # sum log lambda is summed block by block, so only it may differ, in its last bits
+        (got_log,), (want_log,) = (LOG_PROD.findall(text) for text in (got, want))
+        assert math.isclose(float(got_log), float(want_log), rel_tol=1e-5)
+        assert LOG_PROD.sub("", got) == LOG_PROD.sub("", want)
+
+    @pytest.mark.parametrize("name", ["ex42", "linf-plus"])
+    def test_peak_does_not_grow_with_the_terms(self, name, capsys):
+        # ex42 evaluates h in closed form, linf-plus runs the recursion from a closed-form g
+        peaks = []
+        for count in (2**17, 2**19):
+            tracemalloc.start()
+            try:
+                assert cli.bcch_demo(name, count) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2**16, f"peaks {peaks} bytes"
 
 
 # stdout of ``validate <name> 1000`` as it read while the certifier held a Python tuple per violation
@@ -797,9 +905,29 @@ class TestValidate:
         assert main(["validate", name, "1000"]) == code
         assert capsys.readouterr().out == VALIDATE_1000[name]
 
+    @pytest.mark.parametrize("count", [SCHEDULE_BLOCK - 2, SCHEDULE_BLOCK - 1, SCHEDULE_BLOCK, 2 * SCHEDULE_BLOCK])
+    @pytest.mark.parametrize("name", ["bt", "linear", "constant-ones"])
+    def test_block_edges_print_the_whole_array_report(self, name, count, capsys):
+        ts = np.ones(count + 1) if name == "constant-ones" else Schedule(name).prefix(count)
+        want = printed(reference_certificate, name, ts)
+        cli.validate_command(name, count)
+        assert capsys.readouterr().out == want
+
+    def test_violations_on_both_sides_of_a_block_edge(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        ts = np.array(Schedule("bt").prefix(2 * SCHEDULE_BLOCK + 2))
+        edges = np.array([3, 4, SCHEDULE_BLOCK - 2, SCHEDULE_BLOCK - 1, SCHEDULE_BLOCK, SCHEDULE_BLOCK + 1])
+        ts[edges] *= rng.uniform(0.3, 3.0, size=edges.size)
+        ts[2 * SCHEDULE_BLOCK] = 0.5  # t - 1 <= 0 in the last block: the sum is NaN from there
+        want = printed(reference_certificate, "bt", ts)
+        monkeypatch.setattr(cli, "Schedule", lambda name: types.SimpleNamespace(prefix=lambda k_max: ts))
+        assert printed(cli.validate_command, "bt", ts.size - 1) == want
+        assert "verdict: INVALID" in want and "= nan" in want
+
     def test_validate_peak_scratch_per_term(self, capsys):
-        # 4.35 arrays of K + 1 doubles at the peak: t, the two residual columns and the partial
-        # sums, and a block's temporaries; with the certifiers' temporaries at full length, 8.13
+        # 1.91 arrays of K + 1 doubles at the peak: t and one block's temporaries (0.9 of an
+        # array at this K, the same size at any K); 4.35 with the full-length reports, and 8.13
+        # with the certifiers' temporaries at full length too
         count = 2**18
         tracemalloc.start()
         try:
@@ -807,7 +935,7 @@ class TestValidate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.75 * 8 * (count + 1), f"peak {peak / (8 * (count + 1)):.2f} arrays"
+        assert peak <= 2.25 * 8 * (count + 1), f"peak {peak / (8 * (count + 1)):.2f} arrays"
 
 
 @pytest.mark.parametrize(
@@ -815,10 +943,9 @@ class TestValidate:
     [
         ["validate", "bt", "{big}"],
         ["validate", "linear", "{big}"],
-        ["bcch-demo", "ex42", "{big}"],
         ["run", "{config}", "--output-dir", "{out}"],
     ],
-    ids=["validate-bt", "validate-linear", "bcch-demo", "run"],
+    ids=["validate-bt", "validate-linear", "run"],
 )
 def test_size_too_large_to_allocate_exits_two(argv, tmp_path, capsys):
     # numpy refuses the 73 TiB array at once, allocating nothing; its MemoryError used to
@@ -829,6 +956,24 @@ def test_size_too_large_to_allocate_exits_two(argv, tmp_path, capsys):
     assert main(args) == 2
     assert capsys.readouterr().err.startswith("error: Unable to allocate ")
     assert not (tmp_path / "out").exists()
+
+
+def test_memory_error_in_the_first_block_of_bcch_demo_exits_two(monkeypatch, capsys):
+    # bcch-demo folds its sequences block by block and allocates nothing of length K, so
+    # K = 10**13 would compute for days; a MemoryError from the closed form is still an
+    # error line and exit 2, not a traceback and exit 1
+    calls = []
+
+    def closed_form(k):
+        calls.append(k.size)
+        raise MemoryError("Unable to allocate the closed form")
+
+    scenario = dataclasses.replace(get_scenario("ex42"), h_closed=closed_form)
+    monkeypatch.setattr(cli, "get_scenario", lambda name: scenario)
+    assert main(["bcch-demo", "ex42", str(10**13)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert calls == [SCALAR_BLOCK + 1]
 
 
 class TestAtomicArtifacts:
